@@ -33,7 +33,7 @@ report = ak.convergence_bound_check(traj, pd, basis.lambda1, sol.g)
 print()
 print("== growth and convergence ==")
 pair0 = ak.inner_l2(K0, basis.b0)
-pair_end = ak.inner_l2(traj.states[-1], basis.b0)
+pair_end = ak.inner_l2(ak.GridFunction(grid, traj.states[-1]), basis.b0)
 print(f"<K(10), b0> / <K0, b0> = {pair_end / pair0:.6f} vs e^(10 g) = "
       f"{np.exp(10 * sol.g):.6f}")
 print(f"steady state is the flat profile {report.steady_state.values[0]:.6f} "

@@ -18,7 +18,7 @@ sol = ak.solve_hjb(basis, params)
 clo = ak.build_closed_loop(basis, sol)
 K0 = ak.GridFunction.from_callable(grid, lambda t: 1 + 0.4 * np.cos(t))
 
-audit = ak.optimality_audit(sol, clo, K0, n_perturbations=10, seed=7)
+audit = ak.optimality_audit(sol, K0, n_perturbations=10, seed=7)
 
 print("== payoff equality ==")
 print(f"horizon T = {audit.horizon:.2f} chosen so the closed-form tail is "
@@ -42,6 +42,7 @@ print("== transversality along the optimal path ==")
 traj = ak.simulate(clo, K0, audit.horizon, 200)
 for t_index in (0, 50, 100, 200):
     t = traj.times[t_index]
-    discounted = np.exp(-params.rho * t) * ak.value_function(sol, traj.states[t_index])
+    state = ak.GridFunction(grid, traj.states[t_index])
+    discounted = np.exp(-params.rho * t) * ak.value_function(sol, state)
     print(f"  e^(-rho t) v(K(t)) at t = {t:5.1f}: {discounted:.3e}")
 print(f"transversality check: {ak.transversality_check(sol, traj)}")

@@ -38,23 +38,21 @@ def _say(quiet: bool, message: str) -> None:
         print(message)
 
 
-def _pipeline(config: RunConfig):
-    """Shared solve pipeline: grid, params, K0, basis, solution."""
+def _model(config: RunConfig):
+    """Params, K0, spectral basis and tolerances of a config.
+
+    hjb.solve_hjb on this basis is the well-posedness check: it raises
+    InfeasibleParametersError when rho <= lambda0*(1-gamma).
+    """
     grid, params, K0 = config.model()
     tolerances = config.tolerances()
     op = spectral.assemble_generator(params, grid, tolerances)
-    basis = spectral.eigendecompose(op, tolerances)
-    if not hjb.check_wellposed(params, basis.lambda0):
-        raise InfeasibleParametersError(
-            f"rho={params.rho} does not exceed lambda0*(1-gamma)="
-            f"{basis.lambda0 * (1 - params.gamma)}"
-        )
-    sol = hjb.solve_hjb(basis, params)
-    return grid, params, K0, basis, sol, tolerances
+    return params, K0, spectral.eigendecompose(op, tolerances), tolerances
 
 
 def cmd_solve(config: RunConfig, out: Path, quiet: bool) -> int:
-    grid, params, K0, basis, sol, _ = _pipeline(config)
+    params, K0, basis, _ = _model(config)
+    sol = hjb.solve_hjb(basis, params)
     out.mkdir(parents=True, exist_ok=True)
     serialize.write_json(out / "spectral.json", serialize.basis_summary(basis))
     serialize.write_json(out / "hjb.json", hjb.hjb_summary(sol))
@@ -70,7 +68,8 @@ def cmd_solve(config: RunConfig, out: Path, quiet: bool) -> int:
 
 
 def cmd_simulate(config: RunConfig, out: Path, quiet: bool) -> int:
-    grid, params, K0, basis, sol, tolerances = _pipeline(config)
+    params, K0, basis, tolerances = _model(config)
+    sol = hjb.solve_hjb(basis, params)
     clo = closed_loop.build_closed_loop(basis, sol)
     pd = closed_loop.compute_projection_data(basis, sol, tolerances)
     traj = closed_loop.simulate(clo, K0, config.t_final, config.n_steps)
@@ -97,7 +96,8 @@ def cmd_simulate(config: RunConfig, out: Path, quiet: bool) -> int:
 
 def cmd_verify(config: RunConfig, out: Path, quiet: bool,
                debug_perturb_alpha: float = 0.0) -> int:
-    grid, params, K0, basis, sol, tolerances = _pipeline(config)
+    params, K0, basis, tolerances = _model(config)
+    sol = hjb.solve_hjb(basis, params)
     if debug_perturb_alpha:
         sol = dataclasses.replace(sol, alpha=sol.alpha * (1.0 + debug_perturb_alpha))
     clo = closed_loop.build_closed_loop(basis, sol)
@@ -107,7 +107,7 @@ def cmd_verify(config: RunConfig, out: Path, quiet: bool,
     max_residual = max(residuals)
 
     audit = verify.optimality_audit(
-        sol, clo, K0, config.n_perturbations, config.seed, tolerances
+        sol, K0, config.n_perturbations, config.seed, tolerances
     )
     # one quadrature-convergence check per run: double the time nodes
     doubled = verify.payoff(
@@ -166,12 +166,10 @@ def cmd_verify(config: RunConfig, out: Path, quiet: bool,
 def _sweep_point(config: RunConfig, rho: float, gamma: float, sigma: float) -> dict:
     point = dataclasses.replace(config, rho=rho, gamma=gamma, sigma=sigma)
     row: dict = {"rho": rho, "gamma": gamma, "sigma": sigma}
+    params, _, basis, tolerances = _model(point)
     try:
-        grid, params, K0, basis, sol, tolerances = _pipeline(point)
+        sol = hjb.solve_hjb(basis, params)
     except InfeasibleParametersError:
-        grid, params, K0 = point.model()
-        op = spectral.assemble_generator(params, grid)
-        basis = spectral.eigendecompose(op)
         row.update(
             lambda0=basis.lambda0,
             lambda1=basis.lambda1,

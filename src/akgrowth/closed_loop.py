@@ -6,7 +6,10 @@ integro-PDE whose generator is the rank-one perturbation
     B = L - outer(withdrawal_profile, quadrature-weighted b0),
 
 where withdrawal_profile = (alpha*b0)^(-1/gamma) * eta^((q+gamma-1)/gamma).
-Its dominant eigenvalue (when it dominates) is the growth rate g, with
+Since <weight*b0, b_k> = delta_k0, B is diag(lambda) with only its first
+column changed in the eigenbasis {b_k} of L, so its spectrum and trajectories
+are closed forms (Golub, SIAM Review 15, 1973); dense B is only an oracle.
+The dominant eigenvalue (when it dominates) is the growth rate g, with
 eigenvector w; detrended trajectories converge to the rank-one projection
 P x = <x, beta> w, which is validated here both from its closed-form series
 and from a resolvent contour integral.
@@ -15,9 +18,9 @@ and from a resolvent contour integral.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import ContourEnclosureError, GridMismatchError, SpectrumCollisionError
 from .grid import TWO_PI, Grid, GridFunction, inner_l2
@@ -44,46 +47,48 @@ def withdrawal_profile(sol: HjbSolution) -> GridFunction:
 
 @dataclass(frozen=True, eq=False)
 class ClosedLoopOperator:
-    """Dense matrix of B = L - N*Phi together with its spectrum."""
+    """B = L - outer(withdrawal, weight * b0) in the eigenbasis of L.
 
-    matrix: np.ndarray
+    With u_k = <withdrawal, b_k> (``withdrawal_coeffs``), B maps coefficients
+    c_k to lambda_k c_k - u_k c_0.  It is triangular, so ``spectrum`` is
+    [lambda_0 - u_0, lambda_1, ..., lambda_{n-1}].
+    """
+
     basis: SpectralBasis
     sol: HjbSolution
-    spectrum: np.ndarray  # complex eigenvalues of ``matrix``
-
-    def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=float).copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-        s = np.asarray(self.spectrum, dtype=complex).copy()
-        s.setflags(write=False)
-        object.__setattr__(self, "spectrum", s)
+    withdrawal: GridFunction  # withdrawal_profile(sol)
+    withdrawal_coeffs: np.ndarray
+    spectrum: np.ndarray
 
     @property
     def grid(self) -> Grid:
         return self.basis.grid
 
-    def apply(self, f: GridFunction) -> GridFunction:
-        if f.grid != self.grid:
-            raise GridMismatchError("operand lives on a different grid")
-        return GridFunction(self.grid, self.matrix @ f.values)
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """Dense B, built on first use as an oracle.
+
+        L is rebuilt from the basis (weight * V diag(lambda) V^T), so every
+        eigen-identity holds to rounding against the stored spectral data.
+        """
+        basis = self.basis
+        weight = basis.grid.weight
+        l_matrix = weight * (basis.vectors * basis.eigenvalues) @ basis.vectors.T
+        m = l_matrix - np.outer(self.withdrawal.values, weight * basis.b0.values)
+        m.setflags(write=False)
+        return m
 
 
 def build_closed_loop(basis: SpectralBasis, sol: HjbSolution) -> ClosedLoopOperator:
-    """Assemble B = L - outer(withdrawal_profile, weight * b0).
-
-    L is reconstructed from the basis itself (weight * V diag(lambda) V^T),
-    which keeps every downstream eigen-identity consistent with the stored
-    spectral data to rounding.
-    """
-    if sol.basis is not basis and sol.basis.grid != basis.grid:
-        raise GridMismatchError("solution was built on a different grid")
-    weight = basis.grid.weight
-    l_matrix = weight * (basis.vectors * basis.eigenvalues) @ basis.vectors.T
-    u = withdrawal_profile(sol).values
-    b_matrix = l_matrix - np.outer(u, weight * basis.b0.values)
-    spectrum = np.linalg.eigvals(b_matrix)
-    return ClosedLoopOperator(matrix=b_matrix, basis=basis, sol=sol, spectrum=spectrum)
+    """Closed-loop generator of the feedback of ``sol``, solved on ``basis``."""
+    if sol.basis is not basis:
+        raise GridMismatchError("solution was solved on a different basis")
+    withdrawal = withdrawal_profile(sol)
+    u = basis.coefficients(withdrawal)
+    spectrum = np.concatenate(([basis.lambda0 - u[0]], basis.eigenvalues[1:]))
+    for array in (u, spectrum):
+        array.setflags(write=False)
+    return ClosedLoopOperator(basis, sol, withdrawal, u, spectrum)
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,6 +124,8 @@ def compute_projection_data(
     truncated at the discretization order (exact at this level).  Fails with
     a SpectrumCollisionError if g is too close to any eigenvalue.
     """
+    if sol.basis is not basis:
+        raise GridMismatchError("solution was solved on a different basis")
     g = sol.g
     gaps = np.abs(basis.eigenvalues - g)
     if float(gaps.min()) < tolerances.spectrum_collision:
@@ -225,26 +232,22 @@ def projection_via_contour(
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Sampled closed-loop path: states K(t_i) and detrended e^(-g t_i) K(t_i)."""
+    """Closed-loop path on ``grid`` as read-only arrays: row i of ``states``
+    is K(times[i]), of ``detrended`` e^(-g times[i]) K(times[i])."""
 
+    grid: Grid
     times: np.ndarray
-    states: list[GridFunction]
-    detrended: list[GridFunction]
+    states: np.ndarray
+    detrended: np.ndarray
 
-    def __post_init__(self) -> None:
-        t = np.asarray(self.times, dtype=float).copy()
-        if t.ndim != 1 or t[0] != 0.0:
-            raise ValueError("times must be a 1-d array starting at 0")
-        if len(self.states) != t.size or len(self.detrended) != t.size:
-            raise ValueError("times/states/detrended lengths disagree")
-        t.setflags(write=False)
-        object.__setattr__(self, "times", t)
 
-    def state_matrix(self) -> np.ndarray:
-        return np.stack([s.values for s in self.states])
-
-    def detrended_matrix(self) -> np.ndarray:
-        return np.stack([s.values for s in self.detrended])
+def _exp_quotient(a: float, b: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """(e^(a t) - e^(b t)) / (a - b), or t e^(a t) where a = b, evaluated as
+    e^(max(a,b) t) (-expm1(-|a-b| t)) / |a-b| so stiff modes b << 0 neither
+    overflow nor cancel."""
+    gap = np.abs(a - b)
+    ratio = np.where(gap > 0.0, -np.expm1(-gap * t) / np.where(gap > 0.0, gap, 1.0), t)
+    return np.exp(np.maximum(a, b) * t) * ratio
 
 
 def simulate(
@@ -255,9 +258,13 @@ def simulate(
 ) -> Trajectory:
     """Closed-loop trajectory at n_steps uniform steps over [0, t_final].
 
-    One dense matrix exponential of B * dt is computed once and reused for
-    every step, so there is no time-discretization error at the sample
-    points; dt enters only through output sampling.
+    In the eigenbasis of L the coefficients obey c_0' = r c_0 and
+    c_k' = lambda_k c_k - u_k c_0 with r = lambda_0 - u_0, so that
+
+        c_0(t) = c_0 e^(r t),
+        c_k(t) = e^(lambda_k t) c_k - u_k c_0 (e^(r t) - e^(lambda_k t)) / (r - lambda_k).
+
+    The path is exact at the sample points; row 0 is x0 itself.
     """
     if x0.grid != clo.grid:
         raise GridMismatchError("initial state lives on a different grid")
@@ -265,16 +272,15 @@ def simulate(
         raise ValueError(f"t_final must be > 0, got {t_final}")
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    dt = t_final / n_steps
-    stepper = expm(clo.matrix * dt)
+    basis, u, r = clo.basis, clo.withdrawal_coeffs, clo.spectrum[0]
+    lam = basis.eigenvalues
     times = np.linspace(0.0, t_final, n_steps + 1)
-    g = clo.sol.g
-    states = [x0]
-    detrended = [x0]
-    current = x0.values
-    for i in range(1, n_steps + 1):
-        current = stepper @ current
-        state = GridFunction(clo.grid, current)
-        states.append(state)
-        detrended.append(GridFunction(clo.grid, current * np.exp(-g * times[i])))
-    return Trajectory(times=times, states=states, detrended=detrended)
+    t = times[1:, None]
+    c = basis.coefficients(x0)
+    coeffs = np.exp(lam * t) * c - (u * c[0]) * _exp_quotient(r, lam, t)
+    coeffs[:, 0] = c[0] * np.exp(r * times[1:])
+    states = np.vstack([x0.values, coeffs @ basis.vectors.T])
+    detrended = states * np.exp(-clo.sol.g * times)[:, None]
+    for array in (times, states, detrended):
+        array.setflags(write=False)
+    return Trajectory(grid=clo.grid, times=times, states=states, detrended=detrended)

@@ -2,7 +2,8 @@
 
 
 class GridMismatchError(ValueError):
-    """Two grid quantities living on different grids were combined."""
+    """Two grid quantities living on different grids were combined, or a
+    solution was paired with a basis other than the one it was solved on."""
 
 
 class PositivityError(RuntimeError):

@@ -14,7 +14,6 @@ from pathlib import Path
 import numpy as np
 
 from .closed_loop import Trajectory
-from .grid import GridFunction, inner_l2
 from .spectral import SpectralBasis
 from .stability import StabilityReport
 
@@ -79,17 +78,6 @@ def write_json(path: str | Path, obj) -> None:
 
 
 # ------------------------------------------------------------------ CSV
-def gridfunction_csv(f: GridFunction) -> str:
-    lines = ["theta,value"]
-    for theta, value in zip(f.grid.nodes, f.values):
-        lines.append(f"{format_float(theta)},{format_float(value)}")
-    return "\n".join(lines) + "\n"
-
-
-def write_gridfunction_csv(path: str | Path, f: GridFunction) -> None:
-    Path(path).write_text(gridfunction_csv(f))
-
-
 def basis_summary(basis: SpectralBasis) -> dict:
     """JSON-ready spectral summary: eigenvalues and the positive eigenfunction."""
     return {
@@ -112,10 +100,10 @@ def write_basis_csv(path: str | Path, basis: SpectralBasis) -> None:
 def trajectory_csv(traj: Trajectory) -> str:
     """Long-format trajectory: one row per (time, node)."""
     lines = ["t,theta,K,K_detrended"]
-    nodes = traj.states[0].grid.nodes
+    nodes = traj.grid.nodes
     for t, state, detrended in zip(traj.times, traj.states, traj.detrended):
         t_text = format_float(t)
-        for theta, k, kd in zip(nodes, state.values, detrended.values):
+        for theta, k, kd in zip(nodes, state, detrended):
             lines.append(
                 f"{t_text},{format_float(theta)},{format_float(k)},{format_float(kd)}"
             )
@@ -128,7 +116,7 @@ def write_trajectory_csv(path: str | Path, traj: Trajectory) -> None:
 
 def trajectory_summary(traj: Trajectory, basis: SpectralBasis) -> dict:
     """Pairings <K(t), b0> per sample plus the fitted growth exponent."""
-    pairings = np.array([inner_l2(state, basis.b0) for state in traj.states])
+    pairings = basis.grid.weight * (traj.states @ basis.b0.values)
     if np.all(pairings > 0):
         fitted = float(np.polyfit(traj.times, np.log(pairings), 1)[0])
     else:

@@ -47,7 +47,7 @@ def explicit_bound_constant(pd: ProjectionData) -> float:
 
 def positivity_audit(traj: Trajectory) -> bool:
     """True iff every stored state is strictly positive at every node."""
-    return bool(traj.state_matrix().min() > 0.0)
+    return bool(traj.states.min() > 0.0)
 
 
 def admissibility_condition(pd: ProjectionData, K0: GridFunction, M: float) -> bool:
@@ -98,10 +98,10 @@ def convergence_bound_check(
     the tolerance record.  Violations are reported, never raised.
     """
     M = explicit_bound_constant(pd)
-    K0 = traj.states[0]
+    K0 = GridFunction(traj.grid, traj.states[0])
     pairing = inner_l2(K0, pd.beta)
     steady = GridFunction(pd.basis.grid, pairing * pd.w.values)
-    deviations = np.abs(traj.detrended_matrix() - steady.values).max(axis=1)
+    deviations = np.abs(traj.detrended - steady.values).max(axis=1)
     rate = g - lambda1
     bounds = M * np.exp(-rate * traj.times) * deviations[0]
     violations = deviations - (bounds + tolerances.bound_slack)

@@ -17,8 +17,8 @@ from typing import Callable
 
 import numpy as np
 
-from .closed_loop import ClosedLoopOperator, Trajectory
-from .errors import HalfSpaceError, TailDivergenceError
+from .closed_loop import Trajectory
+from .errors import GridMismatchError, HalfSpaceError, TailDivergenceError
 from .grid import GridFunction, inner_l2
 from .hjb import (
     HjbSolution,
@@ -255,7 +255,6 @@ def _perturbed_control(
 
 def optimality_audit(
     sol: HjbSolution,
-    clo: ClosedLoopOperator,
     x0: GridFunction,
     n_perturbations: int,
     seed: int,
@@ -351,6 +350,8 @@ def hjb_residual(sol: HjbSolution, basis: SpectralBasis, x: GridFunction) -> flo
     Uses the eigenvector identity to evaluate the drift term: since b0 is an
     eigenfunction, <x, L* grad v(x)> = lambda0 <x,b0> * alpha <x,b0>^(-gamma).
     """
+    if sol.basis is not basis:
+        raise GridMismatchError("solution was solved on a different basis")
     inner = inner_l2(x, basis.b0)
     if inner <= 0.0:
         raise HalfSpaceError(f"<x, b0> = {inner!r} is not strictly positive")
@@ -374,7 +375,8 @@ def transversality_check(
     """
     values = np.array(
         [
-            math.exp(-sol.params.rho * t) * abs(value_function(sol, state))
+            math.exp(-sol.params.rho * t)
+            * abs(value_function(sol, GridFunction(traj.grid, state)))
             for t, state in zip(traj.times, traj.states)
         ]
     )

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from akgrowth import DEFAULT_TOLERANCES, spectral
 from akgrowth.cli import main
 
 WINDOW_CFG = """
@@ -177,6 +178,28 @@ class TestSweep:
             assert abs(float(row["g"]) - recomputed) < 1e-12
             if row["feasible"] == "false":
                 assert row["alpha"] == ""
+
+    def test_one_eigendecompose_per_point(self, tmp_path, monkeypatch):
+        # infeasible points keep the basis they were checked on, decomposed
+        # with the config's tolerance overrides
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(
+            WINDOW_CFG
+            + "tol.symmetry = 1e-11\nsweep.rho = 0.45, 0.75\nsweep.gamma = 0.5, 2.0\n"
+        )
+        calls = []
+        original = spectral.eigendecompose
+
+        def spy(op, tolerances=DEFAULT_TOLERANCES):
+            calls.append(tolerances)
+            return original(op, tolerances)
+
+        monkeypatch.setattr(spectral, "eigendecompose", spy)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+        assert "false" in (out / "sweep.csv").read_text()
+        assert len(calls) == 4
+        assert all(tolerances.symmetry == 1e-11 for tolerances in calls)
 
 
 class TestPerronAudit:

@@ -1,11 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import eig as dense_eig
+from scipy.linalg import expm
 
 import akgrowth as ak
 from akgrowth import (
     ContourEnclosureError,
     GridFunction,
+    GridMismatchError,
     SpectrumCollisionError,
     inner_l2,
 )
@@ -22,17 +28,23 @@ def random_state(grid, seed, offset=1.0):
 
 
 class TestOperator:
+    def test_rejects_foreign_basis(self, variable):
+        # same grid, separately decomposed: still not the solution's basis
+        other = ak.eigendecompose(variable.op)
+        with pytest.raises(GridMismatchError):
+            ak.build_closed_loop(other, variable.sol)
+
     def test_w_is_eigenvector(self, variable):
         clo, pd, sol = variable.clo, variable.pd, variable.sol
-        out = clo.apply(pd.w)
-        assert np.abs(out.values - sol.g * pd.w.values).max() < 1e-8
+        out = clo.matrix @ pd.w.values
+        assert np.abs(out - sol.g * pd.w.values).max() < 1e-8
 
     def test_left_eigenvector_pairing(self, variable):
         # <Bx, b0> = g <x, b0> for random states
         clo, basis, sol = variable.clo, variable.basis, variable.sol
         for seed in range(10):
             x = random_state(basis.grid, seed)
-            lhs = inner_l2(clo.apply(x), basis.b0)
+            lhs = inner_l2(GridFunction(basis.grid, clo.matrix @ x.values), basis.b0)
             rhs = sol.g * inner_l2(x, basis.b0)
             assert abs(lhs - rhs) < 1e-8 * max(1.0, abs(rhs))
 
@@ -44,20 +56,21 @@ class TestOperator:
 
     def test_spectrum_is_g_and_tail(self, window):
         # eigenvalues of B are {g} union {lambda_k, k >= 1}; lambda_0 is gone
-        basis, sol, clo = window.basis, window.sol, window.clo
-        assert np.abs(clo.spectrum.imag).max() < 1e-9
-        computed = np.sort(clo.spectrum.real)[::-1]
+        basis, sol = window.basis, window.sol
+        spectrum = np.linalg.eigvals(window.clo.matrix)
+        assert np.abs(spectrum.imag).max() < 1e-9
+        computed = np.sort(spectrum.real)[::-1]
         expected = np.sort(np.concatenate(([sol.g], basis.eigenvalues[1:])))[::-1]
         assert np.abs(computed - expected).max() < 1e-7
         # g simple: nearest other eigenvalue stays away
-        gaps = np.sort(np.abs(clo.spectrum.real - sol.g))
+        gaps = np.sort(np.abs(spectrum.real - sol.g))
         assert gaps[1] > 1e-9
         # lambda0 absent from the spectrum
-        assert np.abs(clo.spectrum.real - basis.lambda0).min() > 0.25
+        assert np.abs(spectrum.real - basis.lambda0).min() > 0.25
 
     def test_spectrum_variable_case(self, variable):
-        basis, sol, clo = variable.basis, variable.sol, variable.clo
-        computed = np.sort(clo.spectrum.real)[::-1]
+        basis, sol = variable.basis, variable.sol
+        computed = np.sort(np.linalg.eigvals(variable.clo.matrix).real)[::-1]
         expected = np.sort(np.concatenate(([sol.g], basis.eigenvalues[1:])))[::-1]
         assert np.abs(computed - expected).max() < 1e-7
 
@@ -76,6 +89,11 @@ class TestOperator:
 
 
 class TestProjectionData:
+    def test_rejects_foreign_basis(self, variable):
+        other = ak.eigendecompose(variable.op)
+        with pytest.raises(GridMismatchError):
+            ak.compute_projection_data(other, variable.sol)
+
     def test_homogeneous_coefficients_vanish(self, window):
         pd, sol, basis = window.pd, window.sol, window.basis
         assert np.abs(pd.beta_coeffs[1:]).max() < 1e-12
@@ -163,21 +181,22 @@ class TestSimulate:
         inner0 = inner_l2(variable.K0, basis.b0)
         for t, state in zip(traj.times, traj.states):
             expected = inner0 * np.exp(sol.g * t)
-            assert abs(inner_l2(state, basis.b0) - expected) < 1e-8 * abs(expected)
+            pairing = basis.grid.weight * float(state @ basis.b0.values)
+            assert abs(pairing - expected) < 1e-8 * abs(expected)
 
     def test_steady_start_stays_fixed(self, variable):
         pd, clo = variable.pd, variable.clo
         x0 = GridFunction(variable.grid, 2.5 * pd.w.values)
         traj = ak.simulate(clo, x0, 5.0, 50)
         for state in traj.detrended:
-            assert np.abs(state.values - x0.values).max() < 1e-8
+            assert np.abs(state - x0.values).max() < 1e-8
 
     def test_control_consistency(self, variable):
         sol, clo = variable.sol, variable.clo
         traj = ak.simulate(clo, variable.K0, 4.0, 40)
         base = ak.feedback_control(sol, variable.K0)
         for t, state in zip(traj.times, traj.states):
-            along = ak.feedback_control(sol, state)
+            along = ak.feedback_control(sol, GridFunction(variable.grid, state))
             expected = np.exp(sol.g * t) * base.values
             assert np.abs(along.values - expected).max() < 1e-8 * max(1.0, np.abs(expected).max())
 
@@ -189,7 +208,7 @@ class TestSimulate:
         coeffs = np.linalg.solve(vectors, variable.K0.values.astype(complex))
         for t, state in zip(traj.times, traj.states):
             via_eig = (vectors @ (np.exp(lam * t) * coeffs)).real
-            assert np.abs(state.values - via_eig).max() < 1e-8
+            assert np.abs(state - via_eig).max() < 1e-8
 
     def test_input_validation(self, variable):
         with pytest.raises(ValueError):
@@ -211,3 +230,47 @@ class TestSimulate:
         traj = ak.simulate(pipe.clo, pipe.K0, 2.0, 20)
         report = ak.convergence_bound_check(traj, pipe.pd, pipe.basis.lambda1, pipe.sol.g)
         assert not report.dominance_ok
+
+
+class TestClosedFormOracle:
+    """The closed-form spectrum and trajectories against the dense B."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.sampled_from([16, 32, 64]),
+        sigma=st.floats(0.1, 2.0),
+        gamma=st.one_of(st.floats(0.1, 0.95), st.floats(1.05, 4.0)),
+        q=st.floats(0.0, 1.0),
+        amplitude=st.floats(0.0, 0.8),
+        margin=st.floats(0.01, 3.0),
+        perturb=st.one_of(st.just(0.0), st.floats(-0.3, 0.3)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # g < lambda1, gamma > 1 and a perturbed alpha in one case
+    @example(n=32, sigma=1.0, gamma=2.0, q=0.0, amplitude=0.5, margin=2.5,
+             perturb=0.05, seed=0)
+    def test_matches_dense_generator(self, n, sigma, gamma, q, amplitude, margin,
+                                     perturb, seed):
+        grid = ak.Grid(n)
+        A = GridFunction.from_callable(grid, lambda t: 1.0 + amplitude * np.cos(t))
+        eta = GridFunction.from_callable(grid, lambda t: 1.0 + 0.2 * np.sin(2 * t))
+        params = ak.ModelParams(sigma=sigma, rho=1.0, gamma=gamma, q=q, A=A, eta=eta)
+        basis = ak.eigendecompose(ak.assemble_generator(params, grid))
+        # rho does not enter L: place it a margin above the well-posedness bound
+        rho = max(0.0, basis.lambda0 * (1.0 - gamma)) + margin
+        sol = ak.solve_hjb(basis, dataclasses.replace(params, rho=rho))
+        sol = dataclasses.replace(sol, alpha=sol.alpha * (1.0 + perturb))
+        clo = ak.build_closed_loop(basis, sol)
+        # near a collision of the rate with lambda_k dense eigvals is
+        # ill-conditioned, so the oracle itself is not trusted there
+        assume(np.abs(basis.eigenvalues[1:] - clo.spectrum[0]).min() > 1e-3)
+
+        eigs = np.sort_complex(np.linalg.eigvals(clo.matrix))
+        spectrum = np.sort(clo.spectrum)
+        assert np.all(np.abs(eigs - spectrum) <= 1e-9 * np.maximum(1.0, np.abs(spectrum)))
+
+        x0 = random_state(grid, seed)
+        traj = ak.simulate(clo, x0, 2.0, 4)
+        for t, state in zip(traj.times, traj.states):
+            dense = expm(clo.matrix * t) @ x0.values
+            assert np.abs(state - dense).max() <= 1e-9 * np.abs(dense).max()

@@ -5,7 +5,6 @@ import pytest
 
 import akgrowth as ak
 from akgrowth import serialize
-from akgrowth.grid import Grid, GridFunction
 
 
 class TestFloatFormatting:
@@ -52,17 +51,6 @@ class TestJson:
 
 
 class TestCsv:
-    def test_gridfunction_layout(self):
-        grid = Grid(8)
-        f = GridFunction.constant(grid, 1.0 / 3.0)
-        text = serialize.gridfunction_csv(f)
-        lines = text.strip().split("\n")
-        assert lines[0] == "theta,value"
-        assert len(lines) == 9
-        theta, value = lines[1].split(",")
-        assert float(theta) == 0.0
-        assert value == "0.33333333333333331"
-
     def test_trajectory_layout(self, window):
         traj = ak.simulate(window.clo, window.K0, 1.0, 2)
         text = serialize.trajectory_csv(traj)

@@ -74,7 +74,7 @@ class TestOpenLoop:
         )
         traj = ak.simulate(clo, K0, 5.0, 20)
         worst = max(
-            np.abs(a.values - b.values).max() for a, b in zip(states, traj.states)
+            np.abs(a.values - b).max() for a, b in zip(states, traj.states)
         )
         assert worst < 1e-7
 
@@ -87,7 +87,7 @@ class TestOpenLoop:
         )
         traj = ak.simulate(clo, K0, 4.0, 16)
         worst = max(
-            np.abs(a.values - b.values).max() for a, b in zip(states, traj.states)
+            np.abs(a.values - b).max() for a, b in zip(states, traj.states)
         )
         assert worst < 1e-7
 
@@ -112,14 +112,14 @@ class TestOpenLoop:
 
 class TestOptimalityAudit:
     def test_equality_only(self, window):
-        audit = ak.optimality_audit(window.sol, window.clo, window.K0, 0, seed=1)
+        audit = ak.optimality_audit(window.sol, window.K0, 0, seed=1)
         assert audit.n_perturbations == 0
         assert audit.rel_gap < 1e-6
         assert audit.all_dominated
         assert audit.max_perturbed_J == float("-inf")
 
     def test_perturbations_dominated(self, window):
-        audit = ak.optimality_audit(window.sol, window.clo, window.K0, 6, seed=99)
+        audit = ak.optimality_audit(window.sol, window.K0, 6, seed=99)
         v = audit.v
         assert audit.all_dominated
         assert audit.max_perturbed_J <= v + 1e-6 * abs(v)
@@ -131,8 +131,8 @@ class TestOptimalityAudit:
         assert audit.max_discounted_terminal_rel <= envelope
 
     def test_deterministic_under_seed(self, window):
-        a = ak.optimality_audit(window.sol, window.clo, window.K0, 3, seed=5)
-        b = ak.optimality_audit(window.sol, window.clo, window.K0, 3, seed=5)
+        a = ak.optimality_audit(window.sol, window.K0, 3, seed=5)
+        b = ak.optimality_audit(window.sol, window.K0, 3, seed=5)
         assert [s.payoff for s in a.samples] == [s.payoff for s in b.samples]
 
     def test_zero_amplitude_perturbation_is_optimal_control(self, window):
@@ -150,7 +150,7 @@ class TestOptimalityAudit:
         assert J_flat == J_opt
 
     def test_gamma2_perturbations(self, gamma2):
-        audit = ak.optimality_audit(gamma2.sol, gamma2.clo, gamma2.K0, 4, seed=7)
+        audit = ak.optimality_audit(gamma2.sol, gamma2.K0, 4, seed=7)
         assert audit.all_dominated
         assert audit.rel_gap < 1e-6
         envelope = ak.perturbed_transversality_envelope(gamma2.sol, audit.horizon)
@@ -161,7 +161,7 @@ class TestOptimalityAudit:
         # discounted terminal value decays at the admissible-envelope rate
         # rho - lambda0*(1-gamma), slower than along the feedback path
         pipe = variable_mild
-        audit = ak.optimality_audit(pipe.sol, pipe.clo, pipe.K0, 2, seed=11)
+        audit = ak.optimality_audit(pipe.sol, pipe.K0, 2, seed=11)
         assert audit.all_dominated
         envelope = ak.perturbed_transversality_envelope(pipe.sol, audit.horizon)
         assert 0.0 < audit.max_discounted_terminal_rel <= envelope
@@ -182,6 +182,11 @@ class TestHjbResidual:
         residual = ak.hjb_residual(broken, window.basis, window.K0)
         assert residual > 1e-3
 
+    def test_rejects_foreign_basis(self, window):
+        other = ak.eigendecompose(window.op)
+        with pytest.raises(ak.GridMismatchError):
+            ak.hjb_residual(window.sol, other, window.K0)
+
     def test_half_space_guard(self, window):
         with pytest.raises(HalfSpaceError):
             ak.hjb_residual(window.sol, window.basis, GridFunction.constant(window.grid, -1.0))
@@ -199,7 +204,8 @@ class TestTransversality:
         traj = ak.simulate(window.clo, window.K0, 10.0, 100)
         discounted = np.array(
             [
-                math.exp(-window.params.rho * t) * ak.value_function(sol, state)
+                math.exp(-window.params.rho * t)
+                * ak.value_function(sol, GridFunction(window.grid, state))
                 for t, state in zip(traj.times, traj.states)
             ]
         )
