@@ -36,9 +36,10 @@ c0 = ak.feedback_control(sol, K0)
 print(f"consumption profile range: [{c0.values.min():.8f}, {c0.values.max():.8f}]")
 print(f"closed form (A - g)/(2*pi) * integral(K0) = "
       f"{(1 - sol.g) / (2 * np.pi) * ak.integral(K0):.8f}")
-c_later = ak.optimal_control_path(sol, K0, 2.0)
+# a plan maps an array of times to one consumption row per time
+c_later = ak.optimal_control_path(sol, K0, np.array([2.0]))[0]
 print(f"plan at t=2 is e^(2g) times the t=0 plan: factor "
-      f"{c_later.values[0] / c0.values[0]:.8f} vs e^(2g) = {np.exp(2 * sol.g):.8f}")
+      f"{c_later[0] / c0.values[0]:.8f} vs e^(2g) = {np.exp(2 * sol.g):.8f}")
 
 print()
 print("== the dynamic-programming equation is satisfied to rounding ==")
@@ -53,6 +54,6 @@ params2 = ak.ModelParams(sigma=1.0, rho=0.3, gamma=2.0, q=0.0, A=one, eta=one)
 sol2 = ak.solve_hjb(ak.eigendecompose(ak.assemble_generator(params2, grid)), params2)
 print(f"gamma=2: v(K0) = {ak.value_function(sol2, K0):.6f} < 0, "
       f"g = {sol2.g:.4f}")
-zero = ak.GridFunction.constant(grid, 0.0)
+zero = np.zeros(grid.n_points)
 print(f"utility of zero consumption: gamma=0.5 -> {ak.utility(params, zero)}, "
       f"gamma=2 -> {ak.utility(params2, zero)}")

@@ -149,30 +149,47 @@ def feedback_control(sol: HjbSolution, x: GridFunction) -> GridFunction:
     return GridFunction(sol.basis.grid, sol.feedback_profile.values * inner)
 
 
-def optimal_control_path(sol: HjbSolution, x0: GridFunction, t: float) -> GridFunction:
-    """Optimal consumption profile at time t, feedback_control(x0) * e^(g t)."""
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
+def optimal_control_path(sol: HjbSolution, x0: GridFunction, t: np.ndarray) -> np.ndarray:
+    """Optimal consumption rows at the times ``t``, feedback_control(x0) * e^(g t).
+
+    ``t`` is a 1-D array of m times >= 0; row i of the (m, n) result is the
+    consumption profile at t[i].
+    """
+    t = np.asarray(t, dtype=float)
+    if t.ndim != 1:
+        raise ValueError(f"t must be a 1-D array of times, got shape {t.shape}")
+    if np.any(t < 0):
+        raise ValueError(f"t must be >= 0, got min {t.min()!r}")
     _pairing(sol, x0)
     base = feedback_control(sol, x0)
-    return GridFunction(sol.basis.grid, base.values * np.exp(sol.g * t))
+    return np.exp(sol.g * t)[:, None] * base.values
 
 
-def utility(params: ModelParams, z: GridFunction) -> float:
+def utility(params: ModelParams, z: np.ndarray) -> np.ndarray:
     """Aggregate utility U(z) = integral of z^(1-gamma)/(1-gamma) * eta^q.
 
-    For gamma > 1 a zero consumption node makes the integrand -inf; the
-    extended-real value -inf is returned rather than raising.
+    ``z`` holds consumption profiles in its last axis, (..., n) -> (...):
+    a batch of rows gives one utility per row.  For gamma > 1 a zero
+    consumption node makes the integrand -inf; such a row gets the
+    extended-real value -inf rather than raising.
     """
     gamma = params.gamma
-    f = consumption_weight(params).values
-    z_values = z.values
-    if np.any(z_values < 0):
+    z = np.asarray(z, dtype=float)
+    if z.shape[-1:] != (params.grid.n_points,):
+        raise ValueError(
+            f"consumption rows must have {params.grid.n_points} nodes, got shape {z.shape}"
+        )
+    if np.any(z < 0):
         raise ValueError("consumption must be nonnegative")
-    if gamma > 1 and np.any(z_values == 0.0):
-        return float("-inf")
-    integrand = z_values ** (1.0 - gamma) / (1.0 - gamma) * f
-    return params.grid.weight * float(integrand.sum())
+    f = positive_power(params.eta.values, params.q)
+    with np.errstate(divide="ignore"):
+        integrand = z ** (1.0 - gamma)
+    integrand /= 1.0 - gamma
+    integrand *= f
+    total = params.grid.weight * integrand.sum(axis=-1)
+    if gamma > 1:
+        total = np.where(np.any(z == 0.0, axis=-1), -np.inf, total)
+    return total
 
 
 def hamiltonian(sol: HjbSolution, x: GridFunction) -> float:

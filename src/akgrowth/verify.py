@@ -7,12 +7,17 @@ value function (equality), and the payoffs of randomly perturbed admissible
 controls must never exceed it (dominance).  The open-loop state needed for
 admissibility checks is integrated in the eigenbasis of the generator with
 Gauss-Legendre time quadrature of the consumption forcing.
+
+A control maps a 1-D array of m times to the (m, n) array of consumption
+profiles at those times, so every time-dependent quantity is evaluated on
+blocks of time nodes rather than one node at a time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -31,7 +36,11 @@ from .hjb import (
 from .spectral import ModelParams, SpectralBasis
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
-ControlProvider = Callable[[float], GridFunction]
+# (m,) times -> (m, n) consumption rows
+ControlProvider = Callable[[np.ndarray], np.ndarray]
+
+# time nodes evaluated together; bounds the (rows, n) temporaries of the audit
+_BLOCK_ROWS = 128
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,19 +79,22 @@ def payoff(
 ) -> PayoffResult:
     """Discounted payoff of a consumption plan, truncated at horizon T.
 
-    ``control`` maps a time to a nonnegative consumption profile.  A -inf
-    utility at any node (gamma > 1 with zero consumption) makes the whole
-    payoff -inf.
+    ``control`` maps a 1-D array of m times to the (m, n) array of
+    nonnegative consumption profiles at those times; it is called on blocks
+    of quadrature nodes.  A -inf utility at any node (gamma > 1 with zero
+    consumption) makes the whole payoff -inf.
     """
     if not T > 0:
         raise ValueError(f"T must be > 0, got {T}")
     nodes, weights = _composite_gauss_legendre(T, nodes_per_unit)
+    discounted = weights * np.exp(-params.rho * nodes)
     total = 0.0
-    for t, wt in zip(nodes, weights):
-        u = utility(params, control(float(t)))
-        if u == float("-inf"):
+    for start in range(0, nodes.size, _BLOCK_ROWS):
+        block = slice(start, start + _BLOCK_ROWS)
+        u = utility(params, control(nodes[block]))
+        if np.any(u == -np.inf):
             return PayoffResult(float("-inf"), float(T), float(tail_bound), nodes.size)
-        total += wt * math.exp(-params.rho * t) * u
+        total += discounted[block] @ u
     return PayoffResult(float(total), float(T), float(tail_bound), nodes.size)
 
 
@@ -106,7 +118,7 @@ def closed_form_tail(sol: HjbSolution, x0: GridFunction, T: float) -> float:
         raise TailDivergenceError(
             f"rho - g*(1-gamma) = {a!r} <= 0: payoff tail diverges"
         )
-    u0 = utility(sol.params, feedback_control(sol, x0))
+    u0 = float(utility(sol.params, feedback_control(sol, x0).values))
     return math.exp(-a * T) / a * abs(u0)
 
 
@@ -120,7 +132,7 @@ def default_horizon(sol: HjbSolution, x0: GridFunction,
             f"rho - g*(1-gamma) = {a!r} <= 0: payoff tail diverges"
         )
     v = abs(value_function(sol, x0))
-    u0 = abs(utility(sol.params, feedback_control(sol, x0)))
+    u0 = abs(float(utility(sol.params, feedback_control(sol, x0).values)))
     if u0 == 0.0:
         return 1.0
     T = math.log(u0 / (a * rel_target * v)) / a
@@ -154,35 +166,57 @@ def open_loop_trajectory(
     control: ControlProvider,
     times: np.ndarray,
     nodes_per_unit: int = 64,
-) -> list[GridFunction]:
+) -> np.ndarray:
     """Mild solution of the state equation under an arbitrary control.
 
     Integrates x(t) = e^(tL) x0 - int_0^t e^((t-s)L) eta c(s) ds in the
     eigenbasis: between consecutive sample times the forcing is projected on
     the basis and integrated against e^(lambda (t-s)) with Gauss-Legendre
     quadrature (spectrally accurate for the smooth plans used here).
+
+    ``control`` maps a 1-D array of m times to the (m, n) array of
+    consumption profiles at those times; it is called on blocks of
+    quadrature nodes.  Returns the read-only (len(times), n) array whose
+    row i is the state at times[i].
     """
     times = np.asarray(times, dtype=float)
     if times[0] != 0.0 or np.any(np.diff(times) <= 0):
         raise ValueError("times must increase strictly from 0")
     lam = basis.eigenvalues
-    weight = basis.grid.weight
-    eta = params.eta.values
+    vectors = basis.vectors
+    # quadrature weight folded into eta: <eta c(s), b_k> = (weight eta c(s)) @ b_k
+    eta_weight = basis.grid.weight * params.eta.values
     coeffs = basis.coefficients(x0)
-    states = [basis.synthesize(coeffs)]
+    states = np.empty((times.size, basis.grid.n_points))
+    states[0] = vectors @ coeffs
+    dts = np.diff(times)
     gl_x, gl_w = np.polynomial.legendre.leggauss(
-        max(4, math.ceil(nodes_per_unit * float(np.diff(times).max())))
+        max(4, math.ceil(nodes_per_unit * float(dts.max())))
     )
-    for t0, t1 in zip(times[:-1], times[1:]):
-        dt = t1 - t0
-        s_nodes = (t0 + t1) / 2.0 + dt / 2.0 * gl_x
-        s_weights = dt / 2.0 * gl_w
-        forcing = np.stack([eta * control(float(s)).values for s in s_nodes])
-        # rows: quadrature node, cols: basis coefficient of eta*c(s)
-        forcing_coeffs = weight * (forcing @ basis.vectors)
-        decay = np.exp(lam[None, :] * (t1 - s_nodes)[:, None])
-        coeffs = np.exp(lam * dt) * coeffs - s_weights @ (decay * forcing_coeffs)
-        states.append(basis.synthesize(coeffs))
+    per_block = max(1, _BLOCK_ROWS // gl_x.size)
+    for first in range(0, dts.size, per_block):
+        dt = dts[first:first + per_block]
+        t0 = times[first:first + dt.size]
+        t1 = times[first + 1:first + 1 + dt.size]
+        # rows: interval, cols: quadrature node
+        s_nodes = ((t0 + t1) / 2.0)[:, None] + (dt / 2.0)[:, None] * gl_x
+        # (interval, node, basis coefficient) of eta*c(s)
+        forcing_coeffs = ((eta_weight * control(s_nodes.ravel())) @ vectors).reshape(
+            dt.size, gl_x.size, -1
+        )
+        # t1 - s = dt (1 - x)/2: e^(lambda (t1 - s)) and the weight dt w/2 depend on dt alone
+        distinct, which = np.unique(dt, return_inverse=True)
+        kernel = np.exp(lam * (distinct[:, None, None] / 2.0 * (1.0 - gl_x)[None, :, None]))
+        kernel *= (distinct[:, None] / 2.0 * gl_w)[:, :, None]
+        growth = np.exp(lam * distinct[:, None])
+        increments = np.einsum("ijk,ijk->ik", kernel[which], forcing_coeffs)
+        del forcing_coeffs  # free before the next block's control rows
+        block_coeffs = np.empty_like(increments)
+        for i, k in enumerate(which):
+            coeffs = growth[k] * coeffs - increments[i]
+            block_coeffs[i] = coeffs
+        states[first + 1:first + 1 + dt.size] = block_coeffs @ vectors.T
+    states.setflags(write=False)
     return states
 
 
@@ -239,16 +273,20 @@ def _perturbed_control(
     floor = 1e-6 * float(base.min())
     clamped_flag = [False]
 
-    def control(t: float) -> GridFunction:
-        values = base * np.exp(sol.g * t) * (1.0 + math.exp(-t) * bump)
+    def control(t: np.ndarray) -> np.ndarray:
+        growth = np.exp(sol.g * t)[:, None]
+        # in place: one (m, n) temporary besides the result
+        values = np.exp(-t)[:, None] * bump
+        values += 1.0
+        values *= base * growth
         if gamma > 1:
-            low = values < floor * math.exp(sol.g * t)
+            low = values < floor * growth
             if np.any(low):
                 clamped_flag[0] = True
-                values = np.where(low, floor * math.exp(sol.g * t), values)
+                np.maximum(values, floor * growth, out=values)
         else:
-            values = np.maximum(values, 0.0)
-        return GridFunction(sol.basis.grid, values)
+            np.maximum(values, 0.0, out=values)
+        return values
 
     return control, clamped_flag
 
@@ -275,7 +313,7 @@ def optimality_audit(
     tail = closed_form_tail(sol, x0, horizon)
     optimal = payoff(
         sol.params,
-        lambda t: optimal_control_path(sol, x0, t),
+        partial(optimal_control_path, sol, x0),
         horizon,
         nodes_per_unit,
         tail_bound=tail,
@@ -286,6 +324,8 @@ def optimality_audit(
     check_times = np.linspace(0.0, horizon, 4 * math.ceil(horizon) + 1)
     samples: list[PerturbationSample] = []
     max_terminal = 0.0
+    b0 = sol.basis.b0.values
+    weight = sol.basis.grid.weight
     for _ in range(n_perturbations):
         resampled = 0
         while True:
@@ -296,9 +336,9 @@ def optimality_audit(
             states = open_loop_trajectory(
                 sol.basis, sol.params, x0, control, check_times, nodes_per_unit
             )
-            admissible = all(
-                inner_l2(state, sol.basis.b0) > 0.0 for state in states
-            )
+            admissible = np.all(weight * (states @ b0) > 0.0)
+            final = states[-1].copy()
+            del states  # one open-loop path alive at a time
             if admissible:
                 break
             resampled += 1
@@ -308,7 +348,7 @@ def optimality_audit(
                     f"{max_resample} attempts"
                 )
         terminal = math.exp(-sol.params.rho * horizon) * abs(
-            value_function(sol, states[-1])
+            value_function(sol, GridFunction(sol.basis.grid, final))
         )
         max_terminal = max(max_terminal, terminal / abs(v))
         result = payoff(sol.params, control, horizon, nodes_per_unit)
@@ -373,12 +413,19 @@ def transversality_check(
     (second half of the samples) and its final value is below
     ``transversality_tail_rel`` times |v(K(0))|.
     """
-    values = np.array(
-        [
-            math.exp(-sol.params.rho * t)
-            * abs(value_function(sol, GridFunction(traj.grid, state)))
-            for t, state in zip(traj.times, traj.states)
-        ]
+    if traj.grid != sol.basis.grid:
+        raise GridMismatchError(
+            f"grid mismatch: {traj.grid.n_points} vs {sol.basis.grid.n_points} points"
+        )
+    pairings = traj.grid.weight * (traj.states @ sol.basis.b0.values)
+    if np.any(pairings <= 0.0):
+        raise HalfSpaceError(
+            f"<K(t), b0> = {pairings.min()!r} is not strictly positive along the path"
+        )
+    gamma = sol.params.gamma
+    # v(K(t)) = alpha <K(t),b0>^(1-gamma)/(1-gamma) at every sample
+    values = np.exp(-sol.params.rho * traj.times) * np.abs(
+        sol.alpha * pairings ** (1.0 - gamma) / (1.0 - gamma)
     )
     tail = values[values.size // 2 :]
     slack = 1e-12 * values[0]

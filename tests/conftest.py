@@ -15,8 +15,13 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import akgrowth as ak
+
+# property tests draw the same examples on every run
+settings.register_profile("akgrowth", derandomize=True, deadline=None)
+settings.load_profile("akgrowth")
 
 
 def build_pipeline(n_points, sigma, rho, gamma, q, A_fn, eta_fn, K0_fn):

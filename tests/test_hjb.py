@@ -176,24 +176,40 @@ class TestFeedback:
 
 class TestControlPath:
     def test_time_zero(self, variable):
-        path0 = ak.optimal_control_path(variable.sol, variable.K0, 0.0)
+        path0 = ak.optimal_control_path(variable.sol, variable.K0, np.array([0.0]))
         base = ak.feedback_control(variable.sol, variable.K0)
-        np.testing.assert_allclose(path0.values, base.values, rtol=1e-15)
+        np.testing.assert_allclose(path0, base.values[None, :], rtol=1e-15)
 
     def test_exponential_factorization(self, variable):
         sol = variable.sol
-        c_t = ak.optimal_control_path(sol, variable.K0, 1.3)
-        c_ts = ak.optimal_control_path(sol, variable.K0, 1.3 + 0.9)
-        np.testing.assert_allclose(
-            c_ts.values, np.exp(sol.g * 0.9) * c_t.values, rtol=1e-12
-        )
+        c_t, c_ts = ak.optimal_control_path(sol, variable.K0, np.array([1.3, 1.3 + 0.9]))
+        np.testing.assert_allclose(c_ts, np.exp(sol.g * 0.9) * c_t, rtol=1e-12)
 
     def test_homogeneous_closed_form(self, window):
         # e^(g t) (A - g)/(2*pi) * integral(K0), constant in theta
         t = 1.7
-        path = ak.optimal_control_path(window.sol, window.K0, t)
+        path = ak.optimal_control_path(window.sol, window.K0, np.array([t]))
         expected = math.exp(window.sol.g * t) * (1.0 - window.sol.g) / TWO_PI * ak.integral(window.K0)
-        np.testing.assert_allclose(path.values, expected, rtol=1e-10)
+        np.testing.assert_allclose(path, expected, rtol=1e-10)
+
+    def test_rows_follow_times(self, variable):
+        times = np.array([0.0, 0.5, 2.0])
+        rows = ak.optimal_control_path(variable.sol, variable.K0, times)
+        assert rows.shape == (3, variable.grid.n_points)
+        base = ak.feedback_control(variable.sol, variable.K0).values
+        np.testing.assert_allclose(rows, np.exp(variable.sol.g * times)[:, None] * base,
+                                   rtol=1e-15)
+
+    def test_rejects_negative_time_and_scalars(self, variable):
+        with pytest.raises(ValueError):
+            ak.optimal_control_path(variable.sol, variable.K0, np.array([0.0, -1.0]))
+        with pytest.raises(ValueError):
+            ak.optimal_control_path(variable.sol, variable.K0, 1.0)
+
+    def test_half_space_guard(self, variable):
+        outside = GridFunction.constant(variable.grid, -1.0)
+        with pytest.raises(HalfSpaceError):
+            ak.optimal_control_path(variable.sol, outside, np.array([0.0]))
 
 
 class TestHamiltonianAndUtility:
@@ -206,7 +222,7 @@ class TestHamiltonianAndUtility:
         rng = np.random.default_rng(17)
         for _ in range(100):
             z = GridFunction(basis.grid, rng.random(basis.grid.n_points) * rng.uniform(0.1, 3.0))
-            candidate = ak.utility(variable.params, z) - marginal * inner_l2(
+            candidate = ak.utility(variable.params, z.values) - marginal * inner_l2(
                 variable.params.eta * z, basis.b0
             )
             assert candidate <= h + 1e-12 * abs(h)
@@ -234,15 +250,29 @@ class TestHamiltonianAndUtility:
 
     def test_utility_sign_and_finiteness(self, variable, gamma2):
         z = ak.feedback_control(variable.sol, variable.K0)
-        assert ak.utility(variable.params, z) > 0
+        assert ak.utility(variable.params, z.values) > 0
         z2 = ak.feedback_control(gamma2.sol, gamma2.K0)
-        u2 = ak.utility(gamma2.params, z2)
+        u2 = ak.utility(gamma2.params, z2.values)
         assert np.isfinite(u2) and u2 < 0
 
     def test_utility_zero_consumption(self, window, gamma2):
-        zero = GridFunction.constant(window.grid, 0.0)
+        zero = np.zeros(window.grid.n_points)
         assert ak.utility(window.params, zero) == 0.0
         assert ak.utility(gamma2.params, zero) == float("-inf")
+
+    def test_utility_batch_of_rows(self, variable, gamma2):
+        # one utility per row; a zero node makes only its own row -inf
+        z = ak.feedback_control(gamma2.sol, gamma2.K0).values
+        rows = np.stack([z, 2.0 * z, np.where(np.arange(z.size) == 3, 0.0, z)])
+        u = ak.utility(gamma2.params, rows)
+        assert u.shape == (3,)
+        assert u[0] == ak.utility(gamma2.params, z)
+        assert u[1] == pytest.approx(2.0 ** -1.0 * u[0], rel=1e-12)
+        assert u[2] == float("-inf")
+        with pytest.raises(ValueError):
+            ak.utility(variable.params, -rows)
+        with pytest.raises(ValueError):
+            ak.utility(variable.params, rows[:, :-1])
 
     def test_underflow_reported_not_silent(self):
         with pytest.warns(UnderflowWarning):

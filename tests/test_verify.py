@@ -1,22 +1,90 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import akgrowth as ak
 from akgrowth import GridFunction, HalfSpaceError, TailDivergenceError, inner_l2
+from akgrowth.verify import _composite_gauss_legendre, _perturbed_control
+
+from conftest import build_pipeline
+
+
+def _payoff_oracle(params, control, T, nodes_per_unit):
+    """Reference payoff: one control row and one utility per time node."""
+    nodes, weights = _composite_gauss_legendre(T, nodes_per_unit)
+    gamma = params.gamma
+    f = params.eta.values ** params.q
+    total = 0.0
+    for t, wt in zip(nodes, weights):
+        z = control(np.array([t]))[0]
+        if gamma > 1 and np.any(z == 0.0):
+            return float("-inf")
+        u = params.grid.weight * float((z ** (1.0 - gamma) / (1.0 - gamma) * f).sum())
+        total += wt * math.exp(-params.rho * t) * u
+    return total
+
+
+def _open_loop_oracle(basis, params, x0, control, times, nodes_per_unit=64):
+    """Reference mild solution: one projection and one decay per interval."""
+    lam = basis.eigenvalues
+    weight = basis.grid.weight
+    eta = params.eta.values
+    coeffs = basis.coefficients(x0)
+    states = [basis.vectors @ coeffs]
+    gl_x, gl_w = np.polynomial.legendre.leggauss(
+        max(4, math.ceil(nodes_per_unit * float(np.diff(times).max())))
+    )
+    for t0, t1 in zip(times[:-1], times[1:]):
+        dt = t1 - t0
+        s_nodes = (t0 + t1) / 2.0 + dt / 2.0 * gl_x
+        s_weights = dt / 2.0 * gl_w
+        forcing_coeffs = weight * ((eta * control(s_nodes)) @ basis.vectors)
+        decay = np.exp(lam[None, :] * (t1 - s_nodes)[:, None])
+        coeffs = np.exp(lam * dt) * coeffs - s_weights @ (decay * forcing_coeffs)
+        states.append(basis.vectors @ coeffs)
+    return np.array(states)
+
+
+def _reference_draws(sol, x0, n_perturbations, seed, nodes_per_unit=64):
+    """(amplitude, mode, phase, resampled) of the audit's draws, from the oracle."""
+    horizon = ak.default_horizon(sol, x0)
+    check_times = np.linspace(0.0, horizon, 4 * math.ceil(horizon) + 1)
+    rng = np.random.default_rng(seed)
+    draws = []
+    for _ in range(n_perturbations):
+        resampled = 0
+        while True:
+            amplitude = rng.uniform(0.05, 0.2)
+            mode = int(rng.integers(1, 4))
+            phase = rng.uniform(0.0, 2.0 * np.pi)
+            control, _ = _perturbed_control(sol, x0, amplitude, mode, phase)
+            states = _open_loop_oracle(
+                sol.basis, sol.params, x0, control, check_times, nodes_per_unit
+            )
+            if all(inner_l2(GridFunction(sol.basis.grid, s), sol.basis.b0) > 0.0
+                   for s in states):
+                break
+            resampled += 1
+        draws.append((float(amplitude), mode, float(phase), resampled))
+    return draws
+
+
+def _null_control(grid):
+    return lambda t: np.zeros((t.size, grid.n_points))
 
 
 class TestPayoff:
     def test_null_control_zero_payoff(self, window):
-        zero = GridFunction.constant(window.grid, 0.0)
-        result = ak.payoff(window.params, lambda t: zero, T=5.0, nodes_per_unit=16)
+        result = ak.payoff(window.params, _null_control(window.grid), T=5.0, nodes_per_unit=16)
         assert result.value == 0.0
 
     def test_null_control_gamma2_diverges(self, gamma2):
-        zero = GridFunction.constant(gamma2.grid, 0.0)
-        result = ak.payoff(gamma2.params, lambda t: zero, T=2.0, nodes_per_unit=16)
+        result = ak.payoff(gamma2.params, _null_control(gamma2.grid), T=2.0, nodes_per_unit=16)
         assert result.value == float("-inf")
         assert ak.value_function(gamma2.sol, gamma2.K0) < 0
 
@@ -59,9 +127,8 @@ class TestPayoff:
             ak.default_horizon(broken, window.K0)
 
     def test_invalid_horizon(self, window):
-        zero = GridFunction.constant(window.grid, 0.0)
         with pytest.raises(ValueError):
-            ak.payoff(window.params, lambda t: zero, T=0.0)
+            ak.payoff(window.params, _null_control(window.grid), T=0.0)
 
 
 class TestOpenLoop:
@@ -73,10 +140,9 @@ class TestOpenLoop:
             lambda t: ak.optimal_control_path(sol, K0, t), times,
         )
         traj = ak.simulate(clo, K0, 5.0, 20)
-        worst = max(
-            np.abs(a.values - b).max() for a, b in zip(states, traj.states)
-        )
-        assert worst < 1e-7
+        assert states.shape == traj.states.shape
+        assert not states.flags.writeable
+        assert np.abs(states - traj.states).max() < 1e-7
 
     def test_reproduces_closed_loop_variable(self, variable):
         sol, clo, K0 = variable.sol, variable.clo, variable.K0
@@ -86,21 +152,17 @@ class TestOpenLoop:
             lambda t: ak.optimal_control_path(sol, K0, t), times,
         )
         traj = ak.simulate(clo, K0, 4.0, 16)
-        worst = max(
-            np.abs(a.values - b).max() for a, b in zip(states, traj.states)
-        )
-        assert worst < 1e-7
+        assert np.abs(states - traj.states).max() < 1e-7
 
     def test_consumption_monotonicity(self, window):
         # larger consumption everywhere leaves strictly less capital everywhere
         K0 = window.K0
         times = np.linspace(0.0, 3.0, 13)
         c1 = lambda t: ak.optimal_control_path(window.sol, K0, t)
-        c2 = lambda t: ak.optimal_control_path(window.sol, K0, t) + 0.05 * math.exp(-t)
+        c2 = lambda t: ak.optimal_control_path(window.sol, K0, t) + 0.05 * np.exp(-t)[:, None]
         x1 = ak.open_loop_trajectory(window.basis, window.params, K0, c1, times)
         x2 = ak.open_loop_trajectory(window.basis, window.params, K0, c2, times)
-        for a, b in zip(x1, x2):
-            assert np.all(a.values - b.values >= -1e-10)
+        assert np.all(x1 - x2 >= -1e-10)
 
     def test_time_grid_validation(self, window):
         with pytest.raises(ValueError):
@@ -108,6 +170,52 @@ class TestOpenLoop:
                 window.basis, window.params, window.K0,
                 lambda t: window.K0, np.array([0.5, 1.0]),
             )
+
+
+def _oracle_pipeline(gamma):
+    # variable technology and population with q > 0; rho = 1 keeps every
+    # gamma in the strategy well posed (lambda0 * (1 - gamma) < 1)
+    return build_pipeline(
+        32, sigma=1.0, rho=1.0, gamma=gamma, q=0.5,
+        A_fn=lambda t: 1.0 + 0.5 * np.cos(t),
+        eta_fn=lambda t: 1.0 + 0.3 * np.sin(2 * t),
+        K0_fn=lambda t: 1.0 + 0.4 * np.cos(t),
+    )
+
+
+class TestBatchedMatchesOracle:
+    """The time-batched payoff and open-loop solve against per-node loops."""
+
+    gammas = st.one_of(st.floats(0.3, 0.9), st.floats(1.2, 3.0))
+    perturbations = dict(
+        amplitude=st.floats(0.0, 0.2),
+        mode=st.integers(1, 3),
+        phase=st.floats(0.0, 2.0 * np.pi),
+    )
+
+    @settings(max_examples=30)
+    @given(gamma=gammas, T=st.floats(0.5, 6.0), **perturbations)
+    def test_payoff(self, gamma, T, amplitude, mode, phase):
+        pipe = _oracle_pipeline(gamma)
+        control, _ = _perturbed_control(pipe.sol, pipe.K0, amplitude, mode, phase)
+        batched = ak.payoff(pipe.params, control, T).value
+        reference = _payoff_oracle(pipe.params, control, T, 64)
+        assert abs(batched - reference) <= 1e-12 * abs(reference)
+
+    @settings(max_examples=30)
+    @given(
+        gamma=gammas,
+        steps=st.lists(st.floats(0.05, 0.6), min_size=1, max_size=12),
+        **perturbations,
+    )
+    def test_open_loop_on_nonuniform_grid(self, gamma, steps, amplitude, mode, phase):
+        pipe = _oracle_pipeline(gamma)
+        control, _ = _perturbed_control(pipe.sol, pipe.K0, amplitude, mode, phase)
+        times = np.concatenate([[0.0], np.cumsum(steps)])
+        batched = ak.open_loop_trajectory(pipe.basis, pipe.params, pipe.K0, control, times)
+        reference = _open_loop_oracle(pipe.basis, pipe.params, pipe.K0, control, times)
+        assert batched.shape == reference.shape
+        assert np.abs(batched - reference).max() <= 1e-10 * np.abs(reference).max()
 
 
 class TestOptimalityAudit:
@@ -148,6 +256,33 @@ class TestOptimalityAudit:
             nodes_per_unit=32,
         ).value
         assert J_flat == J_opt
+
+    @pytest.mark.parametrize("name", ["variable", "gamma2"])
+    def test_draw_sequence_matches_reference(self, name, request, monkeypatch):
+        pipe = request.getfixturevalue(name)
+        solve = ak.verify.open_loop_trajectory
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(ak.verify, "open_loop_trajectory", spy)
+        audit = ak.optimality_audit(pipe.sol, pipe.K0, 8, seed=3)
+        draws = [(s.amplitude, s.mode, s.phase, s.resampled) for s in audit.samples]
+        assert draws == _reference_draws(pipe.sol, pipe.K0, 8, seed=3)
+        assert len(calls) == 8 + sum(s.resampled for s in audit.samples)
+
+    def test_peak_memory_is_bounded(self, window):
+        # time nodes are evaluated in fixed blocks, so the audit's working
+        # set does not grow with the horizon
+        tracemalloc.start()
+        try:
+            ak.optimality_audit(window.sol, window.K0, 20, seed=20240515)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     def test_gamma2_perturbations(self, gamma2):
         audit = ak.optimality_audit(gamma2.sol, gamma2.K0, 4, seed=7)
@@ -230,6 +365,12 @@ class TestTransversality:
     def test_short_horizon_fails(self, window):
         traj = ak.simulate(window.clo, window.K0, 1.0, 20)
         assert not ak.transversality_check(window.sol, traj)
+
+    def test_half_space_guard(self, window):
+        traj = ak.simulate(window.clo, window.K0, 1.0, 20)
+        flipped = dataclasses.replace(traj, states=-traj.states)
+        with pytest.raises(HalfSpaceError):
+            ak.transversality_check(window.sol, flipped)
 
 
 class TestHalfSpaceSampling:
