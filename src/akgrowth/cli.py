@@ -11,7 +11,6 @@ import argparse
 import dataclasses
 import sys
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +25,7 @@ from .perron import (
     perron_data,
     random_irreducible_metzler,
 )
+from .tolerances import Tolerances
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -163,16 +163,20 @@ def cmd_verify(config: RunConfig, out: Path, quiet: bool,
     return EXIT_OK
 
 
-def _sweep_point(config: RunConfig, rho: float, gamma: float, sigma: float) -> dict:
-    point = dataclasses.replace(config, rho=rho, gamma=gamma, sigma=sigma)
-    row: dict = {"rho": rho, "gamma": gamma, "sigma": sigma}
-    params, _, basis, tolerances = _model(point)
+def _sweep_row(params: spectral.ModelParams, basis: spectral.SpectralBasis,
+               tolerances: Tolerances) -> dict:
+    """One sweep.csv row: the closed forms of one (rho, gamma) on a basis."""
+    row: dict = {
+        "rho": params.rho,
+        "gamma": params.gamma,
+        "sigma": params.sigma,
+        "lambda0": basis.lambda0,
+        "lambda1": basis.lambda1,
+    }
     try:
         sol = hjb.solve_hjb(basis, params)
     except InfeasibleParametersError:
         row.update(
-            lambda0=basis.lambda0,
-            lambda1=basis.lambda1,
             feasible=False,
             g=hjb.growth_rate(params, basis.lambda0),
             alpha=None,
@@ -187,8 +191,6 @@ def _sweep_point(config: RunConfig, rho: float, gamma: float, sigma: float) -> d
     except SpectrumCollisionError:
         M = None
     row.update(
-        lambda0=basis.lambda0,
-        lambda1=basis.lambda1,
         feasible=True,
         g=sol.g,
         alpha=sol.alpha,
@@ -199,13 +201,31 @@ def _sweep_point(config: RunConfig, rho: float, gamma: float, sigma: float) -> d
     return row
 
 
-def cmd_sweep(config: RunConfig, out: Path, quiet: bool) -> int:
+def sweep_rows(config: RunConfig) -> list[dict]:
+    """The rows of sweep.csv, in Cartesian order with sigma innermost.
+
+    The basis depends on sigma but not on rho or gamma, so each distinct
+    sigma is decomposed once and its (rho, gamma) rows are evaluated on it.
+    """
     rhos = config.sweep.get("rho", [config.rho])
     gammas = config.sweep.get("gamma", [config.gamma])
     sigmas = config.sweep.get("sigma", [config.sigma])
-    points = [(r, g, s) for r in rhos for g in gammas for s in sigmas]
-    with ThreadPoolExecutor() as pool:
-        rows = list(pool.map(lambda p: _sweep_point(config, *p), points))
+    groups = {}
+    for sigma in dict.fromkeys(sigmas):
+        params, _, basis, tolerances = _model(dataclasses.replace(config, sigma=sigma))
+        groups[sigma] = (params, basis, tolerances)
+    rows = []
+    for rho in rhos:
+        for gamma in gammas:
+            for sigma in sigmas:
+                params, basis, tolerances = groups[sigma]
+                point = dataclasses.replace(params, rho=rho, gamma=gamma)
+                rows.append(_sweep_row(point, basis, tolerances))
+    return rows
+
+
+def cmd_sweep(config: RunConfig, out: Path, quiet: bool) -> int:
+    rows = sweep_rows(config)
     columns = [
         "rho", "gamma", "sigma", "lambda0", "lambda1",
         "feasible", "g", "alpha", "M", "rate", "dominant",

@@ -25,7 +25,7 @@ so a run is fully reproducible from its config file alone:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -228,8 +228,15 @@ def parse_config(text: str) -> RunConfig:
         out_dir=out_dir if out_dir is not None else ".",
         **scalars,
     )
-    # fail fast on anything inconsistent before any computation runs
-    config.model()
+    # fail fast on anything inconsistent before any computation runs,
+    # swept values included: each must pass the ModelParams rules on its own
+    _, params, _ = config.model()
+    for name, values in sweep.items():
+        for value in values:
+            try:
+                replace(params, **{name: value})
+            except ValueError as exc:
+                raise ConfigError(f"sweep.{name}: {exc}") from exc
     return config
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -5,9 +6,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from akgrowth import DEFAULT_TOLERANCES, spectral
+from akgrowth import DEFAULT_TOLERANCES, cli, closed_loop, hjb, spectral, stability
 from akgrowth.cli import main
+from akgrowth.config import parse_config
+from akgrowth.errors import InfeasibleParametersError, SpectrumCollisionError
 
 WINDOW_CFG = """
 schema = 1
@@ -179,13 +184,15 @@ class TestSweep:
             if row["feasible"] == "false":
                 assert row["alpha"] == ""
 
-    def test_one_eigendecompose_per_point(self, tmp_path, monkeypatch):
-        # infeasible points keep the basis they were checked on, decomposed
-        # with the config's tolerance overrides
+    def test_one_eigendecompose_per_sigma(self, tmp_path, monkeypatch):
+        # rho and gamma enter only through closed forms, so each distinct
+        # sigma is decomposed once, with the config's tolerance overrides,
+        # and infeasible points are checked on that shared basis
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text(
             WINDOW_CFG
             + "tol.symmetry = 1e-11\nsweep.rho = 0.45, 0.75\nsweep.gamma = 0.5, 2.0\n"
+            + "sweep.sigma = 1.0, 2.0, 1.0\n"
         )
         calls = []
         original = spectral.eigendecompose
@@ -197,9 +204,99 @@ class TestSweep:
         monkeypatch.setattr(spectral, "eigendecompose", spy)
         out = tmp_path / "out"
         assert main(["sweep", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
-        assert "false" in (out / "sweep.csv").read_text()
-        assert len(calls) == 4
+        lines = (out / "sweep.csv").read_text().strip().split("\n")
+        assert len(lines) == 1 + 12
+        assert any(",false," in line for line in lines)
+        assert len(calls) == 2
         assert all(tolerances.symmetry == 1e-11 for tolerances in calls)
+
+    @pytest.mark.parametrize(
+        "sweep", ["sweep.gamma = 0.5, 1.0\n", "sweep.rho = 0.75, -0.2\n",
+                  "sweep.sigma = 1.0, 0.0\n"]
+    )
+    def test_bad_swept_value_is_a_config_error(self, tmp_path, capsys, sweep):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(WINDOW_CFG + sweep)
+        out = tmp_path / "out"
+        code = main(["sweep", "--config", str(cfg), "--out", str(out), "--quiet"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (out / "sweep.csv").exists()
+
+
+def _reference_sweep_row(config, rho, gamma, sigma):
+    """One sweep row computed alone: its own config, model and basis."""
+    point = dataclasses.replace(config, rho=rho, gamma=gamma, sigma=sigma)
+    row = {"rho": rho, "gamma": gamma, "sigma": sigma}
+    params, _, basis, tolerances = cli._model(point)
+    try:
+        sol = hjb.solve_hjb(basis, params)
+    except InfeasibleParametersError:
+        row.update(
+            lambda0=basis.lambda0, lambda1=basis.lambda1, feasible=False,
+            g=hjb.growth_rate(params, basis.lambda0),
+            alpha=None, M=None, rate=None, dominant=None,
+        )
+        return row
+    try:
+        pd = closed_loop.compute_projection_data(basis, sol, tolerances)
+        M = stability.explicit_bound_constant(pd)
+    except SpectrumCollisionError:
+        M = None
+    row.update(
+        lambda0=basis.lambda0, lambda1=basis.lambda1, feasible=True,
+        g=sol.g, alpha=sol.alpha, M=M, rate=sol.g - basis.lambda1,
+        dominant=bool(sol.g > basis.lambda1),
+    )
+    return row
+
+
+VARIABLE_SWEEP_CFG = """
+schema = 1
+n_points = 16
+sigma = 1.0
+rho = 1.5
+gamma = 0.5
+q = 0.5
+A.kind = cosine
+A.mean = 1.0
+A.amplitude = 0.3
+A.mode = 1
+eta.kind = cosine
+eta.mean = 1.0
+eta.amplitude = 0.2
+eta.mode = 2
+K0.kind = constant
+K0.value = 1.0
+"""
+
+_SIGMAS = st.sampled_from([0.3, 0.7, 1.0, 2.5])
+_GAMMAS = st.one_of(st.floats(0.1, 0.9), st.floats(1.1, 3.0))
+
+
+class TestSweepMatchesPerPointReference:
+    @settings(max_examples=25)
+    @given(
+        rhos=st.lists(st.floats(0.05, 1.5), min_size=1, max_size=3),
+        gammas=st.lists(_GAMMAS, min_size=1, max_size=3),
+        sigmas=st.lists(_SIGMAS, min_size=2, max_size=4),
+    )
+    @example(rhos=[0.1, 1.2], gammas=[0.2, 2.0], sigmas=[0.3, 2.5, 0.3])
+    def test_rows_match(self, rhos, gammas, sigmas):
+        config = dataclasses.replace(
+            parse_config(VARIABLE_SWEEP_CFG),
+            sweep={"rho": rhos, "gamma": gammas, "sigma": sigmas},
+        )
+        expected = [
+            _reference_sweep_row(config, r, g, s)
+            for r in rhos for g in gammas for s in sigmas
+        ]
+        rows = cli.sweep_rows(config)
+        assert len(rows) == len(expected)
+        for row, reference in zip(rows, expected):
+            assert list(row) == list(reference)
+            for column, value in reference.items():
+                assert row[column] == value, column
 
 
 class TestPerronAudit:

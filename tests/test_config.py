@@ -122,6 +122,16 @@ class TestRejection:
         with pytest.raises(ConfigError):
             parse_config(GOOD.replace("gamma = 0.5", "gamma = 1.0"))
 
+    @pytest.mark.parametrize(
+        "sweep",
+        ["sweep.gamma = 0.5, 1.0", "sweep.gamma = 0.5, -2.0",
+         "sweep.rho = 0.75, -0.2", "sweep.rho = 0.0", "sweep.sigma = 1.0, 0.0",
+         "sweep.sigma = nan"],
+    )
+    def test_swept_value_breaking_model_rules(self, sweep):
+        with pytest.raises(ConfigError, match=sweep.split(" ")[0]):
+            parse_config(GOOD + sweep + "\n")
+
     def test_malformed_line(self):
         with pytest.raises(ConfigError):
             parse_config("schema = 1\nnot a pair\n")
