@@ -136,11 +136,19 @@ def _pairing(sol: HjbSolution, x: GridFunction) -> float:
     return inner
 
 
+def value_at_pairing(sol: HjbSolution, pairing: float | np.ndarray) -> float | np.ndarray:
+    """alpha * p^(1-gamma) / (1-gamma) for a pairing p = <x, b0> > 0.
+
+    The value function sees the state only through this pairing; ``pairing``
+    is a float or an array of them, and the caller guarantees positivity.
+    """
+    gamma = sol.params.gamma
+    return sol.alpha * pairing ** (1.0 - gamma) / (1.0 - gamma)
+
+
 def value_function(sol: HjbSolution, x0: GridFunction) -> float:
     """v(x0) = alpha * <x0,b0>^(1-gamma) / (1-gamma) on the open half-space."""
-    inner = _pairing(sol, x0)
-    gamma = sol.params.gamma
-    return sol.alpha * inner ** (1.0 - gamma) / (1.0 - gamma)
+    return value_at_pairing(sol, _pairing(sol, x0))
 
 
 def feedback_control(sol: HjbSolution, x: GridFunction) -> GridFunction:

@@ -99,15 +99,16 @@ def write_basis_csv(path: str | Path, basis: SpectralBasis) -> None:
 
 def trajectory_csv(traj: Trajectory) -> str:
     """Long-format trajectory: one row per (time, node)."""
-    lines = ["t,theta,K,K_detrended"]
-    nodes = traj.grid.nodes
-    for t, state, detrended in zip(traj.times, traj.states, traj.detrended):
+    # each line carries its newline, so the result is one join, not a join plus a copy
+    lines = ["t,theta,K,K_detrended\n"]
+    # the node column repeats for every time row: format it once
+    thetas = [format_float(theta) for theta in traj.grid.nodes.tolist()]
+    for t, state, detrended in zip(traj.times.tolist(), traj.states, traj.detrended):
         t_text = format_float(t)
-        for theta, k, kd in zip(nodes, state, detrended):
-            lines.append(
-                f"{t_text},{format_float(theta)},{format_float(k)},{format_float(kd)}"
-            )
-    return "\n".join(lines) + "\n"
+        # one row at a time: listing the whole (steps, n) arrays costs megabytes
+        for theta, k, kd in zip(thetas, state.tolist(), detrended.tolist()):
+            lines.append(f"{t_text},{theta},{format_float(k)},{format_float(kd)}\n")
+    return "".join(lines)
 
 
 def write_trajectory_csv(path: str | Path, traj: Trajectory) -> None:

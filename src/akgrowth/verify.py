@@ -5,8 +5,15 @@ Gauss-Legendre quadrature in time.  Optimality of the closed-form feedback
 is audited two ways: the payoff of the feedback control must reproduce the
 value function (equality), and the payoffs of randomly perturbed admissible
 controls must never exceed it (dominance).  The open-loop state needed for
-admissibility checks is integrated in the eigenbasis of the generator with
-Gauss-Legendre time quadrature of the consumption forcing.
+admissibility checks and the terminal value is seen only through its pairing
+<x(t), b0> with the positive eigenfunction: since L b0 = lambda0 b0 that
+pairing solves the scalar mild equation
+
+    <x(t), b0> = e^(lambda0 t) <x0, b0> - int_0^t e^(lambda0 (t-s)) <eta c(s), b0> ds,
+
+integrated with Gauss-Legendre time quadrature of the consumption forcing.
+The full open-loop state (every eigen-coefficient) stays available through
+``open_loop_trajectory``.
 
 A control maps a 1-D array of m times to the (m, n) array of consumption
 profiles at those times, so every time-dependent quantity is evaluated on
@@ -17,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -31,6 +38,7 @@ from .hjb import (
     hamiltonian,
     optimal_control_path,
     utility,
+    value_at_pairing,
     value_function,
 )
 from .spectral import ModelParams, SpectralBasis
@@ -58,10 +66,19 @@ class PayoffResult:
     n_time_nodes: int
 
 
+@lru_cache(maxsize=None)
+def _gauss_legendre(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only nodes and weights of the n-node Gauss-Legendre rule on [-1, 1]."""
+    x, w = np.polynomial.legendre.leggauss(n_nodes)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
 def _composite_gauss_legendre(T: float, nodes_per_unit: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of a composite Gauss-Legendre rule on [0, T]."""
     n_intervals = max(1, math.ceil(T))
-    x, w = np.polynomial.legendre.leggauss(nodes_per_unit)
+    x, w = _gauss_legendre(nodes_per_unit)
     edges = np.linspace(0.0, T, n_intervals + 1)
     half = np.diff(edges) / 2.0
     mid = (edges[:-1] + edges[1:]) / 2.0
@@ -159,6 +176,59 @@ def perturbed_transversality_envelope(sol: HjbSolution, T: float) -> float:
     return 2.0 * math.exp(-optimal_payoff_exponent(sol) * T)
 
 
+def _mild_coefficients(
+    basis: SpectralBasis,
+    params: ModelParams,
+    x0: GridFunction,
+    control: ControlProvider,
+    times: np.ndarray,
+    nodes_per_unit: int,
+    columns: slice,
+) -> np.ndarray:
+    """Coefficients <x(t), b_k>, k in ``columns``, of the open-loop mild solution.
+
+    Each coefficient obeys its own scalar equation c_k' = lambda_k c_k -
+    <eta c(s), b_k>, so any subset of the basis can be integrated on its own.
+    Between consecutive sample times the forcing is projected on the chosen
+    columns and integrated against e^(lambda (t-s)) with Gauss-Legendre
+    quadrature (spectrally accurate for the smooth plans used here).  Returns
+    the (len(times), k) array whose row i holds the coefficients at times[i].
+    """
+    times = np.asarray(times, dtype=float)
+    if times[0] != 0.0 or np.any(np.diff(times) <= 0):
+        raise ValueError("times must increase strictly from 0")
+    lam = basis.eigenvalues[columns]
+    # weight and eta folded into the columns: <eta c(s), b_k> = c(s) @ projector[:, k]
+    projector = (basis.grid.weight * params.eta.values)[:, None] * basis.vectors[:, columns]
+    coeffs = basis.coefficients(x0)[columns]
+    out = np.empty((times.size, coeffs.size))
+    out[0] = coeffs
+    dts = np.diff(times)
+    distinct, which = np.unique(dts, return_inverse=True)
+    growth = np.exp(lam * distinct[:, None])
+    gl_x, gl_w = _gauss_legendre(max(4, math.ceil(nodes_per_unit * float(dts.max()))))
+    per_block = max(1, _BLOCK_ROWS // gl_x.size)
+    for first in range(0, dts.size, per_block):
+        dt = dts[first:first + per_block]
+        t0 = times[first:first + dt.size]
+        t1 = times[first + 1:first + 1 + dt.size]
+        # rows: interval, cols: quadrature node
+        s_nodes = ((t0 + t1) / 2.0)[:, None] + (dt / 2.0)[:, None] * gl_x
+        # (interval, node, basis coefficient) of eta*c(s)
+        forcing_coeffs = (control(s_nodes.ravel()) @ projector).reshape(
+            dt.size, gl_x.size, -1
+        )
+        # t1 - s = dt (1 - x)/2: e^(lambda (t1 - s)) weighted by dt w/2
+        kernel = np.exp(lam * (dt[:, None, None] / 2.0 * (1.0 - gl_x)[None, :, None]))
+        kernel *= (dt[:, None] / 2.0 * gl_w)[:, :, None]
+        increments = np.einsum("ijk,ijk->ik", kernel, forcing_coeffs)
+        del forcing_coeffs, kernel  # free before the next block's control rows
+        for i, k in enumerate(which[first:first + dt.size]):
+            coeffs = growth[k] * coeffs - increments[i]
+            out[first + 1 + i] = coeffs
+    return out
+
+
 def open_loop_trajectory(
     basis: SpectralBasis,
     params: ModelParams,
@@ -170,54 +240,44 @@ def open_loop_trajectory(
     """Mild solution of the state equation under an arbitrary control.
 
     Integrates x(t) = e^(tL) x0 - int_0^t e^((t-s)L) eta c(s) ds in the
-    eigenbasis: between consecutive sample times the forcing is projected on
-    the basis and integrated against e^(lambda (t-s)) with Gauss-Legendre
-    quadrature (spectrally accurate for the smooth plans used here).
+    eigenbasis, every coefficient at once (see ``_mild_coefficients``).
 
     ``control`` maps a 1-D array of m times to the (m, n) array of
     consumption profiles at those times; it is called on blocks of
     quadrature nodes.  Returns the read-only (len(times), n) array whose
     row i is the state at times[i].
     """
-    times = np.asarray(times, dtype=float)
-    if times[0] != 0.0 or np.any(np.diff(times) <= 0):
-        raise ValueError("times must increase strictly from 0")
-    lam = basis.eigenvalues
-    vectors = basis.vectors
-    # quadrature weight folded into eta: <eta c(s), b_k> = (weight eta c(s)) @ b_k
-    eta_weight = basis.grid.weight * params.eta.values
-    coeffs = basis.coefficients(x0)
-    states = np.empty((times.size, basis.grid.n_points))
-    states[0] = vectors @ coeffs
-    dts = np.diff(times)
-    gl_x, gl_w = np.polynomial.legendre.leggauss(
-        max(4, math.ceil(nodes_per_unit * float(dts.max())))
+    coeffs = _mild_coefficients(
+        basis, params, x0, control, times, nodes_per_unit, slice(None)
     )
-    per_block = max(1, _BLOCK_ROWS // gl_x.size)
-    for first in range(0, dts.size, per_block):
-        dt = dts[first:first + per_block]
-        t0 = times[first:first + dt.size]
-        t1 = times[first + 1:first + 1 + dt.size]
-        # rows: interval, cols: quadrature node
-        s_nodes = ((t0 + t1) / 2.0)[:, None] + (dt / 2.0)[:, None] * gl_x
-        # (interval, node, basis coefficient) of eta*c(s)
-        forcing_coeffs = ((eta_weight * control(s_nodes.ravel())) @ vectors).reshape(
-            dt.size, gl_x.size, -1
-        )
-        # t1 - s = dt (1 - x)/2: e^(lambda (t1 - s)) and the weight dt w/2 depend on dt alone
-        distinct, which = np.unique(dt, return_inverse=True)
-        kernel = np.exp(lam * (distinct[:, None, None] / 2.0 * (1.0 - gl_x)[None, :, None]))
-        kernel *= (distinct[:, None] / 2.0 * gl_w)[:, :, None]
-        growth = np.exp(lam * distinct[:, None])
-        increments = np.einsum("ijk,ijk->ik", kernel[which], forcing_coeffs)
-        del forcing_coeffs  # free before the next block's control rows
-        block_coeffs = np.empty_like(increments)
-        for i, k in enumerate(which):
-            coeffs = growth[k] * coeffs - increments[i]
-            block_coeffs[i] = coeffs
-        states[first + 1:first + 1 + dt.size] = block_coeffs @ vectors.T
+    states = coeffs @ basis.vectors.T
     states.setflags(write=False)
     return states
+
+
+def open_loop_pairing(
+    basis: SpectralBasis,
+    params: ModelParams,
+    x0: GridFunction,
+    control: ControlProvider,
+    times: np.ndarray,
+    nodes_per_unit: int = 64,
+) -> np.ndarray:
+    """Pairings <x(t), b0> of the open-loop state with the positive eigenfunction.
+
+    Since L b0 = lambda0 b0 the pairing solves a scalar mild equation,
+    p(t) = e^(lambda0 t) p(0) - int_0^t e^(lambda0 (t-s)) <eta c(s), b0> ds,
+    so only the b0 column of the basis is integrated: the forcing of a
+    block of m quadrature nodes is one matrix-vector product of its (m, n)
+    control rows with that column.  Same
+    ``control`` and ``times`` contract as ``open_loop_trajectory``; returns
+    the read-only (len(times),) array of pairings.
+    """
+    pairings = _mild_coefficients(
+        basis, params, x0, control, times, nodes_per_unit, slice(0, 1)
+    )[:, 0]
+    pairings.setflags(write=False)
+    return pairings
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,8 +294,11 @@ class PerturbationSample:
 class OptimalityAudit:
     """Outcome of the payoff-equality and dominance audits.
 
-    max_discounted_terminal_rel is the largest e^(-rho T) |v(x(T))| over the
-    perturbed open-loop paths, relative to |v(x0)|; it audits the vanishing
+    A perturbed plan is admissible when the pairing <x(t), b0> of its
+    open-loop state stays positive at the check times; the audit integrates
+    only that pairing, never the full state.  max_discounted_terminal_rel is
+    the largest e^(-rho T) |v(x(T))| over the perturbed plans, relative to
+    |v(x0)|, with v(x(T)) evaluated from <x(T), b0>; it audits the vanishing
     of the discounted value along the sampled admissible plans.
     """
 
@@ -305,8 +368,8 @@ def optimality_audit(
     First checks that the payoff of the feedback control reproduces v(x0) up
     to the truncation tail.  Then draws seeded smooth multiplicative
     perturbations of the feedback plan, discards (and resamples) any whose
-    open-loop state leaves the half-space, and checks that every admissible
-    sample is dominated by v(x0).
+    open-loop pairing <x(t), b0> leaves the half-space, and checks that every
+    admissible sample is dominated by v(x0).
     """
     v = value_function(sol, x0)
     horizon = default_horizon(sol, x0, tolerances.tail_rel)
@@ -324,8 +387,6 @@ def optimality_audit(
     check_times = np.linspace(0.0, horizon, 4 * math.ceil(horizon) + 1)
     samples: list[PerturbationSample] = []
     max_terminal = 0.0
-    b0 = sol.basis.b0.values
-    weight = sol.basis.grid.weight
     for _ in range(n_perturbations):
         resampled = 0
         while True:
@@ -333,13 +394,10 @@ def optimality_audit(
             mode = int(rng.integers(1, 4))
             phase = rng.uniform(0.0, 2.0 * np.pi)
             control, clamped_flag = _perturbed_control(sol, x0, amplitude, mode, phase)
-            states = open_loop_trajectory(
+            pairings = open_loop_pairing(
                 sol.basis, sol.params, x0, control, check_times, nodes_per_unit
             )
-            admissible = np.all(weight * (states @ b0) > 0.0)
-            final = states[-1].copy()
-            del states  # one open-loop path alive at a time
-            if admissible:
+            if np.all(pairings > 0.0):
                 break
             resampled += 1
             if resampled > max_resample:
@@ -348,7 +406,7 @@ def optimality_audit(
                     f"{max_resample} attempts"
                 )
         terminal = math.exp(-sol.params.rho * horizon) * abs(
-            value_function(sol, GridFunction(sol.basis.grid, final))
+            value_at_pairing(sol, float(pairings[-1]))
         )
         max_terminal = max(max_terminal, terminal / abs(v))
         result = payoff(sol.params, control, horizon, nodes_per_unit)
@@ -422,11 +480,7 @@ def transversality_check(
         raise HalfSpaceError(
             f"<K(t), b0> = {pairings.min()!r} is not strictly positive along the path"
         )
-    gamma = sol.params.gamma
-    # v(K(t)) = alpha <K(t),b0>^(1-gamma)/(1-gamma) at every sample
-    values = np.exp(-sol.params.rho * traj.times) * np.abs(
-        sol.alpha * pairings ** (1.0 - gamma) / (1.0 - gamma)
-    )
+    values = np.exp(-sol.params.rho * traj.times) * np.abs(value_at_pairing(sol, pairings))
     tail = values[values.size // 2 :]
     slack = 1e-12 * values[0]
     decreasing = bool(np.all(np.diff(tail) <= slack))

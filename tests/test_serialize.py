@@ -58,6 +58,22 @@ class TestCsv:
         assert lines[0] == "t,theta,K,K_detrended"
         assert len(lines) == 1 + 3 * window.grid.n_points
 
+    @pytest.mark.parametrize("n_points", [8, 16])
+    def test_trajectory_matches_per_cell_formatting(self, n_points):
+        from conftest import window_pipeline
+
+        pipe = window_pipeline(n_points)
+        traj = ak.simulate(pipe.clo, pipe.K0, 2.0, 5)
+        fmt = serialize.format_float
+        reference = ["t,theta,K,K_detrended"]
+        for i, t in enumerate(traj.times):
+            for j, theta in enumerate(traj.grid.nodes):
+                reference.append(
+                    f"{fmt(t)},{fmt(theta)},{fmt(traj.states[i, j])},"
+                    f"{fmt(traj.detrended[i, j])}"
+                )
+        assert serialize.trajectory_csv(traj) == "\n".join(reference) + "\n"
+
 
 class TestSummaries:
     def test_basis_summary_schema(self, window):

@@ -171,6 +171,28 @@ class TestOpenLoop:
                 lambda t: window.K0, np.array([0.5, 1.0]),
             )
 
+    @pytest.mark.parametrize("times", [[0.5, 1.0], [0.0, 1.0, 1.0], [0.0, 2.0, 1.0]])
+    def test_pairing_time_grid_validation(self, window, times):
+        with pytest.raises(ValueError, match="increase strictly from 0"):
+            ak.open_loop_pairing(
+                window.basis, window.params, window.K0,
+                lambda t: ak.optimal_control_path(window.sol, window.K0, t),
+                np.array(times),
+            )
+
+    def test_pairing_follows_feedback_growth(self, window):
+        # along the feedback path <x(t), b0> = <x0, b0> e^(g t) exactly
+        sol, K0 = window.sol, window.K0
+        times = np.linspace(0.0, 5.0, 21)
+        pairings = ak.open_loop_pairing(
+            window.basis, window.params, K0,
+            lambda t: ak.optimal_control_path(sol, K0, t), times,
+        )
+        expected = inner_l2(K0, window.basis.b0) * np.exp(sol.g * times)
+        assert pairings.shape == times.shape
+        assert not pairings.flags.writeable
+        assert np.abs(pairings - expected).max() < 1e-9 * expected.max()
+
 
 def _oracle_pipeline(gamma):
     # variable technology and population with q > 0; rho = 1 keeps every
@@ -217,6 +239,22 @@ class TestBatchedMatchesOracle:
         assert batched.shape == reference.shape
         assert np.abs(batched - reference).max() <= 1e-10 * np.abs(reference).max()
 
+    @settings(max_examples=30)
+    @given(
+        gamma=gammas,
+        steps=st.lists(st.floats(0.05, 0.6), min_size=1, max_size=12),
+        **perturbations,
+    )
+    def test_pairing_matches_full_state(self, gamma, steps, amplitude, mode, phase):
+        pipe = _oracle_pipeline(gamma)
+        control, _ = _perturbed_control(pipe.sol, pipe.K0, amplitude, mode, phase)
+        times = np.concatenate([[0.0], np.cumsum(steps)])
+        pairings = ak.open_loop_pairing(pipe.basis, pipe.params, pipe.K0, control, times)
+        states = ak.open_loop_trajectory(pipe.basis, pipe.params, pipe.K0, control, times)
+        reference = pipe.grid.weight * (states @ pipe.basis.b0.values)
+        assert pairings.shape == reference.shape
+        assert np.abs(pairings - reference).max() <= 1e-12 * np.abs(reference).max()
+
 
 class TestOptimalityAudit:
     def test_equality_only(self, window):
@@ -260,14 +298,14 @@ class TestOptimalityAudit:
     @pytest.mark.parametrize("name", ["variable", "gamma2"])
     def test_draw_sequence_matches_reference(self, name, request, monkeypatch):
         pipe = request.getfixturevalue(name)
-        solve = ak.verify.open_loop_trajectory
+        solve = ak.verify.open_loop_pairing
         calls = []
 
         def spy(*args, **kwargs):
             calls.append(1)
             return solve(*args, **kwargs)
 
-        monkeypatch.setattr(ak.verify, "open_loop_trajectory", spy)
+        monkeypatch.setattr(ak.verify, "open_loop_pairing", spy)
         audit = ak.optimality_audit(pipe.sol, pipe.K0, 8, seed=3)
         draws = [(s.amplitude, s.mode, s.phase, s.resampled) for s in audit.samples]
         assert draws == _reference_draws(pipe.sol, pipe.K0, 8, seed=3)
