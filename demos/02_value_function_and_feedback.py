@@ -46,7 +46,7 @@ print("== the dynamic-programming equation is satisfied to rounding ==")
 for seed in (1, 2, 3):
     x = ak.sample_halfspace_states(basis, 1, seed)[0]
     print(f"residual at a random half-space state: "
-          f"{ak.hjb_residual(sol, basis, x):.2e}")
+          f"{ak.hjb_residual(sol, x):.2e}")
 
 print()
 print("== gamma > 1 flips the sign of utility and value ==")

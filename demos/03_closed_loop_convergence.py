@@ -28,7 +28,7 @@ print(f"g = {sol.g:.6f} replaced lambda_0 = {basis.lambda0:.6f}; "
       f"the rest of the spectrum is untouched")
 
 traj = ak.simulate(clo, K0, 10.0, 200)
-report = ak.convergence_bound_check(traj, pd, basis.lambda1, sol.g)
+report = ak.convergence_bound_check(traj, pd)
 
 print()
 print("== growth and convergence ==")

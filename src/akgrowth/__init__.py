@@ -88,7 +88,6 @@ from .verify import (
     closed_form_tail,
     default_horizon,
     hjb_residual,
-    open_loop_pairing,
     open_loop_trajectory,
     optimality_audit,
     payoff,

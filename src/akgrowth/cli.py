@@ -73,9 +73,7 @@ def cmd_simulate(config: RunConfig, out: Path, quiet: bool) -> int:
     clo = closed_loop.build_closed_loop(basis, sol)
     pd = closed_loop.compute_projection_data(basis, sol, tolerances)
     traj = closed_loop.simulate(clo, K0, config.t_final, config.n_steps)
-    report = stability.convergence_bound_check(
-        traj, pd, basis.lambda1, sol.g, tolerances
-    )
+    report = stability.convergence_bound_check(traj, pd, tolerances)
     out.mkdir(parents=True, exist_ok=True)
     serialize.write_trajectory_csv(out / "trajectory.csv", traj)
     serialize.write_json(
@@ -103,7 +101,7 @@ def cmd_verify(config: RunConfig, out: Path, quiet: bool,
     clo = closed_loop.build_closed_loop(basis, sol)
 
     states = verify.sample_halfspace_states(basis, 20, config.seed)
-    residuals = [verify.hjb_residual(sol, basis, state) for state in states]
+    residuals = [verify.hjb_residual(sol, state) for state in states]
     max_residual = max(residuals)
 
     audit = verify.optimality_audit(

@@ -25,25 +25,27 @@ import numpy as np
 from .errors import HalfSpaceError, InfeasibleParametersError, UnderflowWarning
 from .grid import GridFunction, inner_l2, is_strictly_positive
 from .spectral import ModelParams, SpectralBasis
-from .tolerances import DEFAULT_TOLERANCES
+
+# smallest value positive_power returns; entries below it are floored
+UNDERFLOW_FLOOR = 1e-300
 
 
-def positive_power(values: np.ndarray, exponent: float,
-                   floor: float = DEFAULT_TOLERANCES.underflow_floor) -> np.ndarray:
+def positive_power(values: np.ndarray, exponent: float) -> np.ndarray:
     """Pointwise power of a strictly positive array with an underflow floor.
 
-    Entries that underflow below ``floor`` are clamped up to it and reported
-    through an :class:`UnderflowWarning`; clamping is never silent.
+    Entries that underflow below ``UNDERFLOW_FLOOR`` are clamped up to it and
+    reported through an :class:`UnderflowWarning`; clamping is never silent.
     """
     out = np.asarray(values, dtype=float) ** exponent
-    tiny = out < floor
+    tiny = out < UNDERFLOW_FLOOR
     if np.any(tiny):
         warnings.warn(
-            f"{int(tiny.sum())} node(s) underflowed below {floor:g} and were floored",
+            f"{int(tiny.sum())} node(s) underflowed below {UNDERFLOW_FLOOR:g} "
+            "and were floored",
             UnderflowWarning,
             stacklevel=2,
         )
-        out = np.where(tiny, floor, out)
+        out = np.where(tiny, UNDERFLOW_FLOOR, out)
     return out
 
 

@@ -87,8 +87,6 @@ def fit_decay_rate(times: np.ndarray, deviations: np.ndarray,
 def convergence_bound_check(
     traj: Trajectory,
     pd: ProjectionData,
-    lambda1: float,
-    g: float,
     tolerances: Tolerances = DEFAULT_TOLERANCES,
 ) -> StabilityReport:
     """Audit the explicit convergence bound at every sampled time.
@@ -102,7 +100,7 @@ def convergence_bound_check(
     pairing = inner_l2(K0, pd.beta)
     steady = GridFunction(pd.basis.grid, pairing * pd.w.values)
     deviations = np.abs(traj.detrended - steady.values).max(axis=1)
-    rate = g - lambda1
+    rate = pd.g - pd.basis.lambda1
     bounds = M * np.exp(-rate * traj.times) * deviations[0]
     violations = deviations - (bounds + tolerances.bound_slack)
     max_violation = float(violations.max())

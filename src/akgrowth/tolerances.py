@@ -14,14 +14,12 @@ from dataclasses import dataclass
 @dataclass(frozen=True)
 class Tolerances:
     symmetry: float = 1e-12               # operator symmetry defect
-    orthonormality: float = 1e-8          # pairwise basis inner products
     b0_normalization: float = 1e-10       # |<b0,b0> - 1|
     spectrum_collision: float = 1e-9      # min distance of a shift from the spectrum
     pairing_normalization: float = 1e-10  # |<w,beta> - 1|
     quadrature_consistency: float = 1e-10 # mu0 cross-check against its quadrature form
     contour_imag: float = 1e-8            # imaginary residue of the contour projection
     bound_slack: float = 1e-9             # absolute slack in the convergence bound audit
-    growth_law_rel: float = 1e-8
     value_equality_rel: float = 1e-6
     tail_rel: float = 1e-8
     dominance_rel: float = 1e-6
@@ -31,7 +29,6 @@ class Tolerances:
     perron_simplicity: float = 1e-9
     perron_positivity: float = 1e-12
     metzler_slack: float = 1e-12
-    underflow_floor: float = 1e-300
 
     def replace(self, **overrides: float) -> "Tolerances":
         """Return a copy with the given fields overridden."""

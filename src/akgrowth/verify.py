@@ -4,20 +4,18 @@ The discounted payoff of a consumption plan is evaluated by composite
 Gauss-Legendre quadrature in time.  Optimality of the closed-form feedback
 is audited two ways: the payoff of the feedback control must reproduce the
 value function (equality), and the payoffs of randomly perturbed admissible
-controls must never exceed it (dominance).  The open-loop state needed for
-admissibility checks and the terminal value is seen only through its pairing
-<x(t), b0> with the positive eigenfunction: since L b0 = lambda0 b0 that
-pairing solves the scalar mild equation
+controls must never exceed it (dominance).
 
-    <x(t), b0> = e^(lambda0 t) <x0, b0> - int_0^t e^(lambda0 (t-s)) <eta c(s), b0> ds,
-
-integrated with Gauss-Legendre time quadrature of the consumption forcing.
-The full open-loop state (every eigen-coefficient) stays available through
-``open_loop_trajectory``.
-
-A control maps a 1-D array of m times to the (m, n) array of consumption
-profiles at those times, so every time-dependent quantity is evaluated on
-blocks of time nodes rather than one node at a time.
+The perturbed plans c_hat(t) (1 + a e^(-t) cos(m theta + phi)) form a family
+with explicit solutions, like the feedback itself.  Its payoff is a binomial
+series in a, and since L b0 = lambda0 b0 the pairing <x(t), b0> of its
+open-loop state, which is all that the admissibility check and the terminal
+value need, solves a scalar equation whose forcing is a sum of two
+exponentials.  The audit evaluates both in closed form.  ``payoff`` and
+``open_loop_trajectory`` integrate any control numerically; a control maps a
+1-D array of m times to the (m, n) array of consumption profiles at those
+times, so both evaluate it on blocks of time nodes.  They are the oracles
+the closed forms are tested against.
 """
 
 from __future__ import annotations
@@ -124,18 +122,23 @@ def optimal_payoff_exponent(sol: HjbSolution) -> float:
     return sol.params.rho - sol.g * (1.0 - sol.params.gamma)
 
 
+def _feedback_utility(sol: HjbSolution, x0: GridFunction) -> tuple[float, float]:
+    """a = rho - g*(1-gamma) > 0 (else TailDivergenceError) and U(c_hat(0))."""
+    a = optimal_payoff_exponent(sol)
+    if a <= 0:
+        raise TailDivergenceError(
+            f"rho - g*(1-gamma) = {a!r} <= 0: payoff tail diverges"
+        )
+    return a, float(utility(sol.params, feedback_control(sol, x0).values))
+
+
 def closed_form_tail(sol: HjbSolution, x0: GridFunction, T: float) -> float:
     """Tail bound for the optimal control: |U(c_hat(0))| e^(-aT)/a.
 
     Along the feedback path U(c_hat(t)) = U(c_hat(0)) e^(g(1-gamma) t), so the
     discarded tail integrates in closed form with a = rho - g*(1-gamma).
     """
-    a = optimal_payoff_exponent(sol)
-    if a <= 0:
-        raise TailDivergenceError(
-            f"rho - g*(1-gamma) = {a!r} <= 0: payoff tail diverges"
-        )
-    u0 = float(utility(sol.params, feedback_control(sol, x0).values))
+    a, u0 = _feedback_utility(sol, x0)
     return math.exp(-a * T) / a * abs(u0)
 
 
@@ -143,16 +146,11 @@ def default_horizon(sol: HjbSolution, x0: GridFunction,
                     rel_target: float = DEFAULT_TOLERANCES.tail_rel) -> float:
     """Smallest horizon at which the closed-form tail drops below
     rel_target * |v(x0)| (never below 1)."""
-    a = optimal_payoff_exponent(sol)
-    if a <= 0:
-        raise TailDivergenceError(
-            f"rho - g*(1-gamma) = {a!r} <= 0: payoff tail diverges"
-        )
     v = abs(value_function(sol, x0))
-    u0 = abs(float(utility(sol.params, feedback_control(sol, x0).values)))
+    a, u0 = _feedback_utility(sol, x0)
     if u0 == 0.0:
         return 1.0
-    T = math.log(u0 / (a * rel_target * v)) / a
+    T = math.log(abs(u0) / (a * rel_target * v)) / a
     return max(1.0, float(T))
 
 
@@ -176,31 +174,34 @@ def perturbed_transversality_envelope(sol: HjbSolution, T: float) -> float:
     return 2.0 * math.exp(-optimal_payoff_exponent(sol) * T)
 
 
-def _mild_coefficients(
+def open_loop_trajectory(
     basis: SpectralBasis,
     params: ModelParams,
     x0: GridFunction,
     control: ControlProvider,
     times: np.ndarray,
-    nodes_per_unit: int,
-    columns: slice,
+    nodes_per_unit: int = 64,
 ) -> np.ndarray:
-    """Coefficients <x(t), b_k>, k in ``columns``, of the open-loop mild solution.
+    """Mild solution of the state equation under an arbitrary control.
 
-    Each coefficient obeys its own scalar equation c_k' = lambda_k c_k -
-    <eta c(s), b_k>, so any subset of the basis can be integrated on its own.
-    Between consecutive sample times the forcing is projected on the chosen
-    columns and integrated against e^(lambda (t-s)) with Gauss-Legendre
-    quadrature (spectrally accurate for the smooth plans used here).  Returns
-    the (len(times), k) array whose row i holds the coefficients at times[i].
+    Integrates x(t) = e^(tL) x0 - int_0^t e^((t-s)L) eta c(s) ds in the
+    eigenbasis: each coefficient obeys c_k' = lambda_k c_k - <eta c(s), b_k>.
+    Between consecutive sample times the forcing is projected on the basis
+    and integrated against e^(lambda (t-s)) with Gauss-Legendre quadrature
+    (spectrally accurate for smooth plans).
+
+    ``control`` maps a 1-D array of m times to the (m, n) array of
+    consumption profiles at those times; it is called on blocks of
+    quadrature nodes.  Returns the read-only (len(times), n) array whose
+    row i is the state at times[i].
     """
     times = np.asarray(times, dtype=float)
     if times[0] != 0.0 or np.any(np.diff(times) <= 0):
         raise ValueError("times must increase strictly from 0")
-    lam = basis.eigenvalues[columns]
-    # weight and eta folded into the columns: <eta c(s), b_k> = c(s) @ projector[:, k]
-    projector = (basis.grid.weight * params.eta.values)[:, None] * basis.vectors[:, columns]
-    coeffs = basis.coefficients(x0)[columns]
+    lam = basis.eigenvalues
+    # weight and eta folded into the basis: <eta c(s), b_k> = c(s) @ projector[:, k]
+    projector = (basis.grid.weight * params.eta.values)[:, None] * basis.vectors
+    coeffs = basis.coefficients(x0)
     out = np.empty((times.size, coeffs.size))
     out[0] = coeffs
     dts = np.diff(times)
@@ -226,58 +227,9 @@ def _mild_coefficients(
         for i, k in enumerate(which[first:first + dt.size]):
             coeffs = growth[k] * coeffs - increments[i]
             out[first + 1 + i] = coeffs
-    return out
-
-
-def open_loop_trajectory(
-    basis: SpectralBasis,
-    params: ModelParams,
-    x0: GridFunction,
-    control: ControlProvider,
-    times: np.ndarray,
-    nodes_per_unit: int = 64,
-) -> np.ndarray:
-    """Mild solution of the state equation under an arbitrary control.
-
-    Integrates x(t) = e^(tL) x0 - int_0^t e^((t-s)L) eta c(s) ds in the
-    eigenbasis, every coefficient at once (see ``_mild_coefficients``).
-
-    ``control`` maps a 1-D array of m times to the (m, n) array of
-    consumption profiles at those times; it is called on blocks of
-    quadrature nodes.  Returns the read-only (len(times), n) array whose
-    row i is the state at times[i].
-    """
-    coeffs = _mild_coefficients(
-        basis, params, x0, control, times, nodes_per_unit, slice(None)
-    )
-    states = coeffs @ basis.vectors.T
+    states = out @ basis.vectors.T
     states.setflags(write=False)
     return states
-
-
-def open_loop_pairing(
-    basis: SpectralBasis,
-    params: ModelParams,
-    x0: GridFunction,
-    control: ControlProvider,
-    times: np.ndarray,
-    nodes_per_unit: int = 64,
-) -> np.ndarray:
-    """Pairings <x(t), b0> of the open-loop state with the positive eigenfunction.
-
-    Since L b0 = lambda0 b0 the pairing solves a scalar mild equation,
-    p(t) = e^(lambda0 t) p(0) - int_0^t e^(lambda0 (t-s)) <eta c(s), b0> ds,
-    so only the b0 column of the basis is integrated: the forcing of a
-    block of m quadrature nodes is one matrix-vector product of its (m, n)
-    control rows with that column.  Same
-    ``control`` and ``times`` contract as ``open_loop_trajectory``; returns
-    the read-only (len(times),) array of pairings.
-    """
-    pairings = _mild_coefficients(
-        basis, params, x0, control, times, nodes_per_unit, slice(0, 1)
-    )[:, 0]
-    pairings.setflags(write=False)
-    return pairings
 
 
 @dataclass(frozen=True, eq=False)
@@ -287,7 +239,6 @@ class PerturbationSample:
     phase: float
     payoff: float
     resampled: int
-    clamped: bool
 
 
 @dataclass(frozen=True, eq=False)
@@ -295,11 +246,10 @@ class OptimalityAudit:
     """Outcome of the payoff-equality and dominance audits.
 
     A perturbed plan is admissible when the pairing <x(t), b0> of its
-    open-loop state stays positive at the check times; the audit integrates
-    only that pairing, never the full state.  max_discounted_terminal_rel is
+    open-loop state stays positive at the check times; pairings and payoffs
+    of the perturbed plans are closed forms.  max_discounted_terminal_rel is
     the largest e^(-rho T) |v(x(T))| over the perturbed plans, relative to
-    |v(x0)|, with v(x(T)) evaluated from <x(T), b0>; it audits the vanishing
-    of the discounted value along the sampled admissible plans.
+    |v(x0)|; it audits the vanishing of the discounted value along them.
     """
 
     J_opt: float
@@ -316,42 +266,78 @@ class OptimalityAudit:
     perturbation_family: str
 
 
-def _perturbed_control(
-    sol: HjbSolution,
-    x0: GridFunction,
-    amplitude: float,
-    mode: int,
-    phase: float,
-) -> tuple[ControlProvider, list[bool]]:
+def _perturbed_control(sol: HjbSolution, x0: GridFunction, amplitude: float,
+                       mode: int, phase: float) -> ControlProvider:
     """Feedback control times (1 + a e^{-t} cos(m theta + phase)).
 
-    The angular factor is mean free, so the perturbation leaves the average
-    withdrawal unchanged at each time.  For gamma > 1 consumption is clamped
-    away from zero (recorded through the returned flag holder).
+    The audit's perturbation family; for |a| <= 0.2 it stays within 20% of
+    the feedback plan.  The audit evaluates it through the closed forms
+    below, and this control is their test oracle.
     """
-    theta = sol.basis.grid.nodes
-    bump = amplitude * np.cos(mode * theta + phase)
+    bump = amplitude * np.cos(mode * sol.basis.grid.nodes + phase)
     base = feedback_control(sol, x0).values
-    gamma = sol.params.gamma
-    floor = 1e-6 * float(base.min())
-    clamped_flag = [False]
 
     def control(t: np.ndarray) -> np.ndarray:
-        growth = np.exp(sol.g * t)[:, None]
         # in place: one (m, n) temporary besides the result
         values = np.exp(-t)[:, None] * bump
         values += 1.0
-        values *= base * growth
-        if gamma > 1:
-            low = values < floor * growth
-            if np.any(low):
-                clamped_flag[0] = True
-                np.maximum(values, floor * growth, out=values)
-        else:
-            np.maximum(values, 0.0, out=values)
+        values *= base * np.exp(sol.g * t)[:, None]
         return values
 
-    return control, clamped_flag
+    return control
+
+
+def _perturbed_pairing(sol: HjbSolution, x0: GridFunction, amplitude: float,
+                       mode: int, phase: float, times: np.ndarray) -> np.ndarray:
+    """Pairings <x(t), b0> of the perturbed plan's open-loop state.
+
+    Since L b0 = lambda0 b0, p' = lambda0 p - <eta c(t), b0>, whose forcing is
+    B e^(g t) + Q e^((g-1) t) with B = <eta c_hat0, b0> and
+    Q = a <eta c_hat0 cos(m theta + phase), b0>, so with d = lambda0 - g > 0
+
+        p(t) = e^(lambda0 t) p0 - B (e^(lambda0 t) - e^(g t)) / d
+               - Q (e^(lambda0 t) - e^((g-1) t)) / (d + 1).
+
+    B stays the quadrature pairing, not its exact value d p0, so that the
+    form solves the discretised equation.
+    """
+    basis = sol.basis
+    p0 = inner_l2(x0, basis.b0)
+    forcing = (basis.grid.weight * sol.params.eta.values * basis.b0.values
+               * feedback_control(sol, x0).values)
+    B = float(forcing.sum())
+    Q = amplitude * float(forcing @ np.cos(mode * basis.grid.nodes + phase))
+    d = basis.lambda0 - sol.g
+    t = np.asarray(times, dtype=float)
+    # the B terms as e^(g t) (p0 + (p0 - B/d)(e^(d t) - 1)): no cancellation
+    # between terms of size e^(lambda0 t)
+    return (np.exp(sol.g * t) * (p0 + (p0 - B / d) * np.expm1(d * t))
+            - Q / (d + 1.0) * np.exp((sol.g - 1.0) * t) * np.expm1((d + 1.0) * t))
+
+
+def _perturbed_payoff(sol: HjbSolution, x0: GridFunction, amplitude: float,
+                      mode: int, phase: float, T: float) -> float:
+    """Payoff over [0, T] of the perturbed plan.
+
+    U(c(t)) e^(-rho t) = e^(-a0 t) U(c_hat0 (1 + a e^(-t) cos)), a0 = rho -
+    g (1-gamma), and the binomial series of (1 + x)^(1-gamma) gives
+    J = sum_k C(1-gamma, k) a^k M_k (1 - e^(-(a0+k) T)) / (a0 + k) with the
+    quadratures M_k = int f c_hat0^(1-gamma) cos^k / (1-gamma), M_0 = U(c_hat0);
+    the series converges for |a| < 1.
+    """
+    a0, u0 = _feedback_utility(sol, x0)
+    exponent = 1.0 - sol.params.gamma
+    terms = [1.0]  # C(1-gamma, k) a^k
+    # past k = |1-gamma| each term is below 2|a| times the one before
+    while len(terms) <= abs(exponent) + 1 or abs(terms[-1]) > 1e-17:
+        k = len(terms) - 1
+        terms.append(terms[-1] * (exponent - k) / (k + 1) * amplitude)
+    k = np.arange(len(terms))
+    weighted = sol.consumption_weight_f.values * feedback_control(sol, x0).values ** exponent
+    powers = np.cos(mode * sol.basis.grid.nodes + phase) ** k[1:, None]
+    moments = np.concatenate(([u0], sol.basis.grid.weight * (powers @ weighted) / exponent))
+    rates = a0 + k
+    return float(np.dot(terms, moments * -np.expm1(-rates * T) / rates))
 
 
 def optimality_audit(
@@ -365,11 +351,12 @@ def optimality_audit(
 ) -> OptimalityAudit:
     """Certify v(x0) against the payoff functional.
 
-    First checks that the payoff of the feedback control reproduces v(x0) up
-    to the truncation tail.  Then draws seeded smooth multiplicative
-    perturbations of the feedback plan, discards (and resamples) any whose
-    open-loop pairing <x(t), b0> leaves the half-space, and checks that every
-    admissible sample is dominated by v(x0).
+    First checks that the quadrature payoff of the feedback control
+    reproduces v(x0) up to the truncation tail.  Then draws seeded smooth
+    multiplicative perturbations of the feedback plan, discards (and
+    resamples) any whose open-loop pairing <x(t), b0> leaves the half-space,
+    and checks that every admissible sample's closed-form payoff is
+    dominated by v(x0).
     """
     v = value_function(sol, x0)
     horizon = default_horizon(sol, x0, tolerances.tail_rel)
@@ -393,10 +380,7 @@ def optimality_audit(
             amplitude = rng.uniform(0.05, 0.2)
             mode = int(rng.integers(1, 4))
             phase = rng.uniform(0.0, 2.0 * np.pi)
-            control, clamped_flag = _perturbed_control(sol, x0, amplitude, mode, phase)
-            pairings = open_loop_pairing(
-                sol.basis, sol.params, x0, control, check_times, nodes_per_unit
-            )
+            pairings = _perturbed_pairing(sol, x0, amplitude, mode, phase, check_times)
             if np.all(pairings > 0.0):
                 break
             resampled += 1
@@ -409,15 +393,13 @@ def optimality_audit(
             value_at_pairing(sol, float(pairings[-1]))
         )
         max_terminal = max(max_terminal, terminal / abs(v))
-        result = payoff(sol.params, control, horizon, nodes_per_unit)
         samples.append(
             PerturbationSample(
                 amplitude=float(amplitude),
                 mode=mode,
                 phase=float(phase),
-                payoff=result.value,
+                payoff=_perturbed_payoff(sol, x0, amplitude, mode, phase, horizon),
                 resampled=resampled,
-                clamped=clamped_flag[0],
             )
         )
     perturbed = [s.payoff for s in samples]
@@ -442,14 +424,13 @@ def optimality_audit(
     )
 
 
-def hjb_residual(sol: HjbSolution, basis: SpectralBasis, x: GridFunction) -> float:
+def hjb_residual(sol: HjbSolution, x: GridFunction) -> float:
     """Relative defect of the dynamic-programming equation at x.
 
     Uses the eigenvector identity to evaluate the drift term: since b0 is an
     eigenfunction, <x, L* grad v(x)> = lambda0 <x,b0> * alpha <x,b0>^(-gamma).
     """
-    if sol.basis is not basis:
-        raise GridMismatchError("solution was solved on a different basis")
+    basis = sol.basis
     inner = inner_l2(x, basis.b0)
     if inner <= 0.0:
         raise HalfSpaceError(f"<x, b0> = {inner!r} is not strictly positive")

@@ -90,7 +90,7 @@ def test_criterion_02_hjb_exactness():
         states = ak.sample_halfspace_states(pipe.basis, 20, seed=int(10 * gamma))
         worst = max(
             worst,
-            max(ak.hjb_residual(pipe.sol, pipe.basis, s) for s in states),
+            max(ak.hjb_residual(pipe.sol, s) for s in states),
         )
     ok = worst < 1e-9
     _report(2, "dynamic-programming residual", ok, f"max residual={worst:.2e}",
@@ -168,9 +168,7 @@ def test_criterion_07_projection_equivalence(window):
 
 def test_criterion_08_convergence_bound(window, window_traj):
     start = time.perf_counter()
-    report = ak.convergence_bound_check(
-        window_traj, window.pd, window.basis.lambda1, window.sol.g
-    )
+    report = ak.convergence_bound_check(window_traj, window.pd)
     target = window.basis.lambda1 - window.sol.g
     rate_err = abs(report.fitted_rate - target) / abs(target)
     ok = (
@@ -185,9 +183,7 @@ def test_criterion_08_convergence_bound(window, window_traj):
 
 def test_criterion_09_admissibility_promotion(window, window_traj):
     start = time.perf_counter()
-    report = ak.convergence_bound_check(
-        window_traj, window.pd, window.basis.lambda1, window.sol.g
-    )
+    report = ak.convergence_bound_check(window_traj, window.pd)
     mean = ak.integral(window.K0) / TWO_PI
     direct = 2.0 * ak.sup_norm(window.K0 - mean) <= mean
     ok = direct and report.admissibility_condition and report.admissible
@@ -233,7 +229,7 @@ def test_criterion_11_grid_refinement(window, window_fine, window_fine_traj):
 
     states = ak.sample_halfspace_states(window_fine.basis, 20, seed=5)
     residual = max(
-        ak.hjb_residual(window_fine.sol, window_fine.basis, s) for s in states
+        ak.hjb_residual(window_fine.sol, s) for s in states
     )
     growth = growth_law_error(window_fine, window_fine_traj)
     ok = (

@@ -83,6 +83,16 @@ class TestSolve:
     def test_missing_config_file(self, tmp_path):
         assert main(["solve", "--config", str(tmp_path / "absent.cfg"), "--quiet"]) == 1
 
+    @pytest.mark.parametrize("name", ["orthonormality", "growth_law_rel", "underflow_floor"])
+    def test_removed_tolerance_is_unknown(self, tmp_path, capsys, name):
+        # these knobs were read by nothing, so they are no longer accepted
+        cfg = tmp_path / "tol.cfg"
+        cfg.write_text(WINDOW_CFG + f"tol.{name} = 1e-6\n")
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(cfg), "--out", str(out), "--quiet"]) == 1
+        assert capsys.readouterr().err.startswith(f"error: unknown tolerance '{name}'")
+        assert not out.exists()
+
 
 class TestSimulate:
     def test_window_run_flags(self, window_cfg, tmp_path):

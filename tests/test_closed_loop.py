@@ -228,7 +228,7 @@ class TestSimulate:
         )
         assert pipe.sol.g < pipe.basis.lambda1
         traj = ak.simulate(pipe.clo, pipe.K0, 2.0, 20)
-        report = ak.convergence_bound_check(traj, pipe.pd, pipe.basis.lambda1, pipe.sol.g)
+        report = ak.convergence_bound_check(traj, pipe.pd)
         assert not report.dominance_ok
 
 

@@ -20,7 +20,7 @@ class TestConvergenceBound:
         pd, clo = window.pd, window.clo
         x0 = GridFunction(window.grid, 3.0 * pd.w.values)
         traj = ak.simulate(clo, x0, 5.0, 100)
-        report = ak.convergence_bound_check(traj, pd, window.basis.lambda1, window.sol.g)
+        report = ak.convergence_bound_check(traj, pd)
         assert report.deviations.max() < 1e-8
         assert report.bound_satisfied
 
@@ -30,7 +30,7 @@ class TestConvergenceBound:
         c = 2.0
         x0 = GridFunction.from_callable(window.grid, lambda t: c * (1 + 0.3 * np.cos(t)))
         traj = ak.simulate(window.clo, x0, 10.0, 200)
-        report = ak.convergence_bound_check(traj, window.pd, window.basis.lambda1, window.sol.g)
+        report = ak.convergence_bound_check(traj, window.pd)
         target = window.basis.lambda1 - window.sol.g
         assert report.bound_satisfied
         assert report.fitted_rate == pytest.approx(target, rel=0.01)
@@ -39,7 +39,7 @@ class TestConvergenceBound:
 
     def test_bound_holds_window_run(self, window):
         traj = ak.simulate(window.clo, window.K0, 10.0, 200)
-        report = ak.convergence_bound_check(traj, window.pd, window.basis.lambda1, window.sol.g)
+        report = ak.convergence_bound_check(traj, window.pd)
         assert report.bound_satisfied
         assert report.max_bound_violation <= 0.0
         assert report.M == pytest.approx(2.0, abs=1e-10)
@@ -47,9 +47,7 @@ class TestConvergenceBound:
 
     def test_bound_holds_variable_run(self, variable):
         traj = ak.simulate(variable.clo, variable.K0, 8.0, 160)
-        report = ak.convergence_bound_check(
-            traj, variable.pd, variable.basis.lambda1, variable.sol.g
-        )
+        report = ak.convergence_bound_check(traj, variable.pd)
         assert report.bound_satisfied
         assert report.fitted_rate <= -report.rate + 0.05 * abs(report.rate)
         np.testing.assert_allclose(
@@ -89,7 +87,7 @@ class TestAdmissibilityCondition:
     def test_condition_implies_positivity(self, window):
         # the sufficient condition certifies strict positivity of the whole path
         traj = ak.simulate(window.clo, window.K0, 10.0, 200)
-        report = ak.convergence_bound_check(traj, window.pd, window.basis.lambda1, window.sol.g)
+        report = ak.convergence_bound_check(traj, window.pd)
         assert report.admissibility_condition
         assert report.admissible
 
