@@ -8,10 +8,18 @@ eigenvalue admits a positive eigenvector.  This module checks all of those
 conclusions directly on matrices, including the discretized circle generator
 (whose positivity comes from the underlying operator rather than from the
 sign pattern of the collocation matrix).
+
+A battery of many matrices is checked in stacks, one per dimension, by
+``battery_failures``: two stacked eigensolves (of the matrices and of their
+transposes) serve every check, and the positivity test runs on all
+eigenvectors at once.  The per-matrix functions stay the public API and the
+oracle: a matrix the stacked screen flags is checked again by
+``audit_failure``, whose text is the one reported.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +27,10 @@ import scipy.linalg
 
 from .errors import PerronViolationError
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
+
+# an eigenvalue with a positive eigenvector farther than this from the
+# spectral bound breaks uniqueness
+UNIQUENESS_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,8 +54,23 @@ class GeneratorMatrix:
         return self.entries.shape[0]
 
     def is_metzler(self, tolerances: Tolerances = DEFAULT_TOLERANCES) -> bool:
-        off = self.entries - np.diag(np.diag(self.entries))
-        return bool(off.min() >= -tolerances.metzler_slack)
+        return bool(_metzler(self.entries[None], tolerances)[0])
+
+
+def _metzler(stack: np.ndarray, tolerances: Tolerances) -> np.ndarray:
+    """Per matrix of a (k, m, m) stack: are the off-diagonal entries >= -slack?"""
+    off = np.where(np.eye(stack.shape[-1], dtype=bool), 0.0, stack)
+    return off.min(axis=(1, 2)) >= -tolerances.metzler_slack
+
+
+def _strongly_connected(stack: np.ndarray) -> np.ndarray:
+    """Per matrix of a (k, m, m) stack: is its graph strongly connected?"""
+    m = stack.shape[-1]
+    reach = (stack != 0.0) | np.eye(m, dtype=bool)
+    for _ in range(int(np.ceil(np.log2(max(m, 2))))):
+        counts = reach.astype(np.int64)
+        reach = reach | (counts @ counts > 0)
+    return reach.all(axis=(1, 2))
 
 
 def is_irreducible(gen: GeneratorMatrix) -> bool:
@@ -52,12 +79,7 @@ def is_irreducible(gen: GeneratorMatrix) -> bool:
     Computed by boolean reachability closure (repeated squaring), so the test
     is independent of any eigenvalue computation it is used to certify.
     """
-    m = gen.dim
-    adj = (gen.entries != 0.0) & ~np.eye(m, dtype=bool)
-    reach = adj | np.eye(m, dtype=bool)
-    for _ in range(int(np.ceil(np.log2(max(m, 2))))):
-        reach = reach | ((reach.astype(np.int64) @ reach.astype(np.int64)) > 0)
-    return bool(reach.all())
+    return bool(_strongly_connected(gen.entries[None])[0])
 
 
 def _rotate_to_real(vector: np.ndarray, tol: float) -> np.ndarray | None:
@@ -157,6 +179,8 @@ def eigenvalues_admitting_positive_eigenvector(
     Used to certify uniqueness: for an irreducible Metzler matrix only the
     spectral bound may appear in the returned list.
     """
+    if side not in ("right", "left"):
+        raise ValueError(f"side must be 'right' or 'left', got {side!r}")
     matrix = gen.entries if side == "right" else gen.entries.T
     eigenvalues, vectors = np.linalg.eig(matrix)
     admitted = []
@@ -167,6 +191,127 @@ def eigenvalues_admitting_positive_eigenvector(
         if positive is not None:
             admitted.append(float(eigenvalues[k].real))
     return admitted
+
+
+def audit_failure(
+    gen: GeneratorMatrix, tolerances: Tolerances = DEFAULT_TOLERANCES
+) -> str | None:
+    """The battery check of one matrix: None, or the text of its first failure.
+
+    Irreducible, then ``perron_data`` (Metzler, real simple bound, positive
+    Perron vectors), then the right and left uniqueness scans.
+    """
+    try:
+        if not is_irreducible(gen):
+            return "random generator not irreducible"
+        bound = perron_data(gen, tolerances).spectral_bound
+        for side in ("right", "left"):
+            admitted = eigenvalues_admitting_positive_eigenvector(gen, side, tolerances)
+            if any(abs(v - bound) > UNIQUENESS_TOL for v in admitted):
+                return f"non-dominant eigenvalue admits a positive {side} eigenvector"
+    except Exception as exc:  # noqa: BLE001 - the battery reports every failure
+        return str(exc)
+    return None
+
+
+def _positive_columns(vectors: np.ndarray, tolerances: Tolerances) -> np.ndarray:
+    """``_positive_version(...) is not None`` for every column of a (k, m, m) stack."""
+    pivot = np.take_along_axis(vectors, np.abs(vectors).argmax(axis=1)[:, None, :], axis=1)
+    rotated = vectors * (np.conj(pivot) / np.abs(pivot))
+    realness = tolerances.perron_realness * np.maximum(1.0, np.abs(rotated).max(axis=1))
+    # the pivot entry is now |pivot| > 0, so the largest real entry is
+    # positive and no sign flip is needed
+    scaled_min = rotated.real.min(axis=1) / rotated.real.max(axis=1)
+    return (np.abs(rotated.imag).max(axis=1) <= realness) & (
+        scaled_min > tolerances.perron_positivity
+    )
+
+
+_SCREEN_CHECKS = (
+    "not irreducible",
+    "not Metzler",
+    "spectral bound is not real",
+    "spectral bound is not simple",
+    "Perron eigenvector has a nonpositive entry",
+    "non-dominant eigenvalue admits a positive right eigenvector",
+    "non-dominant eigenvalue admits a positive left eigenvector",
+)
+
+
+def _screen(stack: np.ndarray, tolerances: Tolerances) -> dict[int, str]:
+    """Offset -> first failed check, for the matrices of a (k, m, m) stack that fail.
+
+    The checks and tolerances are those of ``audit_failure``, in its order.
+    One eigensolve of the stack and one of its transposes serve the Perron
+    checks and both uniqueness scans.
+    """
+    rows = np.arange(stack.shape[0])
+    values, right = np.linalg.eig(stack)
+    values_t, left = np.linalg.eig(stack.transpose(0, 2, 1))
+    idx = values.real.argmax(axis=1)
+    bound = values[rows, idx]
+    scale = np.maximum(1.0, np.abs(values).max(axis=1))
+    distance = np.abs(values - bound[:, None])
+    distance[rows, idx] = np.inf
+    right_positive = _positive_columns(right, tolerances)
+    left_positive = _positive_columns(left, tolerances)
+    perron_positive = (
+        right_positive[rows, idx] & left_positive[rows, values_t.real.argmax(axis=1)]
+    )
+    bound_real = bound.real[:, None]
+    passed = np.array([
+        _strongly_connected(stack),
+        _metzler(stack, tolerances),
+        np.abs(bound.imag) <= tolerances.perron_realness * scale,
+        distance.min(axis=1) > tolerances.perron_simplicity * scale,
+        perron_positive,
+        ~(right_positive & (np.abs(values.real - bound_real) > UNIQUENESS_TOL)).any(axis=1),
+        ~(left_positive & (np.abs(values_t.real - bound_real) > UNIQUENESS_TOL)).any(axis=1),
+    ])
+    first = passed.argmin(axis=0)
+    return {
+        int(k): f"batch screen: {_SCREEN_CHECKS[first[k]]}"
+        for k in np.flatnonzero(~passed.all(axis=0))
+    }
+
+
+def _screen_each(stack: np.ndarray, tolerances: Tolerances) -> dict[int, str]:
+    """``_screen``, falling back to one matrix at a time when a stacked eigensolve fails."""
+    try:
+        return _screen(stack, tolerances)
+    except np.linalg.LinAlgError as exc:
+        if stack.shape[0] == 1:
+            return {0: f"batch screen: {exc}"}
+    # one matrix that does not converge fails the whole stacked call
+    failures = {}
+    for k in range(stack.shape[0]):
+        single = _screen_each(stack[k:k + 1], tolerances)
+        if single:
+            failures[k] = single[0]
+    return failures
+
+
+def battery_failures(
+    gens: list[GeneratorMatrix], tolerances: Tolerances = DEFAULT_TOLERANCES
+) -> dict[int, str]:
+    """Index -> failure text of every matrix of a battery that fails ``audit_failure``.
+
+    The matrices are screened in stacks, one per dimension.  A flagged matrix
+    is checked again by ``audit_failure``, whose text is the one reported; if
+    that check passes, the screen's own reason is kept, so a disagreement
+    between the two shows as a failure rather than being dropped.
+    """
+    by_dim: dict[int, list[int]] = defaultdict(list)
+    for index, gen in enumerate(gens):
+        by_dim[gen.dim].append(index)
+    failures = {}
+    for indices in by_dim.values():
+        stack = np.stack([gens[index].entries for index in indices])
+        for k, reason in _screen_each(stack, tolerances).items():
+            index = indices[k]
+            error = audit_failure(gens[index], tolerances)
+            failures[index] = reason if error is None else error
+    return dict(sorted(failures.items()))
 
 
 @dataclass(frozen=True, eq=False)

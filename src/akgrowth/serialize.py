@@ -103,11 +103,19 @@ def trajectory_csv(traj: Trajectory) -> str:
     lines = ["t,theta,K,K_detrended\n"]
     # the node column repeats for every time row: format it once
     thetas = [format_float(theta) for theta in traj.grid.nodes.tolist()]
+    # every line of a time row after its time cell; %.17g is format_float for finite values
+    tails = [f",{theta},%.17g,%.17g\n" for theta in thetas]
     for t, state, detrended in zip(traj.times.tolist(), traj.states, traj.detrended):
         t_text = format_float(t)
-        # one row at a time: listing the whole (steps, n) arrays costs megabytes
-        for theta, k, kd in zip(thetas, state.tolist(), detrended.tolist()):
-            lines.append(f"{t_text},{theta},{format_float(k)},{format_float(kd)}\n")
+        # one time row at a time: listing the whole (steps, n) arrays costs megabytes
+        if np.isfinite(state).all() and np.isfinite(detrended).all():
+            # one template formats the row's interleaved (K, K_detrended) pairs
+            template = t_text + t_text.join(tails)
+            lines.append(template % tuple(np.column_stack((state, detrended)).ravel().tolist()))
+        else:
+            # format_float spells NaN and infinity its own way
+            for theta, k, kd in zip(thetas, state.tolist(), detrended.tolist()):
+                lines.append(f"{t_text},{theta},{format_float(k)},{format_float(kd)}\n")
     return "".join(lines)
 
 

@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
+import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -13,6 +14,12 @@ from akgrowth import DEFAULT_TOLERANCES, cli, closed_loop, hjb, spectral, stabil
 from akgrowth.cli import main
 from akgrowth.config import parse_config
 from akgrowth.errors import InfeasibleParametersError, SpectrumCollisionError
+from akgrowth.perron import (
+    GeneratorMatrix,
+    eigenvalues_admitting_positive_eigenvector,
+    is_irreducible,
+    perron_data,
+)
 
 WINDOW_CFG = """
 schema = 1
@@ -316,6 +323,73 @@ class TestPerronAudit:
         report = read_json(out / "perron.json")
         assert report["all_passed"] is True
         assert report["failures"] == []
+
+
+    def test_empty_battery_passes(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["perron-audit", "--count", "0", "--out", str(out), "--quiet"]) == 0
+        assert read_json(out / "perron.json") == {
+            "count": 0, "max_dim": 12, "seed": 0, "failures": [], "all_passed": True,
+        }
+
+    @pytest.mark.parametrize("flag, value", [("--max-dim", "2"), ("--count", "-1")])
+    def test_invalid_arguments_are_config_errors(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "out"
+        assert main(["perron-audit", flag, value, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} must be")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_failures_match_per_matrix_loop(self, tmp_path, monkeypatch):
+        real = cli.random_irreducible_metzler
+
+        def make_generator():
+            calls = []
+
+            def generator(dim, rng):
+                entries = real(dim, rng).entries.copy()
+                calls.append(dim)
+                if len(calls) - 1 == 5:
+                    # two disconnected blocks: reducible
+                    entries[: dim // 2, dim // 2:] = 0.0
+                    entries[dim // 2:, : dim // 2] = 0.0
+                elif len(calls) - 1 == 11:
+                    entries[0, 1] = -0.25  # not Metzler
+                return GeneratorMatrix(entries)
+
+            return generator
+
+        # today's per-matrix loop, kept as the reference for the batched command
+        rng = np.random.default_rng(17)
+        generator = make_generator()
+        expected = []
+        for index in range(30):
+            dim = int(rng.integers(3, 13))
+            gen = generator(dim, rng)
+            try:
+                if not is_irreducible(gen):
+                    raise RuntimeError("random generator not irreducible")
+                data = perron_data(gen)
+                for side in ("right", "left"):
+                    admitted = eigenvalues_admitting_positive_eigenvector(gen, side)
+                    if any(abs(v - data.spectral_bound) > 1e-8 for v in admitted):
+                        raise RuntimeError(
+                            f"non-dominant eigenvalue admits a positive {side} eigenvector"
+                        )
+            except Exception as exc:  # noqa: BLE001 - mirrors the command
+                expected.append({"index": index, "dim": dim, "error": str(exc)})
+
+        monkeypatch.setattr(cli, "random_irreducible_metzler", make_generator())
+        out = tmp_path / "out"
+        argv = ["perron-audit", "--count", "30", "--seed", "17", "--out", str(out), "--quiet"]
+        assert main(argv) == 3
+        report = read_json(out / "perron.json")
+        assert [f["index"] for f in expected] == [5, 11]
+        assert expected[0]["error"] == "random generator not irreducible"
+        assert expected[1]["error"] == "matrix is not Metzler"
+        assert report["failures"] == expected
+        assert report["all_passed"] is False
 
 
 class TestEntryPoint:

@@ -1,9 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import akgrowth as ak
-from akgrowth import GeneratorMatrix, PerronViolationError
+from akgrowth import DEFAULT_TOLERANCES, GeneratorMatrix, PerronViolationError
+from akgrowth.perron import (
+    _positive_columns,
+    _positive_version,
+    battery_failures,
+)
 
 
 def cyclic_shift_generator(m):
@@ -73,6 +80,11 @@ class TestPerronData:
         with pytest.raises(PerronViolationError):
             ak.perron_data(GeneratorMatrix(entries))
 
+    def test_unknown_side_rejected(self):
+        gen = cyclic_shift_generator(4)
+        with pytest.raises(ValueError, match="side"):
+            ak.eigenvalues_admitting_positive_eigenvector(gen, side="lft")
+
     def test_reducible_input_flagged(self):
         block = np.array([[-1.0, 1.0], [1.0, -1.0]])
         entries = np.block(
@@ -80,6 +92,127 @@ class TestPerronData:
         )
         with pytest.raises(PerronViolationError):
             ak.perron_data(GeneratorMatrix(entries))
+
+
+def reference_failure(gen, tolerances=DEFAULT_TOLERANCES):
+    """The per-matrix battery check, written out with the public oracle functions."""
+    try:
+        if not ak.is_irreducible(gen):
+            raise RuntimeError("random generator not irreducible")
+        data = ak.perron_data(gen, tolerances)
+        for side in ("right", "left"):
+            admitted = ak.eigenvalues_admitting_positive_eigenvector(gen, side, tolerances)
+            if any(abs(v - data.spectral_bound) > 1e-8 for v in admitted):
+                raise RuntimeError(
+                    f"non-dominant eigenvalue admits a positive {side} eigenvector"
+                )
+    except Exception as exc:  # noqa: BLE001 - mirrors the battery
+        return str(exc)
+    return None
+
+
+def _block(size, rng, density):
+    if size == 1:
+        return np.array([[-rng.random()]])
+    return ak.random_irreducible_metzler(size, rng, density).entries
+
+
+@st.composite
+def battery_matrices(draw):
+    """Battery inputs: random, reducible, non-Metzler and cyclic-shift generators."""
+    kind = draw(st.sampled_from(["random", "reducible", "non_metzler", "cyclic"]))
+    dim = draw(st.integers(2, 12))
+    density = draw(st.floats(0.0, 1.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "reducible":
+        split = draw(st.integers(1, dim - 1))
+        entries = np.zeros((dim, dim))
+        entries[:split, :split] = _block(split, rng, density)
+        entries[split:, split:] = _block(dim - split, rng, density)
+        if draw(st.booleans()):
+            # one-way coupling: connected, still not strongly connected
+            entries[:split, split:] = rng.random((split, dim - split))
+        return GeneratorMatrix(entries)
+    if kind == "cyclic":
+        entries = -np.diag(rng.random(dim) + 0.5)
+        entries[np.arange(dim), (np.arange(dim) + 1) % dim] = rng.random(dim) + 0.5
+        return GeneratorMatrix(entries)
+    entries = ak.random_irreducible_metzler(dim, rng, density).entries.copy()
+    if kind == "non_metzler":
+        row, col = rng.choice(dim, size=2, replace=False)
+        # magnitudes straddle the Metzler slack of 1e-12
+        entries[row, col] = -(10.0 ** draw(st.floats(-14.0, 0.0)))
+    return GeneratorMatrix(entries)
+
+
+class TestBattery:
+    @settings(max_examples=60)
+    @given(gens=st.lists(battery_matrices(), min_size=1, max_size=24))
+    def test_matches_per_matrix_oracle(self, gens):
+        expected = {}
+        for index, gen in enumerate(gens):
+            error = reference_failure(gen)
+            if error is not None:
+                expected[index] = error
+        assert battery_failures(gens) == expected
+        # a one-matrix stack gives the verdict of the many-matrix stack
+        for index, gen in enumerate(gens):
+            single = battery_failures([gen])
+            assert single == ({0: expected[index]} if index in expected else {})
+
+    @settings(max_examples=40)
+    @given(
+        gens=st.lists(battery_matrices(), min_size=1, max_size=12),
+        positivity=st.floats(1e-12, 0.9),
+        simplicity=st.sampled_from([1e-9, 0.05, 0.5]),
+    )
+    def test_matches_oracle_under_tight_tolerances(self, gens, positivity, simplicity):
+        # larger tolerances make the Perron-vector and simplicity checks fail,
+        # which the random generators alone never do
+        tolerances = DEFAULT_TOLERANCES.replace(
+            perron_positivity=positivity, perron_simplicity=simplicity
+        )
+        expected = {}
+        for index, gen in enumerate(gens):
+            error = reference_failure(gen, tolerances)
+            if error is not None:
+                expected[index] = error
+        assert battery_failures(gens, tolerances) == expected
+
+    @settings(max_examples=30)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 10), count=st.integers(1, 6))
+    def test_positive_columns_match_oracle(self, seed, dim, count):
+        # arbitrary real matrices: complex, real, mixed-sign and positive eigenvectors
+        rng = np.random.default_rng(seed)
+        stack = rng.standard_normal((count, dim, dim))
+        stack[0] = np.abs(stack[0])
+        _, vectors = np.linalg.eig(stack)
+        tol = DEFAULT_TOLERANCES
+        expected = [
+            [
+                _positive_version(v[:, j], tol.perron_realness, tol.perron_positivity) is not None
+                for j in range(dim)
+            ]
+            for v in vectors
+        ]
+        assert _positive_columns(vectors, tol).tolist() == expected
+
+    def test_stack_that_does_not_converge_is_screened_per_matrix(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        gens = [ak.random_irreducible_metzler(5, rng) for _ in range(4)]
+        poisoned = gens[2].entries.copy()
+        eig = np.linalg.eig
+
+        def failing_eig(a):
+            # stands in for a LAPACK failure on one matrix of the stack
+            a = np.asarray(a)
+            stack = a.reshape((-1,) + a.shape[-2:])
+            if any(np.array_equal(m, poisoned) or np.array_equal(m, poisoned.T) for m in stack):
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eig(a)
+
+        monkeypatch.setattr(np.linalg, "eig", failing_eig)
+        assert battery_failures(gens) == {2: "Eigenvalues did not converge"}
 
 
 class TestBoundarySpectrum:

@@ -74,6 +74,26 @@ class TestCsv:
                 )
         assert serialize.trajectory_csv(traj) == "\n".join(reference) + "\n"
 
+    def test_non_finite_rows_match_per_cell_formatting(self):
+        grid = ak.Grid(8)
+        times = np.array([0.0, 0.5, 1.0])
+        states = np.linspace(0.1, 2.4, 24).reshape(3, 8)
+        states[1, :4] = [np.nan, np.inf, -np.inf, -0.0]
+        states[2, 1] = 1e-300
+        detrended = states * 0.5
+        detrended[2, 1] = np.inf
+        traj = ak.closed_loop.Trajectory(grid, times, states, detrended)
+        fmt = serialize.format_float
+        reference = ["t,theta,K,K_detrended"]
+        for i, t in enumerate(times):
+            for j, theta in enumerate(grid.nodes):
+                reference.append(
+                    f"{fmt(t)},{fmt(theta)},{fmt(states[i, j])},{fmt(detrended[i, j])}"
+                )
+        text = serialize.trajectory_csv(traj)
+        assert text == "\n".join(reference) + "\n"
+        assert "NaN" in text and ",Infinity," in text and ",-Infinity," in text
+
 
 class TestSummaries:
     def test_basis_summary_schema(self, window):
