@@ -23,7 +23,6 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import PerronViolationError
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
@@ -135,6 +134,10 @@ def perron_data(
     semigroup positivity is known at the operator level even though the
     discretized entries change sign.
     """
+    # imported here: the CLI reaches this oracle only for a matrix the
+    # stacked screen flags, and SciPy would double its import cost
+    import scipy.linalg
+
     if require_metzler and not gen.is_metzler(tolerances):
         raise PerronViolationError("matrix is not Metzler")
     eigenvalues, left_vectors, right_vectors = scipy.linalg.eig(
@@ -144,12 +147,12 @@ def perron_data(
     idx = int(np.argmax(eigenvalues.real))
     bound = eigenvalues[idx]
     if abs(bound.imag) > tolerances.perron_realness * scale:
-        raise PerronViolationError(f"spectral bound {bound!r} is not real")
+        raise PerronViolationError(f"spectral bound {complex(bound)!r} is not real")
     others = np.delete(eigenvalues, idx)
     gap = float(np.abs(others - bound).min()) if others.size else float("inf")
     if gap <= tolerances.perron_simplicity * scale:
         raise PerronViolationError(
-            f"spectral bound {bound.real!r} is not simple (gap {gap:g})"
+            f"spectral bound {float(bound.real)!r} is not simple (gap {gap:g})"
         )
     right = _positive_version(
         right_vectors[:, idx], tolerances.perron_realness, tolerances.perron_positivity

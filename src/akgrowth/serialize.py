@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -86,21 +87,23 @@ def basis_summary(basis: SpectralBasis) -> dict:
     }
 
 
-def write_basis_csv(path: str | Path, basis: SpectralBasis) -> None:
-    """Full basis, one column per eigenfunction."""
+def _basis_rows(basis: SpectralBasis) -> Iterator[str]:
     n = basis.grid.n_points
-    header = "theta," + ",".join(f"b{k}" for k in range(n))
-    lines = [header]
+    yield "theta," + ",".join(f"b{k}" for k in range(n)) + "\n"
     for j, theta in enumerate(basis.grid.nodes):
         row = ",".join(format_float(v) for v in basis.vectors[j, :])
-        lines.append(f"{format_float(theta)},{row}")
-    Path(path).write_text("\n".join(lines) + "\n")
+        yield f"{format_float(theta)},{row}\n"
 
 
-def trajectory_csv(traj: Trajectory) -> str:
-    """Long-format trajectory: one row per (time, node)."""
-    # each line carries its newline, so the result is one join, not a join plus a copy
-    lines = ["t,theta,K,K_detrended\n"]
+def write_basis_csv(path: str | Path, basis: SpectralBasis) -> None:
+    """Full basis, one column per eigenfunction, written row by row."""
+    with open(path, "w") as handle:
+        handle.writelines(_basis_rows(basis))
+
+
+def _trajectory_rows(traj: Trajectory) -> Iterator[str]:
+    """The file's text in pieces that end in a newline, at most a time row each."""
+    yield "t,theta,K,K_detrended\n"
     # the node column repeats for every time row: format it once
     thetas = [format_float(theta) for theta in traj.grid.nodes.tolist()]
     # every line of a time row after its time cell; %.17g is format_float for finite values
@@ -111,16 +114,22 @@ def trajectory_csv(traj: Trajectory) -> str:
         if np.isfinite(state).all() and np.isfinite(detrended).all():
             # one template formats the row's interleaved (K, K_detrended) pairs
             template = t_text + t_text.join(tails)
-            lines.append(template % tuple(np.column_stack((state, detrended)).ravel().tolist()))
+            yield template % tuple(np.column_stack((state, detrended)).ravel().tolist())
         else:
             # format_float spells NaN and infinity its own way
             for theta, k, kd in zip(thetas, state.tolist(), detrended.tolist()):
-                lines.append(f"{t_text},{theta},{format_float(k)},{format_float(kd)}\n")
-    return "".join(lines)
+                yield f"{t_text},{theta},{format_float(k)},{format_float(kd)}\n"
+
+
+def trajectory_csv(traj: Trajectory) -> str:
+    """Long-format trajectory: one row per (time, node)."""
+    return "".join(_trajectory_rows(traj))
 
 
 def write_trajectory_csv(path: str | Path, traj: Trajectory) -> None:
-    Path(path).write_text(trajectory_csv(traj))
+    """``trajectory_csv`` written one time row at a time, never whole in memory."""
+    with open(path, "w") as handle:
+        handle.writelines(_trajectory_rows(traj))
 
 
 def trajectory_summary(traj: Trajectory, basis: SpectralBasis) -> dict:

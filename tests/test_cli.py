@@ -391,8 +391,65 @@ class TestPerronAudit:
         assert report["failures"] == expected
         assert report["all_passed"] is False
 
+    def test_failure_text_has_no_numpy_reprs(self, tmp_path, monkeypatch):
+        real = cli.random_irreducible_metzler
+        calls = []
+
+        def generator(dim, rng):
+            gen = real(dim, rng)
+            calls.append(dim)
+            if len(calls) == 3:
+                # two equal blocks joined by tiny couplings: irreducible and
+                # Metzler, but the spectral bound is double to within 1e-14
+                block = np.array([[-1.0, 1.0], [1.0, -1.0]])
+                entries = np.kron(np.eye(2), block)
+                entries[1, 2] = entries[2, 1] = 1e-14
+                return GeneratorMatrix(entries)
+            return gen
+
+        monkeypatch.setattr(cli, "random_irreducible_metzler", generator)
+        out = tmp_path / "out"
+        argv = ["perron-audit", "--count", "5", "--seed", "3", "--out", str(out), "--quiet"]
+        assert main(argv) == 3
+        [failure] = read_json(out / "perron.json")["failures"]
+        assert failure["index"] == 2
+        assert failure["error"].startswith("spectral bound ")
+        assert "is not simple" in failure["error"]
+        assert "np." not in failure["error"]
+
+
+IMPORT_HYGIENE_SCRIPT = """
+import sys
+from akgrowth.cli import main
+
+config, out = sys.argv[1], sys.argv[2]
+codes = [
+    main([command, "--config", config, "--n-points", "32", "--out", out, "--quiet"])
+    for command in ("solve", "simulate", "verify", "sweep")
+]
+codes.append(main(["perron-audit", "--count", "50", "--out", out, "--quiet"]))
+print(codes, "scipy.linalg" in sys.modules)
+"""
+
 
 class TestEntryPoint:
+    def test_commands_do_not_import_scipy_linalg(self, tmp_path):
+        # NumPy drives the solver; SciPy serves only the per-matrix Perron
+        # oracle, which a passing battery never reaches
+        cfg = tmp_path / "window.cfg"
+        cfg.write_text(WINDOW_CFG + "sweep.rho = 0.75, 0.9\n")
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-c", IMPORT_HYGIENE_SCRIPT, str(cfg), str(tmp_path / "out")],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split("\n")[-2] == "[0, 0, 0, 0, 0] False"
+
     def test_module_invocation(self, tmp_path):
         cfg = tmp_path / "window.cfg"
         cfg.write_text(WINDOW_CFG)

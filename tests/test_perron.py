@@ -85,6 +85,13 @@ class TestPerronData:
         with pytest.raises(ValueError, match="side"):
             ak.eigenvalues_admitting_positive_eigenvector(gen, side="lft")
 
+    def test_complex_bound_text_is_plain(self):
+        # a rotation generator: the bound +-i is not real
+        rotation = GeneratorMatrix(np.array([[0.0, -1.0], [1.0, 0.0]]))
+        with pytest.raises(PerronViolationError, match="is not real") as info:
+            ak.perron_data(rotation, require_metzler=False)
+        assert "np." not in str(info.value)
+
     def test_reducible_input_flagged(self):
         block = np.array([[-1.0, 1.0], [1.0, -1.0]])
         entries = np.block(

@@ -75,24 +75,47 @@ class TestCsv:
         assert serialize.trajectory_csv(traj) == "\n".join(reference) + "\n"
 
     def test_non_finite_rows_match_per_cell_formatting(self):
-        grid = ak.Grid(8)
-        times = np.array([0.0, 0.5, 1.0])
-        states = np.linspace(0.1, 2.4, 24).reshape(3, 8)
-        states[1, :4] = [np.nan, np.inf, -np.inf, -0.0]
-        states[2, 1] = 1e-300
-        detrended = states * 0.5
-        detrended[2, 1] = np.inf
-        traj = ak.closed_loop.Trajectory(grid, times, states, detrended)
+        traj = non_finite_trajectory()
+        times, states, detrended = traj.times, traj.states, traj.detrended
         fmt = serialize.format_float
         reference = ["t,theta,K,K_detrended"]
         for i, t in enumerate(times):
-            for j, theta in enumerate(grid.nodes):
+            for j, theta in enumerate(traj.grid.nodes):
                 reference.append(
                     f"{fmt(t)},{fmt(theta)},{fmt(states[i, j])},{fmt(detrended[i, j])}"
                 )
         text = serialize.trajectory_csv(traj)
         assert text == "\n".join(reference) + "\n"
         assert "NaN" in text and ",Infinity," in text and ",-Infinity," in text
+
+    def test_streamed_trajectory_file_matches_joined_text(self, window, tmp_path):
+        for traj in (ak.simulate(window.clo, window.K0, 2.0, 7), non_finite_trajectory()):
+            path = tmp_path / "trajectory.csv"
+            serialize.write_trajectory_csv(path, traj)
+            assert path.read_bytes() == serialize.trajectory_csv(traj).encode()
+
+    def test_basis_file_matches_per_cell_formatting(self, tmp_path):
+        from conftest import window_pipeline
+
+        basis = window_pipeline(16).basis
+        fmt = serialize.format_float
+        reference = ["theta," + ",".join(f"b{k}" for k in range(16))]
+        for j, theta in enumerate(basis.grid.nodes):
+            reference.append(",".join(fmt(v) for v in [theta, *basis.vectors[j]]))
+        path = tmp_path / "basis.csv"
+        serialize.write_basis_csv(path, basis)
+        assert path.read_bytes() == ("\n".join(reference) + "\n").encode()
+
+
+def non_finite_trajectory():
+    grid = ak.Grid(8)
+    times = np.array([0.0, 0.5, 1.0])
+    states = np.linspace(0.1, 2.4, 24).reshape(3, 8)
+    states[1, :4] = [np.nan, np.inf, -np.inf, -0.0]
+    states[2, 1] = 1e-300
+    detrended = states * 0.5
+    detrended[2, 1] = np.inf
+    return ak.closed_loop.Trajectory(grid, times, states, detrended)
 
 
 class TestSummaries:
