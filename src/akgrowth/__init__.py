@@ -86,7 +86,6 @@ from .stability import (
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 from .verify import (
     OptimalityAudit,
-    PayoffResult,
     closed_form_tail,
     default_horizon,
     hjb_residual,

@@ -108,9 +108,8 @@ def cmd_verify(config: RunConfig, out: Path, quiet: bool,
         lambda t: hjb.optimal_control_path(sol, K0, t),
         audit.horizon,
         nodes_per_unit=128,
-        tail_bound=audit.tail_bound,
     )
-    quadrature_gap = abs(doubled.value - audit.J_opt)
+    quadrature_gap = abs(doubled - audit.J_opt)
 
     # transversality needs a horizon long enough for the discounted value to
     # die; it is checked on the optimal path and on the sampled perturbations
@@ -282,9 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, needs_config: bool = True):
-        if needs_config:
-            p.add_argument("--config", required=True, help="path to the run config file")
+    def add_common(p: argparse.ArgumentParser):
+        p.add_argument("--config", required=True, help="path to the run config file")
         p.add_argument("--out", default=None, help="output directory (default: config out_dir)")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--n-points", type=int, default=None, help="override grid resolution")
@@ -323,7 +321,6 @@ def main(argv: list[str] | None = None) -> int:
             config = dataclasses.replace(config, n_points=args.n_points)
         if args.seed is not None:
             config = dataclasses.replace(config, seed=args.seed)
-        config.model()  # re-validate after overrides
         out = Path(args.out) if args.out is not None else Path(config.out_dir)
         if args.command == "solve":
             return cmd_solve(config, out, quiet)

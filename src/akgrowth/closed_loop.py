@@ -170,31 +170,26 @@ class ContourProjection:
 
     matrix: np.ndarray
     imag_residue: float
-    center: float
-    radius: float
     n_quad: int
 
 
 def projection_via_contour(
     clo: ClosedLoopOperator,
-    center: float | None = None,
     radius: float | None = None,
     n_quad: int = 64,
     tolerances: Tolerances = DEFAULT_TOLERANCES,
 ) -> ContourProjection:
     """Spectral projection -1/(2*pi*i) * contour integral of (B - mu)^{-1}.
 
-    The contour is the circle of the given center and radius, discretized by
+    The contour is the circle about g of the given radius, discretized by
     the periodic trapezoid rule (spectrally accurate here).  By default the
-    center is g and the radius is half the distance from g to the nearest
-    other eigenvalue of B.  The circle must enclose g and nothing else.
+    radius is half the distance from g to the nearest other eigenvalue of B.
+    The circle must enclose g and nothing else.
     """
     if n_quad < 16:
         raise ValueError(f"n_quad must be >= 16, got {n_quad}")
     g = clo.sol.g
     eigs = clo.spectrum
-    if center is None:
-        center = g
     if radius is None:
         others = eigs[np.abs(eigs - g) > 1e-8 * max(1.0, abs(g))]
         if others.size == 0:
@@ -202,10 +197,10 @@ def projection_via_contour(
         radius = 0.5 * float(np.abs(others - g).min())
     if radius <= 0:
         raise ValueError(f"radius must be positive, got {radius}")
-    enclosed = eigs[np.abs(eigs - center) <= radius]
+    enclosed = eigs[np.abs(eigs - g) <= radius]
     if enclosed.size != 1 or abs(enclosed[0] - g) > 1e-6 * max(1.0, abs(g)):
         raise ContourEnclosureError(
-            f"circle at {center!r} radius {radius!r} encloses {enclosed.size} "
+            f"circle at {g!r} radius {radius!r} encloses {enclosed.size} "
             f"eigenvalue(s); it must enclose exactly g={g!r}"
         )
     n = clo.grid.n_points
@@ -214,20 +209,14 @@ def projection_via_contour(
     acc = np.zeros((n, n), dtype=complex)
     for t in angles:
         phase = np.exp(1j * t)
-        mu = center + radius * phase
+        mu = g + radius * phase
         acc += np.linalg.solve(clo.matrix - mu * identity, identity) * phase
     # P = -(1/2 pi i) * sum_j resolvent(mu_j) * i * radius * phase_j * dt
     acc *= -radius / n_quad
     imag_residue = float(np.abs(acc.imag).max())
     if imag_residue > tolerances.contour_imag:
         raise RuntimeError(f"contour projection imaginary residue {imag_residue:g}")
-    return ContourProjection(
-        matrix=acc.real,
-        imag_residue=imag_residue,
-        center=float(center),
-        radius=float(radius),
-        n_quad=int(n_quad),
-    )
+    return ContourProjection(matrix=acc.real, imag_residue=imag_residue, n_quad=int(n_quad))
 
 
 @dataclass(frozen=True, eq=False)

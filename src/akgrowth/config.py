@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -99,15 +100,12 @@ class RunConfig:
     tolerance_overrides: dict = field(default_factory=dict)
 
     def tolerances(self) -> Tolerances:
-        return DEFAULT_TOLERANCES.replace(**self.tolerance_overrides)
-
-    def grid(self) -> Grid:
-        return Grid(self.n_points)
+        return replace(DEFAULT_TOLERANCES, **self.tolerance_overrides)
 
     def model(self) -> tuple[Grid, ModelParams, GridFunction]:
         """Validate and build the grid, parameters, and initial state."""
         try:
-            grid = self.grid()
+            grid = Grid(self.n_points)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         built = {}
@@ -129,20 +127,23 @@ class RunConfig:
         return grid, params, built["K0"]
 
 
-def _parse_scalar(key: str, text: str):
-    kind = _SCALAR_KEYS[key]
+def _float_list(text: str) -> list[float]:
+    values = [float(piece) for piece in text.split(",") if piece.strip()]
+    if not values:
+        raise ValueError("empty number list")
+    return values
+
+
+_PROFILE_ATTRS = {"value": float, "mean": float, "amplitude": float, "phase": float,
+                  "mode": int, "values": _float_list}
+
+
+def _parse(key: str, text: str, convert: Callable):
+    """``convert(text)``; a value it rejects is a ConfigError naming the key."""
     try:
-        return kind(text) if kind is not float else float(text)
+        return convert(text)
     except ValueError as exc:
         raise ConfigError(f"cannot parse {key} = {text!r}") from exc
-
-
-def _parse_float_list(text: str) -> list[float]:
-    items = [piece.strip() for piece in text.split(",") if piece.strip()]
-    try:
-        return [float(piece) for piece in items]
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse number list {text!r}") from exc
 
 
 def parse_config(text: str) -> RunConfig:
@@ -163,7 +164,7 @@ def parse_config(text: str) -> RunConfig:
 
     if "schema" not in pairs:
         raise ConfigError("missing required key 'schema'")
-    schema = _parse_scalar("schema", pairs.pop("schema"))
+    schema = _parse("schema", pairs.pop("schema"), int)
     if schema != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema version {schema}")
 
@@ -174,19 +175,19 @@ def parse_config(text: str) -> RunConfig:
     out_dir = None
     for key, value in pairs.items():
         if key in _SCALAR_KEYS:
-            scalars[key] = _parse_scalar(key, value)
+            scalars[key] = _parse(key, value, _SCALAR_KEYS[key])
         elif key in _STRING_KEYS:
             out_dir = value
         elif key.startswith("tol."):
             name = key[4:]
             if name not in Tolerances.__dataclass_fields__:
                 raise ConfigError(f"unknown tolerance {name!r}")
-            overrides[name] = float(value)
+            overrides[name] = _parse(key, value, float)
         elif key.startswith("sweep."):
             name = key[6:]
             if name not in ("rho", "gamma", "sigma"):
                 raise ConfigError(f"unknown sweep parameter {name!r}")
-            sweep[name] = _parse_float_list(value)
+            sweep[name] = _parse(key, value, _float_list)
         elif "." in key:
             name, attr = key.split(".", 1)
             if name not in _PROFILE_NAMES:
@@ -205,14 +206,9 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"profile {name!r} has unknown kind {kind!r}")
         parameters: dict = {}
         for attr, value in attrs.items():
-            if attr == "values":
-                parameters["values"] = _parse_float_list(value)
-            elif attr in ("value", "mean", "amplitude", "phase"):
-                parameters[attr] = float(value)
-            elif attr == "mode":
-                parameters[attr] = int(value)
-            else:
+            if attr not in _PROFILE_ATTRS:
                 raise ConfigError(f"profile {name!r}: unknown attribute {attr!r}")
+            parameters[attr] = _parse(f"{name}.{attr}", value, _PROFILE_ATTRS[attr])
         if kind == "constant" and "value" not in parameters:
             raise ConfigError(f"profile {name!r}: constant needs 'value'")
         if kind == "cosine" and "mean" not in parameters:

@@ -59,11 +59,6 @@ def growth_rate(params: ModelParams, lambda0: float) -> float:
     return (lambda0 - params.rho) / params.gamma
 
 
-def consumption_weight(params: ModelParams) -> GridFunction:
-    """Utility weight profile f = eta^q."""
-    return GridFunction(params.grid, positive_power(params.eta.values, params.q))
-
-
 def _alpha_integral(basis: SpectralBasis, params: ModelParams) -> float:
     """Quadrature of f^(1/gamma) * (eta * b0)^((gamma-1)/gamma) over the circle."""
     gamma, q = params.gamma, params.q
@@ -113,7 +108,8 @@ def solve_hjb(basis: SpectralBasis, params: ModelParams) -> HjbSolution:
     alpha = compute_alpha(basis, params)
     alpha0 = alpha ** (1.0 / (1.0 - params.gamma))
     g = growth_rate(params, basis.lambda0)
-    f = consumption_weight(params)
+    # utility weight f = eta^q
+    f = GridFunction(params.grid, positive_power(params.eta.values, params.q))
     profile_values = positive_power(
         f.values / (alpha * params.eta.values * basis.b0.values), 1.0 / params.gamma
     )

@@ -29,9 +29,9 @@ def format_float(x: float) -> str:
     return format(x, ".17g")
 
 
-def _emit(obj, indent: int, level: int, pieces: list[str]) -> None:
-    pad = " " * (indent * level)
-    inner_pad = " " * (indent * (level + 1))
+def _emit(obj, level: int, pieces: list[str]) -> None:
+    pad = "  " * level
+    inner_pad = "  " * (level + 1)
     if isinstance(obj, dict):
         if not obj:
             pieces.append("{}")
@@ -39,7 +39,7 @@ def _emit(obj, indent: int, level: int, pieces: list[str]) -> None:
         pieces.append("{\n")
         for i, (key, value) in enumerate(obj.items()):
             pieces.append(f"{inner_pad}{json.dumps(str(key))}: ")
-            _emit(value, indent, level + 1, pieces)
+            _emit(value, level + 1, pieces)
             pieces.append(",\n" if i < len(obj) - 1 else "\n")
         pieces.append(pad + "}")
     elif isinstance(obj, (list, tuple, np.ndarray)):
@@ -50,7 +50,7 @@ def _emit(obj, indent: int, level: int, pieces: list[str]) -> None:
         pieces.append("[\n")
         for i, value in enumerate(seq):
             pieces.append(inner_pad)
-            _emit(value, indent, level + 1, pieces)
+            _emit(value, level + 1, pieces)
             pieces.append(",\n" if i < len(seq) - 1 else "\n")
         pieces.append(pad + "]")
     elif isinstance(obj, bool) or isinstance(obj, np.bool_):
@@ -67,9 +67,10 @@ def _emit(obj, indent: int, level: int, pieces: list[str]) -> None:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def dumps_json(obj, indent: int = 2) -> str:
+def dumps_json(obj) -> str:
+    """JSON text indented by two spaces per level, with a final newline."""
     pieces: list[str] = []
-    _emit(obj, indent, 0, pieces)
+    _emit(obj, 0, pieces)
     pieces.append("\n")
     return "".join(pieces)
 

@@ -64,18 +64,17 @@ def admissibility_condition(pd: ProjectionData, K0: GridFunction, M: float) -> b
     return M * deviation <= abs(pairing) * w_min
 
 
-def fit_decay_rate(times: np.ndarray, deviations: np.ndarray,
-                   rel_floor: float = 1e-12) -> float:
+def fit_decay_rate(times: np.ndarray, deviations: np.ndarray) -> float:
     """Least-squares slope of log(deviation) against time.
 
-    Samples whose deviation has decayed below rel_floor times the initial
+    Samples whose deviation has decayed below 1e-12 times the initial
     deviation are excluded (they are dominated by rounding).  Returns nan
     when fewer than two usable samples remain.
     """
     dev0 = deviations[0]
     if dev0 <= 0.0:
         return float("nan")
-    usable = deviations > rel_floor * dev0
+    usable = deviations > 1e-12 * dev0
     if int(usable.sum()) < 2:
         return float("nan")
     t = times[usable]

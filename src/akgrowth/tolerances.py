@@ -7,7 +7,6 @@ without touching call sites.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 
@@ -29,10 +28,6 @@ class Tolerances:
     perron_simplicity: float = 1e-9
     perron_positivity: float = 1e-12
     metzler_slack: float = 1e-12
-
-    def replace(self, **overrides: float) -> "Tolerances":
-        """Return a copy with the given fields overridden."""
-        return dataclasses.replace(self, **overrides)
 
 
 DEFAULT_TOLERANCES = Tolerances()

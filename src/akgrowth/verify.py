@@ -14,8 +14,10 @@ value need, solves a scalar equation whose forcing is a sum of two
 exponentials.  The audit evaluates both in closed form.  ``payoff`` and
 ``open_loop_trajectory`` integrate any control numerically; a control maps a
 1-D array of m times to the (m, n) array of consumption profiles at those
-times, so both evaluate it on blocks of time nodes.  They are the oracles
-the closed forms are tested against.
+times, so both evaluate it on blocks of time nodes.  ``payoff`` returns a
+float.  Both use 64 Gauss-Legendre nodes per unit of time; ``payoff`` takes
+another count, which the ``verify`` command doubles once.  They are the
+oracles the closed forms are tested against.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .errors import GridMismatchError, HalfSpaceError, TailDivergenceError
 from .grid import GridFunction, inner_l2
 from .hjb import (
     HjbSolution,
+    _pairing,
     feedback_control,
     hamiltonian,
     optimal_control_path,
@@ -47,21 +50,10 @@ ControlProvider = Callable[[np.ndarray], np.ndarray]
 
 # time nodes evaluated together; bounds the (rows, n) temporaries of the audit
 _BLOCK_ROWS = 128
-
-
-@dataclass(frozen=True, eq=False)
-class PayoffResult:
-    """Truncated discounted payoff with an explicit tail bracket.
-
-    ``value`` is the quadrature of e^(-rho t) U(c(t)) over [0, horizon];
-    value +/- tail_bound brackets the true infinite-horizon payoff whenever
-    the integrand keeps a fixed sign beyond the horizon.
-    """
-
-    value: float
-    horizon: float
-    tail_bound: float
-    n_time_nodes: int
+# Gauss-Legendre nodes per unit of time in the payoff and open-loop quadratures
+_NODES_PER_UNIT = 64
+# redraws of one perturbation before the audit gives up
+_MAX_RESAMPLE = 50
 
 
 @lru_cache(maxsize=None)
@@ -89,11 +81,12 @@ def payoff(
     params: ModelParams,
     control: ControlProvider,
     T: float,
-    nodes_per_unit: int = 64,
-    tail_bound: float = 0.0,
-) -> PayoffResult:
+    nodes_per_unit: int = _NODES_PER_UNIT,
+) -> float:
     """Discounted payoff of a consumption plan, truncated at horizon T.
 
+    The quadrature of e^(-rho t) U(c(t)) over [0, T] by a composite
+    Gauss-Legendre rule with ``nodes_per_unit`` nodes per unit interval.
     ``control`` maps a 1-D array of m times to the (m, n) array of
     nonnegative consumption profiles at those times; it is called on blocks
     of quadrature nodes.  A -inf utility at any node (gamma > 1 with zero
@@ -108,9 +101,9 @@ def payoff(
         block = slice(start, start + _BLOCK_ROWS)
         u = utility(params, control(nodes[block]))
         if np.any(u == -np.inf):
-            return PayoffResult(float("-inf"), float(T), float(tail_bound), nodes.size)
+            return float("-inf")
         total += discounted[block] @ u
-    return PayoffResult(float(total), float(T), float(tail_bound), nodes.size)
+    return float(total)
 
 
 def optimal_payoff_exponent(sol: HjbSolution) -> float:
@@ -180,15 +173,14 @@ def open_loop_trajectory(
     x0: GridFunction,
     control: ControlProvider,
     times: np.ndarray,
-    nodes_per_unit: int = 64,
 ) -> np.ndarray:
     """Mild solution of the state equation under an arbitrary control.
 
     Integrates x(t) = e^(tL) x0 - int_0^t e^((t-s)L) eta c(s) ds in the
     eigenbasis: each coefficient obeys c_k' = lambda_k c_k - <eta c(s), b_k>.
     Between consecutive sample times the forcing is projected on the basis
-    and integrated against e^(lambda (t-s)) with Gauss-Legendre quadrature
-    (spectrally accurate for smooth plans).
+    and integrated against e^(lambda (t-s)) with Gauss-Legendre quadrature,
+    64 nodes per unit of time (spectrally accurate for smooth plans).
 
     ``control`` maps a 1-D array of m times to the (m, n) array of
     consumption profiles at those times; it is called on blocks of
@@ -207,7 +199,7 @@ def open_loop_trajectory(
     dts = np.diff(times)
     distinct, which = np.unique(dts, return_inverse=True)
     growth = np.exp(lam * distinct[:, None])
-    gl_x, gl_w = _gauss_legendre(max(4, math.ceil(nodes_per_unit * float(dts.max()))))
+    gl_x, gl_w = _gauss_legendre(max(4, math.ceil(_NODES_PER_UNIT * float(dts.max()))))
     per_block = max(1, _BLOCK_ROWS // gl_x.size)
     for first in range(0, dts.size, per_block):
         dt = dts[first:first + per_block]
@@ -346,29 +338,21 @@ def optimality_audit(
     n_perturbations: int,
     seed: int,
     tolerances: Tolerances = DEFAULT_TOLERANCES,
-    nodes_per_unit: int = 64,
-    max_resample: int = 50,
 ) -> OptimalityAudit:
     """Certify v(x0) against the payoff functional.
 
-    First checks that the quadrature payoff of the feedback control
-    reproduces v(x0) up to the truncation tail.  Then draws seeded smooth
-    multiplicative perturbations of the feedback plan, discards (and
-    resamples) any whose open-loop pairing <x(t), b0> leaves the half-space,
-    and checks that every admissible sample's closed-form payoff is
-    dominated by v(x0).
+    First checks that the quadrature payoff of the feedback control, with 64
+    time nodes per unit, reproduces v(x0) up to the truncation tail.  Then
+    draws seeded smooth multiplicative perturbations of the feedback plan,
+    discards (and resamples, at most 50 times each) any whose open-loop
+    pairing <x(t), b0> leaves the half-space, and checks that every
+    admissible sample's closed-form payoff is dominated by v(x0).
     """
     v = value_function(sol, x0)
     horizon = default_horizon(sol, x0, tolerances.tail_rel)
     tail = closed_form_tail(sol, x0, horizon)
-    optimal = payoff(
-        sol.params,
-        partial(optimal_control_path, sol, x0),
-        horizon,
-        nodes_per_unit,
-        tail_bound=tail,
-    )
-    rel_gap = abs(optimal.value - v) / abs(v)
+    optimal = payoff(sol.params, partial(optimal_control_path, sol, x0), horizon)
+    rel_gap = abs(optimal - v) / abs(v)
 
     rng = np.random.default_rng(seed)
     check_times = np.linspace(0.0, horizon, 4 * math.ceil(horizon) + 1)
@@ -384,10 +368,10 @@ def optimality_audit(
             if np.all(pairings > 0.0):
                 break
             resampled += 1
-            if resampled > max_resample:
+            if resampled > _MAX_RESAMPLE:
                 raise RuntimeError(
                     "could not draw an admissible perturbation after "
-                    f"{max_resample} attempts"
+                    f"{_MAX_RESAMPLE} attempts"
                 )
         terminal = math.exp(-sol.params.rho * horizon) * abs(
             value_at_pairing(sol, float(pairings[-1]))
@@ -406,7 +390,7 @@ def optimality_audit(
     max_perturbed = max(perturbed) if perturbed else float("-inf")
     dominated = all(p <= v + tolerances.dominance_rel * abs(v) for p in perturbed)
     return OptimalityAudit(
-        J_opt=optimal.value,
+        J_opt=optimal,
         v=v,
         rel_gap=rel_gap,
         horizon=horizon,
@@ -431,9 +415,7 @@ def hjb_residual(sol: HjbSolution, x: GridFunction) -> float:
     eigenfunction, <x, L* grad v(x)> = lambda0 <x,b0> * alpha <x,b0>^(-gamma).
     """
     basis = sol.basis
-    inner = inner_l2(x, basis.b0)
-    if inner <= 0.0:
-        raise HalfSpaceError(f"<x, b0> = {inner!r} is not strictly positive")
+    inner = _pairing(sol, x)
     v = value_function(sol, x)
     gamma = sol.params.gamma
     drift = basis.lambda0 * inner * sol.alpha * inner ** (-gamma)
@@ -473,17 +455,17 @@ def sample_halfspace_states(
     basis: SpectralBasis,
     count: int,
     seed: int,
-    amplitude: float = 0.5,
-    n_modes: int = 4,
 ) -> list[GridFunction]:
-    """Seeded smooth strictly positive states (hence in the half-space)."""
+    """Seeded smooth strictly positive states (hence in the half-space): a
+    random scale in [0.5, 2] times 1 plus cosine and sine modes 1 to 4 with
+    coefficients uniform in [-0.5/4, 0.5/4]."""
     rng = np.random.default_rng(seed)
     theta = basis.grid.nodes
     states = []
     for _ in range(count):
         values = np.ones_like(theta)
-        for m in range(1, n_modes + 1):
-            a, b = rng.uniform(-1.0, 1.0, size=2) * amplitude / n_modes
+        for m in range(1, 5):
+            a, b = rng.uniform(-1.0, 1.0, size=2) * 0.5 / 4
             values = values + a * np.cos(m * theta) + b * np.sin(m * theta)
         scale = rng.uniform(0.5, 2.0)
         states.append(GridFunction(basis.grid, scale * values))

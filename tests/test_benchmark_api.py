@@ -1,14 +1,19 @@
 """The benchmark in perfbench/ drives the library by name; guard those names.
 
-perfbench/spans.py wraps the functions it lists in ``TRACED``, and
+perfbench/spans.py wraps the functions it lists in ``TRACED`` and evaluates
+its ``FLOPS`` models on their bound arguments and results, and
 perfbench/run.py calls ``build_closed_loop`` and ``compute_projection_data``
-positionally.  A change to ``src/`` that breaks either breaks the benchmark
-without failing any other test.  The benchmark files are only read here.
+positionally.  A change to ``src/`` that breaks any of these breaks the
+benchmark without failing any other test.  The benchmark files are only read
+here.
 """
 
 import ast
 import importlib
+import importlib.util
 import inspect
+import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -47,3 +52,44 @@ def test_positional_calls_of_the_run_script(window):
     pd = ak.closed_loop.compute_projection_data(window.basis, window.sol, ak.DEFAULT_TOLERANCES)
     assert clo.grid == window.grid
     assert pd.basis is window.basis
+
+
+def _load_spans():
+    """perfbench/spans.py as a module; it imports only the standard library."""
+    spec = importlib.util.spec_from_file_location("_perfbench_spans", PERFBENCH / "spans.py")
+    module = importlib.util.module_from_spec(spec)
+    # its dataclass looks its module up in sys.modules; no bytecode is written
+    sys.modules[spec.name] = module
+    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write
+        del sys.modules[spec.name]
+    return module
+
+
+FLOPS = _load_spans().FLOPS
+
+# FLOPS model -> the call the program makes, on the ``window`` fixture
+FLOP_CALLS = {
+    "spectral.eigendecompose": lambda w: (w.op, ak.DEFAULT_TOLERANCES),
+    "closed_loop.build_closed_loop": lambda w: (w.basis, w.sol),
+    "closed_loop.simulate": lambda w: (w.clo, w.K0, 10.0, 200),
+    "closed_loop.projection_via_contour": lambda w: (w.clo,),
+}
+
+
+def test_every_flop_model_has_a_call():
+    assert set(FLOPS) == set(FLOP_CALLS)
+
+
+@pytest.mark.parametrize("name", FLOP_CALLS)
+def test_flop_model_reads_real_arguments(window, name):
+    module, function = name.split(".")
+    fn = getattr(importlib.import_module(f"akgrowth.{module}"), function)
+    args = FLOP_CALLS[name](window)
+    # bound the way the tracer binds them: by name, defaults left out
+    arguments = inspect.signature(fn).bind(*args).arguments
+    flops = FLOPS[name](arguments, fn(*args))
+    assert math.isfinite(flops) and flops > 0

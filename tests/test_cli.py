@@ -101,6 +101,16 @@ class TestSolve:
         assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["solve", "simulate", "verify", "sweep"])
+def test_invalid_n_points_override(window_cfg, tmp_path, capsys, command):
+    # the override is validated when the command builds its model, before any output
+    out = tmp_path / "out"
+    argv = [command, "--config", str(window_cfg), "--out", str(out), "--n-points", "7"]
+    assert main([*argv, "--quiet"]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
 class TestSimulate:
     def test_window_run_flags(self, window_cfg, tmp_path):
         out = tmp_path / "out"

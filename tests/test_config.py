@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -131,6 +133,15 @@ class TestRejection:
     def test_swept_value_breaking_model_rules(self, sweep):
         with pytest.raises(ConfigError, match=sweep.split(" ")[0]):
             parse_config(GOOD + sweep + "\n")
+
+    @pytest.mark.parametrize(
+        "key, bad",
+        [("K0.mode", "one"), ("A.value", "abc"), ("tol.symmetry", "abc"), ("sweep.sigma", ",")],
+    )
+    def test_unparseable_value_names_its_key(self, key, bad):
+        kept = [line for line in GOOD.splitlines() if not line.startswith(f"{key} =")]
+        with pytest.raises(ConfigError, match=f"cannot parse {re.escape(key)} = "):
+            parse_config("\n".join(kept) + f"\n{key} = {bad}\n")
 
     def test_malformed_line(self):
         with pytest.raises(ConfigError):

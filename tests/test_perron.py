@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -176,8 +178,8 @@ class TestBattery:
     def test_matches_oracle_under_tight_tolerances(self, gens, positivity, simplicity):
         # larger tolerances make the Perron-vector and simplicity checks fail,
         # which the random generators alone never do
-        tolerances = DEFAULT_TOLERANCES.replace(
-            perron_positivity=positivity, perron_simplicity=simplicity
+        tolerances = dataclasses.replace(
+            DEFAULT_TOLERANCES, perron_positivity=positivity, perron_simplicity=simplicity
         )
         expected = {}
         for index, gen in enumerate(gens):

@@ -90,11 +90,11 @@ def _null_control(grid):
 class TestPayoff:
     def test_null_control_zero_payoff(self, window):
         result = ak.payoff(window.params, _null_control(window.grid), T=5.0, nodes_per_unit=16)
-        assert result.value == 0.0
+        assert result == 0.0
 
     def test_null_control_gamma2_diverges(self, gamma2):
         result = ak.payoff(gamma2.params, _null_control(gamma2.grid), T=2.0, nodes_per_unit=16)
-        assert result.value == float("-inf")
+        assert result == float("-inf")
         assert ak.value_function(gamma2.sol, gamma2.K0) < 0
 
     def test_optimal_payoff_matches_value(self, window):
@@ -103,11 +103,11 @@ class TestPayoff:
         tail = ak.closed_form_tail(sol, K0, T)
         result = ak.payoff(
             window.params, lambda t: ak.optimal_control_path(sol, K0, t), T,
-            nodes_per_unit=64, tail_bound=tail,
+            nodes_per_unit=64,
         )
         v = ak.value_function(sol, K0)
         assert tail < 1e-8 * abs(v) * 1.0000001
-        assert abs(result.value - v) / abs(v) < max(1e-6, tail / abs(v))
+        assert abs(result - v) / abs(v) < max(1e-6, tail / abs(v))
 
     def test_optimal_payoff_matches_value_gamma2(self, gamma2):
         sol, K0 = gamma2.sol, gamma2.K0
@@ -117,15 +117,15 @@ class TestPayoff:
             nodes_per_unit=64,
         )
         v = ak.value_function(sol, K0)
-        assert abs(result.value - v) / abs(v) < 1e-6
+        assert abs(result - v) / abs(v) < 1e-6
 
     def test_scaling_homogeneity(self, window):
         # J(2c) = 2^(1-gamma) J(c) by homogeneity of the utility
         sol, K0 = window.sol, window.K0
         base = lambda t: ak.optimal_control_path(sol, K0, t)
         doubled = lambda t: 2.0 * ak.optimal_control_path(sol, K0, t)
-        J1 = ak.payoff(window.params, base, T=8.0, nodes_per_unit=32).value
-        J2 = ak.payoff(window.params, doubled, T=8.0, nodes_per_unit=32).value
+        J1 = ak.payoff(window.params, base, T=8.0, nodes_per_unit=32)
+        J2 = ak.payoff(window.params, doubled, T=8.0, nodes_per_unit=32)
         assert J2 == pytest.approx(2 ** 0.5 * J1, rel=1e-12)
 
     def test_tail_divergence_guard(self, window):
@@ -226,7 +226,7 @@ class TestBatchedMatchesOracle:
     def test_payoff(self, gamma, T, amplitude, mode, phase):
         pipe = _oracle_pipeline(gamma)
         control = _perturbed_control(pipe.sol, pipe.K0, amplitude, mode, phase)
-        batched = ak.payoff(pipe.params, control, T).value
+        batched = ak.payoff(pipe.params, control, T)
         reference = _payoff_oracle(pipe.params, control, T, 64)
         assert abs(batched - reference) <= 1e-12 * abs(reference)
 
@@ -267,7 +267,7 @@ class TestBatchedMatchesOracle:
     def test_closed_form_payoff(self, gamma, T, amplitude, mode, phase):
         pipe = _oracle_pipeline(gamma)
         control = _perturbed_control(pipe.sol, pipe.K0, amplitude, mode, phase)
-        reference = ak.payoff(pipe.params, control, T).value
+        reference = ak.payoff(pipe.params, control, T)
         closed = _perturbed_payoff(pipe.sol, pipe.K0, amplitude, mode, phase, T)
         assert abs(closed - reference) <= 1e-12 * abs(reference)
 
@@ -302,13 +302,13 @@ class TestOptimalityAudit:
 
         control = _perturbed_control(window.sol, window.K0, 0.0, 1, 0.0)
         T = 8.0
-        J_flat = ak.payoff(window.params, control, T, nodes_per_unit=32).value
+        J_flat = ak.payoff(window.params, control, T, nodes_per_unit=32)
         J_opt = ak.payoff(
             window.params,
             lambda t: ak.optimal_control_path(window.sol, window.K0, t),
             T,
             nodes_per_unit=32,
-        ).value
+        )
         assert J_flat == J_opt
 
     @pytest.mark.parametrize("name", ["variable", "gamma2"])
