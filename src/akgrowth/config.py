@@ -40,7 +40,6 @@ SCHEMA_VERSION = 1
 
 _PROFILE_NAMES = ("A", "eta", "K0")
 _PROFILE_KINDS = ("constant", "cosine", "custom-table")
-_KIND_ALIASES = {"table": "custom-table"}
 _SCALAR_KEYS = {
     "n_points": int,
     "sigma": float,
@@ -201,7 +200,6 @@ def parse_config(text: str) -> RunConfig:
         if "kind" not in attrs:
             raise ConfigError(f"profile {name!r} is missing 'kind'")
         kind = attrs.pop("kind")
-        kind = _KIND_ALIASES.get(kind, kind)
         if kind not in _PROFILE_KINDS:
             raise ConfigError(f"profile {name!r} has unknown kind {kind!r}")
         parameters: dict = {}
@@ -226,6 +224,11 @@ def parse_config(text: str) -> RunConfig:
     )
     # fail fast on anything inconsistent before any computation runs,
     # swept values included: each must pass the ModelParams rules on its own
+    if not config.t_final > 0:
+        raise ConfigError(f"t_final must be > 0, got {config.t_final}")
+    for key in ("n_steps", "n_perturbations"):
+        if getattr(config, key) < 1:
+            raise ConfigError(f"{key} must be >= 1, got {getattr(config, key)}")
     _, params, _ = config.model()
     for name, values in sweep.items():
         for value in values:

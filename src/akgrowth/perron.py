@@ -15,6 +15,11 @@ transposes) serve every check, and the positivity test runs on all
 eigenvectors at once.  The per-matrix functions stay the public API and the
 oracle: a matrix the stacked screen flags is checked again by
 ``audit_failure``, whose text is the one reported.
+
+The thresholds are the module constants ``REALNESS_TOL``,
+``SIMPLICITY_TOL``, ``POSITIVITY_TOL``, ``METZLER_SLACK`` and
+``UNIQUENESS_TOL``; ``perron-audit`` reads no config, so none of them is a
+``tol.*`` key.
 """
 
 from __future__ import annotations
@@ -25,8 +30,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PerronViolationError
-from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
+# the realness and simplicity thresholds are relative to max(1, largest modulus)
+REALNESS_TOL = 1e-9     # imaginary part of a real eigenvalue or eigenvector
+SIMPLICITY_TOL = 1e-9   # gap between the spectral bound and the rest of the spectrum
+POSITIVITY_TOL = 1e-12  # smallest entry of a positive vector scaled to max 1
+METZLER_SLACK = 1e-12   # off-diagonal entries may be this far below 0
 # an eigenvalue with a positive eigenvector farther than this from the
 # spectral bound breaks uniqueness
 UNIQUENESS_TOL = 1e-8
@@ -52,14 +61,14 @@ class GeneratorMatrix:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    def is_metzler(self, tolerances: Tolerances = DEFAULT_TOLERANCES) -> bool:
-        return bool(_metzler(self.entries[None], tolerances)[0])
+    def is_metzler(self) -> bool:
+        return bool(_metzler(self.entries[None])[0])
 
 
-def _metzler(stack: np.ndarray, tolerances: Tolerances) -> np.ndarray:
+def _metzler(stack: np.ndarray) -> np.ndarray:
     """Per matrix of a (k, m, m) stack: are the off-diagonal entries >= -slack?"""
     off = np.where(np.eye(stack.shape[-1], dtype=bool), 0.0, stack)
-    return off.min(axis=(1, 2)) >= -tolerances.metzler_slack
+    return off.min(axis=(1, 2)) >= -METZLER_SLACK
 
 
 def _strongly_connected(stack: np.ndarray) -> np.ndarray:
@@ -81,31 +90,24 @@ def is_irreducible(gen: GeneratorMatrix) -> bool:
     return bool(_strongly_connected(gen.entries[None])[0])
 
 
-def _rotate_to_real(vector: np.ndarray, tol: float) -> np.ndarray | None:
-    """Remove a global phase; return the real vector or None if impossible."""
-    pivot = vector[np.argmax(np.abs(vector))]
-    if pivot == 0:
-        return None
-    rotated = vector * (np.conj(pivot) / abs(pivot))
-    if np.abs(rotated.imag).max() > tol * max(1.0, float(np.abs(rotated).max())):
-        return None
-    return rotated.real
-
-
-def _positive_version(vector: np.ndarray, realness_tol: float, positivity_tol: float) -> np.ndarray | None:
+def _positive_version(vector: np.ndarray) -> np.ndarray | None:
     """Entrywise positive representative of an eigenvector, if one exists.
 
     The vector is declared positive only when a global phase makes all
     entries real and, after normalizing the largest entry to 1, every entry
     exceeds the positivity tolerance.
     """
-    real = _rotate_to_real(vector, realness_tol)
-    if real is None:
+    pivot = vector[np.argmax(np.abs(vector))]
+    if pivot == 0:
         return None
+    rotated = vector * (np.conj(pivot) / abs(pivot))
+    if np.abs(rotated.imag).max() > REALNESS_TOL * max(1.0, float(np.abs(rotated).max())):
+        return None
+    real = rotated.real
     if real.max() <= 0:
         real = -real
     scaled = real / real.max()
-    if scaled.min() <= positivity_tol:
+    if scaled.min() <= POSITIVITY_TOL:
         return None
     return scaled
 
@@ -120,11 +122,7 @@ class PerronData:
     gap: float          # distance from the bound to the rest of the spectrum
 
 
-def perron_data(
-    gen: GeneratorMatrix,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
-    require_metzler: bool = True,
-) -> PerronData:
+def perron_data(gen: GeneratorMatrix, require_metzler: bool = True) -> PerronData:
     """Spectral bound and strictly positive eigenvector pair.
 
     Asserts that the spectral bound is real and simple and that both Perron
@@ -138,7 +136,7 @@ def perron_data(
     # stacked screen flags, and SciPy would double its import cost
     import scipy.linalg
 
-    if require_metzler and not gen.is_metzler(tolerances):
+    if require_metzler and not gen.is_metzler():
         raise PerronViolationError("matrix is not Metzler")
     eigenvalues, left_vectors, right_vectors = scipy.linalg.eig(
         gen.entries, left=True, right=True
@@ -146,22 +144,18 @@ def perron_data(
     scale = max(1.0, float(np.abs(eigenvalues).max()))
     idx = int(np.argmax(eigenvalues.real))
     bound = eigenvalues[idx]
-    if abs(bound.imag) > tolerances.perron_realness * scale:
+    if abs(bound.imag) > REALNESS_TOL * scale:
         raise PerronViolationError(f"spectral bound {complex(bound)!r} is not real")
     others = np.delete(eigenvalues, idx)
     gap = float(np.abs(others - bound).min()) if others.size else float("inf")
-    if gap <= tolerances.perron_simplicity * scale:
+    if gap <= SIMPLICITY_TOL * scale:
         raise PerronViolationError(
             f"spectral bound {float(bound.real)!r} is not simple (gap {gap:g})"
         )
-    right = _positive_version(
-        right_vectors[:, idx], tolerances.perron_realness, tolerances.perron_positivity
-    )
+    right = _positive_version(right_vectors[:, idx])
     # scipy returns left vectors y with y^H A = lambda y^H; conjugation is a
     # no-op here because the bound is real
-    left = _positive_version(
-        left_vectors[:, idx].conj(), tolerances.perron_realness, tolerances.perron_positivity
-    )
+    left = _positive_version(left_vectors[:, idx].conj())
     if right is None or left is None:
         raise PerronViolationError(
             "Perron eigenvector has a nonpositive entry; input may be reducible"
@@ -173,9 +167,7 @@ def perron_data(
 
 
 def eigenvalues_admitting_positive_eigenvector(
-    gen: GeneratorMatrix,
-    side: str = "right",
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
+    gen: GeneratorMatrix, side: str = "right"
 ) -> list[float]:
     """Brute-force scan of all eigenpairs for entrywise positive eigenvectors.
 
@@ -188,17 +180,12 @@ def eigenvalues_admitting_positive_eigenvector(
     eigenvalues, vectors = np.linalg.eig(matrix)
     admitted = []
     for k in range(eigenvalues.size):
-        positive = _positive_version(
-            vectors[:, k], tolerances.perron_realness, tolerances.perron_positivity
-        )
-        if positive is not None:
+        if _positive_version(vectors[:, k]) is not None:
             admitted.append(float(eigenvalues[k].real))
     return admitted
 
 
-def audit_failure(
-    gen: GeneratorMatrix, tolerances: Tolerances = DEFAULT_TOLERANCES
-) -> str | None:
+def audit_failure(gen: GeneratorMatrix) -> str | None:
     """The battery check of one matrix: None, or the text of its first failure.
 
     Irreducible, then ``perron_data`` (Metzler, real simple bound, positive
@@ -207,9 +194,9 @@ def audit_failure(
     try:
         if not is_irreducible(gen):
             return "random generator not irreducible"
-        bound = perron_data(gen, tolerances).spectral_bound
+        bound = perron_data(gen).spectral_bound
         for side in ("right", "left"):
-            admitted = eigenvalues_admitting_positive_eigenvector(gen, side, tolerances)
+            admitted = eigenvalues_admitting_positive_eigenvector(gen, side)
             if any(abs(v - bound) > UNIQUENESS_TOL for v in admitted):
                 return f"non-dominant eigenvalue admits a positive {side} eigenvector"
     except Exception as exc:  # noqa: BLE001 - the battery reports every failure
@@ -217,16 +204,16 @@ def audit_failure(
     return None
 
 
-def _positive_columns(vectors: np.ndarray, tolerances: Tolerances) -> np.ndarray:
+def _positive_columns(vectors: np.ndarray) -> np.ndarray:
     """``_positive_version(...) is not None`` for every column of a (k, m, m) stack."""
     pivot = np.take_along_axis(vectors, np.abs(vectors).argmax(axis=1)[:, None, :], axis=1)
     rotated = vectors * (np.conj(pivot) / np.abs(pivot))
-    realness = tolerances.perron_realness * np.maximum(1.0, np.abs(rotated).max(axis=1))
+    realness = REALNESS_TOL * np.maximum(1.0, np.abs(rotated).max(axis=1))
     # the pivot entry is now |pivot| > 0, so the largest real entry is
     # positive and no sign flip is needed
     scaled_min = rotated.real.min(axis=1) / rotated.real.max(axis=1)
     return (np.abs(rotated.imag).max(axis=1) <= realness) & (
-        scaled_min > tolerances.perron_positivity
+        scaled_min > POSITIVITY_TOL
     )
 
 
@@ -241,10 +228,10 @@ _SCREEN_CHECKS = (
 )
 
 
-def _screen(stack: np.ndarray, tolerances: Tolerances) -> dict[int, str]:
+def _screen(stack: np.ndarray) -> dict[int, str]:
     """Offset -> first failed check, for the matrices of a (k, m, m) stack that fail.
 
-    The checks and tolerances are those of ``audit_failure``, in its order.
+    The checks and thresholds are those of ``audit_failure``, in its order.
     One eigensolve of the stack and one of its transposes serve the Perron
     checks and both uniqueness scans.
     """
@@ -256,17 +243,17 @@ def _screen(stack: np.ndarray, tolerances: Tolerances) -> dict[int, str]:
     scale = np.maximum(1.0, np.abs(values).max(axis=1))
     distance = np.abs(values - bound[:, None])
     distance[rows, idx] = np.inf
-    right_positive = _positive_columns(right, tolerances)
-    left_positive = _positive_columns(left, tolerances)
+    right_positive = _positive_columns(right)
+    left_positive = _positive_columns(left)
     perron_positive = (
         right_positive[rows, idx] & left_positive[rows, values_t.real.argmax(axis=1)]
     )
     bound_real = bound.real[:, None]
     passed = np.array([
         _strongly_connected(stack),
-        _metzler(stack, tolerances),
-        np.abs(bound.imag) <= tolerances.perron_realness * scale,
-        distance.min(axis=1) > tolerances.perron_simplicity * scale,
+        _metzler(stack),
+        np.abs(bound.imag) <= REALNESS_TOL * scale,
+        distance.min(axis=1) > SIMPLICITY_TOL * scale,
         perron_positive,
         ~(right_positive & (np.abs(values.real - bound_real) > UNIQUENESS_TOL)).any(axis=1),
         ~(left_positive & (np.abs(values_t.real - bound_real) > UNIQUENESS_TOL)).any(axis=1),
@@ -278,25 +265,23 @@ def _screen(stack: np.ndarray, tolerances: Tolerances) -> dict[int, str]:
     }
 
 
-def _screen_each(stack: np.ndarray, tolerances: Tolerances) -> dict[int, str]:
+def _screen_each(stack: np.ndarray) -> dict[int, str]:
     """``_screen``, falling back to one matrix at a time when a stacked eigensolve fails."""
     try:
-        return _screen(stack, tolerances)
+        return _screen(stack)
     except np.linalg.LinAlgError as exc:
         if stack.shape[0] == 1:
             return {0: f"batch screen: {exc}"}
     # one matrix that does not converge fails the whole stacked call
     failures = {}
     for k in range(stack.shape[0]):
-        single = _screen_each(stack[k:k + 1], tolerances)
+        single = _screen_each(stack[k:k + 1])
         if single:
             failures[k] = single[0]
     return failures
 
 
-def battery_failures(
-    gens: list[GeneratorMatrix], tolerances: Tolerances = DEFAULT_TOLERANCES
-) -> dict[int, str]:
+def battery_failures(gens: list[GeneratorMatrix]) -> dict[int, str]:
     """Index -> failure text of every matrix of a battery that fails ``audit_failure``.
 
     The matrices are screened in stacks, one per dimension.  A flagged matrix
@@ -310,9 +295,9 @@ def battery_failures(
     failures = {}
     for indices in by_dim.values():
         stack = np.stack([gens[index].entries for index in indices])
-        for k, reason in _screen_each(stack, tolerances).items():
+        for k, reason in _screen_each(stack).items():
             index = indices[k]
-            error = audit_failure(gens[index], tolerances)
+            error = audit_failure(gens[index])
             failures[index] = reason if error is None else error
     return dict(sorted(failures.items()))
 
@@ -327,10 +312,7 @@ class BoundarySpectrum:
     note: str
 
 
-def boundary_spectrum(
-    gen: GeneratorMatrix,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
-) -> BoundarySpectrum:
+def boundary_spectrum(gen: GeneratorMatrix) -> BoundarySpectrum:
     """Eigenvalues whose real part matches the spectral bound.
 
     The imaginary parts are checked for arithmetic-progression structure
@@ -340,15 +322,15 @@ def boundary_spectrum(
     eigenvalues = np.linalg.eigvals(gen.entries)
     scale = max(1.0, float(np.abs(eigenvalues).max()))
     bound = float(eigenvalues.real.max())
-    on_line = eigenvalues[np.abs(eigenvalues.real - bound) <= tolerances.perron_realness * scale]
+    on_line = eigenvalues[np.abs(eigenvalues.real - bound) <= REALNESS_TOL * scale]
     imags = np.sort(on_line.imag)
     note = ""
-    ok = bool(np.abs(imags).min() <= tolerances.perron_realness * scale)
+    ok = bool(np.abs(imags).min() <= REALNESS_TOL * scale)
     if not ok:
         note = "boundary spectrum does not contain a real point"
     elif imags.size > 1:
         spacings = np.diff(imags)
-        if np.abs(spacings - spacings[0]).max() > tolerances.perron_realness * scale:
+        if np.abs(spacings - spacings[0]).max() > REALNESS_TOL * scale:
             ok = False
             note = "imaginary parts are not equally spaced"
     return BoundarySpectrum(

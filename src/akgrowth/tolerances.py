@@ -1,8 +1,9 @@
-"""Central record of the numerical tolerances used across the package.
+"""Central record of the numerical tolerances of the config-driven commands.
 
-Every threshold a check relies on lives in one frozen record, so a single
-override can retune an entire run (for instance from a CLI config file)
-without touching call sites.
+The thresholds that ``solve``, ``simulate``, ``verify`` and ``sweep`` rely on
+live in one frozen record, so a single override can retune an entire run
+(``tol.<name> = <value>`` in a config file) without touching call sites.
+The Perron oracle's thresholds are constants in ``akgrowth.perron``.
 """
 
 from __future__ import annotations
@@ -24,10 +25,6 @@ class Tolerances:
     dominance_rel: float = 1e-6
     hjb_residual_rel: float = 1e-9
     transversality_tail_rel: float = 1e-6
-    perron_realness: float = 1e-9
-    perron_simplicity: float = 1e-9
-    perron_positivity: float = 1e-12
-    metzler_slack: float = 1e-12
 
 
 DEFAULT_TOLERANCES = Tolerances()

@@ -80,7 +80,7 @@ class TestSolve:
         cfg.write_text(
             WINDOW_CFG.replace(
                 "A.kind = constant\nA.value = 1.0",
-                "A.kind = table\nA.values = 1.0, 2.0",
+                "A.kind = custom-table\nA.values = 1.0, 2.0",
             )
         )
         out = tmp_path / "out"
@@ -90,9 +90,13 @@ class TestSolve:
     def test_missing_config_file(self, tmp_path):
         assert main(["solve", "--config", str(tmp_path / "absent.cfg"), "--quiet"]) == 1
 
-    @pytest.mark.parametrize("name", ["orthonormality", "growth_law_rel", "underflow_floor"])
+    @pytest.mark.parametrize(
+        "name",
+        ["orthonormality", "growth_law_rel", "underflow_floor", "perron_realness",
+         "perron_simplicity", "perron_positivity", "metzler_slack"],
+    )
     def test_removed_tolerance_is_unknown(self, tmp_path, capsys, name):
-        # these knobs were read by nothing, so they are no longer accepted
+        # these knobs changed no command's output, so they are no longer accepted
         cfg = tmp_path / "tol.cfg"
         cfg.write_text(WINDOW_CFG + f"tol.{name} = 1e-6\n")
         out = tmp_path / "out"
@@ -158,6 +162,15 @@ class TestVerify:
         assert audit["max_hjb_residual"] < 1e-9
         assert audit["transversality"] is True
         assert audit["failed_check"] is None
+
+    def test_no_perturbations_rejected(self, tmp_path, capsys):
+        # with no perturbed plan the dominance check would pass untested
+        cfg = tmp_path / "none.cfg"
+        cfg.write_text(WINDOW_CFG.replace("n_perturbations = 4", "n_perturbations = -1"))
+        out = tmp_path / "out"
+        assert main(["verify", "--config", str(cfg), "--out", str(out), "--quiet"]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
 
     def test_variable_profiles_pass(self, tmp_path):
         # regression: spatially varying eta slows the discounted-value decay

@@ -1,9 +1,12 @@
+import ast
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from akgrowth import ConfigError
+import akgrowth
+from akgrowth import ConfigError, Tolerances
 from akgrowth.config import parse_config
 
 GOOD = """
@@ -55,10 +58,9 @@ class TestParsing:
         assert config.n_steps == 200
         assert config.n_perturbations == 20
 
-    @pytest.mark.parametrize("kind", ["custom-table", "table"])
-    def test_table_profile(self, kind):
+    def test_table_profile(self):
         head = "schema = 1\nn_points = 8\n"
-        table = f"A.kind = {kind}\nA.values = " + ",".join(["2.0"] * 8) + "\n"
+        table = "A.kind = custom-table\nA.values = " + ",".join(["2.0"] * 8) + "\n"
         rest = (
             "eta.kind = constant\neta.value = 1.0\n"
             "K0.kind = constant\nK0.value = 1.0\n"
@@ -70,6 +72,18 @@ class TestParsing:
     def test_tolerance_override(self):
         config = parse_config(GOOD + "tol.spectrum_collision = 1e-6\n")
         assert config.tolerances().spectrum_collision == 1e-6
+
+    def test_every_tolerance_is_read(self):
+        # a field that no module reads would be a tol.* key that changes nothing
+        package = Path(akgrowth.__file__).parent
+        read = {
+            node.attr
+            for path in package.glob("*.py")
+            if path.name != "tolerances.py"
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute)
+        }
+        assert set(Tolerances.__dataclass_fields__) - read == set()
 
     def test_sweep_lists(self):
         config = parse_config(GOOD + "sweep.rho = 0.6, 0.75, 0.9\n")
@@ -100,12 +114,26 @@ class TestRejection:
     def test_table_length_mismatch(self):
         text = (
             "schema = 1\nn_points = 64\n"
-            "A.kind = table\nA.values = 1.0, 2.0, 3.0\n"
+            "A.kind = custom-table\nA.values = 1.0, 2.0, 3.0\n"
             "eta.kind = constant\neta.value = 1.0\n"
             "K0.kind = constant\nK0.value = 1.0\n"
         )
         with pytest.raises(ConfigError):
             parse_config(text)
+
+    def test_removed_table_alias(self):
+        with pytest.raises(ConfigError, match="unknown kind 'table'"):
+            parse_config(GOOD.replace("A.kind = constant", "A.kind = table"))
+
+    @pytest.mark.parametrize(
+        "key, bad",
+        [("n_perturbations", "0"), ("n_perturbations", "-1"), ("t_final", "0"),
+         ("t_final", "-1"), ("n_steps", "0")],
+    )
+    def test_out_of_range_run_length_names_its_key(self, key, bad):
+        kept = [line for line in GOOD.splitlines() if not line.startswith(f"{key} =")]
+        with pytest.raises(ConfigError, match=f"^{key} must be"):
+            parse_config("\n".join(kept) + f"\n{key} = {bad}\n")
 
     def test_missing_profile(self):
         text = "schema = 1\nA.kind = constant\nA.value = 1.0\n"

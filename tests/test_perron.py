@@ -1,4 +1,4 @@
-import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import akgrowth as ak
-from akgrowth import DEFAULT_TOLERANCES, GeneratorMatrix, PerronViolationError
+from akgrowth import GeneratorMatrix, PerronViolationError, perron
 from akgrowth.perron import (
     _positive_columns,
     _positive_version,
@@ -103,14 +103,14 @@ class TestPerronData:
             ak.perron_data(GeneratorMatrix(entries))
 
 
-def reference_failure(gen, tolerances=DEFAULT_TOLERANCES):
+def reference_failure(gen):
     """The per-matrix battery check, written out with the public oracle functions."""
     try:
         if not ak.is_irreducible(gen):
             raise RuntimeError("random generator not irreducible")
-        data = ak.perron_data(gen, tolerances)
+        data = ak.perron_data(gen)
         for side in ("right", "left"):
-            admitted = ak.eigenvalues_admitting_positive_eigenvector(gen, side, tolerances)
+            admitted = ak.eigenvalues_admitting_positive_eigenvector(gen, side)
             if any(abs(v - data.spectral_bound) > 1e-8 for v in admitted):
                 raise RuntimeError(
                     f"non-dominant eigenvalue admits a positive {side} eigenvector"
@@ -178,15 +178,13 @@ class TestBattery:
     def test_matches_oracle_under_tight_tolerances(self, gens, positivity, simplicity):
         # larger tolerances make the Perron-vector and simplicity checks fail,
         # which the random generators alone never do
-        tolerances = dataclasses.replace(
-            DEFAULT_TOLERANCES, perron_positivity=positivity, perron_simplicity=simplicity
-        )
-        expected = {}
-        for index, gen in enumerate(gens):
-            error = reference_failure(gen, tolerances)
-            if error is not None:
-                expected[index] = error
-        assert battery_failures(gens, tolerances) == expected
+        with mock.patch.multiple(perron, POSITIVITY_TOL=positivity, SIMPLICITY_TOL=simplicity):
+            expected = {}
+            for index, gen in enumerate(gens):
+                error = reference_failure(gen)
+                if error is not None:
+                    expected[index] = error
+            assert battery_failures(gens) == expected
 
     @settings(max_examples=30)
     @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 10), count=st.integers(1, 6))
@@ -196,15 +194,11 @@ class TestBattery:
         stack = rng.standard_normal((count, dim, dim))
         stack[0] = np.abs(stack[0])
         _, vectors = np.linalg.eig(stack)
-        tol = DEFAULT_TOLERANCES
         expected = [
-            [
-                _positive_version(v[:, j], tol.perron_realness, tol.perron_positivity) is not None
-                for j in range(dim)
-            ]
+            [_positive_version(v[:, j]) is not None for j in range(dim)]
             for v in vectors
         ]
-        assert _positive_columns(vectors, tol).tolist() == expected
+        assert _positive_columns(vectors).tolist() == expected
 
     def test_stack_that_does_not_converge_is_screened_per_matrix(self, monkeypatch):
         rng = np.random.default_rng(8)
