@@ -4,9 +4,8 @@ A NumPy library that assembles the diffusion-plus-technology generator
 on a periodic grid, computes its spectral data, builds the closed-form value
 function and optimal feedback of the discounted consumption problem,
 simulates the closed-loop integro-PDE, and numerically certifies
-convergence, positivity admissibility, and optimality.  NumPy drives the
-whole solver; SciPy serves only ``perron_data``, the per-matrix Perron
-oracle, and is imported when that runs.
+convergence, positivity admissibility, and optimality.  NumPy is its only
+runtime dependency.
 """
 
 from .closed_loop import (

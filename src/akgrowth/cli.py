@@ -218,24 +218,8 @@ def sweep_rows(config: RunConfig) -> list[dict]:
 
 def cmd_sweep(config: RunConfig, out: Path, quiet: bool) -> int:
     rows = sweep_rows(config)
-    columns = [
-        "rho", "gamma", "sigma", "lambda0", "lambda1",
-        "feasible", "g", "alpha", "M", "rate", "dominant",
-    ]
-    lines = [",".join(columns)]
-    for row in rows:
-        cells = []
-        for column in columns:
-            value = row[column]
-            if value is None:
-                cells.append("")
-            elif isinstance(value, bool):
-                cells.append("true" if value else "false")
-            else:
-                cells.append(serialize.format_float(value))
-        lines.append(",".join(cells))
     out.mkdir(parents=True, exist_ok=True)
-    (out / "sweep.csv").write_text("\n".join(lines) + "\n")
+    serialize.write_sweep_csv(out / "sweep.csv", rows)
     _say(quiet, f"sweep: wrote {len(rows)} rows to {out / 'sweep.csv'}")
     return EXIT_OK
 
@@ -245,6 +229,8 @@ def cmd_perron_audit(seed: int, count: int, max_dim: int, out: Path, quiet: bool
         raise ConfigError(f"--count must be >= 0, got {count}")
     if max_dim < 3:
         raise ConfigError(f"--max-dim must be >= 3, got {max_dim}")
+    if seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     # drawn in sequence (dimension, then entries), so the stream is fixed by the seed
     gens = [

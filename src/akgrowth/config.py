@@ -103,6 +103,8 @@ class RunConfig:
 
     def model(self) -> tuple[Grid, ModelParams, GridFunction]:
         """Validate and build the grid, parameters, and initial state."""
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         try:
             grid = Grid(self.n_points)
         except ValueError as exc:

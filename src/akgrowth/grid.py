@@ -105,9 +105,6 @@ class GridFunction:
     def __sub__(self, other):
         return self._binary(other, np.subtract)
 
-    def __rsub__(self, other):
-        return self._binary(other, lambda a, b: b - a)
-
     def __mul__(self, other):
         return self._binary(other, np.multiply)
 
@@ -116,14 +113,8 @@ class GridFunction:
     def __truediv__(self, other):
         return self._binary(other, np.divide)
 
-    def __rtruediv__(self, other):
-        return self._binary(other, lambda a, b: b / a)
-
     def __pow__(self, exponent):
         return GridFunction(self.grid, self.values ** float(exponent))
-
-    def __neg__(self):
-        return GridFunction(self.grid, -self.values)
 
 
 def check_same_grid(f: GridFunction, g: GridFunction) -> None:

@@ -131,16 +131,15 @@ def perron_data(gen: GeneratorMatrix, require_metzler: bool = True) -> PerronDat
     admits matrices, such as the spectral collocation generator, whose
     semigroup positivity is known at the operator level even though the
     discretized entries change sign.
-    """
-    # imported here: the CLI reaches this oracle only for a matrix the
-    # stacked screen flags, and SciPy would double its import cost
-    import scipy.linalg
 
+    The left vector is the bound's row of ``inv(V)``, where the columns of V
+    are the right eigenvectors: that row y satisfies y A = lambda y.  The
+    stacked screen takes its left vectors from ``eig(A.T)`` instead, so this
+    oracle stays independent of it.
+    """
     if require_metzler and not gen.is_metzler():
         raise PerronViolationError("matrix is not Metzler")
-    eigenvalues, left_vectors, right_vectors = scipy.linalg.eig(
-        gen.entries, left=True, right=True
-    )
+    eigenvalues, right_vectors = np.linalg.eig(gen.entries)
     scale = max(1.0, float(np.abs(eigenvalues).max()))
     idx = int(np.argmax(eigenvalues.real))
     bound = eigenvalues[idx]
@@ -153,9 +152,7 @@ def perron_data(gen: GeneratorMatrix, require_metzler: bool = True) -> PerronDat
             f"spectral bound {float(bound.real)!r} is not simple (gap {gap:g})"
         )
     right = _positive_version(right_vectors[:, idx])
-    # scipy returns left vectors y with y^H A = lambda y^H; conjugation is a
-    # no-op here because the bound is real
-    left = _positive_version(left_vectors[:, idx].conj())
+    left = _positive_version(np.linalg.inv(right_vectors)[idx])
     if right is None or left is None:
         raise PerronViolationError(
             "Perron eigenvector has a nonpositive entry; input may be reducible"

@@ -171,3 +171,24 @@ def deviation_csv(report: StabilityReport) -> str:
 
 def write_deviation_csv(path: str | Path, report: StabilityReport) -> None:
     Path(path).write_text(deviation_csv(report))
+
+
+_SWEEP_COLUMNS = (
+    "rho", "gamma", "sigma", "lambda0", "lambda1",
+    "feasible", "g", "alpha", "M", "rate", "dominant",
+)
+
+
+def _sweep_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return format_float(value)
+
+
+def write_sweep_csv(path: str | Path, rows: list[dict]) -> None:
+    """One line per sweep row: None is an empty cell, booleans are true/false."""
+    lines = [",".join(_SWEEP_COLUMNS)]
+    lines += [",".join(_sweep_cell(row[c]) for c in _SWEEP_COLUMNS) for row in rows]
+    Path(path).write_text("\n".join(lines) + "\n")

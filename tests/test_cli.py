@@ -115,6 +115,42 @@ def test_invalid_n_points_override(window_cfg, tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["solve", "simulate", "verify", "sweep"])
+@pytest.mark.parametrize("source", ["config", "flag"])
+def test_negative_seed_is_a_config_error(tmp_path, capsys, command, source):
+    # the config file and the --seed override pass the same check
+    cfg = tmp_path / "seed.cfg"
+    if source == "config":
+        cfg.write_text(WINDOW_CFG.replace("seed = 2024", "seed = -3"))
+        flags, seed = [], -3
+    else:
+        cfg.write_text(WINDOW_CFG)
+        flags, seed = ["--seed", "-1"], -1
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out), *flags, "--quiet"]) == 1
+    assert capsys.readouterr().err == f"error: seed must be >= 0, got {seed}\n"
+    assert not out.exists()
+
+
+DETERMINISM_SWEEP = "sweep.rho = 0.45, 0.75\nsweep.sigma = 1.0, 2.0\n"
+
+
+@pytest.mark.parametrize("command", ["solve", "simulate", "sweep", "perron-audit"])
+def test_rerun_writes_identical_bytes(tmp_path, command):
+    cfg = tmp_path / "window.cfg"
+    cfg.write_text(WINDOW_CFG + DETERMINISM_SWEEP)
+    if command == "perron-audit":
+        argv = [command, "--count", "50", "--seed", "5"]
+    else:
+        argv = [command, "--config", str(cfg), "--n-points", "32"]
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        assert main([*argv, "--out", str(out), "--quiet"]) == 0
+    written = [{path.name: path.read_bytes() for path in out.iterdir()} for out in outs]
+    assert written[0]
+    assert written[0] == written[1]
+
+
 class TestSimulate:
     def test_window_run_flags(self, window_cfg, tmp_path):
         out = tmp_path / "out"
@@ -355,7 +391,9 @@ class TestPerronAudit:
             "count": 0, "max_dim": 12, "seed": 0, "failures": [], "all_passed": True,
         }
 
-    @pytest.mark.parametrize("flag, value", [("--max-dim", "2"), ("--count", "-1")])
+    @pytest.mark.parametrize(
+        "flag, value", [("--max-dim", "2"), ("--count", "-1"), ("--seed", "-1")]
+    )
     def test_invalid_arguments_are_config_errors(self, tmp_path, capsys, flag, value):
         out = tmp_path / "out"
         assert main(["perron-audit", flag, value, "--out", str(out)]) == 1
@@ -443,7 +481,12 @@ class TestPerronAudit:
 
 IMPORT_HYGIENE_SCRIPT = """
 import sys
+
+import numpy as np
+
+from akgrowth import cli
 from akgrowth.cli import main
+from akgrowth.perron import GeneratorMatrix
 
 config, out = sys.argv[1], sys.argv[2]
 codes = [
@@ -451,14 +494,26 @@ codes = [
     for command in ("solve", "simulate", "verify", "sweep")
 ]
 codes.append(main(["perron-audit", "--count", "50", "--out", out, "--quiet"]))
-print(codes, "scipy.linalg" in sys.modules)
+
+
+def double_bound(dim, rng):
+    # irreducible and Metzler, but the spectral bound is double to within
+    # 1e-14: the stacked screen flags it and the per-matrix oracle runs
+    entries = np.kron(np.eye(2), [[-1.0, 1.0], [1.0, -1.0]])
+    entries[1, 2] = entries[2, 1] = 1e-14
+    return GeneratorMatrix(entries)
+
+
+cli.random_irreducible_metzler = double_bound
+codes.append(main(["perron-audit", "--count", "1", "--out", out + "/failing", "--quiet"]))
+print(codes, "scipy" in sys.modules)
 """
 
 
 class TestEntryPoint:
     def test_commands_do_not_import_scipy_linalg(self, tmp_path):
-        # NumPy drives the solver; SciPy serves only the per-matrix Perron
-        # oracle, which a passing battery never reaches
+        # NumPy and the standard library run every command, a failing
+        # Perron battery included
         cfg = tmp_path / "window.cfg"
         cfg.write_text(WINDOW_CFG + "sweep.rho = 0.75, 0.9\n")
         env = dict(os.environ)
@@ -471,7 +526,9 @@ class TestEntryPoint:
             text=True,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split("\n")[-2] == "[0, 0, 0, 0, 0] False"
+        assert proc.stdout.split("\n")[-2] == "[0, 0, 0, 0, 0, 3] False"
+        [failure] = read_json(tmp_path / "out" / "failing" / "perron.json")["failures"]
+        assert "is not simple" in failure["error"]
 
     def test_module_invocation(self, tmp_path):
         cfg = tmp_path / "window.cfg"

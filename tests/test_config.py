@@ -85,6 +85,22 @@ class TestParsing:
         }
         assert set(Tolerances.__dataclass_fields__) - read == set()
 
+    def test_no_module_imports_scipy(self):
+        # NumPy and the standard library run every command
+        package = Path(akgrowth.__file__).parent
+        imported = []
+        for path in package.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and not node.level:
+                    names = [node.module]
+                else:
+                    continue
+                imported += [f"{path.name}: {name}" for name in names
+                             if name.split(".")[0] == "scipy"]
+        assert imported == []
+
     def test_sweep_lists(self):
         config = parse_config(GOOD + "sweep.rho = 0.6, 0.75, 0.9\n")
         assert config.sweep["rho"] == [0.6, 0.75, 0.9]
