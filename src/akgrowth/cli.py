@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 import traceback
 from pathlib import Path
@@ -45,8 +46,18 @@ def _model(config: RunConfig):
     return params, K0, spectral.eigendecompose(op, tolerances), tolerances
 
 
+def _state_model(config: RunConfig):
+    """``_model`` for the commands that start from K0, which must lie in the
+    open half-space <K0, b0> > 0 where the value function is defined."""
+    params, K0, basis, tolerances = _model(config)
+    pairing = inner_l2(K0, basis.b0)
+    if not pairing > 0:
+        raise ConfigError(f"<K0, b0> = {pairing!r} is not strictly positive")
+    return params, K0, basis, tolerances
+
+
 def cmd_solve(config: RunConfig, out: Path, quiet: bool) -> int:
-    params, K0, basis, _ = _model(config)
+    params, K0, basis, _ = _state_model(config)
     sol = hjb.solve_hjb(basis, params)
     out.mkdir(parents=True, exist_ok=True)
     serialize.write_json(out / "spectral.json", serialize.basis_summary(basis))
@@ -63,7 +74,7 @@ def cmd_solve(config: RunConfig, out: Path, quiet: bool) -> int:
 
 
 def cmd_simulate(config: RunConfig, out: Path, quiet: bool) -> int:
-    params, K0, basis, tolerances = _model(config)
+    params, K0, basis, tolerances = _state_model(config)
     sol = hjb.solve_hjb(basis, params)
     clo = closed_loop.build_closed_loop(basis, sol)
     pd = closed_loop.compute_projection_data(basis, sol, tolerances)
@@ -89,7 +100,12 @@ def cmd_simulate(config: RunConfig, out: Path, quiet: bool) -> int:
 
 def cmd_verify(config: RunConfig, out: Path, quiet: bool,
                debug_perturb_alpha: float = 0.0) -> int:
-    params, K0, basis, tolerances = _model(config)
+    # alpha * (1 + p) must stay a positive finite coefficient
+    if not (math.isfinite(debug_perturb_alpha) and debug_perturb_alpha > -1.0):
+        raise ConfigError(
+            f"--debug-perturb-alpha must be > -1 and finite, got {debug_perturb_alpha!r}"
+        )
+    params, K0, basis, tolerances = _state_model(config)
     sol = hjb.solve_hjb(basis, params)
     if debug_perturb_alpha:
         sol = dataclasses.replace(sol, alpha=sol.alpha * (1.0 + debug_perturb_alpha))
@@ -102,14 +118,6 @@ def cmd_verify(config: RunConfig, out: Path, quiet: bool,
     audit = verify.optimality_audit(
         sol, K0, config.n_perturbations, config.seed, tolerances
     )
-    # one quadrature-convergence check per run: double the time nodes
-    doubled = verify.payoff(
-        params,
-        lambda t: hjb.optimal_control_path(sol, K0, t),
-        audit.horizon,
-        nodes_per_unit=128,
-    )
-    quadrature_gap = abs(doubled - audit.J_opt)
 
     # transversality needs a horizon long enough for the discounted value to
     # die; it is checked on the optimal path and on the sampled perturbations
@@ -140,7 +148,7 @@ def cmd_verify(config: RunConfig, out: Path, quiet: bool,
         "perturbed_terminal_envelope": envelope,
         "horizon": audit.horizon,
         "tail_bound": audit.tail_bound,
-        "quadrature_doubling_gap": quadrature_gap,
+        "quadrature_doubling_gap": audit.quadrature_doubling_gap,
         "seed": audit.seed,
         "perturbation_family": audit.perturbation_family,
         "checks": checks,

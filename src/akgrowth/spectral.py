@@ -19,6 +19,7 @@ and the growth rate and the audit's terminal value amplify that rounding.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -57,6 +58,10 @@ class ModelParams:
             raise ValueError(f"q must be >= 0, got {self.q}")
         if not (self.gamma > 0 and self.gamma != 1):
             raise ValueError(f"gamma must be positive and != 1, got {self.gamma}")
+        for name in ("sigma", "rho", "gamma", "q"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.A.grid != self.eta.grid:
             raise GridMismatchError("A and eta must live on the same grid")
         if not is_strictly_positive(self.A):

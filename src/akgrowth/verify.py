@@ -11,20 +11,23 @@ with explicit solutions, like the feedback itself.  Its payoff is a binomial
 series in a, and since L b0 = lambda0 b0 the pairing <x(t), b0> of its
 open-loop state, which is all that the admissibility check and the terminal
 value need, solves a scalar equation whose forcing is a sum of two
-exponentials.  The audit evaluates both in closed form.  ``payoff`` and
+exponentials.  The audit evaluates both in closed form.  The feedback plan's
+own discounted utility is the scalar U(c_hat0) e^(-(rho - g (1-gamma)) t),
+since U is homogeneous of degree 1-gamma; the audit integrates that scalar
+on the composite Gauss-Legendre rule, once with 64 nodes per unit of time
+and once with 128 as a quadrature-convergence check.  ``payoff`` and
 ``open_loop_trajectory`` integrate any control numerically; a control maps a
 1-D array of m times to the (m, n) array of consumption profiles at those
 times, so both evaluate it on blocks of time nodes.  ``payoff`` returns a
 float.  Both use 64 Gauss-Legendre nodes per unit of time; ``payoff`` takes
-another count, which the ``verify`` command doubles once.  They are the
-oracles the closed forms are tested against.
+another count.  They are the oracles the closed forms are tested against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -37,7 +40,6 @@ from .hjb import (
     _pairing,
     feedback_control,
     hamiltonian,
-    optimal_control_path,
     utility,
     value_at_pairing,
     value_function,
@@ -48,7 +50,7 @@ from .tolerances import DEFAULT_TOLERANCES, Tolerances
 # (m,) times -> (m, n) consumption rows
 ControlProvider = Callable[[np.ndarray], np.ndarray]
 
-# time nodes evaluated together; bounds the (rows, n) temporaries of the audit
+# time nodes evaluated together; bounds the (rows, n) temporaries of the oracles
 _BLOCK_ROWS = 128
 # Gauss-Legendre nodes per unit of time in the payoff and open-loop quadratures
 _NODES_PER_UNIT = 64
@@ -123,6 +125,17 @@ def _feedback_utility(sol: HjbSolution, x0: GridFunction) -> tuple[float, float]
             f"rho - g*(1-gamma) = {a!r} <= 0: payoff tail diverges"
         )
     return a, float(utility(sol.params, feedback_control(sol, x0).values))
+
+
+def _feedback_payoff(a0: float, u0: float, T: float, nodes_per_unit: int) -> float:
+    """Quadrature over [0, T] of the feedback plan's discounted utility.
+
+    Along the feedback path e^(-rho t) U(c_hat(t)) = u0 e^(-a0 t) with
+    a0, u0 from ``_feedback_utility``: the integrand of ``payoff`` for that
+    plan, summed on the same composite Gauss-Legendre rule as a scalar.
+    """
+    nodes, weights = _composite_gauss_legendre(T, nodes_per_unit)
+    return u0 * float(weights @ np.exp(-a0 * nodes))
 
 
 def closed_form_tail(sol: HjbSolution, x0: GridFunction, T: float) -> float:
@@ -242,11 +255,13 @@ class OptimalityAudit:
     of the perturbed plans are closed forms.  max_discounted_terminal_rel is
     the largest e^(-rho T) |v(x(T))| over the perturbed plans, relative to
     |v(x0)|; it audits the vanishing of the discounted value along them.
+    quadrature_doubling_gap is |J_opt at 128 nodes per unit - J_opt|.
     """
 
     J_opt: float
     v: float
     rel_gap: float
+    quadrature_doubling_gap: float
     horizon: float
     tail_bound: float
     n_perturbations: int
@@ -326,7 +341,9 @@ def _perturbed_payoff(sol: HjbSolution, x0: GridFunction, amplitude: float,
         terms.append(terms[-1] * (exponent - k) / (k + 1) * amplitude)
     k = np.arange(len(terms))
     weighted = sol.consumption_weight_f.values * feedback_control(sol, x0).values ** exponent
-    powers = np.cos(mode * sol.basis.grid.nodes + phase) ** k[1:, None]
+    # rows cos^1 .. cos^K by repeated products
+    cosine = np.cos(mode * sol.basis.grid.nodes + phase)
+    powers = np.cumprod(np.broadcast_to(cosine, (k.size - 1, cosine.size)), axis=0)
     moments = np.concatenate(([u0], sol.basis.grid.weight * (powers @ weighted) / exponent))
     rates = a0 + k
     return float(np.dot(terms, moments * -np.expm1(-rates * T) / rates))
@@ -341,8 +358,10 @@ def optimality_audit(
 ) -> OptimalityAudit:
     """Certify v(x0) against the payoff functional.
 
-    First checks that the quadrature payoff of the feedback control, with 64
-    time nodes per unit, reproduces v(x0) up to the truncation tail.  Then
+    First checks that the quadrature payoff of the feedback control, whose
+    discounted utility is the scalar U(c_hat0) e^(-a0 t), reproduces v(x0)
+    up to the truncation tail with 64 time nodes per unit, and records how
+    far the same quadrature with 128 nodes per unit moves it.  Then
     draws seeded smooth multiplicative perturbations of the feedback plan,
     discards (and resamples, at most 50 times each) any whose open-loop
     pairing <x(t), b0> leaves the half-space, and checks that every
@@ -351,7 +370,9 @@ def optimality_audit(
     v = value_function(sol, x0)
     horizon = default_horizon(sol, x0, tolerances.tail_rel)
     tail = closed_form_tail(sol, x0, horizon)
-    optimal = payoff(sol.params, partial(optimal_control_path, sol, x0), horizon)
+    a0, u0 = _feedback_utility(sol, x0)
+    optimal = _feedback_payoff(a0, u0, horizon, _NODES_PER_UNIT)
+    doubled = _feedback_payoff(a0, u0, horizon, 2 * _NODES_PER_UNIT)
     rel_gap = abs(optimal - v) / abs(v)
 
     rng = np.random.default_rng(seed)
@@ -393,6 +414,7 @@ def optimality_audit(
         J_opt=optimal,
         v=v,
         rel_gap=rel_gap,
+        quadrature_doubling_gap=abs(doubled - optimal),
         horizon=horizon,
         tail_bound=tail,
         n_perturbations=n_perturbations,
@@ -461,12 +483,13 @@ def sample_halfspace_states(
     coefficients uniform in [-0.5/4, 0.5/4]."""
     rng = np.random.default_rng(seed)
     theta = basis.grid.nodes
+    modes = [(np.cos(m * theta), np.sin(m * theta)) for m in range(1, 5)]
     states = []
     for _ in range(count):
         values = np.ones_like(theta)
-        for m in range(1, 5):
+        for cos_m, sin_m in modes:
             a, b = rng.uniform(-1.0, 1.0, size=2) * 0.5 / 4
-            values = values + a * np.cos(m * theta) + b * np.sin(m * theta)
+            values = values + a * cos_m + b * sin_m
         scale = rng.uniform(0.5, 2.0)
         states.append(GridFunction(basis.grid, scale * values))
     return states

@@ -10,7 +10,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from akgrowth import DEFAULT_TOLERANCES, cli, closed_loop, hjb, spectral, stability
+from akgrowth import DEFAULT_TOLERANCES, cli, closed_loop, hjb, spectral, stability, verify
 from akgrowth.cli import main
 from akgrowth.config import parse_config
 from akgrowth.errors import InfeasibleParametersError, SpectrumCollisionError
@@ -132,6 +132,17 @@ def test_negative_seed_is_a_config_error(tmp_path, capsys, command, source):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["solve", "simulate", "verify"])
+def test_K0_outside_half_space_is_a_config_error(tmp_path, capsys, command):
+    # the value function lives on <K0, b0> > 0; checked before any output
+    cfg = tmp_path / "k0.cfg"
+    cfg.write_text(WINDOW_CFG.replace("K0.mean = 1.0", "K0.mean = -1.0"))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out), "--quiet"]) == 1
+    assert capsys.readouterr().err.startswith("error: <K0, b0> = -")
+    assert not out.exists()
+
+
 DETERMINISM_SWEEP = "sweep.rho = 0.45, 0.75\nsweep.sigma = 1.0, 2.0\n"
 
 
@@ -240,6 +251,30 @@ class TestVerify:
         assert code == 3
         audit = read_json(out / "audit.json")
         assert audit["failed_check"] == "hjb_residual"
+
+    @pytest.mark.parametrize("value", ["-1", "-2", "nan"])
+    def test_alpha_perturbation_must_exceed_minus_one(self, window_cfg, tmp_path, capsys,
+                                                      value):
+        out = tmp_path / "out"
+        argv = ["verify", "--config", str(window_cfg), "--out", str(out),
+                "--debug-perturb-alpha", value]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: --debug-perturb-alpha must be > -1 and finite, got {float(value)!r}\n"
+        )
+        assert not out.exists()
+
+    def test_feedback_payoff_takes_no_dense_path(self, window_cfg, tmp_path, monkeypatch):
+        # the audit integrates the feedback plan's scalar discounted utility;
+        # the dense payoff and the control-path rows are test oracles only
+        def dense(*args, **kwargs):
+            raise AssertionError("dense feedback payoff evaluated")
+
+        monkeypatch.setattr(verify, "payoff", dense)
+        monkeypatch.setattr(hjb, "optimal_control_path", dense)
+        out = tmp_path / "out"
+        assert main(["verify", "--config", str(window_cfg), "--out", str(out), "--quiet"]) == 0
+        assert read_json(out / "audit.json")["failed_check"] is None
 
 
 class TestSweep:

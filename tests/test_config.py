@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import akgrowth
-from akgrowth import ConfigError, Tolerances
+from akgrowth import ConfigError, Tolerances, cli
 from akgrowth.config import parse_config
 
 GOOD = """
@@ -167,6 +167,16 @@ class TestRejection:
     def test_gamma_one(self):
         with pytest.raises(ConfigError):
             parse_config(GOOD.replace("gamma = 0.5", "gamma = 1.0"))
+
+    @pytest.mark.parametrize("key", ["sigma", "rho", "gamma", "q"])
+    def test_infinite_model_parameter(self, tmp_path, capsys, key):
+        kept = [line for line in GOOD.splitlines() if not line.startswith(f"{key} =")]
+        cfg = tmp_path / "inf.cfg"
+        cfg.write_text("\n".join(kept) + f"\n{key} = inf\n")
+        out = tmp_path / "out"
+        assert cli.main(["solve", "--config", str(cfg), "--out", str(out), "--quiet"]) == 1
+        assert capsys.readouterr().err == f"error: {key} must be finite, got inf\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "sweep",

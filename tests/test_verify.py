@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,8 @@ from akgrowth import GridFunction, HalfSpaceError, TailDivergenceError, inner_l2
 from akgrowth.config import load_config
 from akgrowth.verify import (
     _composite_gauss_legendre,
+    _feedback_payoff,
+    _feedback_utility,
     _perturbed_control,
     _perturbed_pairing,
     _perturbed_payoff,
@@ -271,6 +274,21 @@ class TestBatchedMatchesOracle:
         closed = _perturbed_payoff(pipe.sol, pipe.K0, amplitude, mode, phase, T)
         assert abs(closed - reference) <= 1e-12 * abs(reference)
 
+    @settings(max_examples=30)
+    @given(gamma=gammas, T=st.floats(0.5, 40.0), nodes_per_unit=st.sampled_from([64, 128]))
+    def test_feedback_payoff(self, gamma, T, nodes_per_unit):
+        # the audit's scalar integrand u0 e^(-a0 t) against the dense payoff of
+        # the feedback plan: both sum the same rule, so they differ by rounding
+        # only, at most eps per node and summand
+        pipe = _oracle_pipeline(gamma)
+        a0, u0 = _feedback_utility(pipe.sol, pipe.K0)
+        scalar = _feedback_payoff(a0, u0, T, nodes_per_unit)
+        control = partial(ak.optimal_control_path, pipe.sol, pipe.K0)
+        reference = ak.payoff(pipe.params, control, T, nodes_per_unit)
+        n_nodes = _composite_gauss_legendre(T, nodes_per_unit)[0].size
+        bound = 4 * np.finfo(float).eps * n_nodes
+        assert abs(scalar - reference) <= bound * abs(reference)
+
 
 class TestOptimalityAudit:
     def test_equality_only(self, window):
@@ -351,8 +369,8 @@ class TestOptimalityAudit:
         assert abs(audit.max_discounted_terminal_rel - exact) <= 1e-6 * exact
 
     def test_peak_memory_is_bounded(self, window):
-        # time nodes are evaluated in fixed blocks, so the audit's working
-        # set does not grow with the horizon
+        # the audit builds no (time node, n) table: its feedback quadrature is
+        # one scalar per node and the perturbed plans are closed forms
         tracemalloc.start()
         try:
             ak.optimality_audit(window.sol, window.K0, 20, seed=20240515)
