@@ -20,7 +20,7 @@ from . import closed_loop, hjb, serialize, spectral, stability, verify
 from .config import RunConfig, load_config
 from .errors import ConfigError, InfeasibleParametersError, SpectrumCollisionError
 from .grid import inner_l2
-from .perron import battery_failures, random_irreducible_metzler
+from .perron import battery_failures, random_metzler_battery
 from .tolerances import Tolerances
 
 EXIT_OK = 0
@@ -239,15 +239,10 @@ def cmd_perron_audit(seed: int, count: int, max_dim: int, out: Path, quiet: bool
         raise ConfigError(f"--max-dim must be >= 3, got {max_dim}")
     if seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {seed}")
-    rng = np.random.default_rng(seed)
-    # drawn in sequence (dimension, then entries), so the stream is fixed by the seed
-    gens = [
-        random_irreducible_metzler(int(rng.integers(3, max_dim + 1)), rng)
-        for _ in range(count)
-    ]
+    battery = random_metzler_battery(count, max_dim, np.random.default_rng(seed))
     failures = [
-        {"index": index, "dim": gens[index].dim, "error": error}
-        for index, error in battery_failures(gens).items()
+        {"index": index, "dim": dim, "error": error}
+        for index, dim, error in battery_failures(battery)
     ]
     report = {
         "count": count,
@@ -302,8 +297,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built on the first main() call and reused: building the parser takes
+# over ten times as long as parsing a command line with it
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     quiet = getattr(args, "quiet", False)
     try:
         if args.command == "perron-audit":

@@ -9,12 +9,14 @@ conclusions directly on matrices, including the discretized circle generator
 (whose positivity comes from the underlying operator rather than from the
 sign pattern of the collocation matrix).
 
-A battery of many matrices is checked in stacks, one per dimension, by
-``battery_failures``: two stacked eigensolves (of the matrices and of their
-transposes) serve every check, and the positivity test runs on all
-eigenvectors at once.  The per-matrix functions stay the public API and the
-oracle: a matrix the stacked screen flags is checked again by
-``audit_failure``, whose text is the one reported.
+A battery of many matrices is drawn by ``random_metzler_battery`` straight
+into stacks, one per dimension, from the same generator stream as that many
+``random_irreducible_metzler`` calls, and checked by ``battery_failures``:
+two stacked eigensolves (of the matrices and of their transposes) serve
+every check, and the positivity test runs on all eigenvectors at once.  No
+per-matrix object is built for a matrix that passes.  The per-matrix
+functions stay the public API and the oracle: a matrix the stacked screen
+flags is checked again by ``audit_failure``, whose text is the one reported.
 
 The thresholds are the module constants ``REALNESS_TOL``,
 ``SIMPLICITY_TOL``, ``POSITIVITY_TOL``, ``METZLER_SLACK`` and
@@ -25,6 +27,7 @@ The thresholds are the module constants ``REALNESS_TOL``,
 from __future__ import annotations
 
 from collections import defaultdict
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -278,25 +281,25 @@ def _screen_each(stack: np.ndarray) -> dict[int, str]:
     return failures
 
 
-def battery_failures(gens: list[GeneratorMatrix]) -> dict[int, str]:
-    """Index -> failure text of every matrix of a battery that fails ``audit_failure``.
+def battery_failures(
+    stacks: Iterable[tuple[np.ndarray, np.ndarray]],
+) -> list[tuple[int, int, str]]:
+    """(index, dim, failure text) of every battery matrix that fails ``audit_failure``.
 
-    The matrices are screened in stacks, one per dimension.  A flagged matrix
-    is checked again by ``audit_failure``, whose text is the one reported; if
+    ``stacks`` yields (indices, stack) pairs: the battery indices of the
+    matrices of one (k, m, m) stack.  A matrix the stacked screen flags is
+    checked again by ``audit_failure``, whose text is the one reported; if
     that check passes, the screen's own reason is kept, so a disagreement
     between the two shows as a failure rather than being dropped.
     """
-    by_dim: dict[int, list[int]] = defaultdict(list)
-    for index, gen in enumerate(gens):
-        by_dim[gen.dim].append(index)
-    failures = {}
-    for indices in by_dim.values():
-        stack = np.stack([gens[index].entries for index in indices])
+    failures = []
+    for indices, stack in stacks:
         for k, reason in _screen_each(stack).items():
-            index = indices[k]
-            error = audit_failure(gens[index])
-            failures[index] = reason if error is None else error
-    return dict(sorted(failures.items()))
+            error = audit_failure(GeneratorMatrix(stack[k]))
+            failures.append(
+                (int(indices[k]), stack.shape[-1], reason if error is None else error)
+            )
+    return sorted(failures)
 
 
 @dataclass(frozen=True, eq=False)
@@ -358,3 +361,69 @@ def random_irreducible_metzler(
     diagonal = -rng.random(dim) * dim
     entries[np.diag_indices(dim)] = diagonal
     return GeneratorMatrix(entries)
+
+
+# matrices of one dimension whose draws are held before they are assembled
+# into a block of its stack: the draws take over twice the space of the
+# entries, so holding them all would raise the battery's peak memory
+_DRAW_BLOCK = 16
+
+
+def _assemble(dim: int, draws: np.ndarray) -> np.ndarray:
+    """The (k, dim, dim) stack that ``random_irreducible_metzler`` builds from
+    each of k rows of its 2 dim (dim + 1) uniform draws, at its default density.
+
+    The same operations in the same order, on whole stacks, so the entries
+    are bit-identical.  Its zeroing of the diagonal is left out: the cycle
+    is off the diagonal, and the diagonal is overwritten last.
+    """
+    k, square = len(draws), dim * dim
+    mask = draws[:, :square].reshape(k, dim, dim) < 0.5
+    stack = np.where(mask, draws[:, square:2 * square].reshape(k, dim, dim), 0.0)
+    rows = np.arange(dim)
+    stack[:, rows, (rows + 1) % dim] += draws[:, 2 * square:2 * square + dim] + 0.1
+    stack[:, rows, rows] = -draws[:, 2 * square + dim:] * dim
+    return stack
+
+
+def random_metzler_battery(
+    count: int, max_dim: int, rng: np.random.Generator
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """A seeded battery of ``count`` random irreducible Metzler matrices, by dimension.
+
+    The generator is consumed now, exactly as by ``count`` calls to
+    ``random_irreducible_metzler(int(rng.integers(3, max_dim + 1)), rng)``:
+    one ``integers`` call per matrix, then one ``random`` call that fills
+    the matrix's row of its dimension's draw buffer with the 2 dim (dim + 1)
+    doubles that the four draws of that function take in turn.  ``random``
+    fills in C order, and doubles leave the 32-bit half-word that
+    ``integers`` buffers untouched, so the dimensions, the entries and the
+    final generator state are those of the calls.  A full buffer is
+    assembled into a block of its dimension's stack and reused.
+
+    The returned iterator yields one (indices, stack) pair per dimension:
+    the battery indices, increasing, and the (k, dim, dim) stack of their
+    matrices, joined from its blocks when it is reached.
+    """
+    draws: dict[int, np.ndarray] = {}
+    blocks: dict[int, list[np.ndarray]] = defaultdict(list)
+    members: dict[int, list[int]] = defaultdict(list)
+    for index in range(count):
+        dim = int(rng.integers(3, max_dim + 1))
+        indices = members[dim]
+        row = len(indices) % _DRAW_BLOCK
+        if not indices:
+            draws[dim] = np.empty((_DRAW_BLOCK, 2 * dim * (dim + 1)))
+        elif row == 0:
+            blocks[dim].append(_assemble(dim, draws[dim]))
+        rng.random(out=draws[dim][row])
+        indices.append(index)
+
+    def stacks() -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        for dim in list(members):
+            indices = members.pop(dim)
+            last = draws.pop(dim)[:(len(indices) - 1) % _DRAW_BLOCK + 1]
+            stack = np.concatenate(blocks.pop(dim, []) + [_assemble(dim, last)])
+            yield np.array(indices), stack
+
+    return stacks()

@@ -19,6 +19,7 @@ from akgrowth.perron import (
     eigenvalues_admitting_positive_eigenvector,
     is_irreducible,
     perron_data,
+    random_irreducible_metzler,
 )
 
 WINDOW_CFG = """
@@ -438,31 +439,14 @@ class TestPerronAudit:
         assert not out.exists()
 
     def test_failures_match_per_matrix_loop(self, tmp_path, monkeypatch):
-        real = cli.random_irreducible_metzler
-
-        def make_generator():
-            calls = []
-
-            def generator(dim, rng):
-                entries = real(dim, rng).entries.copy()
-                calls.append(dim)
-                if len(calls) - 1 == 5:
-                    # two disconnected blocks: reducible
-                    entries[: dim // 2, dim // 2:] = 0.0
-                    entries[dim // 2:, : dim // 2] = 0.0
-                elif len(calls) - 1 == 11:
-                    entries[0, 1] = -0.25  # not Metzler
-                return GeneratorMatrix(entries)
-
-            return generator
-
-        # today's per-matrix loop, kept as the reference for the batched command
+        # the per-matrix loop, kept as the reference for the batched command
         rng = np.random.default_rng(17)
-        generator = make_generator()
         expected = []
         for index in range(30):
             dim = int(rng.integers(3, 13))
-            gen = generator(dim, rng)
+            entries = random_irreducible_metzler(dim, rng).entries.copy()
+            inject_failures(index, entries)
+            gen = GeneratorMatrix(entries)
             try:
                 if not is_irreducible(gen):
                     raise RuntimeError("random generator not irreducible")
@@ -476,7 +460,7 @@ class TestPerronAudit:
             except Exception as exc:  # noqa: BLE001 - mirrors the command
                 expected.append({"index": index, "dim": dim, "error": str(exc)})
 
-        monkeypatch.setattr(cli, "random_irreducible_metzler", make_generator())
+        monkeypatch.setattr(cli, "random_metzler_battery", edited_battery(inject_failures))
         out = tmp_path / "out"
         argv = ["perron-audit", "--count", "30", "--seed", "17", "--out", str(out), "--quiet"]
         assert main(argv) == 3
@@ -488,22 +472,22 @@ class TestPerronAudit:
         assert report["all_passed"] is False
 
     def test_failure_text_has_no_numpy_reprs(self, tmp_path, monkeypatch):
-        real = cli.random_irreducible_metzler
-        calls = []
+        # two equal blocks joined by tiny couplings: irreducible and Metzler,
+        # but the spectral bound is double to within 1e-14
+        block = np.array([[-1.0, 1.0], [1.0, -1.0]])
+        entries = np.kron(np.eye(2), block)
+        entries[1, 2] = entries[2, 1] = 1e-14
+        real = cli.random_metzler_battery
 
-        def generator(dim, rng):
-            gen = real(dim, rng)
-            calls.append(dim)
-            if len(calls) == 3:
-                # two equal blocks joined by tiny couplings: irreducible and
-                # Metzler, but the spectral bound is double to within 1e-14
-                block = np.array([[-1.0, 1.0], [1.0, -1.0]])
-                entries = np.kron(np.eye(2), block)
-                entries[1, 2] = entries[2, 1] = 1e-14
-                return GeneratorMatrix(entries)
-            return gen
+        def battery(count, max_dim, rng):
+            # matrix 2 is replaced by the 4 x 4 one, in a stack of its own
+            for indices, stack in real(count, max_dim, rng):
+                keep = indices != 2
+                if keep.any():
+                    yield indices[keep], stack[keep]
+            yield np.array([2]), entries[None]
 
-        monkeypatch.setattr(cli, "random_irreducible_metzler", generator)
+        monkeypatch.setattr(cli, "random_metzler_battery", battery)
         out = tmp_path / "out"
         argv = ["perron-audit", "--count", "5", "--seed", "3", "--out", str(out), "--quiet"]
         assert main(argv) == 3
@@ -513,6 +497,49 @@ class TestPerronAudit:
         assert "is not simple" in failure["error"]
         assert "np." not in failure["error"]
 
+    def test_only_flagged_matrices_become_objects(self, tmp_path, monkeypatch):
+        # the battery is drawn and screened in stacks; only a matrix the screen
+        # flags is wrapped in a GeneratorMatrix, for the per-matrix oracle
+        built = []
+        post_init = GeneratorMatrix.__post_init__
+
+        def counting(gen):
+            built.append(gen)
+            post_init(gen)
+
+        monkeypatch.setattr(GeneratorMatrix, "__post_init__", counting)
+        out = tmp_path / "out"
+        assert main(["perron-audit", "--count", "200", "--out", str(out), "--quiet"]) == 0
+        assert built == []
+        monkeypatch.setattr(cli, "random_metzler_battery", edited_battery(inject_failures))
+        argv = ["perron-audit", "--count", "30", "--seed", "17", "--out", str(out), "--quiet"]
+        assert main(argv) == 3
+        assert len(built) == 2
+
+
+def inject_failures(index, entries):
+    """Make battery matrix 5 reducible and matrix 11 not Metzler, in place."""
+    dim = len(entries)
+    if index == 5:
+        # two disconnected blocks: reducible
+        entries[: dim // 2, dim // 2:] = 0.0
+        entries[dim // 2:, : dim // 2] = 0.0
+    elif index == 11:
+        entries[0, 1] = -0.25  # not Metzler
+
+
+def edited_battery(edit):
+    """``cli.random_metzler_battery`` with ``edit(index, entries)`` applied to each matrix."""
+    real = cli.random_metzler_battery
+
+    def battery(count, max_dim, rng):
+        for indices, stack in real(count, max_dim, rng):
+            for index, entries in zip(indices, stack):
+                edit(int(index), entries)
+            yield indices, stack
+
+    return battery
+
 
 IMPORT_HYGIENE_SCRIPT = """
 import sys
@@ -521,7 +548,6 @@ import numpy as np
 
 from akgrowth import cli
 from akgrowth.cli import main
-from akgrowth.perron import GeneratorMatrix
 
 config, out = sys.argv[1], sys.argv[2]
 codes = [
@@ -531,21 +557,51 @@ codes = [
 codes.append(main(["perron-audit", "--count", "50", "--out", out, "--quiet"]))
 
 
-def double_bound(dim, rng):
-    # irreducible and Metzler, but the spectral bound is double to within
-    # 1e-14: the stacked screen flags it and the per-matrix oracle runs
-    entries = np.kron(np.eye(2), [[-1.0, 1.0], [1.0, -1.0]])
-    entries[1, 2] = entries[2, 1] = 1e-14
-    return GeneratorMatrix(entries)
+# irreducible and Metzler, but the spectral bound is double to within
+# 1e-14: the stacked screen flags it and the per-matrix oracle runs
+double = np.kron(np.eye(2), [[-1.0, 1.0], [1.0, -1.0]])
+double[1, 2] = double[2, 1] = 1e-14
+real = cli.random_metzler_battery
 
 
-cli.random_irreducible_metzler = double_bound
+def double_bound(count, max_dim, rng):
+    for indices, _ in real(count, max_dim, rng):
+        yield indices, np.broadcast_to(double, (len(indices), 4, 4))
+
+
+cli.random_metzler_battery = double_bound
 codes.append(main(["perron-audit", "--count", "1", "--out", out + "/failing", "--quiet"]))
 print(codes, "scipy" in sys.modules)
 """
 
 
 class TestEntryPoint:
+    def test_parser_is_built_once(self, window_cfg, tmp_path, monkeypatch, capsys):
+        builds = []
+        build_parser = cli.build_parser
+
+        def spy():
+            builds.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", spy)
+        monkeypatch.setattr(cli, "_parser", None)
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(window_cfg), "--out", str(out), "--quiet"]) == 0
+        assert main(["perron-audit", "--count", "5", "--out", str(out), "--quiet"]) == 0
+        assert main(["perron-audit", "--count", "-1", "--out", str(out)]) == 1
+        capsys.readouterr()
+        bad = ["perron-audit", "--count", "x"]
+        with pytest.raises(SystemExit) as info:
+            main(bad)
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert len(builds) == 1
+        # usage and error text are those of a freshly built parser
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(bad)
+        assert capsys.readouterr().err == err
+
     def test_commands_do_not_import_scipy_linalg(self, tmp_path):
         # NumPy and the standard library run every command, a failing
         # Perron battery included

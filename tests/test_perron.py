@@ -1,8 +1,9 @@
+from collections import defaultdict
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -12,6 +13,7 @@ from akgrowth.perron import (
     _positive_columns,
     _positive_version,
     battery_failures,
+    random_metzler_battery,
 )
 
 
@@ -154,20 +156,37 @@ def battery_matrices(draw):
     return GeneratorMatrix(entries)
 
 
+def stacks_of(gens):
+    """The (indices, stack) pairs of a list of matrices, one per dimension."""
+    by_dim = defaultdict(list)
+    for index, gen in enumerate(gens):
+        by_dim[gen.dim].append(index)
+    return [
+        (np.array(indices), np.stack([gens[index].entries for index in indices]))
+        for indices in by_dim.values()
+    ]
+
+
+def reference_failures(gens):
+    """(index, dim, text) of every matrix the per-matrix battery check fails."""
+    failures = []
+    for index, gen in enumerate(gens):
+        error = reference_failure(gen)
+        if error is not None:
+            failures.append((index, gen.dim, error))
+    return failures
+
+
 class TestBattery:
     @settings(max_examples=60)
     @given(gens=st.lists(battery_matrices(), min_size=1, max_size=24))
     def test_matches_per_matrix_oracle(self, gens):
-        expected = {}
-        for index, gen in enumerate(gens):
-            error = reference_failure(gen)
-            if error is not None:
-                expected[index] = error
-        assert battery_failures(gens) == expected
+        expected = reference_failures(gens)
+        assert battery_failures(stacks_of(gens)) == expected
         # a one-matrix stack gives the verdict of the many-matrix stack
         for index, gen in enumerate(gens):
-            single = battery_failures([gen])
-            assert single == ({0: expected[index]} if index in expected else {})
+            single = battery_failures([(np.array([index]), gen.entries[None])])
+            assert single == [failure for failure in expected if failure[0] == index]
 
     @settings(max_examples=40)
     @given(
@@ -179,12 +198,7 @@ class TestBattery:
         # larger tolerances make the Perron-vector and simplicity checks fail,
         # which the random generators alone never do
         with mock.patch.multiple(perron, POSITIVITY_TOL=positivity, SIMPLICITY_TOL=simplicity):
-            expected = {}
-            for index, gen in enumerate(gens):
-                error = reference_failure(gen)
-                if error is not None:
-                    expected[index] = error
-            assert battery_failures(gens) == expected
+            assert battery_failures(stacks_of(gens)) == reference_failures(gens)
 
     @settings(max_examples=30)
     @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 10), count=st.integers(1, 6))
@@ -215,7 +229,39 @@ class TestBattery:
             return eig(a)
 
         monkeypatch.setattr(np.linalg, "eig", failing_eig)
-        assert battery_failures(gens) == {2: "Eigenvalues did not converge"}
+        assert battery_failures(stacks_of(gens)) == [(2, 5, "Eigenvalues did not converge")]
+
+
+class TestRandomBattery:
+    @settings(max_examples=60)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        count=st.integers(0, 60),
+        max_dim=st.integers(3, 16),
+    )
+    # one dimension: a partial last block of draws, and a full one
+    @example(seed=0, count=60, max_dim=3)
+    @example(seed=1, count=48, max_dim=3)
+    def test_draws_the_stream_of_per_matrix_calls(self, seed, count, max_dim):
+        sequential = np.random.default_rng(seed)
+        expected = [
+            ak.random_irreducible_metzler(
+                int(sequential.integers(3, max_dim + 1)), sequential
+            ).entries
+            for _ in range(count)
+        ]
+        rng = np.random.default_rng(seed)
+        stacks = random_metzler_battery(count, max_dim, rng)
+        # the whole stream is drawn by the call, before any stack is assembled
+        assert rng.random() == sequential.random()
+        seen = []
+        for indices, stack in stacks:
+            assert np.all(np.diff(indices) > 0)
+            assert len(stack) == len(indices)
+            for index, entries in zip(indices, stack):
+                assert np.array_equal(entries, expected[index])
+            seen.extend(indices.tolist())
+        assert sorted(seen) == list(range(count))
 
 
 class TestBoundarySpectrum:
