@@ -15,7 +15,6 @@ from .closed_loop import (
     Trajectory,
     build_closed_loop,
     compute_projection_data,
-    projection_apply,
     projection_matrix,
     projection_via_contour,
     simulate,
@@ -78,7 +77,6 @@ from .stability import (
     StabilityReport,
     admissibility_condition,
     convergence_bound_check,
-    dominance_window,
     explicit_bound_constant,
     positivity_audit,
 )

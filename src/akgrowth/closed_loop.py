@@ -153,12 +153,6 @@ def compute_projection_data(
     )
 
 
-def projection_apply(pd: ProjectionData, x: GridFunction) -> GridFunction:
-    """Rank-one spectral projection P x = <x, beta> w."""
-    pairing = inner_l2(x, pd.beta)
-    return GridFunction(pd.basis.grid, pairing * pd.w.values)
-
-
 def projection_matrix(pd: ProjectionData) -> np.ndarray:
     """Dense matrix of the closed-form projection, outer(w, weight * beta)."""
     return np.outer(pd.w.values, pd.basis.grid.weight * pd.beta.values)
@@ -257,8 +251,8 @@ def simulate(
     """
     if x0.grid != clo.grid:
         raise GridMismatchError("initial state lives on a different grid")
-    if not t_final > 0:
-        raise ValueError(f"t_final must be > 0, got {t_final}")
+    if not (np.isfinite(t_final) and t_final > 0):
+        raise ValueError(f"t_final must be finite and > 0, got {t_final}")
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     basis, u, r = clo.basis, clo.withdrawal_coeffs, clo.spectrum[0]

@@ -25,6 +25,7 @@ so a run is fully reproducible from its config file alone:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable
@@ -50,9 +51,8 @@ _SCALAR_KEYS = {
     "n_steps": int,
     "seed": int,
     "n_perturbations": int,
-    "schema": int,
+    "out_dir": str,
 }
-_STRING_KEYS = ("out_dir",)
 
 
 @dataclass(frozen=True)
@@ -113,7 +113,10 @@ class RunConfig:
         for name in _PROFILE_NAMES:
             if name not in self.profiles:
                 raise ConfigError(f"missing profile {name!r}")
-            built[name] = self.profiles[name].build(grid)
+            try:
+                built[name] = self.profiles[name].build(grid)
+            except ValueError as exc:
+                raise ConfigError(f"profile {name!r}: {exc}") from exc
         try:
             params = ModelParams(
                 sigma=self.sigma,
@@ -173,12 +176,9 @@ def parse_config(text: str) -> RunConfig:
     profiles: dict[str, dict] = {}
     sweep: dict[str, list[float]] = {}
     overrides: dict[str, float] = {}
-    out_dir = None
     for key, value in pairs.items():
         if key in _SCALAR_KEYS:
             scalars[key] = _parse(key, value, _SCALAR_KEYS[key])
-        elif key in _STRING_KEYS:
-            out_dir = value
         elif key.startswith("tol."):
             name = key[4:]
             if name not in Tolerances.__dataclass_fields__:
@@ -221,13 +221,12 @@ def parse_config(text: str) -> RunConfig:
         profiles=profile_specs,
         sweep=sweep,
         tolerance_overrides=overrides,
-        out_dir=out_dir if out_dir is not None else ".",
         **scalars,
     )
     # fail fast on anything inconsistent before any computation runs,
     # swept values included: each must pass the ModelParams rules on its own
-    if not config.t_final > 0:
-        raise ConfigError(f"t_final must be > 0, got {config.t_final}")
+    if not (math.isfinite(config.t_final) and config.t_final > 0):
+        raise ConfigError(f"t_final must be finite and > 0, got {config.t_final}")
     for key in ("n_steps", "n_perturbations"):
         if getattr(config, key) < 1:
             raise ConfigError(f"{key} must be >= 1, got {getattr(config, key)}")

@@ -122,13 +122,9 @@ def _trajectory_rows(traj: Trajectory) -> Iterator[str]:
                 yield f"{t_text},{theta},{format_float(k)},{format_float(kd)}\n"
 
 
-def trajectory_csv(traj: Trajectory) -> str:
-    """Long-format trajectory: one row per (time, node)."""
-    return "".join(_trajectory_rows(traj))
-
-
 def write_trajectory_csv(path: str | Path, traj: Trajectory) -> None:
-    """``trajectory_csv`` written one time row at a time, never whole in memory."""
+    """Long-format trajectory, one row per (time, node), written one time row
+    at a time, never whole in memory."""
     with open(path, "w") as handle:
         handle.writelines(_trajectory_rows(traj))
 

@@ -174,9 +174,6 @@ class SpectralBasis:
     def b0(self) -> GridFunction:
         return GridFunction(self.grid, self.vectors[:, 0])
 
-    def eigenfunction(self, k: int) -> GridFunction:
-        return GridFunction(self.grid, self.vectors[:, k])
-
     def coefficients(self, f: GridFunction) -> np.ndarray:
         """Quadrature inner products <f, b_k> against the whole basis."""
         if f.grid != self.grid:

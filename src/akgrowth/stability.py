@@ -118,13 +118,3 @@ def convergence_bound_check(
         bounds=bounds,
         grid_points=pd.basis.grid.n_points,
     )
-
-
-def dominance_window(A0: float, sigma: float, rho: float, gamma: float) -> bool:
-    """Parameter window A0*(1-gamma) < rho < A0*(1-gamma) + sigma*gamma.
-
-    For homogeneous technology A == A0 this window is equivalent to requiring
-    both well-posedness and dominance g > lambda1 of the growth rate.
-    """
-    low = A0 * (1.0 - gamma)
-    return low < rho < low + sigma * gamma

@@ -15,12 +15,17 @@ exponentials.  The audit evaluates both in closed form.  The feedback plan's
 own discounted utility is the scalar U(c_hat0) e^(-(rho - g (1-gamma)) t),
 since U is homogeneous of degree 1-gamma; the audit integrates that scalar
 on the composite Gauss-Legendre rule, once with 64 nodes per unit of time
-and once with 128 as a quadrature-convergence check.  ``payoff`` and
-``open_loop_trajectory`` integrate any control numerically; a control maps a
-1-D array of m times to the (m, n) array of consumption profiles at those
-times, so both evaluate it on blocks of time nodes.  ``payoff`` returns a
-float.  Both use 64 Gauss-Legendre nodes per unit of time; ``payoff`` takes
-another count.  They are the oracles the closed forms are tested against.
+and once with 128 as a quadrature-convergence check.  The feedback plan is
+rank one, c_hat0 = feedback_profile <x0, b0>, so these closed forms see the
+start state only through its pairing p0 = <x0, b0>: the audit pairs x0 once
+and its helpers take p0.
+
+``payoff`` and ``open_loop_trajectory`` integrate any control numerically; a
+control maps a 1-D array of m times to the (m, n) array of consumption
+profiles at those times, and both evaluate it on one sub-interval of their
+composite Gauss-Legendre rule at a time.  ``payoff`` returns a float.  Both
+use 64 nodes per unit of time; ``payoff`` takes another count.  They are the
+oracles the closed forms are tested against.
 """
 
 from __future__ import annotations
@@ -34,24 +39,14 @@ import numpy as np
 
 from .closed_loop import Trajectory
 from .errors import GridMismatchError, HalfSpaceError, TailDivergenceError
-from .grid import GridFunction, inner_l2
-from .hjb import (
-    HjbSolution,
-    _pairing,
-    feedback_control,
-    hamiltonian,
-    utility,
-    value_at_pairing,
-    value_function,
-)
+from .grid import GridFunction
+from .hjb import HjbSolution, _pairing, hamiltonian, utility, value_at_pairing
 from .spectral import ModelParams, SpectralBasis
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 # (m,) times -> (m, n) consumption rows
 ControlProvider = Callable[[np.ndarray], np.ndarray]
 
-# time nodes evaluated together; bounds the (rows, n) temporaries of the oracles
-_BLOCK_ROWS = 128
 # Gauss-Legendre nodes per unit of time in the payoff and open-loop quadratures
 _NODES_PER_UNIT = 64
 # redraws of one perturbation before the audit gives up
@@ -90,21 +85,20 @@ def payoff(
     The quadrature of e^(-rho t) U(c(t)) over [0, T] by a composite
     Gauss-Legendre rule with ``nodes_per_unit`` nodes per unit interval.
     ``control`` maps a 1-D array of m times to the (m, n) array of
-    nonnegative consumption profiles at those times; it is called on blocks
-    of quadrature nodes.  A -inf utility at any node (gamma > 1 with zero
-    consumption) makes the whole payoff -inf.
+    nonnegative consumption profiles at those times; it is called on the
+    nodes of one sub-interval at a time.  A -inf utility at any node
+    (gamma > 1 with zero consumption) makes the whole payoff -inf.
     """
     if not T > 0:
         raise ValueError(f"T must be > 0, got {T}")
     nodes, weights = _composite_gauss_legendre(T, nodes_per_unit)
     discounted = weights * np.exp(-params.rho * nodes)
     total = 0.0
-    for start in range(0, nodes.size, _BLOCK_ROWS):
-        block = slice(start, start + _BLOCK_ROWS)
-        u = utility(params, control(nodes[block]))
+    for t, w in zip(nodes.reshape(-1, nodes_per_unit), discounted.reshape(-1, nodes_per_unit)):
+        u = utility(params, control(t))
         if np.any(u == -np.inf):
             return float("-inf")
-        total += discounted[block] @ u
+        total += w @ u
     return float(total)
 
 
@@ -117,14 +111,14 @@ def optimal_payoff_exponent(sol: HjbSolution) -> float:
     return sol.params.rho - sol.g * (1.0 - sol.params.gamma)
 
 
-def _feedback_utility(sol: HjbSolution, x0: GridFunction) -> tuple[float, float]:
-    """a = rho - g*(1-gamma) > 0 (else TailDivergenceError) and U(c_hat(0))."""
+def _feedback_utility(sol: HjbSolution, p0: float) -> tuple[float, float]:
+    """a = rho - g*(1-gamma) > 0 (else TailDivergenceError) and U(c_hat(0)) at pairing p0."""
     a = optimal_payoff_exponent(sol)
     if a <= 0:
         raise TailDivergenceError(
             f"rho - g*(1-gamma) = {a!r} <= 0: payoff tail diverges"
         )
-    return a, float(utility(sol.params, feedback_control(sol, x0).values))
+    return a, float(utility(sol.params, sol.feedback_profile.values * p0))
 
 
 def _feedback_payoff(a0: float, u0: float, T: float, nodes_per_unit: int) -> float:
@@ -144,7 +138,10 @@ def closed_form_tail(sol: HjbSolution, x0: GridFunction, T: float) -> float:
     Along the feedback path U(c_hat(t)) = U(c_hat(0)) e^(g(1-gamma) t), so the
     discarded tail integrates in closed form with a = rho - g*(1-gamma).
     """
-    a, u0 = _feedback_utility(sol, x0)
+    return _tail(*_feedback_utility(sol, _pairing(sol, x0)), T)
+
+
+def _tail(a: float, u0: float, T: float) -> float:
     return math.exp(-a * T) / a * abs(u0)
 
 
@@ -152,11 +149,14 @@ def default_horizon(sol: HjbSolution, x0: GridFunction,
                     rel_target: float = DEFAULT_TOLERANCES.tail_rel) -> float:
     """Smallest horizon at which the closed-form tail drops below
     rel_target * |v(x0)| (never below 1)."""
-    v = abs(value_function(sol, x0))
-    a, u0 = _feedback_utility(sol, x0)
+    p0 = _pairing(sol, x0)
+    return _horizon(value_at_pairing(sol, p0), *_feedback_utility(sol, p0), rel_target)
+
+
+def _horizon(v: float, a: float, u0: float, rel_target: float) -> float:
     if u0 == 0.0:
         return 1.0
-    T = math.log(abs(u0) / (a * rel_target * v)) / a
+    T = math.log(abs(u0) / (a * rel_target * abs(v))) / a
     return max(1.0, float(T))
 
 
@@ -196,43 +196,27 @@ def open_loop_trajectory(
     64 nodes per unit of time (spectrally accurate for smooth plans).
 
     ``control`` maps a 1-D array of m times to the (m, n) array of
-    consumption profiles at those times; it is called on blocks of
-    quadrature nodes.  Returns the read-only (len(times), n) array whose
-    row i is the state at times[i].
+    consumption profiles at those times; it is called on the quadrature
+    nodes of one interval at a time.  Returns the read-only (len(times), n)
+    array whose row i is the state at times[i].
     """
     times = np.asarray(times, dtype=float)
-    if times[0] != 0.0 or np.any(np.diff(times) <= 0):
+    dts = np.diff(times)
+    if times[0] != 0.0 or np.any(dts <= 0):
         raise ValueError("times must increase strictly from 0")
     lam = basis.eigenvalues
     # weight and eta folded into the basis: <eta c(s), b_k> = c(s) @ projector[:, k]
     projector = (basis.grid.weight * params.eta.values)[:, None] * basis.vectors
+    gl_x, gl_w = _gauss_legendre(max(4, math.ceil(_NODES_PER_UNIT * dts.max(initial=0.0))))
     coeffs = basis.coefficients(x0)
-    out = np.empty((times.size, coeffs.size))
-    out[0] = coeffs
-    dts = np.diff(times)
-    distinct, which = np.unique(dts, return_inverse=True)
-    growth = np.exp(lam * distinct[:, None])
-    gl_x, gl_w = _gauss_legendre(max(4, math.ceil(_NODES_PER_UNIT * float(dts.max()))))
-    per_block = max(1, _BLOCK_ROWS // gl_x.size)
-    for first in range(0, dts.size, per_block):
-        dt = dts[first:first + per_block]
-        t0 = times[first:first + dt.size]
-        t1 = times[first + 1:first + 1 + dt.size]
-        # rows: interval, cols: quadrature node
-        s_nodes = ((t0 + t1) / 2.0)[:, None] + (dt / 2.0)[:, None] * gl_x
-        # (interval, node, basis coefficient) of eta*c(s)
-        forcing_coeffs = (control(s_nodes.ravel()) @ projector).reshape(
-            dt.size, gl_x.size, -1
-        )
+    rows = [coeffs]
+    for t0, t1, dt in zip(times[:-1], times[1:], dts):
+        forcing_coeffs = control((t0 + t1) / 2.0 + dt / 2.0 * gl_x) @ projector
         # t1 - s = dt (1 - x)/2: e^(lambda (t1 - s)) weighted by dt w/2
-        kernel = np.exp(lam * (dt[:, None, None] / 2.0 * (1.0 - gl_x)[None, :, None]))
-        kernel *= (dt[:, None] / 2.0 * gl_w)[:, :, None]
-        increments = np.einsum("ijk,ijk->ik", kernel, forcing_coeffs)
-        del forcing_coeffs, kernel  # free before the next block's control rows
-        for i, k in enumerate(which[first:first + dt.size]):
-            coeffs = growth[k] * coeffs - increments[i]
-            out[first + 1 + i] = coeffs
-    states = out @ basis.vectors.T
+        kernel = np.exp(lam * (dt / 2.0 * (1.0 - gl_x))[:, None]) * (dt / 2.0 * gl_w)[:, None]
+        coeffs = np.exp(lam * dt) * coeffs - (kernel * forcing_coeffs).sum(axis=0)
+        rows.append(coeffs)
+    states = np.array(rows) @ basis.vectors.T
     states.setflags(write=False)
     return states
 
@@ -273,30 +257,26 @@ class OptimalityAudit:
     perturbation_family: str
 
 
-def _perturbed_control(sol: HjbSolution, x0: GridFunction, amplitude: float,
+def _perturbed_control(sol: HjbSolution, p0: float, amplitude: float,
                        mode: int, phase: float) -> ControlProvider:
-    """Feedback control times (1 + a e^{-t} cos(m theta + phase)).
+    """Feedback control from the pairing p0 times (1 + a e^{-t} cos(m theta + phase)).
 
     The audit's perturbation family; for |a| <= 0.2 it stays within 20% of
     the feedback plan.  The audit evaluates it through the closed forms
     below, and this control is their test oracle.
     """
     bump = amplitude * np.cos(mode * sol.basis.grid.nodes + phase)
-    base = feedback_control(sol, x0).values
+    base = sol.feedback_profile.values * p0
 
     def control(t: np.ndarray) -> np.ndarray:
-        # in place: one (m, n) temporary besides the result
-        values = np.exp(-t)[:, None] * bump
-        values += 1.0
-        values *= base * np.exp(sol.g * t)[:, None]
-        return values
+        return (np.exp(-t)[:, None] * bump + 1.0) * (base * np.exp(sol.g * t)[:, None])
 
     return control
 
 
-def _perturbed_pairing(sol: HjbSolution, x0: GridFunction, amplitude: float,
+def _perturbed_pairing(sol: HjbSolution, p0: float, amplitude: float,
                        mode: int, phase: float, times: np.ndarray) -> np.ndarray:
-    """Pairings <x(t), b0> of the perturbed plan's open-loop state.
+    """Pairings <x(t), b0> of the perturbed plan's open-loop state, p(0) = p0.
 
     Since L b0 = lambda0 b0, p' = lambda0 p - <eta c(t), b0>, whose forcing is
     B e^(g t) + Q e^((g-1) t) with B = <eta c_hat0, b0> and
@@ -309,9 +289,8 @@ def _perturbed_pairing(sol: HjbSolution, x0: GridFunction, amplitude: float,
     form solves the discretised equation.
     """
     basis = sol.basis
-    p0 = inner_l2(x0, basis.b0)
     forcing = (basis.grid.weight * sol.params.eta.values * basis.b0.values
-               * feedback_control(sol, x0).values)
+               * (sol.feedback_profile.values * p0))
     B = float(forcing.sum())
     Q = amplitude * float(forcing @ np.cos(mode * basis.grid.nodes + phase))
     d = basis.lambda0 - sol.g
@@ -322,9 +301,9 @@ def _perturbed_pairing(sol: HjbSolution, x0: GridFunction, amplitude: float,
             - Q / (d + 1.0) * np.exp((sol.g - 1.0) * t) * np.expm1((d + 1.0) * t))
 
 
-def _perturbed_payoff(sol: HjbSolution, x0: GridFunction, amplitude: float,
+def _perturbed_payoff(sol: HjbSolution, p0: float, amplitude: float,
                       mode: int, phase: float, T: float) -> float:
-    """Payoff over [0, T] of the perturbed plan.
+    """Payoff over [0, T] of the perturbed plan from the pairing p0.
 
     U(c(t)) e^(-rho t) = e^(-a0 t) U(c_hat0 (1 + a e^(-t) cos)), a0 = rho -
     g (1-gamma), and the binomial series of (1 + x)^(1-gamma) gives
@@ -332,7 +311,7 @@ def _perturbed_payoff(sol: HjbSolution, x0: GridFunction, amplitude: float,
     quadratures M_k = int f c_hat0^(1-gamma) cos^k / (1-gamma), M_0 = U(c_hat0);
     the series converges for |a| < 1.
     """
-    a0, u0 = _feedback_utility(sol, x0)
+    a0, u0 = _feedback_utility(sol, p0)
     exponent = 1.0 - sol.params.gamma
     terms = [1.0]  # C(1-gamma, k) a^k
     # past k = |1-gamma| each term is below 2|a| times the one before
@@ -340,7 +319,7 @@ def _perturbed_payoff(sol: HjbSolution, x0: GridFunction, amplitude: float,
         k = len(terms) - 1
         terms.append(terms[-1] * (exponent - k) / (k + 1) * amplitude)
     k = np.arange(len(terms))
-    weighted = sol.consumption_weight_f.values * feedback_control(sol, x0).values ** exponent
+    weighted = sol.consumption_weight_f.values * (sol.feedback_profile.values * p0) ** exponent
     # rows cos^1 .. cos^K by repeated products
     cosine = np.cos(mode * sol.basis.grid.nodes + phase)
     powers = np.cumprod(np.broadcast_to(cosine, (k.size - 1, cosine.size)), axis=0)
@@ -367,10 +346,11 @@ def optimality_audit(
     pairing <x(t), b0> leaves the half-space, and checks that every
     admissible sample's closed-form payoff is dominated by v(x0).
     """
-    v = value_function(sol, x0)
-    horizon = default_horizon(sol, x0, tolerances.tail_rel)
-    tail = closed_form_tail(sol, x0, horizon)
-    a0, u0 = _feedback_utility(sol, x0)
+    p0 = _pairing(sol, x0)
+    v = value_at_pairing(sol, p0)
+    a0, u0 = _feedback_utility(sol, p0)
+    horizon = _horizon(v, a0, u0, tolerances.tail_rel)
+    tail = _tail(a0, u0, horizon)
     optimal = _feedback_payoff(a0, u0, horizon, _NODES_PER_UNIT)
     doubled = _feedback_payoff(a0, u0, horizon, 2 * _NODES_PER_UNIT)
     rel_gap = abs(optimal - v) / abs(v)
@@ -385,7 +365,7 @@ def optimality_audit(
             amplitude = rng.uniform(0.05, 0.2)
             mode = int(rng.integers(1, 4))
             phase = rng.uniform(0.0, 2.0 * np.pi)
-            pairings = _perturbed_pairing(sol, x0, amplitude, mode, phase, check_times)
+            pairings = _perturbed_pairing(sol, p0, amplitude, mode, phase, check_times)
             if np.all(pairings > 0.0):
                 break
             resampled += 1
@@ -403,7 +383,7 @@ def optimality_audit(
                 amplitude=float(amplitude),
                 mode=mode,
                 phase=float(phase),
-                payoff=_perturbed_payoff(sol, x0, amplitude, mode, phase, horizon),
+                payoff=_perturbed_payoff(sol, p0, amplitude, mode, phase, horizon),
                 resampled=resampled,
             )
         )
@@ -438,7 +418,7 @@ def hjb_residual(sol: HjbSolution, x: GridFunction) -> float:
     """
     basis = sol.basis
     inner = _pairing(sol, x)
-    v = value_function(sol, x)
+    v = value_at_pairing(sol, inner)
     gamma = sol.params.gamma
     drift = basis.lambda0 * inner * sol.alpha * inner ** (-gamma)
     residual = sol.params.rho * v - drift - hamiltonian(sol, x)

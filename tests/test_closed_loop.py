@@ -131,21 +131,21 @@ class TestProjectionData:
 class TestProjectionApply:
     def test_fixed_point(self, variable):
         pd = variable.pd
-        out = ak.projection_apply(pd, pd.w)
-        assert np.abs(out.values - pd.w.values).max() < 1e-10
+        out = ak.projection_matrix(pd) @ pd.w.values
+        assert np.abs(out - pd.w.values).max() < 1e-10
 
     def test_idempotent(self, variable):
-        pd = variable.pd
+        P = ak.projection_matrix(variable.pd)
         for seed in range(5):
             x = random_state(variable.grid, seed)
-            once = ak.projection_apply(pd, x)
-            twice = ak.projection_apply(pd, once)
-            assert np.abs(twice.values - once.values).max() < 1e-10
+            once = P @ x.values
+            twice = P @ once
+            assert np.abs(twice - once).max() < 1e-10
 
     def test_homogeneous_projects_to_mean(self, window):
-        out = ak.projection_apply(window.pd, window.K0)
+        out = ak.projection_matrix(window.pd) @ window.K0.values
         mean = ak.integral(window.K0) / TWO_PI
-        np.testing.assert_allclose(out.values, mean, rtol=1e-10)
+        np.testing.assert_allclose(out, mean, rtol=1e-10)
 
 
 class TestContour:
@@ -217,6 +217,11 @@ class TestSimulate:
             ak.simulate(variable.clo, variable.K0, 1.0, 0)
         with pytest.raises(ak.GridMismatchError):
             ak.simulate(variable.clo, GridFunction.constant(ak.Grid(64), 1.0), 1.0, 10)
+
+    @pytest.mark.parametrize("t_final", [float("inf"), float("nan")])
+    def test_non_finite_horizon(self, variable, t_final):
+        with pytest.raises(ValueError, match="t_final must be finite and > 0"):
+            ak.simulate(variable.clo, variable.K0, t_final, 10)
 
     def test_dominance_violated_still_computes(self):
         # outside the window (g < lambda1) everything is computed and flagged

@@ -101,6 +101,10 @@ class TestParsing:
                              if name.split(".")[0] == "scipy"]
         assert imported == []
 
+    def test_out_dir(self):
+        assert parse_config(GOOD).out_dir == "."
+        assert parse_config(GOOD + "out_dir = runs/x\n").out_dir == "runs/x"
+
     def test_sweep_lists(self):
         config = parse_config(GOOD + "sweep.rho = 0.6, 0.75, 0.9\n")
         assert config.sweep["rho"] == [0.6, 0.75, 0.9]
@@ -150,6 +154,31 @@ class TestRejection:
         kept = [line for line in GOOD.splitlines() if not line.startswith(f"{key} =")]
         with pytest.raises(ConfigError, match=f"^{key} must be"):
             parse_config("\n".join(kept) + f"\n{key} = {bad}\n")
+
+    @pytest.mark.parametrize("bad", ["inf", "1e400"])
+    def test_infinite_t_final(self, tmp_path, capsys, bad):
+        # inf > 0, so the range check alone let simulate write NaN rows
+        kept = [line for line in GOOD.splitlines() if not line.startswith("t_final =")]
+        cfg = tmp_path / "inf.cfg"
+        cfg.write_text("\n".join(kept) + f"\nt_final = {bad}\n")
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", str(cfg), "--out", str(out), "--quiet"]) == 1
+        assert capsys.readouterr().err == "error: t_final must be finite and > 0, got inf\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line", ["A.value = inf", "K0.amplitude = nan", "eta.value = 1e400"])
+    def test_non_finite_profile_attribute(self, tmp_path, capsys, line):
+        key = line.split(" ")[0]
+        kept = [row for row in GOOD.splitlines() if not row.startswith(f"{key} =")]
+        cfg = tmp_path / "profile.cfg"
+        cfg.write_text("\n".join(kept) + f"\n{line}\n")
+        out = tmp_path / "out"
+        assert cli.main(["solve", "--config", str(cfg), "--out", str(out), "--quiet"]) == 1
+        profile = key.split(".")[0]
+        assert capsys.readouterr().err == (
+            f"error: profile {profile!r}: values must all be finite\n"
+        )
+        assert not out.exists()
 
     def test_missing_profile(self):
         text = "schema = 1\nA.kind = constant\nA.value = 1.0\n"

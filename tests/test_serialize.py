@@ -50,16 +50,23 @@ class TestJson:
         assert json.loads(serialize.dumps_json({"a": [], "b": {}})) == {"a": [], "b": {}}
 
 
+def written_trajectory(traj, tmp_path):
+    """The text that ``write_trajectory_csv`` writes for ``traj``."""
+    path = tmp_path / "trajectory.csv"
+    serialize.write_trajectory_csv(path, traj)
+    return path.read_text()
+
+
 class TestCsv:
-    def test_trajectory_layout(self, window):
+    def test_trajectory_layout(self, window, tmp_path):
         traj = ak.simulate(window.clo, window.K0, 1.0, 2)
-        text = serialize.trajectory_csv(traj)
+        text = written_trajectory(traj, tmp_path)
         lines = text.strip().split("\n")
         assert lines[0] == "t,theta,K,K_detrended"
         assert len(lines) == 1 + 3 * window.grid.n_points
 
     @pytest.mark.parametrize("n_points", [8, 16])
-    def test_trajectory_matches_per_cell_formatting(self, n_points):
+    def test_trajectory_matches_per_cell_formatting(self, n_points, tmp_path):
         from conftest import window_pipeline
 
         pipe = window_pipeline(n_points)
@@ -72,9 +79,9 @@ class TestCsv:
                     f"{fmt(t)},{fmt(theta)},{fmt(traj.states[i, j])},"
                     f"{fmt(traj.detrended[i, j])}"
                 )
-        assert serialize.trajectory_csv(traj) == "\n".join(reference) + "\n"
+        assert written_trajectory(traj, tmp_path) == "\n".join(reference) + "\n"
 
-    def test_non_finite_rows_match_per_cell_formatting(self):
+    def test_non_finite_rows_match_per_cell_formatting(self, tmp_path):
         traj = non_finite_trajectory()
         times, states, detrended = traj.times, traj.states, traj.detrended
         fmt = serialize.format_float
@@ -84,15 +91,9 @@ class TestCsv:
                 reference.append(
                     f"{fmt(t)},{fmt(theta)},{fmt(states[i, j])},{fmt(detrended[i, j])}"
                 )
-        text = serialize.trajectory_csv(traj)
+        text = written_trajectory(traj, tmp_path)
         assert text == "\n".join(reference) + "\n"
         assert "NaN" in text and ",Infinity," in text and ",-Infinity," in text
-
-    def test_streamed_trajectory_file_matches_joined_text(self, window, tmp_path):
-        for traj in (ak.simulate(window.clo, window.K0, 2.0, 7), non_finite_trajectory()):
-            path = tmp_path / "trajectory.csv"
-            serialize.write_trajectory_csv(path, traj)
-            assert path.read_bytes() == serialize.trajectory_csv(traj).encode()
 
     def test_basis_file_matches_per_cell_formatting(self, tmp_path):
         from conftest import window_pipeline

@@ -108,16 +108,11 @@ class TestPositivityAudit:
 
 
 class TestDominanceWindow:
-    def test_window_membership(self):
-        # 0.5 < rho < 1.0 for A=1, sigma=1, gamma=0.5
-        assert ak.dominance_window(1.0, 1.0, 0.75, 0.5)
-        assert not ak.dominance_window(1.0, 1.0, 0.45, 0.5)
-        assert not ak.dominance_window(1.0, 1.0, 1.05, 0.5)
-        assert not ak.dominance_window(1.0, 1.0, 1.2, 2.0)
-
     def test_window_equals_wellposed_plus_dominance(self, window):
+        # for A = A0 = 1: A0 (1-gamma) < rho < A0 (1-gamma) + sigma gamma
         params, basis = window.params, window.basis
-        inside = ak.dominance_window(1.0, params.sigma, params.rho, params.gamma)
+        low = 1.0 - params.gamma
+        inside = low < params.rho < low + params.sigma * params.gamma
         wellposed = ak.check_wellposed(params, basis.lambda0)
         dominant = window.sol.g > basis.lambda1
         assert inside == (wellposed and dominant)

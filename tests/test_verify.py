@@ -74,7 +74,7 @@ def _reference_draws(sol, x0, n_perturbations, seed, nodes_per_unit=64):
             amplitude = rng.uniform(0.05, 0.2)
             mode = int(rng.integers(1, 4))
             phase = rng.uniform(0.0, 2.0 * np.pi)
-            control = _perturbed_control(sol, x0, amplitude, mode, phase)
+            control = _perturbed_control(sol, _p0(sol, x0), amplitude, mode, phase)
             states = _open_loop_oracle(
                 sol.basis, sol.params, x0, control, check_times, nodes_per_unit
             )
@@ -84,6 +84,11 @@ def _reference_draws(sol, x0, n_perturbations, seed, nodes_per_unit=64):
             resampled += 1
         draws.append((float(amplitude), mode, float(phase), resampled))
     return draws
+
+
+def _p0(sol, x0):
+    """The pairing <x0, b0> that the audit's private helpers take."""
+    return inner_l2(x0, sol.basis.b0)
 
 
 def _null_control(grid):
@@ -130,6 +135,13 @@ class TestPayoff:
         J1 = ak.payoff(window.params, base, T=8.0, nodes_per_unit=32)
         J2 = ak.payoff(window.params, doubled, T=8.0, nodes_per_unit=32)
         assert J2 == pytest.approx(2 ** 0.5 * J1, rel=1e-12)
+
+    def test_tail_and_horizon_need_the_half_space(self, window):
+        outside = GridFunction.constant(window.grid, -1.0)
+        with pytest.raises(HalfSpaceError):
+            ak.closed_form_tail(window.sol, outside, 10.0)
+        with pytest.raises(HalfSpaceError):
+            ak.default_horizon(window.sol, outside)
 
     def test_tail_divergence_guard(self, window):
         broken = dataclasses.replace(window.sol, g=1e6)
@@ -192,11 +204,19 @@ class TestOpenLoop:
                 np.array(times),
             )
 
+    def test_start_time_alone(self, window):
+        states = ak.open_loop_trajectory(
+            window.basis, window.params, window.K0,
+            lambda t: ak.optimal_control_path(window.sol, window.K0, t), np.array([0.0]),
+        )
+        assert states.shape == (1, window.grid.n_points)
+        np.testing.assert_allclose(states[0], window.K0.values, rtol=1e-12)
+
     def test_pairing_follows_feedback_growth(self, window):
         # along the feedback path <x(t), b0> = <x0, b0> e^(g t) exactly
         sol, K0 = window.sol, window.K0
         times = np.linspace(0.0, 5.0, 21)
-        pairings = _perturbed_pairing(sol, K0, 0.0, 1, 0.0, times)
+        pairings = _perturbed_pairing(sol, _p0(sol, K0), 0.0, 1, 0.0, times)
         expected = inner_l2(K0, window.basis.b0) * np.exp(sol.g * times)
         assert pairings.shape == times.shape
         assert np.abs(pairings - expected).max() < 1e-9 * expected.max()
@@ -228,7 +248,8 @@ class TestBatchedMatchesOracle:
     @given(gamma=gammas, T=st.floats(0.5, 6.0), **perturbations)
     def test_payoff(self, gamma, T, amplitude, mode, phase):
         pipe = _oracle_pipeline(gamma)
-        control = _perturbed_control(pipe.sol, pipe.K0, amplitude, mode, phase)
+        p0 = _p0(pipe.sol, pipe.K0)
+        control = _perturbed_control(pipe.sol, p0, amplitude, mode, phase)
         batched = ak.payoff(pipe.params, control, T)
         reference = _payoff_oracle(pipe.params, control, T, 64)
         assert abs(batched - reference) <= 1e-12 * abs(reference)
@@ -241,7 +262,8 @@ class TestBatchedMatchesOracle:
     )
     def test_open_loop_on_nonuniform_grid(self, gamma, steps, amplitude, mode, phase):
         pipe = _oracle_pipeline(gamma)
-        control = _perturbed_control(pipe.sol, pipe.K0, amplitude, mode, phase)
+        p0 = _p0(pipe.sol, pipe.K0)
+        control = _perturbed_control(pipe.sol, p0, amplitude, mode, phase)
         times = np.concatenate([[0.0], np.cumsum(steps)])
         batched = ak.open_loop_trajectory(pipe.basis, pipe.params, pipe.K0, control, times)
         reference = _open_loop_oracle(pipe.basis, pipe.params, pipe.K0, control, times)
@@ -257,9 +279,10 @@ class TestBatchedMatchesOracle:
     def test_pairing_matches_full_state(self, gamma, steps, amplitude, mode, phase):
         # the closed-form pairing against the numerically integrated state
         pipe = _oracle_pipeline(gamma)
-        control = _perturbed_control(pipe.sol, pipe.K0, amplitude, mode, phase)
+        p0 = _p0(pipe.sol, pipe.K0)
+        control = _perturbed_control(pipe.sol, p0, amplitude, mode, phase)
         times = np.concatenate([[0.0], np.cumsum(steps)])
-        pairings = _perturbed_pairing(pipe.sol, pipe.K0, amplitude, mode, phase, times)
+        pairings = _perturbed_pairing(pipe.sol, p0, amplitude, mode, phase, times)
         states = ak.open_loop_trajectory(pipe.basis, pipe.params, pipe.K0, control, times)
         reference = pipe.grid.weight * (states @ pipe.basis.b0.values)
         assert pairings.shape == reference.shape
@@ -269,9 +292,10 @@ class TestBatchedMatchesOracle:
     @given(gamma=gammas, T=st.floats(0.5, 6.0), **perturbations)
     def test_closed_form_payoff(self, gamma, T, amplitude, mode, phase):
         pipe = _oracle_pipeline(gamma)
-        control = _perturbed_control(pipe.sol, pipe.K0, amplitude, mode, phase)
+        p0 = _p0(pipe.sol, pipe.K0)
+        control = _perturbed_control(pipe.sol, p0, amplitude, mode, phase)
         reference = ak.payoff(pipe.params, control, T)
-        closed = _perturbed_payoff(pipe.sol, pipe.K0, amplitude, mode, phase, T)
+        closed = _perturbed_payoff(pipe.sol, p0, amplitude, mode, phase, T)
         assert abs(closed - reference) <= 1e-12 * abs(reference)
 
     @settings(max_examples=30)
@@ -281,7 +305,7 @@ class TestBatchedMatchesOracle:
         # the feedback plan: both sum the same rule, so they differ by rounding
         # only, at most eps per node and summand
         pipe = _oracle_pipeline(gamma)
-        a0, u0 = _feedback_utility(pipe.sol, pipe.K0)
+        a0, u0 = _feedback_utility(pipe.sol, _p0(pipe.sol, pipe.K0))
         scalar = _feedback_payoff(a0, u0, T, nodes_per_unit)
         control = partial(ak.optimal_control_path, pipe.sol, pipe.K0)
         reference = ak.payoff(pipe.params, control, T, nodes_per_unit)
@@ -318,7 +342,7 @@ class TestOptimalityAudit:
     def test_zero_amplitude_perturbation_is_optimal_control(self, window):
         from akgrowth.verify import _perturbed_control
 
-        control = _perturbed_control(window.sol, window.K0, 0.0, 1, 0.0)
+        control = _perturbed_control(window.sol, _p0(window.sol, window.K0), 0.0, 1, 0.0)
         T = 8.0
         J_flat = ak.payoff(window.params, control, T, nodes_per_unit=32)
         J_opt = ak.payoff(
@@ -357,7 +381,7 @@ class TestOptimalityAudit:
         exact = math.exp(-ak.verify.optimal_payoff_exponent(sol) * audit.horizon)
         # at amplitude 0 the family is the feedback plan, and its closed-form
         # pairing p0 e^(g T) gives the exact discounted terminal value
-        p_T = _perturbed_pairing(sol, K0, 0.0, 1, 0.0, np.array([audit.horizon]))[0]
+        p_T = _perturbed_pairing(sol, _p0(sol, K0), 0.0, 1, 0.0, np.array([audit.horizon]))[0]
         terminal = math.exp(-sol.params.rho * audit.horizon) * abs(
             ak.verify.value_at_pairing(sol, p_T) / audit.v
         )
@@ -367,6 +391,36 @@ class TestOptimalityAudit:
         # coefficients have none) grows by e^((lambda0 - g) T) ~ 1e8 along the
         # open loop; that, not the evaluation, limits the audit's figure
         assert abs(audit.max_discounted_terminal_rel - exact) <= 1e-6 * exact
+
+    def test_work_per_draw_takes_only_the_pairing(self, window, monkeypatch):
+        # the audit pairs x0 once; the draws work on that pairing and build no
+        # grid function, so neither count grows with n_perturbations
+        counts = {}
+        post_init = GridFunction.__post_init__
+
+        def counting_post_init(self):
+            counts["grid_functions"] += 1
+            post_init(self)
+
+        def counting_inner_l2(f, g):
+            counts["inner_l2"] += 1
+            return inner_l2(f, g)
+
+        def dense(*args, **kwargs):
+            raise AssertionError("feedback plan rebuilt from the state")
+
+        monkeypatch.setattr(GridFunction, "__post_init__", counting_post_init)
+        for module in (ak.grid, ak.hjb, ak.verify):
+            monkeypatch.setattr(module, "inner_l2", counting_inner_l2, raising=False)
+        monkeypatch.setattr(ak.hjb, "feedback_control", dense)
+        monkeypatch.setattr(ak.verify, "feedback_control", dense, raising=False)
+        seen = []
+        for n_perturbations in (5, 40):
+            counts.update(grid_functions=0, inner_l2=0)
+            ak.optimality_audit(window.sol, window.K0, n_perturbations, seed=3)
+            seen.append(dict(counts))
+        assert seen[0] == seen[1]
+        assert seen[0]["inner_l2"] == 1
 
     def test_peak_memory_is_bounded(self, window):
         # the audit builds no (time node, n) table: its feedback quadrature is
