@@ -45,4 +45,6 @@ for t_index in (0, 50, 100, 200):
     state = ak.GridFunction(grid, traj.states[t_index])
     discounted = np.exp(-params.rho * t) * ak.value_function(sol, state)
     print(f"  e^(-rho t) v(K(t)) at t = {t:5.1f}: {discounted:.3e}")
-print(f"transversality check: {ak.transversality_check(sol, traj)}")
+# the value function reads each state through its pairing <K(t), b0>
+pairings = grid.weight * (traj.states @ basis.b0.values)
+print(f"transversality check: {ak.transversality_check(sol, traj.times, pairings)}")

@@ -247,7 +247,9 @@ def simulate(
         c_0(t) = c_0 e^(r t),
         c_k(t) = e^(lambda_k t) c_k - u_k c_0 (e^(r t) - e^(lambda_k t)) / (r - lambda_k).
 
-    The path is exact at the sample points; row 0 is x0 itself.
+    The path is exact at the sample points; row 0 is x0 itself.  A horizon
+    at which the path leaves the float range is a ValueError naming the
+    first sample time whose state or detrended state is not finite.
     """
     if x0.grid != clo.grid:
         raise GridMismatchError("initial state lives on a different grid")
@@ -260,10 +262,20 @@ def simulate(
     times = np.linspace(0.0, t_final, n_steps + 1)
     t = times[1:, None]
     c = basis.coefficients(x0)
-    coeffs = np.exp(lam * t) * c - (u * c[0]) * _exp_quotient(r, lam, t)
-    coeffs[:, 0] = c[0] * np.exp(r * times[1:])
-    states = np.vstack([x0.values, coeffs @ basis.vectors.T])
-    detrended = states * np.exp(-clo.sol.g * times)[:, None]
+    # an overflow is reported below, by the time at which it happens
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = np.exp(lam * t) * c - (u * c[0]) * _exp_quotient(r, lam, t)
+        coeffs[:, 0] = c[0] * np.exp(r * times[1:])
+        states = np.vstack([x0.values, coeffs @ basis.vectors.T])
+        detrended = states * np.exp(-clo.sol.g * times)[:, None]
+    # a row of states that is not finite makes its detrended row not finite
+    finite = np.isfinite(detrended).all(axis=1)
+    if not finite.all():
+        first = float(times[int(np.argmin(finite))])
+        raise ValueError(
+            f"t_final = {t_final!r} is too long: the closed-loop path is not "
+            f"finite in float64 from t = {first!r} on"
+        )
     for array in (times, states, detrended):
         array.setflags(write=False)
     return Trajectory(grid=clo.grid, times=times, states=states, detrended=detrended)

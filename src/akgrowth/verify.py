@@ -20,6 +20,11 @@ rank one, c_hat0 = feedback_profile <x0, b0>, so these closed forms see the
 start state only through its pairing p0 = <x0, b0>: the audit pairs x0 once
 and its helpers take p0.
 
+The residual of the dynamic-programming equation is homogeneous of degree 0
+in <x, b0>, so ``hjb_residual`` has one value on the whole half-space.
+``transversality_check`` reads a path through its pairings <K(t), b0>, which
+for the optimal path are the closed loop's leading mode <K0, b0> e^(r t).
+
 ``payoff`` and ``open_loop_trajectory`` integrate any control numerically; a
 control maps a 1-D array of m times to the (m, n) array of consumption
 profiles at those times, and both evaluate it on one sub-interval of their
@@ -37,8 +42,7 @@ from typing import Callable
 
 import numpy as np
 
-from .closed_loop import Trajectory
-from .errors import GridMismatchError, HalfSpaceError, TailDivergenceError
+from .errors import HalfSpaceError, TailDivergenceError
 from .grid import GridFunction
 from .hjb import HjbSolution, _pairing, hamiltonian, utility, value_at_pairing
 from .spectral import ModelParams, SpectralBasis
@@ -145,12 +149,12 @@ def _tail(a: float, u0: float, T: float) -> float:
     return math.exp(-a * T) / a * abs(u0)
 
 
-def default_horizon(sol: HjbSolution, x0: GridFunction,
-                    rel_target: float = DEFAULT_TOLERANCES.tail_rel) -> float:
+def default_horizon(sol: HjbSolution, x0: GridFunction) -> float:
     """Smallest horizon at which the closed-form tail drops below
-    rel_target * |v(x0)| (never below 1)."""
+    ``DEFAULT_TOLERANCES.tail_rel`` * |v(x0)| (never below 1)."""
     p0 = _pairing(sol, x0)
-    return _horizon(value_at_pairing(sol, p0), *_feedback_utility(sol, p0), rel_target)
+    return _horizon(value_at_pairing(sol, p0), *_feedback_utility(sol, p0),
+                    DEFAULT_TOLERANCES.tail_rel)
 
 
 def _horizon(v: float, a: float, u0: float, rel_target: float) -> float:
@@ -415,6 +419,8 @@ def hjb_residual(sol: HjbSolution, x: GridFunction) -> float:
 
     Uses the eigenvector identity to evaluate the drift term: since b0 is an
     eigenfunction, <x, L* grad v(x)> = lambda0 <x,b0> * alpha <x,b0>^(-gamma).
+    Every term is then a multiple of <x,b0>^(1-gamma), so the relative defect
+    is the same at every x of the half-space, up to rounding.
     """
     basis = sol.basis
     inner = _pairing(sol, x)
@@ -427,25 +433,22 @@ def hjb_residual(sol: HjbSolution, x: GridFunction) -> float:
 
 def transversality_check(
     sol: HjbSolution,
-    traj: Trajectory,
+    times: np.ndarray,
+    pairings: np.ndarray,
     tolerances: Tolerances = DEFAULT_TOLERANCES,
 ) -> bool:
-    """Discounted value along the path must decay to (numerical) zero.
+    """Discounted value along a path must decay to (numerical) zero.
 
-    True iff e^(-rho t) |v(K(t))| is nonincreasing over the sampled tail
-    (second half of the samples) and its final value is below
-    ``transversality_tail_rel`` times |v(K(0))|.
+    ``pairings`` are the path's <K(t), b0> at ``times``, all the value
+    function reads of a state.  True iff e^(-rho t) |v(K(t))| is
+    nonincreasing over the sampled tail (second half of the samples) and its
+    final value is below ``transversality_tail_rel`` times |v(K(0))|.
     """
-    if traj.grid != sol.basis.grid:
-        raise GridMismatchError(
-            f"grid mismatch: {traj.grid.n_points} vs {sol.basis.grid.n_points} points"
-        )
-    pairings = traj.grid.weight * (traj.states @ sol.basis.b0.values)
     if np.any(pairings <= 0.0):
         raise HalfSpaceError(
-            f"<K(t), b0> = {pairings.min()!r} is not strictly positive along the path"
+            f"<K(t), b0> = {float(pairings.min())!r} is not strictly positive along the path"
         )
-    values = np.exp(-sol.params.rho * traj.times) * np.abs(value_at_pairing(sol, pairings))
+    values = np.exp(-sol.params.rho * times) * np.abs(value_at_pairing(sol, pairings))
     tail = values[values.size // 2 :]
     slack = 1e-12 * values[0]
     decreasing = bool(np.all(np.diff(tail) <= slack))

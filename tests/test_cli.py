@@ -187,6 +187,18 @@ class TestSimulate:
         assert stability["admissibility_condition"] is False  # 2*0.6 > 1
         assert isinstance(stability["admissible"], bool)
 
+    def test_overflowing_horizon_is_a_config_error(self, tmp_path, capsys):
+        # e^(0.5 * 2000) is beyond float64: no NaN rows and no verdicts on them
+        cfg = tmp_path / "long.cfg"
+        cfg.write_text(WINDOW_CFG.replace("t_final = 10.0", "t_final = 2000.0"))
+        out = tmp_path / "out"
+        argv = ["simulate", "--config", str(cfg), "--n-points", "32", "--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: t_final = 2000.0 is too long")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_steady_state_start(self, tmp_path):
         cfg = tmp_path / "steady.cfg"
         cfg.write_text(WINDOW_CFG.replace("K0.amplitude = 0.4", "K0.amplitude = 0.0"))
@@ -276,6 +288,21 @@ class TestVerify:
         out = tmp_path / "out"
         assert main(["verify", "--config", str(window_cfg), "--out", str(out), "--quiet"]) == 0
         assert read_json(out / "audit.json")["failed_check"] is None
+
+    def test_reads_K0_only_through_its_pairing(self, window_cfg, tmp_path, monkeypatch):
+        # the residual is taken at K0 and transversality from the closed
+        # loop's leading mode: no path is simulated and no state is sampled
+        plain = tmp_path / "plain"
+        assert main(["verify", "--config", str(window_cfg), "--out", str(plain), "--quiet"]) == 0
+
+        def dense(*args, **kwargs):
+            raise AssertionError("dense path evaluated")
+
+        monkeypatch.setattr(closed_loop, "simulate", dense)
+        monkeypatch.setattr(verify, "sample_halfspace_states", dense)
+        out = tmp_path / "out"
+        assert main(["verify", "--config", str(window_cfg), "--out", str(out), "--quiet"]) == 0
+        assert (out / "audit.json").read_bytes() == (plain / "audit.json").read_bytes()
 
 
 class TestSweep:

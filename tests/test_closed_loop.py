@@ -223,6 +223,12 @@ class TestSimulate:
         with pytest.raises(ValueError, match="t_final must be finite and > 0"):
             ak.simulate(variable.clo, variable.K0, t_final, 10)
 
+    def test_overflowing_horizon(self, window):
+        # r = g = 0.5: e^(0.5 t) leaves float64 past t ~ 1419.6, so the
+        # first non-finite sample of linspace(0, 2000, 11) is t = 1600
+        with pytest.raises(ValueError, match=r"t_final = 2000\.0 .* from t = 1600\.0 on"):
+            ak.simulate(window.clo, window.K0, 2000.0, 10)
+
     def test_dominance_violated_still_computes(self):
         # outside the window (g < lambda1) everything is computed and flagged
         pipe = build_pipeline(

@@ -1,4 +1,4 @@
-"""The CLI's small outputs against the golden set in ``tests/golden``.
+"""The CLI's outputs, all but ``basis.csv``, against the golden set in ``tests/golden``.
 
 ``tests/golden/regenerate.py`` wrote the set, and ``manifest.json`` lists
 each case's command line, exit code and kept files.  Exit codes, key order,
@@ -28,9 +28,13 @@ DRIFT_REL = 1e-9   # 7 times the relative drift
 DRIFT_ABS = 1e-10  # 5 times the eigenvalue drift, for values whose exact value is 0
 # (rtol, atol) per file
 FILE_BOUNDS = {
+    "spectral.json": (DRIFT_REL, DRIFT_ABS),
     "hjb.json": (DRIFT_REL, DRIFT_ABS),
     "value.json": (DRIFT_REL, 0.0),
+    "trajectory.csv": (DRIFT_REL, DRIFT_ABS),
+    "trajectory_summary.json": (DRIFT_REL, DRIFT_ABS),
     "stability.json": (DRIFT_REL, DRIFT_ABS),
+    "deviations.csv": (DRIFT_REL, DRIFT_ABS),
     "audit.json": (DRIFT_REL, 0.0),
     "sweep.csv": (DRIFT_REL, DRIFT_ABS),
     "perron.json": (0.0, 0.0),

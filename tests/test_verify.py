@@ -471,11 +471,35 @@ class TestHjbResidual:
             ak.hjb_residual(window.sol, GridFunction.constant(window.grid, -1.0))
 
 
+class TestHjbResidualSeesOnlyThePairing:
+    """v = alpha <x, b0>^(1-gamma)/(1-gamma) makes the residual homogeneous of
+    degree 0 in <x, b0>, which is why ``verify`` evaluates it at K0 alone."""
+
+    @pytest.mark.parametrize("name", ["window", "gamma2", "variable"])
+    @given(seed=st.integers(0, 2**32 - 1), scale=st.floats(1e-3, 1e3))
+    @settings(max_examples=30)
+    def test_residual_at_any_state_is_the_residual_at_K0(self, request, name, seed, scale):
+        pipe = request.getfixturevalue(name)
+        x = ak.sample_halfspace_states(pipe.basis, 1, seed)[0]
+        x = GridFunction(pipe.grid, scale * x.values)
+        residual, at_K0 = ak.hjb_residual(pipe.sol, x), ak.hjb_residual(pipe.sol, pipe.K0)
+        assert abs(residual - at_K0) <= 1e-14
+        # off the solution the residual is large, and still one number
+        broken = dataclasses.replace(pipe.sol, alpha=1.05 * pipe.sol.alpha)
+        residual, at_K0 = ak.hjb_residual(broken, x), ak.hjb_residual(broken, pipe.K0)
+        assert residual == pytest.approx(at_K0, rel=1e-12)
+
+
+def _path_pairings(pipe, traj):
+    """<K(t), b0> of each row of a simulated path."""
+    return pipe.grid.weight * (traj.states @ pipe.basis.b0.values)
+
+
 class TestTransversality:
     def test_optimal_path_passes(self, window):
         T = ak.default_horizon(window.sol, window.K0)
         traj = ak.simulate(window.clo, window.K0, T, 200)
-        assert ak.transversality_check(window.sol, traj)
+        assert ak.transversality_check(window.sol, traj.times, _path_pairings(window, traj))
 
     def test_decay_exponent(self, window):
         # log of e^(-rho t) v(K(t)) falls at exactly -(rho - g(1-gamma))
@@ -508,13 +532,26 @@ class TestTransversality:
 
     def test_short_horizon_fails(self, window):
         traj = ak.simulate(window.clo, window.K0, 1.0, 20)
-        assert not ak.transversality_check(window.sol, traj)
+        assert not ak.transversality_check(window.sol, traj.times, _path_pairings(window, traj))
 
     def test_half_space_guard(self, window):
         traj = ak.simulate(window.clo, window.K0, 1.0, 20)
-        flipped = dataclasses.replace(traj, states=-traj.states)
         with pytest.raises(HalfSpaceError):
-            ak.transversality_check(window.sol, flipped)
+            ak.transversality_check(window.sol, traj.times, -_path_pairings(window, traj))
+
+    @pytest.mark.parametrize("name", ["window", "gamma2", "variable"])
+    @pytest.mark.parametrize("horizon", ["default", 1.0])
+    def test_leading_mode_matches_simulated_path(self, request, name, horizon):
+        # verify's closed form <K0, b0> e^(r t), r = spectrum[0], against the
+        # pairings of the simulated path
+        pipe = request.getfixturevalue(name)
+        T = ak.default_horizon(pipe.sol, pipe.K0) if horizon == "default" else horizon
+        traj = ak.simulate(pipe.clo, pipe.K0, T, 200)
+        simulated = _path_pairings(pipe, traj)
+        closed = inner_l2(pipe.K0, pipe.basis.b0) * np.exp(pipe.clo.spectrum[0] * traj.times)
+        np.testing.assert_allclose(closed, simulated, rtol=1e-12)
+        assert (ak.transversality_check(pipe.sol, traj.times, closed)
+                == ak.transversality_check(pipe.sol, traj.times, simulated))
 
 
 class TestHalfSpaceSampling:
