@@ -13,12 +13,13 @@ import math
 import sys
 import traceback
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
 from . import closed_loop, hjb, serialize, spectral, stability, verify
 from .config import RunConfig, load_config
-from .errors import ConfigError, InfeasibleParametersError, SpectrumCollisionError
+from .errors import ConfigError, InfeasibleParametersError
 from .grid import inner_l2
 from .perron import battery_failures, random_metzler_battery
 from .tolerances import Tolerances
@@ -42,30 +43,30 @@ def _model(config: RunConfig):
     """
     grid, params, K0 = config.model()
     tolerances = config.tolerances()
-    op = spectral.assemble_generator(params, grid, tolerances)
+    op = spectral.assemble_generator(params, grid)
     return params, K0, spectral.eigendecompose(op, tolerances), tolerances
 
 
 def _state_model(config: RunConfig):
     """``_model`` for the commands that start from K0, which must lie in the
-    open half-space <K0, b0> > 0 where the value function is defined."""
+    open half-space <K0, b0> > 0 where the value function is defined; the
+    pairing <K0, b0> is returned last."""
     params, K0, basis, tolerances = _model(config)
     pairing = inner_l2(K0, basis.b0)
     if not pairing > 0:
         raise ConfigError(f"<K0, b0> = {pairing!r} is not strictly positive")
-    return params, K0, basis, tolerances
+    return params, K0, basis, tolerances, pairing
 
 
 def cmd_solve(config: RunConfig, out: Path, quiet: bool) -> int:
-    params, K0, basis, _ = _state_model(config)
+    params, _, basis, _, pairing = _state_model(config)
     sol = hjb.solve_hjb(basis, params)
     out.mkdir(parents=True, exist_ok=True)
     serialize.write_json(out / "spectral.json", serialize.basis_summary(basis))
     serialize.write_json(out / "hjb.json", hjb.hjb_summary(sol))
-    value = hjb.value_function(sol, K0)
     serialize.write_json(
         out / "value.json",
-        {"inner_K0_b0": inner_l2(K0, basis.b0), "value": value},
+        {"inner_K0_b0": pairing, "value": hjb.value_at_pairing(sol, pairing)},
     )
     serialize.write_basis_csv(out / "basis.csv", basis)
     _say(quiet, f"solve: lambda0={basis.lambda0!r} g={sol.g!r} alpha={sol.alpha!r}")
@@ -74,7 +75,7 @@ def cmd_solve(config: RunConfig, out: Path, quiet: bool) -> int:
 
 
 def cmd_simulate(config: RunConfig, out: Path, quiet: bool) -> int:
-    params, K0, basis, tolerances = _state_model(config)
+    params, K0, basis, tolerances, _ = _state_model(config)
     sol = hjb.solve_hjb(basis, params)
     clo = closed_loop.build_closed_loop(basis, sol)
     pd = closed_loop.compute_projection_data(basis, sol, tolerances)
@@ -108,7 +109,7 @@ def cmd_verify(config: RunConfig, out: Path, quiet: bool,
         raise ConfigError(
             f"--debug-perturb-alpha must be > -1 and finite, got {debug_perturb_alpha!r}"
         )
-    params, K0, basis, tolerances = _state_model(config)
+    params, K0, basis, tolerances, pairing = _state_model(config)
     sol = hjb.solve_hjb(basis, params)
     if debug_perturb_alpha:
         sol = dataclasses.replace(sol, alpha=sol.alpha * (1.0 + debug_perturb_alpha))
@@ -128,7 +129,7 @@ def cmd_verify(config: RunConfig, out: Path, quiet: bool,
     # The optimal path pairs with b0 as the closed loop's leading mode:
     # <K(t), b0> = <K0, b0> e^(r t) with r = spectrum[0]
     times = np.linspace(0.0, audit.horizon, config.n_steps + 1)
-    pairings = inner_l2(K0, basis.b0) * np.exp(clo.spectrum[0] * times)
+    pairings = pairing * np.exp(clo.spectrum[0] * times)
     envelope = verify.perturbed_transversality_envelope(sol, audit.horizon)
     transversal = verify.transversality_check(sol, times, pairings, tolerances) and (
         audit.max_discounted_terminal_rel <= envelope
@@ -169,64 +170,140 @@ def cmd_verify(config: RunConfig, out: Path, quiet: bool,
     return EXIT_OK
 
 
-def _sweep_row(params: spectral.ModelParams, basis: spectral.SpectralBasis,
-               tolerances: Tolerances) -> dict:
-    """One sweep.csv row: the closed forms of one (rho, gamma) on a basis."""
-    row: dict = {
-        "rho": params.rho,
-        "gamma": params.gamma,
-        "sigma": params.sigma,
-        "lambda0": basis.lambda0,
-        "lambda1": basis.lambda1,
-    }
-    try:
-        sol = hjb.solve_hjb(basis, params)
-    except InfeasibleParametersError:
-        row.update(
-            feasible=False,
-            g=hjb.growth_rate(params, basis.lambda0),
-            alpha=None,
-            M=None,
-            rate=None,
-            dominant=None,
+def _sweep_group(rhos: list[float], gamma: float, sigma: float,
+                 params: spectral.ModelParams, basis: spectral.SpectralBasis,
+                 tolerances: Tolerances) -> list[dict | None]:
+    """The sweep.csv rows of one (gamma, sigma), one per rho in order.
+
+    Only the scalars g, alpha and alpha0 depend on rho; they are Python
+    floats, computed as ``solve_hjb`` computes them.  The rho-independent
+    terms come once per group, the profiles of all well-posed rows in one
+    array pass, and each basis transform as the one matrix-vector product
+    per row that ``compute_projection_data`` makes, so every value is
+    bit-identical to the per-point path.  A row that fails a check of
+    ``solve_hjb`` or ``compute_projection_data`` is None.
+    """
+    lambda0, lambda1 = basis.lambda0, basis.lambda1
+    rows: list[dict | None] = []
+    pending = []  # (index, rho, g) of the well-posed rows
+    for rho in rhos:
+        g = hjb.balanced_growth(rho, gamma, lambda0)
+        row = {"rho": rho, "gamma": gamma, "sigma": sigma,
+               "lambda0": lambda0, "lambda1": lambda1}
+        if hjb.wellposed(rho, gamma, lambda0):
+            pending.append((len(rows), rho, g))
+        else:
+            row.update(feasible=False, g=g, alpha=None, M=None, rate=None, dominant=None)
+        rows.append(row)
+    if not pending:
+        return rows
+
+    factor = hjb.eta_factor(params, gamma)
+    integral = hjb.alpha_integral(basis, factor, gamma)
+    solved, alpha, alpha0, g = [], [], [], []
+    for index, rho, growth in pending:
+        try:
+            a = hjb.alpha_closed_form(rho, gamma, lambda0, integral)
+            a0 = hjb.alpha0_closed_form(a, gamma)
+        except ArithmeticError:  # a float power overflowed: solve_hjb raises it
+            rows[index] = None
+            continue
+        rows[index].update(feasible=True, g=growth, alpha=a, M=None,
+                           rate=growth - lambda1, dominant=bool(growth > lambda1))
+        solved.append(index)
+        alpha.append(a)
+        alpha0.append(a0)
+        g.append(growth)
+    if not solved:
+        return rows
+
+    # (m, 1) columns: row i of every (m, n) block below belongs to solved[i]
+    alpha, alpha0, g = (np.array(v)[:, None] for v in (alpha, alpha0, g))
+    b0, weight = basis.b0.values, basis.grid.weight
+    f = hjb.consumption_weight(params)
+    # rows that a check rejects are computed on, with NaN or inf kept quiet,
+    # and dropped below; every check is the one the per-point path makes
+    with np.errstate(all="ignore"):
+        profile = hjb.feedback_profile_values(f, alpha, params.eta.values, b0, gamma)
+        hjb_ok = (
+            np.isfinite(f).all()
+            & np.isfinite(profile).all(axis=1)
+            & (profile.min(axis=1) > 0.0)
         )
-        return row
-    try:
-        pd = closed_loop.compute_projection_data(basis, sol, tolerances)
-        M = stability.explicit_bound_constant(pd)
-    except SpectrumCollisionError:
-        M = None
-    row.update(
-        feasible=True,
-        g=sol.g,
-        alpha=sol.alpha,
-        M=M,
-        rate=sol.g - basis.lambda1,
-        dominant=bool(sol.g > basis.lambda1),
+        collides = (
+            np.abs(basis.eigenvalues - g).min(axis=1) < tolerances.spectrum_collision
+        )
+        u = (1.0 / alpha0) * closed_loop.withdrawal_values(alpha, b0, factor, gamma)
+        beta_coeffs = basis.coefficient_rows(u)
+        mu0 = lambda0 - g
+        defect = closed_loop.quadrature_defect(beta_coeffs[:, 0], mu0[:, 0], alpha0[:, 0])
+        w = basis.synthesize_rows(
+            closed_loop.w_coefficients(beta_coeffs, basis.eigenvalues, g, alpha0)
+        )
+        beta = alpha0 * b0
+        pairing = np.array([weight * float(w_row @ beta_row)
+                            for w_row, beta_row in zip(w, beta)])
+        projection_ok = (
+            np.isfinite(u).all(axis=1)
+            & ~(defect > tolerances.quadrature_consistency)
+            & np.isfinite(w).all(axis=1)
+            & np.isfinite(beta).all(axis=1)
+            & ~(np.abs(pairing - 1.0) > tolerances.pairing_normalization)
+        )
+        M = stability.bound_constant(w, beta, weight)
+    for k, index in enumerate(solved):
+        if not (hjb_ok[k] and (collides[k] or projection_ok[k])):
+            rows[index] = None
+        elif not collides[k]:  # a collision leaves M empty
+            rows[index]["M"] = float(M[k])
+    return rows
+
+
+def _raise_row_error(rho: float, gamma: float, params: spectral.ModelParams,
+                     basis: spectral.SpectralBasis, tolerances: Tolerances) -> NoReturn:
+    """Raise the error of a sweep row that ``_sweep_group`` rejected.
+
+    The row is evaluated again through ``solve_hjb`` and
+    ``compute_projection_data``, so its error is theirs, text included.
+    """
+    sol = hjb.solve_hjb(basis, dataclasses.replace(params, rho=rho, gamma=gamma))
+    closed_loop.compute_projection_data(basis, sol, tolerances)
+    raise RuntimeError(
+        f"sweep row rho={rho!r} gamma={gamma!r} was rejected, "
+        "but the per-point path accepts it"
     )
-    return row
 
 
 def sweep_rows(config: RunConfig) -> list[dict]:
     """The rows of sweep.csv, in Cartesian order with sigma innermost.
 
     The basis depends on sigma but not on rho or gamma, so each distinct
-    sigma is decomposed once and its (rho, gamma) rows are evaluated on it.
+    sigma is decomposed once.  The closed forms are then evaluated by
+    (gamma, sigma) group (``_sweep_group``): the terms that do not depend on
+    rho once per group, and the rho-dependent scalars once per row.  A row
+    that fails a check raises its error, the first such row in Cartesian
+    order, as if the rows had been evaluated one by one.
     """
     rhos = config.sweep.get("rho", [config.rho])
     gammas = config.sweep.get("gamma", [config.gamma])
     sigmas = config.sweep.get("sigma", [config.sigma])
-    groups = {}
+    models = {}
     for sigma in dict.fromkeys(sigmas):
         params, _, basis, tolerances = _model(dataclasses.replace(config, sigma=sigma))
-        groups[sigma] = (params, basis, tolerances)
+        models[sigma] = (params, basis, tolerances)
+    groups = {
+        (gamma, sigma): _sweep_group(rhos, gamma, sigma, *models[sigma])
+        for gamma in dict.fromkeys(gammas)
+        for sigma in models
+    }
     rows = []
-    for rho in rhos:
+    for index, rho in enumerate(rhos):
         for gamma in gammas:
             for sigma in sigmas:
-                params, basis, tolerances = groups[sigma]
-                point = dataclasses.replace(params, rho=rho, gamma=gamma)
-                rows.append(_sweep_row(point, basis, tolerances))
+                row = groups[gamma, sigma][index]
+                if row is None:
+                    _raise_row_error(rho, gamma, *models[sigma])
+                rows.append(dict(row))  # a repeated gamma or sigma reuses the row
     return rows
 
 

@@ -24,9 +24,18 @@ import numpy as np
 
 from .errors import ContourEnclosureError, GridMismatchError, SpectrumCollisionError
 from .grid import TWO_PI, Grid, GridFunction, inner_l2
-from .hjb import HjbSolution, positive_power
+from .hjb import HjbSolution, eta_factor, positive_power
 from .spectral import SpectralBasis
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
+
+
+def withdrawal_values(alpha, b0: np.ndarray, factor: np.ndarray, gamma: float) -> np.ndarray:
+    """(alpha*b0)^(-1/gamma) * eta^((q+gamma-1)/gamma) at the nodes.
+
+    ``factor`` is ``hjb.eta_factor(params, gamma)``; ``alpha`` is a float, or
+    an (m, 1) column of them for an (m, n) block of profiles.
+    """
+    return positive_power(alpha * b0, -1.0 / gamma) * factor
 
 
 def withdrawal_profile(sol: HjbSolution) -> GridFunction:
@@ -37,11 +46,10 @@ def withdrawal_profile(sol: HjbSolution) -> GridFunction:
     Dividing by alpha0 gives the equivalent beta-paired form
     beta^(-1/gamma) * eta^((q+gamma-1)/gamma) with beta = alpha0 * b0.
     """
-    params = sol.params
-    gamma, q = params.gamma, params.q
-    values = positive_power(
-        sol.alpha * sol.basis.b0.values, -1.0 / gamma
-    ) * positive_power(params.eta.values, (q + gamma - 1.0) / gamma)
+    gamma = sol.params.gamma
+    values = withdrawal_values(
+        sol.alpha, sol.basis.b0.values, eta_factor(sol.params, gamma), gamma
+    )
     return GridFunction(sol.basis.grid, values)
 
 
@@ -112,6 +120,26 @@ class ProjectionData:
         object.__setattr__(self, "beta_coeffs", c)
 
 
+def quadrature_defect(beta0, mu0, alpha0):
+    """Relative distance of <b0, u> = beta0 from its closed form mu0 / alpha0.
+
+    Floats give a float; arrays give one defect per entry.
+    """
+    target = mu0 / alpha0
+    return np.abs(beta0 - target) / np.maximum(1.0, np.abs(target))
+
+
+def w_coefficients(beta_coeffs: np.ndarray, eigenvalues: np.ndarray, g, alpha0) -> np.ndarray:
+    """Basis coefficients of w = b0/alpha0 + sum_{k>=1} beta_k / (lambda_k - g) * b_k.
+
+    ``g`` and ``alpha0`` are floats, or (m, 1) columns of them for the rows
+    of an (m, n) ``beta_coeffs``.
+    """
+    coeffs = beta_coeffs / (eigenvalues - g)
+    coeffs[..., :1] = 1.0 / alpha0
+    return coeffs
+
+
 def compute_projection_data(
     basis: SpectralBasis,
     sol: HjbSolution,
@@ -138,12 +166,10 @@ def compute_projection_data(
     beta_coeffs = basis.coefficients(u)
     mu0 = basis.lambda0 - g
     # quadrature consistency: <b0, u> must equal mu0 / alpha0
-    defect = abs(beta_coeffs[0] - mu0 / sol.alpha0) / max(1.0, abs(mu0 / sol.alpha0))
+    defect = quadrature_defect(beta_coeffs[0], mu0, sol.alpha0)
     if defect > tolerances.quadrature_consistency:
         raise RuntimeError(f"mu0 quadrature consistency defect {defect:g}")
-    w_coeffs = beta_coeffs / (basis.eigenvalues - g)
-    w_coeffs[0] = 1.0 / sol.alpha0
-    w = basis.synthesize(w_coeffs)
+    w = basis.synthesize(w_coefficients(beta_coeffs, basis.eigenvalues, g, sol.alpha0))
     beta = GridFunction(basis.grid, sol.alpha0 * basis.b0.values)
     pairing = inner_l2(w, beta)
     if abs(pairing - 1.0) > tolerances.pairing_normalization:

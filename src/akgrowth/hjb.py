@@ -49,24 +49,57 @@ def positive_power(values: np.ndarray, exponent: float) -> np.ndarray:
     return out
 
 
-def check_wellposed(params: ModelParams, lambda0: float) -> bool:
+def wellposed(rho: float, gamma: float, lambda0: float) -> bool:
     """True iff rho > lambda0 * (1 - gamma) (strict)."""
-    return params.rho > lambda0 * (1.0 - params.gamma)
+    return rho > lambda0 * (1.0 - gamma)
+
+
+def check_wellposed(params: ModelParams, lambda0: float) -> bool:
+    """``wellposed`` at the rho and gamma of ``params``."""
+    return wellposed(params.rho, params.gamma, lambda0)
+
+
+def balanced_growth(rho: float, gamma: float, lambda0: float) -> float:
+    """Balanced growth rate (lambda0 - rho) / gamma."""
+    return (lambda0 - rho) / gamma
 
 
 def growth_rate(params: ModelParams, lambda0: float) -> float:
-    """Balanced growth rate (lambda0 - rho) / gamma."""
-    return (lambda0 - params.rho) / params.gamma
+    """``balanced_growth`` at the rho and gamma of ``params``."""
+    return balanced_growth(params.rho, params.gamma, lambda0)
 
 
-def _alpha_integral(basis: SpectralBasis, params: ModelParams) -> float:
-    """Quadrature of f^(1/gamma) * (eta * b0)^((gamma-1)/gamma) over the circle."""
-    gamma, q = params.gamma, params.q
-    integrand = (
-        positive_power(params.eta.values, (q + gamma - 1.0) / gamma)
-        * positive_power(basis.b0.values, (gamma - 1.0) / gamma)
-    )
+def consumption_weight(params: ModelParams) -> np.ndarray:
+    """Utility weight f = eta^q at the nodes."""
+    return positive_power(params.eta.values, params.q)
+
+
+def eta_factor(params: ModelParams, gamma: float) -> np.ndarray:
+    """eta^((q+gamma-1)/gamma) = f^(1/gamma) * eta^((gamma-1)/gamma) at the nodes.
+
+    The rho-independent factor of the alpha integrand and of the closed-loop
+    withdrawal profile; ``gamma`` is passed apart from ``params`` so that a
+    sweep can evaluate it at each swept gamma.
+    """
+    return positive_power(params.eta.values, (params.q + gamma - 1.0) / gamma)
+
+
+def alpha_integral(basis: SpectralBasis, factor: np.ndarray, gamma: float) -> float:
+    """Quadrature of f^(1/gamma) * (eta * b0)^((gamma-1)/gamma) over the circle,
+    from ``factor`` = ``eta_factor(params, gamma)``; it does not depend on rho."""
+    integrand = factor * positive_power(basis.b0.values, (gamma - 1.0) / gamma)
     return basis.grid.weight * float(integrand.sum())
+
+
+def alpha_closed_form(rho: float, gamma: float, lambda0: float, integral: float) -> float:
+    """alpha = [gamma / (rho - lambda0*(1-gamma)) * integral]^gamma as a float,
+    for a well-posed (rho, gamma) and ``integral`` from ``alpha_integral``."""
+    return (gamma / (rho - lambda0 * (1.0 - gamma)) * integral) ** gamma
+
+
+def alpha0_closed_form(alpha: float, gamma: float) -> float:
+    """alpha0 = alpha^(1/(1-gamma)), the scale of the functional beta = alpha0 * b0."""
+    return alpha ** (1.0 / (1.0 - gamma))
 
 
 def compute_alpha(basis: SpectralBasis, params: ModelParams) -> float:
@@ -82,8 +115,20 @@ def compute_alpha(basis: SpectralBasis, params: ModelParams) -> float:
             f"rho={params.rho} does not exceed lambda0*(1-gamma)="
             f"{lambda0 * (1 - params.gamma)}"
         )
-    margin = params.rho - lambda0 * (1.0 - params.gamma)
-    return (params.gamma / margin * _alpha_integral(basis, params)) ** params.gamma
+    gamma = params.gamma
+    integral = alpha_integral(basis, eta_factor(params, gamma), gamma)
+    return alpha_closed_form(params.rho, gamma, lambda0, integral)
+
+
+def feedback_profile_values(
+    f: np.ndarray, alpha, eta: np.ndarray, b0: np.ndarray, gamma: float
+) -> np.ndarray:
+    """(f / (alpha * eta * b0))^(1/gamma) at the nodes.
+
+    ``alpha`` is a float, or an (m, 1) column of them for an (m, n) block
+    of profiles, one row per alpha.
+    """
+    return positive_power(f / (alpha * eta * b0), 1.0 / gamma)
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,12 +151,11 @@ class HjbSolution:
 def solve_hjb(basis: SpectralBasis, params: ModelParams) -> HjbSolution:
     """Construct the explicit solution record for the given spectral data."""
     alpha = compute_alpha(basis, params)
-    alpha0 = alpha ** (1.0 / (1.0 - params.gamma))
+    alpha0 = alpha0_closed_form(alpha, params.gamma)
     g = growth_rate(params, basis.lambda0)
-    # utility weight f = eta^q
-    f = GridFunction(params.grid, positive_power(params.eta.values, params.q))
-    profile_values = positive_power(
-        f.values / (alpha * params.eta.values * basis.b0.values), 1.0 / params.gamma
+    f = GridFunction(params.grid, consumption_weight(params))
+    profile_values = feedback_profile_values(
+        f.values, alpha, params.eta.values, basis.b0.values, params.gamma
     )
     profile = GridFunction(basis.grid, profile_values)
     if not is_strictly_positive(profile):
@@ -187,7 +231,7 @@ def utility(params: ModelParams, z: np.ndarray) -> np.ndarray:
         )
     if np.any(z < 0):
         raise ValueError("consumption must be nonnegative")
-    f = positive_power(params.eta.values, params.q)
+    f = consumption_weight(params)
     with np.errstate(divide="ignore"):
         integrand = z ** (1.0 - gamma)
     integrand /= 1.0 - gamma

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closed_loop import ProjectionData, Trajectory
-from .grid import GridFunction, inner_l2, integral, sup_norm
+from .grid import GridFunction, inner_l2, sup_norm
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 
@@ -40,9 +40,15 @@ class StabilityReport:
     grid_points: int
 
 
+def bound_constant(w: np.ndarray, beta: np.ndarray, weight: float):
+    """M = 1 + sup|w| * integral(beta) from node values and the quadrature
+    weight; rows of (m, n) arrays give one M per row."""
+    return 1.0 + np.abs(w).max(axis=-1) * (weight * beta.sum(axis=-1))
+
+
 def explicit_bound_constant(pd: ProjectionData) -> float:
     """M = 1 + sup|w| * integral(beta)."""
-    return 1.0 + sup_norm(pd.w) * integral(pd.beta)
+    return float(bound_constant(pd.w.values, pd.beta.values, pd.basis.grid.weight))
 
 
 def positivity_audit(traj: Trajectory) -> bool:

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class Tolerances:
-    symmetry: float = 1e-12               # operator symmetry defect
     b0_normalization: float = 1e-10       # |<b0,b0> - 1|
     spectrum_collision: float = 1e-9      # min distance of a shift from the spectrum
     pairing_normalization: float = 1e-10  # |<w,beta> - 1|

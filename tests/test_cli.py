@@ -330,7 +330,7 @@ class TestSweep:
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text(
             WINDOW_CFG
-            + "tol.symmetry = 1e-11\nsweep.rho = 0.45, 0.75\nsweep.gamma = 0.5, 2.0\n"
+            + "tol.b0_normalization = 1e-9\nsweep.rho = 0.45, 0.75\nsweep.gamma = 0.5, 2.0\n"
             + "sweep.sigma = 1.0, 2.0, 1.0\n"
         )
         calls = []
@@ -347,7 +347,7 @@ class TestSweep:
         assert len(lines) == 1 + 12
         assert any(",false," in line for line in lines)
         assert len(calls) == 2
-        assert all(tolerances.symmetry == 1e-11 for tolerances in calls)
+        assert all(tolerances.b0_normalization == 1e-9 for tolerances in calls)
 
     @pytest.mark.parametrize(
         "sweep", ["sweep.gamma = 0.5, 1.0\n", "sweep.rho = 0.75, -0.2\n",
@@ -436,6 +436,109 @@ class TestSweepMatchesPerPointReference:
             assert list(row) == list(reference)
             for column, value in reference.items():
                 assert row[column] == value, column
+
+    def test_collision_rows(self):
+        # rho = lambda0 - gamma * lambda1 puts g on lambda1: a feasible row
+        # whose projection collides with the spectrum and leaves M empty
+        config = parse_config(VARIABLE_SWEEP_CFG)
+        _, _, basis, _ = cli._model(config)
+        gammas = [0.5, 2.0]
+        rhos = [basis.lambda0 - gamma * basis.lambda1 for gamma in gammas]
+        config = dataclasses.replace(
+            config, sweep={"rho": rhos, "gamma": gammas, "sigma": [1.0]}
+        )
+        expected = [
+            _reference_sweep_row(config, r, g, 1.0) for r in rhos for g in gammas
+        ]
+        rows = cli.sweep_rows(config)
+        assert rows == expected
+        for index in (0, 3):  # rho built from the row's own gamma
+            assert rows[index]["feasible"] is True
+            assert rows[index]["M"] is None
+        assert all(rows[index]["M"] is not None for index in (1, 2))
+
+    def test_first_failing_row_raises_its_error(self, tmp_path, capsys):
+        # with no slack on <w, beta>, several rows fail; the error is the one
+        # the per-point path raises on the first of them in Cartesian order
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(
+            VARIABLE_SWEEP_CFG + "sweep.rho = 0.3, 1.5\nsweep.gamma = 0.5, 2.0\n"
+            "sweep.sigma = 1.0, 2.0\ntol.pairing_normalization = 0\n"
+        )
+        config = parse_config(cfg.read_text())
+        errors = []
+        for rho in (0.3, 1.5):
+            for gamma in (0.5, 2.0):
+                for sigma in (1.0, 2.0):
+                    point = dataclasses.replace(config, rho=rho, gamma=gamma, sigma=sigma)
+                    params, _, basis, tolerances = cli._model(point)
+                    try:
+                        sol = hjb.solve_hjb(basis, params)
+                        closed_loop.compute_projection_data(basis, sol, tolerances)
+                    except InfeasibleParametersError:
+                        continue
+                    except RuntimeError as exc:
+                        errors.append(str(exc))
+        assert len(errors) > 1 and len(set(errors)) > 1
+        assert errors[0].startswith("<w, beta> = ")
+        out = tmp_path / "out"
+        code = main(["sweep", "--config", str(cfg), "--out", str(out), "--quiet"])
+        assert code == 1
+        assert capsys.readouterr().err == f"internal error: {errors[0]}\n"
+        assert not (out / "sweep.csv").exists()
+
+    @pytest.mark.parametrize(
+        "gamma, rho",
+        [(0.999, 0.5), (1.001, 0.5), (20.0, 1e50), (0.001, 5.0)],
+        ids=["alpha0-overflows", "alpha0-underflows", "alpha-underflows", "profile-inf"],
+    )
+    @pytest.mark.filterwarnings("ignore")
+    def test_float_failures_raise_the_per_point_error(self, gamma, rho):
+        # near gamma = 1 the power alpha^(1/(1-gamma)) overflows or underflows,
+        # and at extreme (gamma, rho) alpha or the profile leave the float
+        # range; the sweep raises what the per-point path raises
+        config = dataclasses.replace(
+            parse_config(VARIABLE_SWEEP_CFG),
+            sweep={"rho": [1.5, rho], "gamma": [2.0, gamma], "sigma": [1.0, 2.0]},
+        )
+        expected = None
+        for r in (1.5, rho):
+            for g in (2.0, gamma):
+                for sigma in (1.0, 2.0):
+                    try:
+                        _reference_sweep_row(config, r, g, sigma)
+                    except (ArithmeticError, ValueError) as exc:
+                        expected = expected or exc
+        assert expected is not None
+        with pytest.raises(type(expected)) as raised:
+            cli.sweep_rows(config)
+        assert str(raised.value) == str(expected)
+
+    def test_closed_forms_once_per_group(self, monkeypatch):
+        # rho enters only through scalars: the alpha integral is taken once
+        # per distinct (sigma, gamma), and no per-point solution is built
+        config = dataclasses.replace(
+            parse_config(VARIABLE_SWEEP_CFG),
+            sweep={"rho": [0.1, 0.9, 1.5], "gamma": [0.5, 2.0, 0.5],
+                   "sigma": [1.0, 2.5, 1.0]},
+        )
+        integrals = []
+        original = hjb.alpha_integral
+
+        def spy(basis, factor, gamma):
+            integrals.append((basis.lambda0, gamma))
+            return original(basis, factor, gamma)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("per-point solve in a sweep")
+
+        monkeypatch.setattr(hjb, "alpha_integral", spy)
+        monkeypatch.setattr(hjb, "solve_hjb", forbidden)
+        monkeypatch.setattr(closed_loop, "compute_projection_data", forbidden)
+        rows = cli.sweep_rows(config)
+        assert len(rows) == 27
+        assert sum(row["feasible"] for row in rows) > 0
+        assert len(integrals) == len(set(integrals)) == 4
 
 
 class TestPerronAudit:

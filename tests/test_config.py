@@ -127,6 +127,11 @@ class TestRejection:
         with pytest.raises(ConfigError):
             parse_config(GOOD + "tol.bogus = 1e-6\n")
 
+    def test_symmetry_is_no_tolerance(self):
+        # the assembled generator is symmetric by construction
+        with pytest.raises(ConfigError, match="unknown tolerance 'symmetry'"):
+            parse_config(GOOD + "tol.symmetry = 1e-12\n")
+
     def test_duplicate_key(self):
         with pytest.raises(ConfigError):
             parse_config(GOOD + "rho = 0.9\n")
@@ -219,7 +224,7 @@ class TestRejection:
 
     @pytest.mark.parametrize(
         "key, bad",
-        [("K0.mode", "one"), ("A.value", "abc"), ("tol.symmetry", "abc"), ("sweep.sigma", ",")],
+        [("K0.mode", "one"), ("A.value", "abc"), ("tol.b0_normalization", "abc"), ("sweep.sigma", ",")],
     )
     def test_unparseable_value_names_its_key(self, key, bad):
         kept = [line for line in GOOD.splitlines() if not line.startswith(f"{key} =")]
