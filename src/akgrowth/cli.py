@@ -205,7 +205,7 @@ def _sweep_group(rhos: list[float], gamma: float, sigma: float,
         try:
             a = hjb.alpha_closed_form(rho, gamma, lambda0, integral)
             a0 = hjb.alpha0_closed_form(a, gamma)
-        except ArithmeticError:  # a float power overflowed: solve_hjb raises it
+        except ArithmeticError:  # alpha or alpha0 left the float range
             rows[index] = None
             continue
         rows[index].update(feasible=True, g=growth, alpha=a, M=None,
