@@ -17,12 +17,18 @@ Hamiltonian, and control path.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import HalfSpaceError, InfeasibleParametersError, UnderflowWarning
+from .errors import (
+    ConfigError,
+    HalfSpaceError,
+    InfeasibleParametersError,
+    UnderflowWarning,
+)
 from .grid import GridFunction, inner_l2, is_strictly_positive
 from .spectral import ModelParams, SpectralBasis
 
@@ -98,8 +104,21 @@ def alpha_closed_form(rho: float, gamma: float, lambda0: float, integral: float)
 
 
 def alpha0_closed_form(alpha: float, gamma: float) -> float:
-    """alpha0 = alpha^(1/(1-gamma)), the scale of the functional beta = alpha0 * b0."""
-    return alpha ** (1.0 / (1.0 - gamma))
+    """alpha0 = alpha^(1/(1-gamma)), the scale of the functional beta = alpha0 * b0.
+
+    Within about 1e-3 of gamma = 1 the exponent is large enough for the power
+    to overflow or underflow; that is a ConfigError naming gamma.
+    """
+    try:
+        alpha0 = alpha ** (1.0 / (1.0 - gamma))
+    except OverflowError:
+        alpha0 = math.inf
+    if not (math.isfinite(alpha0) and alpha0 > 0.0):
+        raise ConfigError(
+            f"gamma = {gamma!r} is too close to 1: alpha0 = alpha^(1/(1-gamma)) "
+            f"with alpha = {alpha!r} leaves the float range"
+        )
+    return alpha0
 
 
 def compute_alpha(basis: SpectralBasis, params: ModelParams) -> float:

@@ -3,6 +3,13 @@
 Floats are printed with 17 significant digits everywhere, keys keep their
 insertion order, and no timestamps are emitted, so identical inputs produce
 byte-identical files.
+
+The CSV writers of float arrays (``basis.csv``, ``trajectory.csv``,
+``deviations.csv``) format each row with ``_format_row``: one ``%.17g``
+template for the whole row, which prints finite floats as ``format_float``
+does at a fraction of the cost of a call per cell.  A row holding a NaN or
+an infinity falls back to ``format_float`` per cell, which spells them
+``NaN``, ``Infinity`` and ``-Infinity``.
 """
 
 from __future__ import annotations
@@ -88,12 +95,28 @@ def basis_summary(basis: SpectralBasis) -> dict:
     }
 
 
+def _format_row(template: str, row: np.ndarray) -> str:
+    """``template`` with its ``%.17g`` slots filled from the 1-D float ``row``.
+
+    ``template`` holds the row's other text, leading cell included, and one
+    ``%.17g`` slot per entry of ``row``.  A finite row is formatted in one
+    pass; a row with a NaN or an infinity gets ``format_float`` per cell.
+    """
+    values = row.tolist()
+    if np.isfinite(row).all():
+        return template % tuple(values)
+    return template.replace("%.17g", "%s") % tuple(format_float(v) for v in values)
+
+
 def _basis_rows(basis: SpectralBasis) -> Iterator[str]:
+    """The file's lines: the header, then one line per node, its theta cell and
+    the node's value of every eigenfunction, through ``_format_row``."""
     n = basis.grid.n_points
     yield "theta," + ",".join(f"b{k}" for k in range(n)) + "\n"
-    for j, theta in enumerate(basis.grid.nodes):
-        row = ",".join(format_float(v) for v in basis.vectors[j, :])
-        yield f"{format_float(theta)},{row}\n"
+    cells = ",%.17g" * n + "\n"
+    # one node at a time: listing the whole (n, n) matrix costs megabytes
+    for theta, row in zip(basis.grid.nodes.tolist(), basis.vectors):
+        yield _format_row(format_float(theta) + cells, row)
 
 
 def write_basis_csv(path: str | Path, basis: SpectralBasis) -> None:
@@ -106,20 +129,13 @@ def _trajectory_rows(traj: Trajectory) -> Iterator[str]:
     """The file's text in pieces that end in a newline, at most a time row each."""
     yield "t,theta,K,K_detrended\n"
     # the node column repeats for every time row: format it once
-    thetas = [format_float(theta) for theta in traj.grid.nodes.tolist()]
-    # every line of a time row after its time cell; %.17g is format_float for finite values
-    tails = [f",{theta},%.17g,%.17g\n" for theta in thetas]
+    tails = [f",{format_float(theta)},%.17g,%.17g\n" for theta in traj.grid.nodes.tolist()]
+    # one time row at a time: listing the whole (steps, n) arrays costs megabytes
     for t, state, detrended in zip(traj.times.tolist(), traj.states, traj.detrended):
         t_text = format_float(t)
-        # one time row at a time: listing the whole (steps, n) arrays costs megabytes
-        if np.isfinite(state).all() and np.isfinite(detrended).all():
-            # one template formats the row's interleaved (K, K_detrended) pairs
-            template = t_text + t_text.join(tails)
-            yield template % tuple(np.column_stack((state, detrended)).ravel().tolist())
-        else:
-            # format_float spells NaN and infinity its own way
-            for theta, k, kd in zip(thetas, state.tolist(), detrended.tolist()):
-                yield f"{t_text},{theta},{format_float(k)},{format_float(kd)}\n"
+        # the row's interleaved (K, K_detrended) pairs fill one template
+        yield _format_row(t_text + t_text.join(tails),
+                          np.column_stack((state, detrended)).ravel())
 
 
 def write_trajectory_csv(path: str | Path, traj: Trajectory) -> None:
@@ -159,10 +175,11 @@ def stability_summary(report: StabilityReport) -> dict:
 
 
 def deviation_csv(report: StabilityReport) -> str:
-    lines = ["t,deviation,bound"]
-    for t, dev, bnd in zip(report.times, report.deviations, report.bounds):
-        lines.append(f"{format_float(t)},{format_float(dev)},{format_float(bnd)}")
-    return "\n".join(lines) + "\n"
+    pairs = np.column_stack((report.deviations, report.bounds))
+    return "t,deviation,bound\n" + "".join(
+        _format_row(format_float(t) + ",%.17g,%.17g\n", pair)
+        for t, pair in zip(report.times.tolist(), pairs)
+    )
 
 
 def write_deviation_csv(path: str | Path, report: StabilityReport) -> None:

@@ -31,9 +31,7 @@ DEMOS = GOLDEN.parents[1] / "demos"
 SWEEP_LINES = "sweep.rho = 0.45, 0.75, 0.9\nsweep.gamma = 0.5, 2.0\nsweep.sigma = 1.0, 2.0\n"
 
 SMALL = ["--n-points", "32"]
-# every file of the command but basis.csv, whose columns are fixed only up to
-# sign and rotation inside (near-)degenerate eigenspaces
-SOLVE_FILES = ["spectral.json", "hjb.json", "value.json"]
+SOLVE_FILES = ["spectral.json", "hjb.json", "value.json", "basis.csv"]
 SIMULATE_FILES = ["trajectory.csv", "trajectory_summary.json", "stability.json",
                   "deviations.csv"]
 CASES = [

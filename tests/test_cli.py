@@ -144,6 +144,20 @@ def test_K0_outside_half_space_is_a_config_error(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["solve", "simulate", "verify", "sweep"])
+@pytest.mark.parametrize("gamma", [0.999, 1.001])
+def test_gamma_near_one_is_a_config_error(tmp_path, capsys, command, gamma):
+    # alpha0 = alpha^(1/(1-gamma)) overflows below gamma = 1 and underflows
+    # to 0 above it; either is named before any output
+    cfg = tmp_path / "gamma.cfg"
+    cfg.write_text(WINDOW_CFG.replace("gamma = 0.5", f"gamma = {gamma}"))
+    out = tmp_path / "out"
+    argv = [command, "--config", str(cfg), "--out", str(out), "--n-points", "32"]
+    assert main([*argv, "--quiet"]) == 1
+    assert capsys.readouterr().err.startswith(f"error: gamma = {gamma!r} is too close to 1")
+    assert not out.exists()
+
+
 DETERMINISM_SWEEP = "sweep.rho = 0.45, 0.75\nsweep.sigma = 1.0, 2.0\n"
 
 

@@ -57,6 +57,22 @@ def written_trajectory(traj, tmp_path):
     return path.read_text()
 
 
+# values where %g changes notation (1e-5/1e-4, 1e16/1e17), a signed zero and
+# the smallest subnormal, one row per value list
+CRAFTED_ROWS = [
+    [-0.0, 5e-324, 1e-5, 1e-4, 1e16, 1e17, -1.0 / 3.0, 0.1],
+    [-5e-324, 0.0, -1e-5, -1e-4, -1e16, -1e17, 9.999999999999999e-5, 1e300],
+    [np.nan, np.inf, -np.inf, -0.0, 1e-5, 1e17, 5e-324, 2.5],
+]
+
+
+def crafted_basis():
+    """An 8-point basis whose rows hold CRAFTED_ROWS and scaled copies of them."""
+    vectors = np.array(CRAFTED_ROWS + [np.array(CRAFTED_ROWS[k % 2]) * (k + 1.5)
+                                       for k in range(5)])
+    return ak.SpectralBasis(ak.Grid(8), np.arange(8.0)[::-1], vectors)
+
+
 class TestCsv:
     def test_trajectory_layout(self, window, tmp_path):
         traj = ak.simulate(window.clo, window.K0, 1.0, 2)
@@ -112,11 +128,60 @@ def non_finite_trajectory():
     grid = ak.Grid(8)
     times = np.array([0.0, 0.5, 1.0])
     states = np.linspace(0.1, 2.4, 24).reshape(3, 8)
+    states[0] = CRAFTED_ROWS[0]
     states[1, :4] = [np.nan, np.inf, -np.inf, -0.0]
     states[2, 1] = 1e-300
     detrended = states * 0.5
     detrended[2, 1] = np.inf
     return ak.closed_loop.Trajectory(grid, times, states, detrended)
+
+
+class TestRowFormatter:
+    def test_crafted_basis_bytes(self, tmp_path):
+        basis = crafted_basis()
+        fmt = serialize.format_float
+        reference = ["theta," + ",".join(f"b{k}" for k in range(8))]
+        for theta, row in zip(basis.grid.nodes, basis.vectors):
+            reference.append(",".join(fmt(v) for v in [theta, *row]))
+        path = tmp_path / "basis.csv"
+        serialize.write_basis_csv(path, basis)
+        text = path.read_bytes().decode()
+        assert text == "\n".join(reference) + "\n"
+        assert "NaN,Infinity,-Infinity,-0," in text
+        assert ",-0,4.9406564584124654e-324,1.0000000000000001e-05,0.0001," in text
+        assert ",10000000000000000,1e+17," in text
+
+    def test_crafted_deviation_bytes(self):
+        times = np.array([0.0, 1e-5, 1e16, 1e17])
+        deviations = np.array([-0.0, 5e-324, np.nan, 1e-4])
+        bounds = np.array([1e17, np.inf, 1e-5, -np.inf])
+        report = ak.stability.StabilityReport(
+            M=1.0, rate=0.1, steady_state=None, bound_satisfied=True,
+            fitted_rate=0.1, admissible=True, admissibility_condition=True,
+            dominance_ok=True, max_bound_violation=0.0, times=times,
+            deviations=deviations, bounds=bounds, grid_points=8,
+        )
+        fmt = serialize.format_float
+        reference = ["t,deviation,bound"] + [
+            f"{fmt(t)},{fmt(d)},{fmt(b)}" for t, d, b in zip(times, deviations, bounds)
+        ]
+        assert serialize.deviation_csv(report) == "\n".join(reference) + "\n"
+
+    def test_no_format_float_call_per_finite_cell(self, window, monkeypatch, tmp_path):
+        # the leading cells (theta per basis row; t per time row and the theta
+        # column once) are the only format_float calls on finite data
+        n = window.grid.n_points
+        traj = ak.simulate(window.clo, window.K0, 1.0, 4)
+        assert np.isfinite(window.basis.vectors).all() and np.isfinite(traj.states).all()
+        calls = []
+        original = serialize.format_float
+        monkeypatch.setattr(serialize, "format_float",
+                            lambda x: calls.append(x) or original(x))
+        serialize.write_basis_csv(tmp_path / "basis.csv", window.basis)
+        assert len(calls) == n
+        calls.clear()
+        written_trajectory(traj, tmp_path)
+        assert len(calls) == n + len(traj.times)
 
 
 class TestSummaries:
