@@ -99,8 +99,22 @@ def alpha_integral(basis: SpectralBasis, factor: np.ndarray, gamma: float) -> fl
 
 def alpha_closed_form(rho: float, gamma: float, lambda0: float, integral: float) -> float:
     """alpha = [gamma / (rho - lambda0*(1-gamma)) * integral]^gamma as a float,
-    for a well-posed (rho, gamma) and ``integral`` from ``alpha_integral``."""
-    return (gamma / (rho - lambda0 * (1.0 - gamma)) * integral) ** gamma
+    for a well-posed (rho, gamma) and ``integral`` from ``alpha_integral``.
+
+    At extreme (rho, gamma) the power leaves the float range: a huge rho
+    with gamma > 1 underflows it to 0.  An alpha that is not finite and
+    positive is a ConfigError naming rho and gamma.
+    """
+    try:
+        alpha = (gamma / (rho - lambda0 * (1.0 - gamma)) * integral) ** gamma
+    except OverflowError:
+        alpha = math.inf
+    if not (math.isfinite(alpha) and alpha > 0.0):
+        raise ConfigError(
+            f"rho = {rho!r} with gamma = {gamma!r}: alpha = {alpha!r} "
+            "is not a finite positive float"
+        )
+    return alpha
 
 
 def alpha0_closed_form(alpha: float, gamma: float) -> float:

@@ -12,16 +12,19 @@ sign pattern of the collocation matrix).
 A battery of many matrices is drawn by ``random_metzler_battery`` straight
 into stacks, one per dimension, from the same generator stream as that many
 ``random_irreducible_metzler`` calls, and checked by ``battery_failures``:
-two stacked eigensolves (of the matrices and of their transposes) serve
-every check, and the positivity test runs on all eigenvectors at once.  No
-per-matrix object is built for a matrix that passes.  The per-matrix
-functions stay the public API and the oracle: a matrix the stacked screen
-flags is checked again by ``audit_failure``, whose text is the one reported.
+one stacked eigensolve serves every check, the left eigenvectors are the
+rows of the inverse of the right eigenvector matrix, and the positivity
+test runs on all eigenvectors at once.  A matrix whose eigenvector matrix
+is too ill-conditioned for that inverse (``CONDITION_LIMIT``) is solved
+again through its transpose.  No per-matrix object is built for a matrix
+that passes.  The per-matrix functions stay the public API and the oracle:
+a matrix the stacked screen flags is checked again by ``audit_failure``,
+whose text is the one reported.
 
 The thresholds are the module constants ``REALNESS_TOL``,
-``SIMPLICITY_TOL``, ``POSITIVITY_TOL``, ``METZLER_SLACK`` and
-``UNIQUENESS_TOL``; ``perron-audit`` reads no config, so none of them is a
-``tol.*`` key.
+``SIMPLICITY_TOL``, ``POSITIVITY_TOL``, ``METZLER_SLACK``,
+``UNIQUENESS_TOL`` and ``CONDITION_LIMIT`` (derived from ``REALNESS_TOL``);
+``perron-audit`` reads no config, so none of them is a ``tol.*`` key.
 """
 
 from __future__ import annotations
@@ -42,6 +45,10 @@ METZLER_SLACK = 1e-12   # off-diagonal entries may be this far below 0
 # an eigenvalue with a positive eigenvector farther than this from the
 # spectral bound breaks uniqueness
 UNIQUENESS_TOL = 1e-8
+# a row of inv(V) is a left eigenvector only to about eps * cond(V); the
+# screen trusts it while that error stays 1000 times below REALNESS_TOL,
+# so rounding cannot pass for the imaginary part of a real vector
+CONDITION_LIMIT = 1e-3 * REALNESS_TOL / np.finfo(float).eps
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,10 +84,11 @@ def _metzler(stack: np.ndarray) -> np.ndarray:
 def _strongly_connected(stack: np.ndarray) -> np.ndarray:
     """Per matrix of a (k, m, m) stack: is its graph strongly connected?"""
     m = stack.shape[-1]
-    reach = (stack != 0.0) | np.eye(m, dtype=bool)
+    # 0/1 entries in float64: every sum of the product is an integer <= m,
+    # exact, and the product runs in BLAS
+    reach = ((stack != 0.0) | np.eye(m, dtype=bool)).astype(float)
     for _ in range(int(np.ceil(np.log2(max(m, 2))))):
-        counts = reach.astype(np.int64)
-        reach = reach | (counts @ counts > 0)
+        reach = np.minimum(reach @ reach, 1.0)
     return reach.all(axis=(1, 2))
 
 
@@ -135,10 +143,11 @@ def perron_data(gen: GeneratorMatrix, require_metzler: bool = True) -> PerronDat
     semigroup positivity is known at the operator level even though the
     discretized entries change sign.
 
-    The left vector is the bound's row of ``inv(V)``, where the columns of V
-    are the right eigenvectors: that row y satisfies y A = lambda y.  The
-    stacked screen takes its left vectors from ``eig(A.T)`` instead, so this
-    oracle stays independent of it.
+    The left vector spans the null space of ``(A - bound I).T``: the last
+    row of ``Vh`` in its singular value decomposition.  The stacked screen
+    takes its left vectors from the rows of ``inv(V)`` (V the right
+    eigenvectors) or, for an ill-conditioned V, from ``eig(A.T)``; this
+    oracle uses neither, so it stays independent of both.
     """
     if require_metzler and not gen.is_metzler():
         raise PerronViolationError("matrix is not Metzler")
@@ -155,7 +164,8 @@ def perron_data(gen: GeneratorMatrix, require_metzler: bool = True) -> PerronDat
             f"spectral bound {float(bound.real)!r} is not simple (gap {gap:g})"
         )
     right = _positive_version(right_vectors[:, idx])
-    left = _positive_version(np.linalg.inv(right_vectors)[idx])
+    shifted = gen.entries - float(bound.real) * np.eye(gen.dim)
+    left = _positive_version(np.linalg.svd(shifted.T)[2][-1])
     if right is None or left is None:
         raise PerronViolationError(
             "Perron eigenvector has a nonpositive entry; input may be reducible"
@@ -228,16 +238,47 @@ _SCREEN_CHECKS = (
 )
 
 
+def _left_eigen(
+    stack: np.ndarray, values: np.ndarray, right: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and left eigenvectors, as columns, of a (k, m, m) stack.
+
+    ``values, right = eig(stack)``.  Row j of ``inv(right)`` is the left
+    eigenvector of ``values[j]``.  A matrix whose eigenvector matrix has
+    ``cond_F(V) = |V|_F |inv(V)|_F`` above ``CONDITION_LIMIT`` (or a stack
+    in which some V is singular) takes ``eig`` of its transpose instead,
+    whose eigenvalues then serve its left checks.
+    """
+    try:
+        inverse = np.linalg.inv(right)
+    except np.linalg.LinAlgError:
+        return np.linalg.eig(stack.transpose(0, 2, 1))
+    condition = np.linalg.norm(right, axis=(1, 2)) * np.linalg.norm(inverse, axis=(1, 2))
+    left = inverse.transpose(0, 2, 1)
+    ill = np.flatnonzero(~(condition <= CONDITION_LIMIT))  # NaN included
+    if ill.size == 0:
+        return values, left
+    values_t, left_t = np.linalg.eig(stack[ill].transpose(0, 2, 1))
+    # eig of a transpose can split a defective eigenvalue into a complex pair
+    dtype = np.result_type(values, values_t)
+    values, left = values.astype(dtype), left.astype(np.result_type(left, left_t))
+    values[ill], left[ill] = values_t, left_t
+    return values, left
+
+
 def _screen(stack: np.ndarray) -> dict[int, str]:
     """Offset -> first failed check, for the matrices of a (k, m, m) stack that fail.
 
     The checks and thresholds are those of ``audit_failure``, in its order.
-    One eigensolve of the stack and one of its transposes serve the Perron
-    checks and both uniqueness scans.
+    One eigensolve of the stack serves the Perron checks and both
+    uniqueness scans: the left eigenvectors are the rows of ``inv(V)``, V
+    the right eigenvectors.  That inverse is accurate to about
+    ``eps * cond(V)``, so a matrix with ``cond_F(V) > CONDITION_LIMIT``
+    (about 4.5e3) is solved again through its transpose (``_left_eigen``).
     """
     rows = np.arange(stack.shape[0])
     values, right = np.linalg.eig(stack)
-    values_t, left = np.linalg.eig(stack.transpose(0, 2, 1))
+    left_values, left = _left_eigen(stack, values, right)
     idx = values.real.argmax(axis=1)
     bound = values[rows, idx]
     scale = np.maximum(1.0, np.abs(values).max(axis=1))
@@ -246,7 +287,7 @@ def _screen(stack: np.ndarray) -> dict[int, str]:
     right_positive = _positive_columns(right)
     left_positive = _positive_columns(left)
     perron_positive = (
-        right_positive[rows, idx] & left_positive[rows, values_t.real.argmax(axis=1)]
+        right_positive[rows, idx] & left_positive[rows, left_values.real.argmax(axis=1)]
     )
     bound_real = bound.real[:, None]
     passed = np.array([
@@ -256,7 +297,7 @@ def _screen(stack: np.ndarray) -> dict[int, str]:
         distance.min(axis=1) > SIMPLICITY_TOL * scale,
         perron_positive,
         ~(right_positive & (np.abs(values.real - bound_real) > UNIQUENESS_TOL)).any(axis=1),
-        ~(left_positive & (np.abs(values_t.real - bound_real) > UNIQUENESS_TOL)).any(axis=1),
+        ~(left_positive & (np.abs(left_values.real - bound_real) > UNIQUENESS_TOL)).any(axis=1),
     ])
     first = passed.argmin(axis=0)
     return {

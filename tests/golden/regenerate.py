@@ -3,6 +3,13 @@
 Run from the repository root:
 
     PYTHONPATH=src python tests/golden/regenerate.py
+    PYTHONPATH=src python tests/golden/regenerate.py --check
+
+``--check`` regenerates into a temporary directory and writes nothing under
+``tests/golden``.  It prints, per kept file and for the manifest, whether
+the new file is byte-identical to the committed one and, if not, the
+largest absolute and relative drift of its numbers; it exits 1 when any
+file differs.
 
 Each case runs one subcommand in-process on a small input and keeps the files
 it names.  The configs are the two demo configs with ``n_steps = 40`` (the
@@ -15,6 +22,7 @@ output is meant to change, and record the change.
 
 from __future__ import annotations
 
+import argparse
 import json
 import re
 import shutil
@@ -50,35 +58,84 @@ CASES = [
 ]
 
 
-def write_configs() -> None:
+# a number in a JSON or CSV output; the text between numbers must match
+NUMBER = re.compile(r"-?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def write_configs(directory: Path) -> None:
     texts = {}
     for name in ("homogeneous", "variable"):
         demo = (DEMOS / f"config_{name}.cfg").read_text()
         texts[name] = re.sub(r"(?m)^n_steps = .*$", "n_steps = 40", demo)
     texts["sweep"] = texts["homogeneous"] + SWEEP_LINES
     for name, text in texts.items():
-        (GOLDEN / f"{name}.cfg").write_text(text)
+        (directory / f"{name}.cfg").write_text(text)
+
+
+def run_cases(configs: Path, root: Path) -> list[dict]:
+    """Run every case with the configs in ``configs``, each into ``root / name``;
+    the manifest entries."""
+    manifest = []
+    for name, command, config, args, keep in CASES:
+        flags = [] if config is None else ["--config", str(configs / config)]
+        code = main([command, *flags, *args, "--out", str(root / name), "--quiet"])
+        manifest.append({"name": name, "command": command, "config": config,
+                         "args": args, "exit_code": code, "files": keep})
+    return manifest
 
 
 def regenerate() -> int:
-    write_configs()
-    manifest = []
+    write_configs(GOLDEN)
     with tempfile.TemporaryDirectory() as scratch:
-        for name, command, config, args, keep in CASES:
-            out = Path(scratch) / name
-            flags = [] if config is None else ["--config", str(GOLDEN / config)]
-            code = main([command, *flags, *args, "--out", str(out), "--quiet"])
-            case = {"name": name, "command": command, "config": config, "args": args,
-                    "exit_code": code, "files": keep}
-            target = GOLDEN / name
+        manifest = run_cases(GOLDEN, Path(scratch))
+        for case in manifest:
+            target = GOLDEN / case["name"]
             shutil.rmtree(target, ignore_errors=True)
             target.mkdir()
-            for file in keep:
-                shutil.copyfile(out / file, target / file)
-            manifest.append(case)
+            for file in case["files"]:
+                shutil.copyfile(Path(scratch) / case["name"] / file, target / file)
     (GOLDEN / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
     return 0
 
 
+def drift(new: str, golden: str) -> str:
+    """How ``new`` differs from ``golden``: identical, or the largest drift
+    of its numbers when the text between them matches."""
+    if new == golden:
+        return "identical"
+    if NUMBER.split(new) != NUMBER.split(golden):
+        return "differs outside its numbers"
+    worst_abs = worst_rel = 0.0
+    worst_pair = ""
+    for a, b in zip(map(float, NUMBER.findall(new)), map(float, NUMBER.findall(golden))):
+        worst_abs = max(worst_abs, abs(a - b))
+        if b != 0.0 and abs(a - b) / abs(b) > worst_rel:
+            worst_rel = abs(a - b) / abs(b)
+            worst_pair = f" ({b!r} -> {a!r})"
+    return (f"differs: max abs drift {worst_abs:.3g}, "
+            f"max rel drift {worst_rel:.3g}{worst_pair}")
+
+
+def check() -> int:
+    with tempfile.TemporaryDirectory() as scratch:
+        root = Path(scratch)
+        write_configs(root)
+        manifest = run_cases(root, root)
+        texts = {"manifest.json": json.dumps(manifest, indent=2) + "\n"}
+        for case in manifest:
+            for file in case["files"]:
+                texts[f"{case['name']}/{file}"] = (root / case["name"] / file).read_text()
+    differs = False
+    for path, text in texts.items():
+        golden = GOLDEN / path
+        verdict = drift(text, golden.read_text()) if golden.exists() else "not committed"
+        print(f"{path}: {verdict}")
+        differs |= verdict != "identical"
+    return int(differs)
+
+
 if __name__ == "__main__":
-    sys.exit(regenerate())
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", action="store_true",
+                        help="compare a fresh regeneration with the committed set")
+    sys.exit(check() if parser.parse_args().check else regenerate())

@@ -158,7 +158,23 @@ def test_gamma_near_one_is_a_config_error(tmp_path, capsys, command, gamma):
     assert not out.exists()
 
 
-DETERMINISM_SWEEP = "sweep.rho = 0.45, 0.75\nsweep.sigma = 1.0, 2.0\n"
+@pytest.mark.parametrize("command", ["solve", "simulate", "verify", "sweep"])
+def test_alpha_out_of_float_range_is_a_config_error(tmp_path, capsys, command):
+    # a huge rho with gamma > 1 underflows alpha to 0, whose power alpha0
+    # would then divide by zero
+    cfg = tmp_path / "huge_rho.cfg"
+    cfg.write_text(WINDOW_CFG.replace("gamma = 0.5", "gamma = 20.0")
+                   .replace("rho = 0.75", "rho = 1e50"))
+    out = tmp_path / "out"
+    argv = [command, "--config", str(cfg), "--out", str(out), "--n-points", "32"]
+    assert main([*argv, "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: rho = 1e+50 with gamma = 20.0: alpha = 0.0 ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+DETERMINISM_SWEEP ="sweep.rho = 0.45, 0.75\nsweep.sigma = 1.0, 2.0\n"
 
 
 @pytest.mark.parametrize("command", ["solve", "simulate", "sweep", "perron-audit"])

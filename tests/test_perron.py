@@ -6,15 +6,47 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
+from scipy.sparse.csgraph import connected_components
 
 import akgrowth as ak
 from akgrowth import GeneratorMatrix, PerronViolationError, perron
 from akgrowth.perron import (
+    _left_eigen,
     _positive_columns,
     _positive_version,
+    _screen,
+    _strongly_connected,
     battery_failures,
     random_metzler_battery,
 )
+
+# Integer-pattern generators whose right eigenvector matrix V is
+# ill-conditioned, from a defective non-dominant eigenvalue.  Rows of inv(V)
+# carry ~eps * cond(V) of rounding, enough to make a real Perron vector look
+# complex, so the screen must take their left vectors from eig(A.T).
+ILL_CONDITIONED_6 = np.array([  # cond_F(V) ~ 1.3e8
+    [-2, 1, 0, 0, 0, 1],
+    [0, -2, 1, 0, 0, 1],
+    [0, 1, -1, 1, 0, 1],
+    [1, 1, 0, -2, 1, 1],
+    [1, 0, 1, 0, 0, 1],
+    [1, 0, 0, 0, 0, -2],
+], dtype=float)
+ILL_CONDITIONED_6B = np.array([  # cond_F(V) ~ 9e7, complex spectrum
+    [0, 1, 0, 1, 1, 1],
+    [0, -1, 1, 0, 1, 0],
+    [1, 1, -2, 1, 0, 1],
+    [1, 1, 1, -1, 1, 0],
+    [1, 0, 1, 1, 0, 1],
+    [1, 1, 1, 1, 1, 0],
+], dtype=float)
+# eig returns an exactly singular V here: inv(V) raises LinAlgError
+SINGULAR_VECTORS_4 = np.array([
+    [0, 1, 0, 0],
+    [1, 0, 1, 0],
+    [1, 0, 0, 1],
+    [1, 1, 1, -1],
+], dtype=float)
 
 
 def cyclic_shift_generator(m):
@@ -36,6 +68,29 @@ class TestIrreducibility:
 
     def test_discretized_generator_is_irreducible(self, window):
         assert ak.is_irreducible(GeneratorMatrix(window.op.entries))
+
+
+class TestStronglyConnected:
+    @settings(max_examples=60)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(1, 16),
+        count=st.integers(1, 5),
+        density=st.floats(0.0, 1.0),
+    )
+    def test_matches_csgraph(self, seed, dim, count, density):
+        # an independent reference: scipy's strongly connected components
+        rng = np.random.default_rng(seed)
+        stack = np.where(
+            rng.random((count, dim, dim)) < density,
+            rng.standard_normal((count, dim, dim)),
+            0.0,
+        )
+        expected = [
+            connected_components(m != 0.0, directed=True, connection="strong")[0] == 1
+            for m in stack
+        ]
+        assert _strongly_connected(stack).tolist() == expected
 
 
 class TestPerronData:
@@ -128,10 +183,15 @@ def _block(size, rng, density):
     return ak.random_irreducible_metzler(size, rng, density).entries
 
 
+FLOAT_KINDS = ("random", "reducible", "non_metzler", "cyclic")
+BATTERY_KINDS = FLOAT_KINDS + ("integer",)
+
+
 @st.composite
-def battery_matrices(draw):
-    """Battery inputs: random, reducible, non-Metzler and cyclic-shift generators."""
-    kind = draw(st.sampled_from(["random", "reducible", "non_metzler", "cyclic"]))
+def battery_matrices(draw, kinds=BATTERY_KINDS):
+    """Battery inputs: random, reducible, non-Metzler, cyclic-shift and
+    integer-pattern generators."""
+    kind = draw(st.sampled_from(kinds))
     dim = draw(st.integers(2, 12))
     density = draw(st.floats(0.0, 1.0))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -147,6 +207,13 @@ def battery_matrices(draw):
     if kind == "cyclic":
         entries = -np.diag(rng.random(dim) + 0.5)
         entries[np.arange(dim), (np.arange(dim) + 1) % dim] = rng.random(dim) + 0.5
+        return GeneratorMatrix(entries)
+    if kind == "integer":
+        # 0/1 off-diagonals with a cycle and a diagonal in {0, -1, -2}: often
+        # a defective non-dominant eigenvalue and an ill-conditioned V
+        entries = (rng.random((dim, dim)) < density).astype(float)
+        entries[np.arange(dim), (np.arange(dim) + 1) % dim] = 1.0
+        entries[np.diag_indices(dim)] = -rng.integers(0, 3, dim)
         return GeneratorMatrix(entries)
     entries = ak.random_irreducible_metzler(dim, rng, density).entries.copy()
     if kind == "non_metzler":
@@ -177,9 +244,28 @@ def reference_failures(gens):
     return failures
 
 
+@pytest.fixture()
+def eig_calls(monkeypatch):
+    """The shapes of the arrays passed to ``np.linalg.eig``, in call order."""
+    calls = []
+    eig = np.linalg.eig
+
+    def counting_eig(a):
+        calls.append(np.shape(a))
+        return eig(a)
+
+    monkeypatch.setattr(np.linalg, "eig", counting_eig)
+    return calls
+
+
 class TestBattery:
     @settings(max_examples=60)
     @given(gens=st.lists(battery_matrices(), min_size=1, max_size=24))
+    @example(gens=[GeneratorMatrix(ILL_CONDITIONED_6)])
+    @example(gens=[GeneratorMatrix(SINGULAR_VECTORS_4)])
+    # a singular V sends its whole stack through eig(A.T)
+    @example(gens=[GeneratorMatrix(SINGULAR_VECTORS_4), cyclic_shift_generator(4),
+                   GeneratorMatrix(ILL_CONDITIONED_6B)])
     def test_matches_per_matrix_oracle(self, gens):
         expected = reference_failures(gens)
         assert battery_failures(stacks_of(gens)) == expected
@@ -190,7 +276,10 @@ class TestBattery:
 
     @settings(max_examples=40)
     @given(
-        gens=st.lists(battery_matrices(), min_size=1, max_size=12),
+        # integer patterns give Perron vectors with exact ratios such as 1/2,
+        # which a drawn positivity tolerance can equal; two solvers then
+        # round to either side of it
+        gens=st.lists(battery_matrices(FLOAT_KINDS), min_size=1, max_size=12),
         positivity=st.floats(1e-12, 0.9),
         simplicity=st.sampled_from([1e-9, 0.05, 0.5]),
     )
@@ -230,6 +319,34 @@ class TestBattery:
 
         monkeypatch.setattr(np.linalg, "eig", failing_eig)
         assert battery_failures(stacks_of(gens)) == [(2, 5, "Eigenvalues did not converge")]
+
+    def test_one_eigensolve_per_stack(self, eig_calls):
+        stacks = list(random_metzler_battery(300, 12, np.random.default_rng(21)))
+        assert battery_failures(stacks) == []
+        assert eig_calls == [stack.shape for _, stack in stacks]
+
+    @pytest.mark.parametrize("positivity", [1e-12, 0.3])
+    def test_mixed_conditioning_stack_screens_each_matrix_as_alone(
+        self, monkeypatch, eig_calls, positivity
+    ):
+        monkeypatch.setattr(perron, "POSITIVITY_TOL", positivity)
+        rng = np.random.default_rng(6)
+        stack = np.stack([
+            ak.random_irreducible_metzler(6, rng).entries,
+            ILL_CONDITIONED_6,
+            ak.random_irreducible_metzler(6, rng).entries,
+            ILL_CONDITIONED_6B,
+        ])
+        left_values, left = _left_eigen(stack, *np.linalg.eig(stack))
+        # the transposes of the two ill-conditioned matrices, and no others
+        assert eig_calls == [(4, 6, 6), (2, 6, 6)]
+        verdicts = _screen(stack)
+        for k in range(len(stack)):
+            single = stack[k:k + 1]
+            alone_values, alone_left = _left_eigen(single, *np.linalg.eig(single))
+            assert np.array_equal(alone_values[0], left_values[k])
+            assert np.array_equal(alone_left[0], left[k])
+            assert _screen(single) == ({0: verdicts[k]} if k in verdicts else {})
 
 
 class TestRandomBattery:
