@@ -216,9 +216,13 @@ def audit_failure(gen: GeneratorMatrix) -> str | None:
 
 def _positive_columns(vectors: np.ndarray) -> np.ndarray:
     """``_positive_version(...) is not None`` for every column of a (k, m, m) stack."""
-    pivot = np.take_along_axis(vectors, np.abs(vectors).argmax(axis=1)[:, None, :], axis=1)
-    rotated = vectors * (np.conj(pivot) / np.abs(pivot))
-    realness = REALNESS_TOL * np.maximum(1.0, np.abs(rotated).max(axis=1))
+    modulus = np.abs(vectors)
+    at = modulus.argmax(axis=1)[:, None, :]
+    pivot = np.take_along_axis(vectors, at, axis=1)
+    size = np.take_along_axis(modulus, at, axis=1)
+    rotated = vectors * (np.conj(pivot) / size)
+    # |pivot| is the largest modulus of the rotated column too, up to an ulp
+    realness = REALNESS_TOL * np.maximum(1.0, size[:, 0, :])
     # the pivot entry is now |pivot| > 0, so the largest real entry is
     # positive and no sign flip is needed
     scaled_min = rotated.real.min(axis=1) / rotated.real.max(axis=1)

@@ -1,10 +1,18 @@
 import json
+import math
+import tracemalloc
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import akgrowth as ak
 from akgrowth import serialize
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 class TestFloatFormatting:
@@ -167,21 +175,132 @@ class TestRowFormatter:
         ]
         assert serialize.deviation_csv(report) == "\n".join(reference) + "\n"
 
-    def test_no_format_float_call_per_finite_cell(self, window, monkeypatch, tmp_path):
-        # the leading cells (theta per basis row; t per time row and the theta
-        # column once) are the only format_float calls on finite data
-        n = window.grid.n_points
+    def test_format_float_only_outside_the_kernel_range(self, window, monkeypatch,
+                                                        tmp_path):
+        # format_float sees only the cells the kernel leaves to it, and the
+        # time and node columns once per value
         traj = ak.simulate(window.clo, window.K0, 1.0, 4)
-        assert np.isfinite(window.basis.vectors).all() and np.isfinite(traj.states).all()
         calls = []
         original = serialize.format_float
         monkeypatch.setattr(serialize, "format_float",
                             lambda x: calls.append(x) or original(x))
         serialize.write_basis_csv(tmp_path / "basis.csv", window.basis)
-        assert len(calls) == n
-        calls.clear()
         written_trajectory(traj, tmp_path)
-        assert len(calls) == n + len(traj.times)
+        formatted = np.concatenate([
+            window.grid.nodes, window.basis.vectors.ravel(),
+            traj.times, window.grid.nodes, traj.states.ravel(), traj.detrended.ravel(),
+        ])
+        outside = ~((np.abs(formatted) >= 1e-4) & (np.abs(formatted) < 1e17))
+        assert outside.any() and not outside.all()
+        np.testing.assert_array_equal(calls, formatted[outside])
+
+
+def cell_texts(values) -> list[str]:
+    """The kernel's text of every value, through ``_lines``."""
+    cells = serialize._cells(np.asarray(values, dtype=float).reshape(-1))
+    return serialize._lines(cells).decode().split("\n")[:-1]
+
+
+def with_examples(values):
+    def decorate(test):
+        for value in values:
+            test = example(value)(test)
+        return test
+    return decorate
+
+
+POWERS_OF_TEN = [10.0 ** k for k in range(-6, 19)]
+KERNEL_EXAMPLES = [
+    *POWERS_OF_TEN,
+    *np.nextafter(POWERS_OF_TEN, 0.0).tolist(),
+    *np.nextafter(POWERS_OF_TEN, np.inf).tolist(),
+    1e-4, 1e17,
+    # exact ties at the 17th digit, where round half even and half up differ:
+    # x * 10^(16 - E) ends in .5 for E = 15 (k + 0.25, k in [2^50, 2^51)),
+    # E = 14, 0 and -1
+    2.0**50 + 0.25, 2.0**50 + 1.25, 1234567890123456.25, 2.0**51 - 0.75,
+    123456789012345.125, 1.0 + 2.0**-17, 0.5 + 2.0**-18,
+    # 17 nines: the nearest double is 1e17, the first value past the kernel
+    99999999999999999.0,
+]
+
+
+class TestKernel:
+    @settings(max_examples=300)
+    @given(st.floats() | st.floats(min_value=-1e17, max_value=1e17))
+    @with_examples(KERNEL_EXAMPLES)
+    def test_matches_format_float(self, x):
+        assert cell_texts([x, -x]) == [serialize.format_float(x), serialize.format_float(-x)]
+
+    def test_rounding_never_carries_to_18_digits(self):
+        # the kernel has no carry step: the largest double below each power
+        # of ten in its range is more than half a unit of the 17th digit away
+        for j in range(-3, 18):
+            power = Fraction(10) ** j
+            below = float(power)
+            if Fraction(below) >= power:
+                below = math.nextafter(below, 0.0)
+            assert (power - Fraction(below)) * 10 ** (17 - j) > Fraction(1, 2)
+
+
+class TestGoldenRoundTrip:
+    """Each golden float CSV, parsed and written back, is the same file.
+
+    The check needs no eigensolver: the arrays come from the file itself.
+    """
+
+    @staticmethod
+    def read(case, name):
+        text = (GOLDEN / case / name).read_text()
+        rows = text.splitlines()[1:]
+        return text, np.array([[float(c) for c in row.split(",")] for row in rows])
+
+    @pytest.mark.parametrize("case", ["homogeneous-simulate", "variable-simulate"])
+    def test_trajectory(self, case, tmp_path):
+        text, cells = self.read(case, "trajectory.csv")
+        n = np.unique(cells[:, 1]).size
+        grid = ak.Grid(n)
+        steps = cells.shape[0] // n
+        traj = ak.closed_loop.Trajectory(
+            grid, cells[::n, 0], cells[:, 2].reshape(steps, n), cells[:, 3].reshape(steps, n)
+        )
+        assert written_trajectory(traj, tmp_path) == text
+
+    @pytest.mark.parametrize("case", ["homogeneous-solve", "variable-solve"])
+    def test_basis(self, case, tmp_path):
+        text, cells = self.read(case, "basis.csv")
+        n = cells.shape[0]
+        basis = ak.SpectralBasis(ak.Grid(n), np.zeros(n), cells[:, 1:])
+        serialize.write_basis_csv(tmp_path / "basis.csv", basis)
+        assert (tmp_path / "basis.csv").read_text() == text
+
+    @pytest.mark.parametrize("case", ["homogeneous-simulate", "variable-simulate"])
+    def test_deviations(self, case):
+        text, cells = self.read(case, "deviations.csv")
+        report = ak.stability.StabilityReport(
+            M=1.0, rate=0.1, steady_state=None, bound_satisfied=True,
+            fitted_rate=0.1, admissible=True, admissibility_condition=True,
+            dominance_ok=True, max_bound_violation=0.0, times=cells[:, 0],
+            deviations=cells[:, 1], bounds=cells[:, 2], grid_points=8,
+        )
+        assert serialize.deviation_csv(report) == text
+
+
+def test_trajectory_write_streams_in_blocks(tmp_path):
+    # 161 x 512 is the size of the benchmark's simulate, ~8 MB of text
+    grid = ak.Grid(512)
+    times = np.linspace(0.0, 8.0, 161)
+    states = 1.0 + 0.4 * np.cos(grid.nodes) * np.exp(-times)[:, None]
+    traj = ak.closed_loop.Trajectory(grid, times, states, 0.9 * states)
+    path = tmp_path / "trajectory.csv"
+    tracemalloc.start()
+    try:
+        serialize.write_trajectory_csv(path, traj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+    assert path.stat().st_size > 6e6
 
 
 class TestSummaries:
