@@ -2,8 +2,10 @@
 
 Two independent routes must meet: the discounted payoff of the feedback
 control, computed by time quadrature, has to reproduce the closed-form value
-function; and no admissible perturbation of the plan may beat it. The script
-also shows the discounted value dying out along the path (transversality).
+function; and no perturbation of the feedback law may beat it. Each
+perturbed law consumes P <x(t), b0> (1 + a e^(-t) cos(m theta + phi)), so it
+keeps <x(t), b0> positive and is admissible by construction. The script also
+shows the discounted value dying out along the path (transversality).
 """
 
 import numpy as np
@@ -28,7 +30,7 @@ print(f"v(K0)            = {audit.v:.12f}")
 print(f"relative gap     = {audit.rel_gap:.2e}")
 
 print()
-print("== dominance over perturbed admissible plans ==")
+print("== dominance over perturbed feedback laws, all admissible ==")
 print("sample  amplitude  mode  payoff gap to v")
 for i, s in enumerate(audit.samples):
     print(f"  {i:>2}      {s.amplitude:.3f}     {s.mode}   {s.payoff - audit.v:+.3e}")

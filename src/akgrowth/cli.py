@@ -125,7 +125,8 @@ def cmd_verify(config: RunConfig, out: Path, quiet: bool,
 
     # transversality needs a horizon long enough for the discounted value to
     # die; it is checked on the optimal path and on the sampled perturbations
-    # (whose discounted value decays at the slower admissible-envelope rate).
+    # of the feedback law (admissible by construction), whose discounted value
+    # decays at the feedback rate up to the factor e^(-c (1 - e^(-T))).
     # The optimal path pairs with b0 as the closed loop's leading mode:
     # <K(t), b0> = <K0, b0> e^(r t) with r = spectrum[0]
     times = np.linspace(0.0, audit.horizon, config.n_steps + 1)

@@ -11,6 +11,7 @@ Three parameter sets cover the regimes the checks care about:
 
 from __future__ import annotations
 
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -40,6 +41,24 @@ def build_pipeline(n_points, sigma, rho, gamma, q, A_fn, eta_fn, K0_fn):
         pd = None  # g sits on an eigenvalue; projection machinery undefined
     return SimpleNamespace(
         grid=grid, params=params, op=op, basis=basis, sol=sol, K0=K0, clo=clo, pd=pd
+    )
+
+
+def audit_draws(n_perturbations, seed):
+    """The (amplitude, mode, phase) triples ``optimality_audit`` draws: the
+    first n_perturbations of default_rng(seed), every one admissible."""
+    rng = np.random.default_rng(seed)
+    return [(rng.uniform(0.05, 0.2), int(rng.integers(1, 4)), rng.uniform(0.0, 2.0 * np.pi))
+            for _ in range(n_perturbations)]
+
+
+def discounted_terminal_closed_form(sol, T, draws):
+    """e^(-a0 T) max_s e^(-c_s (1 - e^(-T))), c_s = (1-gamma) Q1 of draw s:
+    the largest e^(-rho T) |v(x(T))| / |v(x0)| over the perturbed plans."""
+    a0 = ak.verify.optimal_payoff_exponent(sol)
+    shifts = [ak.verify._pairing_shift(sol, *draw) for draw in draws]
+    return math.exp(-a0 * T) * max(
+        math.exp(-(1.0 - sol.params.gamma) * q * -math.expm1(-T)) for q in shifts
     )
 
 

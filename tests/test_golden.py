@@ -62,9 +62,6 @@ FIELD_BOUNDS = {
     "quadrature_doubling_gap": (0.0, 1e-12),
     # |J_opt - v| / |v|: moves by the drift of J_opt plus that of v
     "rel_gap": (DRIFT_REL, 2 * DRIFT_REL),
-    # the pairing's rounding grows by e^((lambda0 - g) T), ~1e8 on the
-    # homogeneous config: 1e-7 is a few ulp of it
-    "max_discounted_terminal_rel": (1e-7, 0.0),
 }
 
 

@@ -16,12 +16,12 @@ from akgrowth.verify import (
     _composite_gauss_legendre,
     _feedback_payoff,
     _feedback_utility,
+    _pairing_shift,
     _perturbed_control,
-    _perturbed_pairing,
     _perturbed_payoff,
 )
 
-from conftest import build_pipeline
+from conftest import audit_draws, build_pipeline, discounted_terminal_closed_form
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -62,28 +62,10 @@ def _open_loop_oracle(basis, params, x0, control, times, nodes_per_unit=64):
     return np.array(states)
 
 
-def _reference_draws(sol, x0, n_perturbations, seed, nodes_per_unit=64):
-    """(amplitude, mode, phase, resampled) of the audit's draws, from the oracle."""
-    horizon = ak.default_horizon(sol, x0)
-    check_times = np.linspace(0.0, horizon, 4 * math.ceil(horizon) + 1)
-    rng = np.random.default_rng(seed)
-    draws = []
-    for _ in range(n_perturbations):
-        resampled = 0
-        while True:
-            amplitude = rng.uniform(0.05, 0.2)
-            mode = int(rng.integers(1, 4))
-            phase = rng.uniform(0.0, 2.0 * np.pi)
-            control = _perturbed_control(sol, _p0(sol, x0), amplitude, mode, phase)
-            states = _open_loop_oracle(
-                sol.basis, sol.params, x0, control, check_times, nodes_per_unit
-            )
-            if all(inner_l2(GridFunction(sol.basis.grid, s), sol.basis.b0) > 0.0
-                   for s in states):
-                break
-            resampled += 1
-        draws.append((float(amplitude), mode, float(phase), resampled))
-    return draws
+def _closed_form_pairing(sol, p0, amplitude, mode, phase, times):
+    """<x(t), b0> of the perturbed feedback law, p0 exp(g t - Q1 (1 - e^(-t)))."""
+    shift = _pairing_shift(sol, amplitude, mode, phase)
+    return p0 * np.exp(sol.g * times + shift * np.expm1(-times))
 
 
 def _p0(sol, x0):
@@ -216,7 +198,9 @@ class TestOpenLoop:
         # along the feedback path <x(t), b0> = <x0, b0> e^(g t) exactly
         sol, K0 = window.sol, window.K0
         times = np.linspace(0.0, 5.0, 21)
-        pairings = _perturbed_pairing(sol, _p0(sol, K0), 0.0, 1, 0.0, times)
+        control = _perturbed_control(sol, _p0(sol, K0), 0.0, 1, 0.0)
+        states = ak.open_loop_trajectory(window.basis, window.params, K0, control, times)
+        pairings = window.grid.weight * (states @ window.basis.b0.values)
         expected = inner_l2(K0, window.basis.b0) * np.exp(sol.g * times)
         assert pairings.shape == times.shape
         assert np.abs(pairings - expected).max() < 1e-9 * expected.max()
@@ -239,7 +223,7 @@ class TestBatchedMatchesOracle:
 
     gammas = st.one_of(st.floats(0.3, 0.9), st.floats(1.2, 3.0))
     perturbations = dict(
-        amplitude=st.floats(0.0, 0.2),
+        amplitude=st.floats(-0.2, 0.2),
         mode=st.integers(1, 3),
         phase=st.floats(0.0, 2.0 * np.pi),
     )
@@ -282,11 +266,26 @@ class TestBatchedMatchesOracle:
         p0 = _p0(pipe.sol, pipe.K0)
         control = _perturbed_control(pipe.sol, p0, amplitude, mode, phase)
         times = np.concatenate([[0.0], np.cumsum(steps)])
-        pairings = _perturbed_pairing(pipe.sol, p0, amplitude, mode, phase, times)
+        pairings = _closed_form_pairing(pipe.sol, p0, amplitude, mode, phase, times)
         states = ak.open_loop_trajectory(pipe.basis, pipe.params, pipe.K0, control, times)
         reference = pipe.grid.weight * (states @ pipe.basis.b0.values)
         assert pairings.shape == reference.shape
         assert np.abs(pairings - reference).max() <= 1e-9 * np.abs(reference).max()
+
+    @settings(max_examples=30)
+    @given(gamma=gammas, **perturbations)
+    def test_pairing_positive_over_the_audit_horizon(self, gamma, amplitude, mode, phase):
+        # every draw is admissible: the pairing stays within the factor
+        # e^(|Q1|) of the feedback path's, and |Q1| <= |a| <eta P, b0>
+        pipe = _oracle_pipeline(gamma)
+        sol, p0 = pipe.sol, _p0(pipe.sol, pipe.K0)
+        horizon = ak.default_horizon(sol, pipe.K0)
+        times = np.linspace(0.0, horizon, 4 * math.ceil(horizon) + 1)
+        pairings = _closed_form_pairing(sol, p0, amplitude, mode, phase, times)
+        bound = abs(amplitude) * (pipe.basis.lambda0 - sol.g)
+        assert abs(_pairing_shift(sol, amplitude, mode, phase)) <= bound
+        assert np.all(pairings > 0.0)
+        assert np.all(pairings >= math.exp(-bound) * p0 * np.exp(sol.g * times) * (1 - 1e-12))
 
     @settings(max_examples=30)
     @given(gamma=gammas, T=st.floats(0.5, 6.0), **perturbations)
@@ -355,19 +354,21 @@ class TestOptimalityAudit:
 
     @pytest.mark.parametrize("name", ["variable", "gamma2"])
     def test_draw_sequence_matches_reference(self, name, request, monkeypatch):
+        # every draw is admissible, so the samples are the first n triples of
+        # the seeded stream and each one costs one closed-form payoff
         pipe = request.getfixturevalue(name)
-        solve = ak.verify._perturbed_pairing
+        evaluate = ak.verify._perturbed_payoff
         calls = []
 
         def spy(*args, **kwargs):
             calls.append(1)
-            return solve(*args, **kwargs)
+            return evaluate(*args, **kwargs)
 
-        monkeypatch.setattr(ak.verify, "_perturbed_pairing", spy)
+        monkeypatch.setattr(ak.verify, "_perturbed_payoff", spy)
         audit = ak.optimality_audit(pipe.sol, pipe.K0, 8, seed=3)
-        draws = [(s.amplitude, s.mode, s.phase, s.resampled) for s in audit.samples]
-        assert draws == _reference_draws(pipe.sol, pipe.K0, 8, seed=3)
-        assert len(calls) == 8 + sum(s.resampled for s in audit.samples)
+        draws = [(s.amplitude, s.mode, s.phase) for s in audit.samples]
+        assert draws == audit_draws(8, seed=3)
+        assert len(calls) == 8
 
     @pytest.mark.parametrize("source", ["fixture", "demo_config"])
     def test_discounted_terminal_value(self, window, source):
@@ -381,16 +382,17 @@ class TestOptimalityAudit:
         exact = math.exp(-ak.verify.optimal_payoff_exponent(sol) * audit.horizon)
         # at amplitude 0 the family is the feedback plan, and its closed-form
         # pairing p0 e^(g T) gives the exact discounted terminal value
-        p_T = _perturbed_pairing(sol, _p0(sol, K0), 0.0, 1, 0.0, np.array([audit.horizon]))[0]
+        p_T = _closed_form_pairing(sol, _p0(sol, K0), 0.0, 1, 0.0, np.array([audit.horizon]))[0]
         terminal = math.exp(-sol.params.rho * audit.horizon) * abs(
             ak.verify.value_at_pairing(sol, p_T) / audit.v
         )
         assert abs(terminal - exact) <= 1e-12 * exact
-        # for a > 0 the computed b0's rounding (~1e-13 relative, so a
-        # cos(m theta) content of Q/B ~ 1e-14 where exact homogeneous
-        # coefficients have none) grows by e^((lambda0 - g) T) ~ 1e8 along the
-        # open loop; that, not the evaluation, limits the audit's figure
-        assert abs(audit.max_discounted_terminal_rel - exact) <= 1e-6 * exact
+        # the audit's figure is its closed form over the drawn samples; with
+        # homogeneous coefficients Q1 is 0 up to rounding, so that is e^(-a0 T)
+        draws = [(s.amplitude, s.mode, s.phase) for s in audit.samples]
+        closed = discounted_terminal_closed_form(sol, audit.horizon, draws)
+        assert abs(audit.max_discounted_terminal_rel - closed) <= 1e-12 * closed
+        assert abs(audit.max_discounted_terminal_rel - exact) <= 1e-12 * exact
 
     def test_work_per_draw_takes_only_the_pairing(self, window, monkeypatch):
         # the audit pairs x0 once; the draws work on that pairing and build no
@@ -441,14 +443,63 @@ class TestOptimalityAudit:
         assert audit.max_discounted_terminal_rel <= envelope
 
     def test_variable_eta_couples_into_ground_mode(self, variable_mild):
-        # with spatially varying eta the perturbations shift <x, b0>, so the
-        # discounted terminal value decays at the admissible-envelope rate
-        # rho - lambda0*(1-gamma), slower than along the feedback path
+        # with spatially varying eta the perturbations shift <x, b0> (Q1 is
+        # not 0), and the discounted terminal value stays within the
+        # admissible-envelope rate rho - lambda0*(1-gamma)
         pipe = variable_mild
         audit = ak.optimality_audit(pipe.sol, pipe.K0, 2, seed=11)
         assert audit.all_dominated
         envelope = ak.perturbed_transversality_envelope(pipe.sol, audit.horizon)
         assert 0.0 < audit.max_discounted_terminal_rel <= envelope
+
+    @pytest.mark.parametrize("source", ["config_homogeneous", "config_variable", "gamma2"])
+    def test_dominance_margin_is_second_order(self, gamma2, source):
+        # the feedback law is a strict maximum along the family: J(a) - v
+        # shrinks like a^2 and is negative on both sides of a = 0
+        if source == "gamma2":
+            sol, K0 = gamma2.sol, gamma2.K0
+        else:
+            grid, params, K0 = load_config(ROOT / "demos" / f"{source}.cfg").model()
+            sol = ak.solve_hjb(ak.eigendecompose(ak.assemble_generator(params, grid)), params)
+        p0, v = _p0(sol, K0), ak.value_function(sol, K0)
+        T = ak.default_horizon(sol, K0)
+        for mode, phase in [(1, 0.0), (2, 1.0), (3, 2.5)]:
+            curvature = [(_perturbed_payoff(sol, p0, a, mode, phase, T) - v) / a**2
+                         for a in (0.025, 0.05, 0.1)]
+            assert max(curvature) < 0.0
+            assert min(curvature) / max(curvature) <= 1.2
+            assert _perturbed_payoff(sol, p0, -0.05, mode, phase, T) < v
+            assert _perturbed_payoff(sol, p0, 0.05, mode, phase, T) < v
+
+    def test_overconsumption_is_sampled(self):
+        # the draws of the variable demo push <x(t), b0> both below (Q1 > 0:
+        # more consumption) and above (Q1 < 0) the feedback path
+        run = load_config(ROOT / "demos" / "config_variable.cfg")
+        grid, params, K0 = run.model()
+        sol = ak.solve_hjb(ak.eigendecompose(ak.assemble_generator(params, grid)), params)
+        audit = ak.optimality_audit(sol, K0, run.n_perturbations, run.seed)
+        shifts = [_pairing_shift(sol, s.amplitude, s.mode, s.phase) for s in audit.samples]
+        assert len(shifts) == 20
+        assert min(shifts) < 0.0 < max(shifts)
+        assert audit.all_dominated
+
+    @pytest.mark.parametrize("gamma", [1.5, 3.0, 6.0])
+    def test_terminal_value_within_the_gamma_above_one_envelope(self, gamma):
+        # for gamma > 1 the envelope is twice the feedback path's decay; along
+        # the family the figure is that decay times e^(-c (1 - e^(-T)))
+        pipe = build_pipeline(
+            128, sigma=1.0, rho=0.8, gamma=gamma, q=0.5,
+            A_fn=lambda t: 1.0 + 0.5 * np.cos(t),
+            eta_fn=lambda t: 1.0 + 0.3 * np.sin(2 * t),
+            K0_fn=lambda t: 1.0 + 0.4 * np.cos(t),
+        )
+        audit = ak.optimality_audit(pipe.sol, pipe.K0, 200, seed=7)
+        draws = [(s.amplitude, s.mode, s.phase) for s in audit.samples]
+        closed = discounted_terminal_closed_form(pipe.sol, audit.horizon, draws)
+        assert abs(audit.max_discounted_terminal_rel - closed) <= 1e-12 * closed
+        envelope = ak.perturbed_transversality_envelope(pipe.sol, audit.horizon)
+        assert audit.max_discounted_terminal_rel <= envelope
+        assert audit.all_dominated
 
 
 class TestHjbResidual:
