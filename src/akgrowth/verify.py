@@ -56,6 +56,9 @@ ControlProvider = Callable[[np.ndarray], np.ndarray]
 # Gauss-Legendre nodes per unit of time in the payoff and open-loop quadratures
 _NODES_PER_UNIT = 64
 
+# range of the perturbation amplitude a drawn by the audit
+_AMPLITUDES = (0.05, 0.2)
+
 
 @lru_cache(maxsize=None)
 def _gauss_legendre(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -175,16 +178,17 @@ def perturbed_transversality_envelope(sol: HjbSolution, T: float) -> float:
     path's e^(-(rho - g (1-gamma)) t).  For gamma > 1 no such upper envelope
     exists in general.  Along the audit's feedback family
     (p(T) / (p0 e^(g T)))^(1-gamma) = e^(-c (1 - e^(-T))), c = (1-gamma) Q1,
-    with |Q1| <= a (lambda0 - g) since eta P b0 > 0: decay at the feedback
-    rate within the factor e^|c|.  The factor-2 allowance covers every draw
-    while (gamma-1) a (lambda0 - g) <= ln 2, and beyond that while the cosine
-    moment Q1 of the smooth positive eta P b0 stays well below its bound.
+    with |Q1| <= a (lambda0 - g) since eta P b0 >= 0: decay at the feedback
+    rate within the factor e^((gamma-1) a_max (lambda0 - g)), a_max the
+    family's largest amplitude.  The envelope takes that factor, and at
+    least 2.
     """
     gamma = sol.params.gamma
     if gamma < 1:
         rate = sol.params.rho - sol.basis.lambda0 * (1.0 - gamma)
         return math.exp(-rate * T) * (1.0 + 1e-9)
-    return 2.0 * math.exp(-optimal_payoff_exponent(sol) * T)
+    spread = (gamma - 1.0) * _AMPLITUDES[1] * (sol.basis.lambda0 - sol.g)
+    return max(2.0, math.exp(spread)) * math.exp(-optimal_payoff_exponent(sol) * T)
 
 
 def open_loop_trajectory(
@@ -262,62 +266,50 @@ class OptimalityAudit:
     perturbation_family: str
 
 
-def _pairing_shift(sol: HjbSolution, amplitude: float, mode: int, phase: float) -> float:
-    """Q1 = a <eta P cos(m theta + phase), b0>: the perturbed feedback law's
-    pairing is p(t) = p0 exp(g t - Q1 (1 - e^(-t))).  Q1 > 0 overconsumes."""
-    basis = sol.basis
-    forcing = (basis.grid.weight * sol.params.eta.values * sol.feedback_profile.values
-               * basis.b0.values)
-    return amplitude * float(forcing @ np.cos(mode * basis.grid.nodes + phase))
-
-
-def _perturbed_control(sol: HjbSolution, p0: float, amplitude: float,
-                       mode: int, phase: float) -> ControlProvider:
-    """The perturbed feedback law P p(t) (1 + a e^{-t} cos(m theta + phase))
-    along its closed-form pairing p(t) from p0, as an open-loop control: the
-    test oracle of the audit's closed forms."""
-    bump = amplitude * np.cos(mode * sol.basis.grid.nodes + phase)
-    base = sol.feedback_profile.values * p0
-    shift = _pairing_shift(sol, amplitude, mode, phase)
-
-    def control(t: np.ndarray) -> np.ndarray:
-        growth = np.exp(sol.g * t + shift * np.expm1(-t))
-        return (np.exp(-t)[:, None] * bump + 1.0) * (base * growth[:, None])
-
-    return control
-
-
-def _perturbed_payoff(sol: HjbSolution, p0: float, amplitude: float,
-                      mode: int, phase: float, T: float) -> float:
-    """Payoff over [0, T] of the perturbed feedback law from the pairing p0.
+def _perturbation_family(
+    sol: HjbSolution, p0: float, T: float
+) -> Callable[[float, int, float], tuple[float, float]]:
+    """Map a draw (a, m, phase) of the perturbed feedback law from the pairing
+    p0 to its payoff over [0, T] and its discounted terminal value relative to
+    |v(x0)|, building what does not depend on the draw once.
 
     By homogeneity U(c(t)) e^(-rho t) = e^(-a0 t - c (1 - e^(-t)))
-    U(c_hat0 (1 + a e^(-t) cos)), a0 = rho - g (1-gamma), c = (1-gamma) Q1.
-    The binomial series of (1 + x)^(1-gamma), converging for |a| < 1, writes
-    the last factor as sum_k C(1-gamma, k) a^k M_k e^(-k t) with quadratures
+    U(c_hat0 (1 + a e^(-t) cos)), a0 = rho - g (1-gamma), c = (1-gamma) Q1, so
+    the terminal value is e^(-a0 T - c (1 - e^(-T))).  The binomial series of
+    (1 + x)^(1-gamma), converging for |a| < 1, writes the last factor as
+    sum_k C(1-gamma, k) a^k M_k e^(-k t) with quadratures
     M_k = int f c_hat0^(1-gamma) cos^k / (1-gamma), M_0 = U(c_hat0); and
     e^(-c (1 - e^(-t))) = e^(-c) sum_j c^j/j! e^(-j t).  With d the
     convolution of the two series, J = e^(-c) sum_n d_n (1 - e^(-(a0+n) T)) / (a0+n).
     """
     a0, u0 = _feedback_utility(sol, p0)
     exponent = 1.0 - sol.params.gamma
-    terms = [1.0]  # C(1-gamma, k) a^k
-    # past k = |1-gamma| each term is below 2|a| times the one before
-    while len(terms) <= abs(exponent) + 1 or abs(terms[-1]) > 1e-17:
-        k = len(terms) - 1
-        terms.append(terms[-1] * (exponent - k) / (k + 1) * amplitude)
+    basis = sol.basis
+    nodes, weight = basis.grid.nodes, basis.grid.weight
     weighted = sol.consumption_weight_f.values * (sol.feedback_profile.values * p0) ** exponent
-    # rows cos^1 .. cos^K by repeated products
-    cosine = np.cos(mode * sol.basis.grid.nodes + phase)
-    powers = np.cumprod(np.broadcast_to(cosine, (len(terms) - 1, cosine.size)), axis=0)
-    moments = np.concatenate(([u0], sol.basis.grid.weight * (powers @ weighted) / exponent))
-    c = exponent * _pairing_shift(sol, amplitude, mode, phase)
-    decay = [1.0]  # c^j / j!, decreasing once j > |c|
-    while len(decay) <= abs(c) + 1 or abs(decay[-1]) > 1e-17:
-        decay.append(decay[-1] * c / len(decay))
-    d = np.convolve(np.multiply(terms, moments), decay)
-    rates = a0 + np.arange(d.size)
-    return math.exp(-c) * float(np.dot(d, -np.expm1(-rates * T) / rates))
+    # Q1 = a <eta P cos(m theta + phase), b0> = a (shift_weights @ cos(m theta + phase))
+    shift_weights = weight * sol.params.eta.values * sol.feedback_profile.values * basis.b0.values
+
+    def evaluate(amplitude: float, mode: int, phase: float) -> tuple[float, float]:
+        terms = [1.0]  # C(1-gamma, k) a^k
+        # past k = |1-gamma| each term is below 2|a| times the one before
+        while len(terms) <= abs(exponent) + 1 or abs(terms[-1]) > 1e-17:
+            k = len(terms) - 1
+            terms.append(terms[-1] * (exponent - k) / (k + 1) * amplitude)
+        # rows cos^1 .. cos^K by repeated products
+        cosine = np.cos(mode * nodes + phase)
+        powers = np.cumprod(np.broadcast_to(cosine, (len(terms) - 1, cosine.size)), axis=0)
+        moments = np.concatenate(([u0], weight * (powers @ weighted) / exponent))
+        c = exponent * (amplitude * float(shift_weights @ cosine))
+        decay = [1.0]  # c^j / j!, decreasing once j > |c|
+        while len(decay) <= abs(c) + 1 or abs(decay[-1]) > 1e-17:
+            decay.append(decay[-1] * c / len(decay))
+        d = np.convolve(np.multiply(terms, moments), decay)
+        rates = a0 + np.arange(d.size)
+        J = math.exp(-c) * float(np.dot(d, -np.expm1(-rates * T) / rates))
+        return J, math.exp(-a0 * T + c * math.expm1(-T))
+
+    return evaluate
 
 
 def optimality_audit(
@@ -347,23 +339,17 @@ def optimality_audit(
     doubled = _feedback_payoff(a0, u0, horizon, 2 * _NODES_PER_UNIT)
     rel_gap = abs(optimal - v) / abs(v)
 
+    evaluate = _perturbation_family(sol, p0, horizon)
     rng = np.random.default_rng(seed)
     samples: list[PerturbationSample] = []
     max_terminal = 0.0
     for _ in range(n_perturbations):
-        amplitude = rng.uniform(0.05, 0.2)
+        amplitude = rng.uniform(*_AMPLITUDES)
         mode = int(rng.integers(1, 4))
         phase = rng.uniform(0.0, 2.0 * np.pi)
-        c = (1.0 - sol.params.gamma) * _pairing_shift(sol, amplitude, mode, phase)
-        max_terminal = max(max_terminal, math.exp(-a0 * horizon + c * math.expm1(-horizon)))
-        samples.append(
-            PerturbationSample(
-                amplitude=float(amplitude),
-                mode=mode,
-                phase=float(phase),
-                payoff=_perturbed_payoff(sol, p0, amplitude, mode, phase, horizon),
-            )
-        )
+        J, terminal = evaluate(amplitude, mode, phase)
+        max_terminal = max(max_terminal, terminal)
+        samples.append(PerturbationSample(float(amplitude), mode, float(phase), J))
     perturbed = [s.payoff for s in samples]
     max_perturbed = max(perturbed) if perturbed else float("-inf")
     dominated = all(p <= v + tolerances.dominance_rel * abs(v) for p in perturbed)
@@ -381,7 +367,8 @@ def optimality_audit(
         max_discounted_terminal_rel=max_terminal,
         seed=seed,
         perturbation_family=(
-            "feedback law times 1 + a*exp(-t)*cos(m*theta+phi), 0.05<=a<=0.2, "
+            "feedback law times 1 + a*exp(-t)*cos(m*theta+phi), "
+            f"{_AMPLITUDES[0]}<=a<={_AMPLITUDES[1]}, "
             "m in {1,2,3}; admissible by construction; smooth parametric family "
             "only, not an exhaustive search"
         ),

@@ -52,13 +52,44 @@ def audit_draws(n_perturbations, seed):
             for _ in range(n_perturbations)]
 
 
-def discounted_terminal_closed_form(sol, T, draws):
-    """e^(-a0 T) max_s e^(-c_s (1 - e^(-T))), c_s = (1-gamma) Q1 of draw s:
-    the largest e^(-rho T) |v(x(T))| / |v(x0)| over the perturbed plans."""
-    a0 = ak.verify.optimal_payoff_exponent(sol)
-    shifts = [ak.verify._pairing_shift(sol, *draw) for draw in draws]
-    return math.exp(-a0 * T) * max(
-        math.exp(-(1.0 - sol.params.gamma) * q * -math.expm1(-T)) for q in shifts
+def pairing_shift(sol, amplitude, mode, phase):
+    """Q1 = a <eta P cos(m theta + phase), b0>, P the feedback profile: the
+    pairing shift of the perturbed feedback law with that draw."""
+    bumped = sol.params.eta.values * sol.feedback_profile.values * np.cos(
+        mode * sol.basis.grid.nodes + phase
+    )
+    return amplitude * ak.inner_l2(ak.GridFunction(sol.basis.grid, bumped), sol.basis.b0)
+
+
+def perturbed_control(sol, p0, amplitude, mode, phase):
+    """The perturbed feedback law P p(t) (1 + a e^(-t) cos(m theta + phase))
+    along its closed-form pairing p(t) from p0, as an open-loop control: the
+    oracle of the audit's closed forms."""
+    bump = amplitude * np.cos(mode * sol.basis.grid.nodes + phase)
+    base = sol.feedback_profile.values * p0
+    shift = pairing_shift(sol, amplitude, mode, phase)
+
+    def control(t):
+        growth = np.exp(sol.g * t + shift * np.expm1(-t))
+        return (np.exp(-t)[:, None] * bump + 1.0) * (base * growth[:, None])
+
+    return control
+
+
+def closed_form_pairing(sol, p0, amplitude, mode, phase, times):
+    """<x(t), b0> of the perturbed feedback law, p0 exp(g t - Q1 (1 - e^(-t)))."""
+    shift = pairing_shift(sol, amplitude, mode, phase)
+    return p0 * np.exp(sol.g * times + shift * np.expm1(-times))
+
+
+def largest_discounted_terminal_value(sol, p0, T, draws):
+    """The largest e^(-rho T) |v(x(T))| / |v(x0)| over the perturbed plans of
+    ``draws``, read off the value function at each one's pairing at T."""
+    v0 = abs(ak.hjb.value_at_pairing(sol, p0))
+    return max(
+        math.exp(-sol.params.rho * T)
+        * abs(ak.hjb.value_at_pairing(sol, closed_form_pairing(sol, p0, *draw, T))) / v0
+        for draw in draws
     )
 
 

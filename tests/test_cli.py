@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from akgrowth import DEFAULT_TOLERANCES, cli, closed_loop, hjb, spectral, stability, verify
+from akgrowth import DEFAULT_TOLERANCES, cli, closed_loop, hjb, inner_l2, spectral, stability, verify
 from akgrowth.cli import main
 from akgrowth.config import parse_config
 from akgrowth.errors import InfeasibleParametersError, SpectrumCollisionError
@@ -22,7 +23,7 @@ from akgrowth.perron import (
     random_irreducible_metzler,
 )
 
-from conftest import audit_draws, discounted_terminal_closed_form
+from conftest import audit_draws, largest_discounted_terminal_value
 
 WINDOW_CFG = """
 schema = 1
@@ -283,11 +284,39 @@ class TestVerify:
         audit = read_json(out / "audit.json")
         assert audit["transversality"] is True
         assert audit["max_discounted_terminal_rel"] <= audit["perturbed_terminal_envelope"]
-        # the figure is its closed form e^(-a0 T) max_s e^(-c_s (1 - e^(-T)))
+        # the figure is the largest value read off the drawn plans' pairings at T
+        params, K0, basis, _ = cli._model(parse_config(text))
+        sol = hjb.solve_hjb(basis, params)
+        p0 = inner_l2(K0, basis.b0)
+        closed = largest_discounted_terminal_value(
+            sol, p0, audit["horizon"], audit_draws(3, seed=7)
+        )
+        assert abs(audit["max_discounted_terminal_rel"] - closed) <= 1e-12 * closed
+
+    def test_gamma_above_one_envelope_covers_overconsumption(self, tmp_path):
+        # gamma = 6, lambda0 = 4 and eta = 1 + 0.9 cos: the plans that
+        # overconsume where eta is large leave a discounted terminal value
+        # above twice the feedback path's decay, which the envelope must cover
+        text = (
+            "schema = 1\n"
+            "n_points = 64\n"
+            "sigma = 0.5\nrho = 0.5\ngamma = 6.0\nq = 0.0\n"
+            "A.kind = constant\nA.value = 4.0\n"
+            "eta.kind = cosine\neta.mean = 1.0\neta.amplitude = 0.9\neta.mode = 1\n"
+            "K0.kind = constant\nK0.value = 1.0\n"
+            "t_final = 8.0\nn_steps = 160\nseed = 1\nn_perturbations = 20\n"
+        )
+        cfg = tmp_path / "gamma6.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert main(["verify", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+        audit = read_json(out / "audit.json")
+        assert audit["failed_check"] is None
         params, _, basis, _ = cli._model(parse_config(text))
         sol = hjb.solve_hjb(basis, params)
-        closed = discounted_terminal_closed_form(sol, audit["horizon"], audit_draws(3, seed=7))
-        assert abs(audit["max_discounted_terminal_rel"] - closed) <= 1e-12 * closed
+        decay = math.exp(-verify.optimal_payoff_exponent(sol) * audit["horizon"])
+        assert audit["max_discounted_terminal_rel"] > 2.0 * decay
+        assert audit["max_discounted_terminal_rel"] <= audit["perturbed_terminal_envelope"]
 
     def test_alpha_perturbation_names_residual(self, window_cfg, tmp_path):
         out = tmp_path / "out"

@@ -16,12 +16,17 @@ from akgrowth.verify import (
     _composite_gauss_legendre,
     _feedback_payoff,
     _feedback_utility,
-    _pairing_shift,
-    _perturbed_control,
-    _perturbed_payoff,
+    _perturbation_family,
 )
 
-from conftest import audit_draws, build_pipeline, discounted_terminal_closed_form
+from conftest import (
+    audit_draws,
+    build_pipeline,
+    closed_form_pairing,
+    largest_discounted_terminal_value,
+    pairing_shift,
+    perturbed_control,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -60,12 +65,6 @@ def _open_loop_oracle(basis, params, x0, control, times, nodes_per_unit=64):
         coeffs = np.exp(lam * dt) * coeffs - s_weights @ (decay * forcing_coeffs)
         states.append(basis.vectors @ coeffs)
     return np.array(states)
-
-
-def _closed_form_pairing(sol, p0, amplitude, mode, phase, times):
-    """<x(t), b0> of the perturbed feedback law, p0 exp(g t - Q1 (1 - e^(-t)))."""
-    shift = _pairing_shift(sol, amplitude, mode, phase)
-    return p0 * np.exp(sol.g * times + shift * np.expm1(-times))
 
 
 def _p0(sol, x0):
@@ -198,7 +197,7 @@ class TestOpenLoop:
         # along the feedback path <x(t), b0> = <x0, b0> e^(g t) exactly
         sol, K0 = window.sol, window.K0
         times = np.linspace(0.0, 5.0, 21)
-        control = _perturbed_control(sol, _p0(sol, K0), 0.0, 1, 0.0)
+        control = perturbed_control(sol, _p0(sol, K0), 0.0, 1, 0.0)
         states = ak.open_loop_trajectory(window.basis, window.params, K0, control, times)
         pairings = window.grid.weight * (states @ window.basis.b0.values)
         expected = inner_l2(K0, window.basis.b0) * np.exp(sol.g * times)
@@ -233,7 +232,7 @@ class TestBatchedMatchesOracle:
     def test_payoff(self, gamma, T, amplitude, mode, phase):
         pipe = _oracle_pipeline(gamma)
         p0 = _p0(pipe.sol, pipe.K0)
-        control = _perturbed_control(pipe.sol, p0, amplitude, mode, phase)
+        control = perturbed_control(pipe.sol, p0, amplitude, mode, phase)
         batched = ak.payoff(pipe.params, control, T)
         reference = _payoff_oracle(pipe.params, control, T, 64)
         assert abs(batched - reference) <= 1e-12 * abs(reference)
@@ -247,7 +246,7 @@ class TestBatchedMatchesOracle:
     def test_open_loop_on_nonuniform_grid(self, gamma, steps, amplitude, mode, phase):
         pipe = _oracle_pipeline(gamma)
         p0 = _p0(pipe.sol, pipe.K0)
-        control = _perturbed_control(pipe.sol, p0, amplitude, mode, phase)
+        control = perturbed_control(pipe.sol, p0, amplitude, mode, phase)
         times = np.concatenate([[0.0], np.cumsum(steps)])
         batched = ak.open_loop_trajectory(pipe.basis, pipe.params, pipe.K0, control, times)
         reference = _open_loop_oracle(pipe.basis, pipe.params, pipe.K0, control, times)
@@ -264,9 +263,9 @@ class TestBatchedMatchesOracle:
         # the closed-form pairing against the numerically integrated state
         pipe = _oracle_pipeline(gamma)
         p0 = _p0(pipe.sol, pipe.K0)
-        control = _perturbed_control(pipe.sol, p0, amplitude, mode, phase)
+        control = perturbed_control(pipe.sol, p0, amplitude, mode, phase)
         times = np.concatenate([[0.0], np.cumsum(steps)])
-        pairings = _closed_form_pairing(pipe.sol, p0, amplitude, mode, phase, times)
+        pairings = closed_form_pairing(pipe.sol, p0, amplitude, mode, phase, times)
         states = ak.open_loop_trajectory(pipe.basis, pipe.params, pipe.K0, control, times)
         reference = pipe.grid.weight * (states @ pipe.basis.b0.values)
         assert pairings.shape == reference.shape
@@ -281,9 +280,9 @@ class TestBatchedMatchesOracle:
         sol, p0 = pipe.sol, _p0(pipe.sol, pipe.K0)
         horizon = ak.default_horizon(sol, pipe.K0)
         times = np.linspace(0.0, horizon, 4 * math.ceil(horizon) + 1)
-        pairings = _closed_form_pairing(sol, p0, amplitude, mode, phase, times)
+        pairings = closed_form_pairing(sol, p0, amplitude, mode, phase, times)
         bound = abs(amplitude) * (pipe.basis.lambda0 - sol.g)
-        assert abs(_pairing_shift(sol, amplitude, mode, phase)) <= bound
+        assert abs(pairing_shift(sol, amplitude, mode, phase)) <= bound
         assert np.all(pairings > 0.0)
         assert np.all(pairings >= math.exp(-bound) * p0 * np.exp(sol.g * times) * (1 - 1e-12))
 
@@ -292,9 +291,9 @@ class TestBatchedMatchesOracle:
     def test_closed_form_payoff(self, gamma, T, amplitude, mode, phase):
         pipe = _oracle_pipeline(gamma)
         p0 = _p0(pipe.sol, pipe.K0)
-        control = _perturbed_control(pipe.sol, p0, amplitude, mode, phase)
+        control = perturbed_control(pipe.sol, p0, amplitude, mode, phase)
         reference = ak.payoff(pipe.params, control, T)
-        closed = _perturbed_payoff(pipe.sol, p0, amplitude, mode, phase, T)
+        closed = _perturbation_family(pipe.sol, p0, T)(amplitude, mode, phase)[0]
         assert abs(closed - reference) <= 1e-12 * abs(reference)
 
     @settings(max_examples=30)
@@ -339,9 +338,7 @@ class TestOptimalityAudit:
         assert [s.payoff for s in a.samples] == [s.payoff for s in b.samples]
 
     def test_zero_amplitude_perturbation_is_optimal_control(self, window):
-        from akgrowth.verify import _perturbed_control
-
-        control = _perturbed_control(window.sol, _p0(window.sol, window.K0), 0.0, 1, 0.0)
+        control = perturbed_control(window.sol, _p0(window.sol, window.K0), 0.0, 1, 0.0)
         T = 8.0
         J_flat = ak.payoff(window.params, control, T, nodes_per_unit=32)
         J_opt = ak.payoff(
@@ -355,20 +352,25 @@ class TestOptimalityAudit:
     @pytest.mark.parametrize("name", ["variable", "gamma2"])
     def test_draw_sequence_matches_reference(self, name, request, monkeypatch):
         # every draw is admissible, so the samples are the first n triples of
-        # the seeded stream and each one costs one closed-form payoff
+        # the seeded stream and each one costs one closed-form evaluation
         pipe = request.getfixturevalue(name)
-        evaluate = ak.verify._perturbed_payoff
+        family = ak.verify._perturbation_family
         calls = []
 
-        def spy(*args, **kwargs):
-            calls.append(1)
-            return evaluate(*args, **kwargs)
+        def spy(*args):
+            evaluate = family(*args)
 
-        monkeypatch.setattr(ak.verify, "_perturbed_payoff", spy)
+            def counted(*draw):
+                calls.append(draw)
+                return evaluate(*draw)
+
+            return counted
+
+        monkeypatch.setattr(ak.verify, "_perturbation_family", spy)
         audit = ak.optimality_audit(pipe.sol, pipe.K0, 8, seed=3)
         draws = [(s.amplitude, s.mode, s.phase) for s in audit.samples]
         assert draws == audit_draws(8, seed=3)
-        assert len(calls) == 8
+        assert calls == draws
 
     @pytest.mark.parametrize("source", ["fixture", "demo_config"])
     def test_discounted_terminal_value(self, window, source):
@@ -380,17 +382,16 @@ class TestOptimalityAudit:
             sol = ak.solve_hjb(ak.eigendecompose(ak.assemble_generator(params, grid)), params)
         audit = ak.optimality_audit(sol, K0, 20, seed=2024)
         exact = math.exp(-ak.verify.optimal_payoff_exponent(sol) * audit.horizon)
-        # at amplitude 0 the family is the feedback plan, and its closed-form
-        # pairing p0 e^(g T) gives the exact discounted terminal value
-        p_T = _closed_form_pairing(sol, _p0(sol, K0), 0.0, 1, 0.0, np.array([audit.horizon]))[0]
-        terminal = math.exp(-sol.params.rho * audit.horizon) * abs(
-            ak.verify.value_at_pairing(sol, p_T) / audit.v
-        )
+        # at amplitude 0 the family is the feedback plan, and the value at its
+        # closed-form pairing p0 e^(g T) gives the exact discounted terminal value
+        p0 = _p0(sol, K0)
+        terminal = largest_discounted_terminal_value(sol, p0, audit.horizon, [(0.0, 1, 0.0)])
         assert abs(terminal - exact) <= 1e-12 * exact
-        # the audit's figure is its closed form over the drawn samples; with
-        # homogeneous coefficients Q1 is 0 up to rounding, so that is e^(-a0 T)
+        # the audit's figure is the largest value read off the drawn samples'
+        # pairings at T; with homogeneous coefficients Q1 is 0 up to rounding,
+        # so that is e^(-a0 T)
         draws = [(s.amplitude, s.mode, s.phase) for s in audit.samples]
-        closed = discounted_terminal_closed_form(sol, audit.horizon, draws)
+        closed = largest_discounted_terminal_value(sol, p0, audit.horizon, draws)
         assert abs(audit.max_discounted_terminal_rel - closed) <= 1e-12 * closed
         assert abs(audit.max_discounted_terminal_rel - exact) <= 1e-12 * exact
 
@@ -463,13 +464,13 @@ class TestOptimalityAudit:
             sol = ak.solve_hjb(ak.eigendecompose(ak.assemble_generator(params, grid)), params)
         p0, v = _p0(sol, K0), ak.value_function(sol, K0)
         T = ak.default_horizon(sol, K0)
+        evaluate = _perturbation_family(sol, p0, T)
         for mode, phase in [(1, 0.0), (2, 1.0), (3, 2.5)]:
-            curvature = [(_perturbed_payoff(sol, p0, a, mode, phase, T) - v) / a**2
-                         for a in (0.025, 0.05, 0.1)]
+            curvature = [(evaluate(a, mode, phase)[0] - v) / a**2 for a in (0.025, 0.05, 0.1)]
             assert max(curvature) < 0.0
             assert min(curvature) / max(curvature) <= 1.2
-            assert _perturbed_payoff(sol, p0, -0.05, mode, phase, T) < v
-            assert _perturbed_payoff(sol, p0, 0.05, mode, phase, T) < v
+            assert evaluate(-0.05, mode, phase)[0] < v
+            assert evaluate(0.05, mode, phase)[0] < v
 
     def test_overconsumption_is_sampled(self):
         # the draws of the variable demo push <x(t), b0> both below (Q1 > 0:
@@ -478,15 +479,16 @@ class TestOptimalityAudit:
         grid, params, K0 = run.model()
         sol = ak.solve_hjb(ak.eigendecompose(ak.assemble_generator(params, grid)), params)
         audit = ak.optimality_audit(sol, K0, run.n_perturbations, run.seed)
-        shifts = [_pairing_shift(sol, s.amplitude, s.mode, s.phase) for s in audit.samples]
+        shifts = [pairing_shift(sol, s.amplitude, s.mode, s.phase) for s in audit.samples]
         assert len(shifts) == 20
         assert min(shifts) < 0.0 < max(shifts)
         assert audit.all_dominated
 
     @pytest.mark.parametrize("gamma", [1.5, 3.0, 6.0])
     def test_terminal_value_within_the_gamma_above_one_envelope(self, gamma):
-        # for gamma > 1 the envelope is twice the feedback path's decay; along
-        # the family the figure is that decay times e^(-c (1 - e^(-T)))
+        # for gamma > 1 the envelope is the feedback path's decay times
+        # max(2, e^((gamma-1) a_max (lambda0 - g))); along the family the
+        # figure is that decay times e^(-c (1 - e^(-T))), |c| within the exponent
         pipe = build_pipeline(
             128, sigma=1.0, rho=0.8, gamma=gamma, q=0.5,
             A_fn=lambda t: 1.0 + 0.5 * np.cos(t),
@@ -495,7 +497,8 @@ class TestOptimalityAudit:
         )
         audit = ak.optimality_audit(pipe.sol, pipe.K0, 200, seed=7)
         draws = [(s.amplitude, s.mode, s.phase) for s in audit.samples]
-        closed = discounted_terminal_closed_form(pipe.sol, audit.horizon, draws)
+        p0 = _p0(pipe.sol, pipe.K0)
+        closed = largest_discounted_terminal_value(pipe.sol, p0, audit.horizon, draws)
         assert abs(audit.max_discounted_terminal_rel - closed) <= 1e-12 * closed
         envelope = ak.perturbed_transversality_envelope(pipe.sol, audit.horizon)
         assert audit.max_discounted_terminal_rel <= envelope
