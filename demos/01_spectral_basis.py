@@ -33,18 +33,3 @@ print(f"lambda_1 = {vbasis.lambda1:.12f}  (the double mode splits)")
 peak = grid.nodes[np.argmax(vbasis.b0.values)]
 print(f"b0 is strictly positive (min {vbasis.b0.values.min():.4f}) "
       f"and peaks at theta = {peak:.3f} where A peaks at 0")
-
-print()
-print("== resolvent and semigroup act through the eigenexpansion ==")
-x = ak.GridFunction.from_callable(grid, lambda t: 1 + 0.3 * np.sin(t))
-mu = 0.4
-resolved = ak.resolvent_apply(vbasis, mu, x)
-op = ak.assemble_generator(vparams, grid)
-round_trip = op.apply(resolved) - mu * resolved
-print(f"(L - mu)(L - mu)^-1 x round trip error: "
-      f"{np.abs(round_trip.values - x.values).max():.2e}")
-flowed = ak.semigroup_apply(vbasis, 0.5, x)
-print(f"semigroup keeps positive data positive: min e^(tL)x = {flowed.values.min():.4f}")
-chained = ak.semigroup_apply(vbasis, 0.2, ak.semigroup_apply(vbasis, 0.3, x))
-print(f"semigroup property defect at t = 0.2 + 0.3: "
-      f"{np.abs(flowed.values - chained.values).max():.2e}")

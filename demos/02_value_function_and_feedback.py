@@ -17,7 +17,7 @@ basis = ak.eigendecompose(ak.assemble_generator(params, grid))
 
 print(f"well posed?  rho > lambda0*(1-gamma): "
       f"{params.rho} > {basis.lambda0 * (1 - params.gamma):.3f} -> "
-      f"{ak.check_wellposed(params, basis.lambda0)}")
+      f"{ak.wellposed(params.rho, params.gamma, basis.lambda0)}")
 
 sol = ak.solve_hjb(basis, params)
 print(f"alpha = {sol.alpha:.12f}    (closed form [2*(2*pi)^(3/2)]^(1/2) = "
@@ -35,7 +35,7 @@ print("== the feedback control is rank one and, here, flat in space ==")
 c0 = ak.feedback_control(sol, K0)
 print(f"consumption profile range: [{c0.values.min():.8f}, {c0.values.max():.8f}]")
 print(f"closed form (A - g)/(2*pi) * integral(K0) = "
-      f"{(1 - sol.g) / (2 * np.pi) * ak.integral(K0):.8f}")
+      f"{(1 - sol.g) / (2 * np.pi) * grid.weight * K0.values.sum():.8f}")
 # a plan maps an array of times to one consumption row per time
 c_later = ak.optimal_control_path(sol, K0, np.array([2.0]))[0]
 print(f"plan at t=2 is e^(2g) times the t=0 plan: factor "
@@ -43,9 +43,9 @@ print(f"plan at t=2 is e^(2g) times the t=0 plan: factor "
 
 print()
 print("== the dynamic-programming equation is satisfied to rounding ==")
-for seed in (1, 2, 3):
-    x = ak.sample_halfspace_states(basis, 1, seed)[0]
-    print(f"residual at a random half-space state: "
+for mode in (1, 2, 3):
+    x = ak.GridFunction.from_callable(grid, lambda t: 1 + 0.3 * np.sin(mode * t))
+    print(f"residual at 1 + 0.3 sin({mode} theta): "
           f"{ak.hjb_residual(sol, x):.2e}")
 
 print()

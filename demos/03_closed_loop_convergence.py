@@ -45,7 +45,7 @@ print(f"fitted decay rate {report.fitted_rate:.6f} vs lambda_1 - g = "
 
 print()
 print("== positivity promotion ==")
-mean = ak.integral(K0) / (2 * np.pi)
+mean = grid.weight * K0.values.sum() / (2 * np.pi)
 print(f"a-priori condition 2*sup|K0 - mean| <= mean: "
       f"{2 * ak.sup_norm(K0 - mean):.3f} <= {mean:.3f} -> "
       f"{report.admissibility_condition}")

@@ -28,15 +28,6 @@ print(f"25 matrices: spectral bound always real and simple "
 print("and no other eigenvalue admits a positive eigenvector on either side.")
 
 print()
-print("== boundary spectrum ==")
-cycle = -np.eye(3)
-cycle[np.arange(3), (np.arange(3) + 1) % 3] = 1.0
-result = ak.boundary_spectrum(ak.GeneratorMatrix(cycle))
-print(f"3-cycle generator: eigenvalues on the bound line = "
-      f"{[f'{z:.3f}' for z in result.eigenvalues]} "
-      f"(progression ok: {result.progression_ok})")
-
-print()
 print("== the discretized circle generator ==")
 grid = ak.Grid(128)
 A = ak.GridFunction.from_callable(grid, lambda t: 1 + 0.5 * np.cos(t))

@@ -36,28 +36,23 @@ from .grid import (
     Grid,
     GridFunction,
     inner_l2,
-    integral,
     is_strictly_positive,
     sup_norm,
 )
 from .hjb import (
     HjbSolution,
-    check_wellposed,
-    compute_alpha,
     feedback_control,
-    growth_rate,
     hamiltonian,
     hjb_summary,
     optimal_control_path,
     solve_hjb,
     utility,
     value_function,
+    wellposed,
 )
 from .perron import (
-    BoundarySpectrum,
     GeneratorMatrix,
     PerronData,
-    boundary_spectrum,
     eigenvalues_admitting_positive_eigenvector,
     is_irreducible,
     perron_data,
@@ -70,27 +65,20 @@ from .spectral import (
     assemble_generator,
     eigendecompose,
     fourier_second_derivative,
-    resolvent_apply,
-    semigroup_apply,
 )
 from .stability import (
     StabilityReport,
     admissibility_condition,
     convergence_bound_check,
-    explicit_bound_constant,
-    positivity_audit,
 )
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 from .verify import (
     OptimalityAudit,
-    closed_form_tail,
-    default_horizon,
     hjb_residual,
     open_loop_trajectory,
     optimality_audit,
     payoff,
     perturbed_transversality_envelope,
-    sample_halfspace_states,
     transversality_check,
 )
 

@@ -40,7 +40,6 @@ from .tolerances import DEFAULT_TOLERANCES, Tolerances
 SCHEMA_VERSION = 1
 
 _PROFILE_NAMES = ("A", "eta", "K0")
-_PROFILE_KINDS = ("constant", "cosine", "custom-table")
 _SCALAR_KEYS = {
     "n_points": int,
     "sigma": float,
@@ -138,8 +137,12 @@ def _float_list(text: str) -> list[float]:
     return values
 
 
-_PROFILE_ATTRS = {"value": float, "mean": float, "amplitude": float, "phase": float,
-                  "mode": int, "values": _float_list}
+# kind -> the attributes its profile reads, with their parsers; it needs the first
+_PROFILE_KINDS = {
+    "constant": {"value": float},
+    "cosine": {"mean": float, "amplitude": float, "mode": int, "phase": float},
+    "custom-table": {"values": _float_list},
+}
 
 
 def _parse(key: str, text: str, convert: Callable):
@@ -204,17 +207,15 @@ def parse_config(text: str) -> RunConfig:
         kind = attrs.pop("kind")
         if kind not in _PROFILE_KINDS:
             raise ConfigError(f"profile {name!r} has unknown kind {kind!r}")
+        reads = _PROFILE_KINDS[kind]
         parameters: dict = {}
         for attr, value in attrs.items():
-            if attr not in _PROFILE_ATTRS:
-                raise ConfigError(f"profile {name!r}: unknown attribute {attr!r}")
-            parameters[attr] = _parse(f"{name}.{attr}", value, _PROFILE_ATTRS[attr])
-        if kind == "constant" and "value" not in parameters:
-            raise ConfigError(f"profile {name!r}: constant needs 'value'")
-        if kind == "cosine" and "mean" not in parameters:
-            raise ConfigError(f"profile {name!r}: cosine needs 'mean'")
-        if kind == "custom-table" and "values" not in parameters:
-            raise ConfigError(f"profile {name!r}: custom-table needs 'values'")
+            if attr not in reads:
+                raise ConfigError(f"profile {name!r}: {kind} has no attribute {attr!r}")
+            parameters[attr] = _parse(f"{name}.{attr}", value, reads[attr])
+        needed = next(iter(reads))
+        if needed not in parameters:
+            raise ConfigError(f"profile {name!r}: {kind} needs {needed!r}")
         profile_specs[name] = ProfileSpec(kind=kind, parameters=parameters)
 
     config = RunConfig(

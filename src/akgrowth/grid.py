@@ -110,12 +110,6 @@ class GridFunction:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        return self._binary(other, np.divide)
-
-    def __pow__(self, exponent):
-        return GridFunction(self.grid, self.values ** float(exponent))
-
 
 def check_same_grid(f: GridFunction, g: GridFunction) -> None:
     if f.grid != g.grid:
@@ -128,11 +122,6 @@ def inner_l2(f: GridFunction, g: GridFunction) -> float:
     """L2 inner product on the circle, (2*pi/n) * sum_j f_j g_j."""
     check_same_grid(f, g)
     return f.grid.weight * float(f.values @ g.values)
-
-
-def integral(f: GridFunction) -> float:
-    """Integral of f over the circle by the periodic trapezoid rule."""
-    return f.grid.weight * float(f.values.sum())
 
 
 def sup_norm(f: GridFunction) -> float:

@@ -60,19 +60,9 @@ def wellposed(rho: float, gamma: float, lambda0: float) -> bool:
     return rho > lambda0 * (1.0 - gamma)
 
 
-def check_wellposed(params: ModelParams, lambda0: float) -> bool:
-    """``wellposed`` at the rho and gamma of ``params``."""
-    return wellposed(params.rho, params.gamma, lambda0)
-
-
 def balanced_growth(rho: float, gamma: float, lambda0: float) -> float:
     """Balanced growth rate (lambda0 - rho) / gamma."""
     return (lambda0 - rho) / gamma
-
-
-def growth_rate(params: ModelParams, lambda0: float) -> float:
-    """``balanced_growth`` at the rho and gamma of ``params``."""
-    return balanced_growth(params.rho, params.gamma, lambda0)
 
 
 def consumption_weight(params: ModelParams) -> np.ndarray:
@@ -135,24 +125,6 @@ def alpha0_closed_form(alpha: float, gamma: float) -> float:
     return alpha0
 
 
-def compute_alpha(basis: SpectralBasis, params: ModelParams) -> float:
-    """Closed-form coefficient of the value function.
-
-    alpha = [gamma / (rho - lambda0*(1-gamma)) * integral]^gamma, where the
-    integral is f^(1/gamma) (eta b0)^((gamma-1)/gamma) d(theta).  Requires the
-    well-posedness inequality rho > lambda0*(1-gamma).
-    """
-    lambda0 = basis.lambda0
-    if not check_wellposed(params, lambda0):
-        raise InfeasibleParametersError(
-            f"rho={params.rho} does not exceed lambda0*(1-gamma)="
-            f"{lambda0 * (1 - params.gamma)}"
-        )
-    gamma = params.gamma
-    integral = alpha_integral(basis, eta_factor(params, gamma), gamma)
-    return alpha_closed_form(params.rho, gamma, lambda0, integral)
-
-
 def feedback_profile_values(
     f: np.ndarray, alpha, eta: np.ndarray, b0: np.ndarray, gamma: float
 ) -> np.ndarray:
@@ -182,13 +154,24 @@ class HjbSolution:
 
 
 def solve_hjb(basis: SpectralBasis, params: ModelParams) -> HjbSolution:
-    """Construct the explicit solution record for the given spectral data."""
-    alpha = compute_alpha(basis, params)
-    alpha0 = alpha0_closed_form(alpha, params.gamma)
-    g = growth_rate(params, basis.lambda0)
+    """Construct the explicit solution record for the given spectral data.
+
+    alpha = [gamma / (rho - lambda0*(1-gamma)) * integral]^gamma, where the
+    integral is f^(1/gamma) (eta b0)^((gamma-1)/gamma) d(theta).  Requires the
+    well-posedness inequality rho > lambda0*(1-gamma).
+    """
+    rho, gamma, lambda0 = params.rho, params.gamma, basis.lambda0
+    if not wellposed(rho, gamma, lambda0):
+        raise InfeasibleParametersError(
+            f"rho={rho} does not exceed lambda0*(1-gamma)={lambda0 * (1 - gamma)}"
+        )
+    integral = alpha_integral(basis, eta_factor(params, gamma), gamma)
+    alpha = alpha_closed_form(rho, gamma, lambda0, integral)
+    alpha0 = alpha0_closed_form(alpha, gamma)
+    g = balanced_growth(rho, gamma, lambda0)
     f = GridFunction(params.grid, consumption_weight(params))
     profile_values = feedback_profile_values(
-        f.values, alpha, params.eta.values, basis.b0.values, params.gamma
+        f.values, alpha, params.eta.values, basis.b0.values, gamma
     )
     profile = GridFunction(basis.grid, profile_values)
     if not is_strictly_positive(profile):
@@ -301,5 +284,5 @@ def hjb_summary(sol: HjbSolution) -> dict:
         "alpha0": sol.alpha0,
         "g": sol.g,
         "lambda0": sol.basis.lambda0,
-        "wellposed": check_wellposed(sol.params, sol.basis.lambda0),
+        "wellposed": wellposed(sol.params.rho, sol.params.gamma, sol.basis.lambda0),
     }

@@ -347,45 +347,6 @@ def battery_failures(
     return sorted(failures)
 
 
-@dataclass(frozen=True, eq=False)
-class BoundarySpectrum:
-    """Eigenvalues on the line Re = spectral bound, with structure diagnostics."""
-
-    eigenvalues: list[complex]
-    spectral_bound: float
-    progression_ok: bool   # imaginary parts form an arithmetic set containing 0
-    note: str
-
-
-def boundary_spectrum(gen: GeneratorMatrix) -> BoundarySpectrum:
-    """Eigenvalues whose real part matches the spectral bound.
-
-    The imaginary parts are checked for arithmetic-progression structure
-    containing 0; a violation is reported in the result, not raised, since it
-    signals numerical degeneracy rather than a usage error.
-    """
-    eigenvalues = np.linalg.eigvals(gen.entries)
-    scale = max(1.0, float(np.abs(eigenvalues).max()))
-    bound = float(eigenvalues.real.max())
-    on_line = eigenvalues[np.abs(eigenvalues.real - bound) <= REALNESS_TOL * scale]
-    imags = np.sort(on_line.imag)
-    note = ""
-    ok = bool(np.abs(imags).min() <= REALNESS_TOL * scale)
-    if not ok:
-        note = "boundary spectrum does not contain a real point"
-    elif imags.size > 1:
-        spacings = np.diff(imags)
-        if np.abs(spacings - spacings[0]).max() > REALNESS_TOL * scale:
-            ok = False
-            note = "imaginary parts are not equally spaced"
-    return BoundarySpectrum(
-        eigenvalues=[complex(v) for v in on_line],
-        spectral_bound=bound,
-        progression_ok=ok,
-        note=note,
-    )
-
-
 def random_irreducible_metzler(
     dim: int,
     rng: np.random.Generator,

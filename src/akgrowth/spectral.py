@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import GridMismatchError, PositivityError, SpectrumCollisionError
+from .errors import GridMismatchError, PositivityError
 from .grid import TWO_PI, Grid, GridFunction, inner_l2, is_strictly_positive
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
@@ -107,11 +107,6 @@ class OperatorMatrix:
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
-
-    def apply(self, f: GridFunction) -> GridFunction:
-        if f.grid != self.grid:
-            raise GridMismatchError("operand lives on a different grid")
-        return GridFunction(self.grid, self.entries @ f.values)
 
 
 def assemble_generator(
@@ -231,31 +226,3 @@ def eigendecompose(
             f"leading eigenvalue is not simple: {lam[0]!r} vs {lam[1]!r}"
         )
     return basis
-
-
-def resolvent_apply(
-    basis: SpectralBasis,
-    mu: float,
-    x: GridFunction,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
-) -> GridFunction:
-    """Apply (L - mu)^{-1} through the eigenexpansion.
-
-    mu must stay away from every eigenvalue by at least the
-    ``spectrum_collision`` tolerance.
-    """
-    gap = float(np.abs(basis.eigenvalues - mu).min())
-    if gap <= tolerances.spectrum_collision:
-        raise SpectrumCollisionError(
-            f"mu={mu!r} is within {gap:g} of the spectrum"
-        )
-    coeffs = basis.coefficients(x) / (basis.eigenvalues - mu)
-    return basis.synthesize(coeffs)
-
-
-def semigroup_apply(basis: SpectralBasis, t: float, x: GridFunction) -> GridFunction:
-    """Apply the semigroup e^{tL} through the eigenexpansion, t >= 0."""
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    coeffs = basis.coefficients(x) * np.exp(basis.eigenvalues * t)
-    return basis.synthesize(coeffs)

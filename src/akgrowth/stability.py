@@ -46,16 +46,6 @@ def bound_constant(w: np.ndarray, beta: np.ndarray, weight: float):
     return 1.0 + np.abs(w).max(axis=-1) * (weight * beta.sum(axis=-1))
 
 
-def explicit_bound_constant(pd: ProjectionData) -> float:
-    """M = 1 + sup|w| * integral(beta)."""
-    return float(bound_constant(pd.w.values, pd.beta.values, pd.basis.grid.weight))
-
-
-def positivity_audit(traj: Trajectory) -> bool:
-    """True iff every stored state is strictly positive at every node."""
-    return bool(traj.states.min() > 0.0)
-
-
 def admissibility_condition(pd: ProjectionData, K0: GridFunction, M: float) -> bool:
     """Sufficient condition for the closed-loop path to stay strictly positive.
 
@@ -100,7 +90,7 @@ def convergence_bound_check(
     steady| with the explicit M, allowing only the absolute slack recorded in
     the tolerance record.  Violations are reported, never raised.
     """
-    M = explicit_bound_constant(pd)
+    M = float(bound_constant(pd.w.values, pd.beta.values, pd.basis.grid.weight))
     K0 = GridFunction(traj.grid, traj.states[0])
     pairing = inner_l2(K0, pd.beta)
     steady = GridFunction(pd.basis.grid, pairing * pd.w.values)
@@ -115,7 +105,7 @@ def convergence_bound_check(
         steady_state=steady,
         bound_satisfied=bool(max_violation <= 0.0),
         fitted_rate=fit_decay_rate(traj.times, deviations),
-        admissible=positivity_audit(traj),
+        admissible=bool(traj.states.min() > 0.0),
         admissibility_condition=admissibility_condition(pd, K0, M),
         dominance_ok=bool(rate > 0.0),
         max_bound_violation=max_violation,

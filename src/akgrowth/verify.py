@@ -139,34 +139,6 @@ def _feedback_payoff(a0: float, u0: float, T: float, nodes_per_unit: int) -> flo
     return u0 * float(weights @ np.exp(-a0 * nodes))
 
 
-def closed_form_tail(sol: HjbSolution, x0: GridFunction, T: float) -> float:
-    """Tail bound for the optimal control: |U(c_hat(0))| e^(-aT)/a.
-
-    Along the feedback path U(c_hat(t)) = U(c_hat(0)) e^(g(1-gamma) t), so the
-    discarded tail integrates in closed form with a = rho - g*(1-gamma).
-    """
-    return _tail(*_feedback_utility(sol, _pairing(sol, x0)), T)
-
-
-def _tail(a: float, u0: float, T: float) -> float:
-    return math.exp(-a * T) / a * abs(u0)
-
-
-def default_horizon(sol: HjbSolution, x0: GridFunction) -> float:
-    """Smallest horizon at which the closed-form tail drops below
-    ``DEFAULT_TOLERANCES.tail_rel`` * |v(x0)| (never below 1)."""
-    p0 = _pairing(sol, x0)
-    return _horizon(value_at_pairing(sol, p0), *_feedback_utility(sol, p0),
-                    DEFAULT_TOLERANCES.tail_rel)
-
-
-def _horizon(v: float, a: float, u0: float, rel_target: float) -> float:
-    if u0 == 0.0:
-        return 1.0
-    T = math.log(abs(u0) / (a * rel_target * abs(v))) / a
-    return max(1.0, float(T))
-
-
 def perturbed_transversality_envelope(sol: HjbSolution, T: float) -> float:
     """Decay envelope for e^(-rho T)|v(x(T))| / |v(x0)| along admissible plans.
 
@@ -333,8 +305,12 @@ def optimality_audit(
     p0 = _pairing(sol, x0)
     v = value_at_pairing(sol, p0)
     a0, u0 = _feedback_utility(sol, p0)
-    horizon = _horizon(v, a0, u0, tolerances.tail_rel)
-    tail = _tail(a0, u0, horizon)
+    # the smallest horizon, at least 1, at which the closed-form tail of the
+    # feedback payoff, |u0| e^(-a0 T)/a0, drops below tail_rel * |v|
+    horizon = 1.0
+    if u0 != 0.0:
+        horizon = max(1.0, math.log(abs(u0) / (a0 * tolerances.tail_rel * abs(v))) / a0)
+    tail = math.exp(-a0 * horizon) / a0 * abs(u0)
     optimal = _feedback_payoff(a0, u0, horizon, _NODES_PER_UNIT)
     doubled = _feedback_payoff(a0, u0, horizon, 2 * _NODES_PER_UNIT)
     rel_gap = abs(optimal - v) / abs(v)
@@ -415,25 +391,3 @@ def transversality_check(
     decreasing = bool(np.all(np.diff(tail) <= slack))
     small = values[-1] < tolerances.transversality_tail_rel * values[0]
     return decreasing and small
-
-
-def sample_halfspace_states(
-    basis: SpectralBasis,
-    count: int,
-    seed: int,
-) -> list[GridFunction]:
-    """Seeded smooth strictly positive states (hence in the half-space): a
-    random scale in [0.5, 2] times 1 plus cosine and sine modes 1 to 4 with
-    coefficients uniform in [-0.5/4, 0.5/4]."""
-    rng = np.random.default_rng(seed)
-    theta = basis.grid.nodes
-    modes = [(np.cos(m * theta), np.sin(m * theta)) for m in range(1, 5)]
-    states = []
-    for _ in range(count):
-        values = np.ones_like(theta)
-        for cos_m, sin_m in modes:
-            a, b = rng.uniform(-1.0, 1.0, size=2) * 0.5 / 4
-            values = values + a * cos_m + b * sin_m
-        scale = rng.uniform(0.5, 2.0)
-        states.append(GridFunction(basis.grid, scale * values))
-    return states

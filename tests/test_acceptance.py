@@ -13,6 +13,7 @@ import akgrowth as ak
 from akgrowth import inner_l2
 
 from conftest import build_pipeline, window_pipeline
+from oracles import sample_halfspace_states
 
 TWO_PI = 2.0 * np.pi
 
@@ -87,7 +88,7 @@ def test_criterion_02_hjb_exactness():
             eta_fn=lambda t: 1.0 + 0.3 * np.sin(2 * t),
             K0_fn=lambda t: np.ones_like(t),
         )
-        states = ak.sample_halfspace_states(pipe.basis, 20, seed=int(10 * gamma))
+        states = sample_halfspace_states(pipe.basis, 20, seed=int(10 * gamma))
         worst = max(
             worst,
             max(ak.hjb_residual(pipe.sol, s) for s in states),
@@ -109,8 +110,8 @@ def test_criterion_04_value_equality(window):
     start = time.perf_counter()
     sol, K0 = window.sol, window.K0
     v = ak.value_function(sol, K0)
-    T = ak.default_horizon(sol, K0)
-    tail = ak.closed_form_tail(sol, K0, T)
+    audit = ak.optimality_audit(sol, K0, 0, 0)
+    T, tail = audit.horizon, audit.tail_bound
     result = ak.payoff(
         window.params, lambda t: ak.optimal_control_path(sol, K0, t), T,
         nodes_per_unit=64,
@@ -184,7 +185,7 @@ def test_criterion_08_convergence_bound(window, window_traj):
 def test_criterion_09_admissibility_promotion(window, window_traj):
     start = time.perf_counter()
     report = ak.convergence_bound_check(window_traj, window.pd)
-    mean = ak.integral(window.K0) / TWO_PI
+    mean = window.grid.weight * float(window.K0.values.sum()) / TWO_PI
     direct = 2.0 * ak.sup_norm(window.K0 - mean) <= mean
     ok = direct and report.admissibility_condition and report.admissible
     _report(9, "admissibility promotion", ok,
@@ -227,7 +228,7 @@ def test_criterion_11_grid_refinement(window, window_fine, window_fine_traj):
     drift_hom = abs(lambda0_coarse_hom - lambda0_fine_hom)
     drift_window = abs(window.basis.lambda0 - window_fine.basis.lambda0)
 
-    states = ak.sample_halfspace_states(window_fine.basis, 20, seed=5)
+    states = sample_halfspace_states(window_fine.basis, 20, seed=5)
     residual = max(
         ak.hjb_residual(window_fine.sol, s) for s in states
     )

@@ -1,11 +1,12 @@
 """The benchmark in perfbench/ drives the library by name; guard those names.
 
 perfbench/spans.py wraps the functions it lists in ``TRACED`` and evaluates
-its ``FLOPS`` models on their bound arguments and results, and
-perfbench/run.py calls ``build_closed_loop`` and ``compute_projection_data``
-positionally.  A change to ``src/`` that breaks any of these breaks the
-benchmark without failing any other test.  The benchmark files are only read
-here.
+its ``FLOPS`` models on their bound arguments and results.  perfbench/run.py
+reads attributes of the akgrowth modules it imports, calls
+``build_closed_loop`` and ``compute_projection_data`` positionally, and
+checks ``projection_via_contour`` against ``projection_matrix``.  A change to
+``src/`` that breaks any of these breaks the benchmark without failing any
+other test.  The benchmark files are only read here.
 """
 
 import ast
@@ -16,6 +17,7 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import akgrowth as ak
@@ -39,6 +41,65 @@ TRACED = [(module, name) for module, names in _traced().items() for name in name
 def test_traced_name_resolves(module, name):
     target = getattr(importlib.import_module(f"akgrowth.{module}"), name, None)
     assert callable(target), f"perfbench traces akgrowth.{module}.{name}, which is gone"
+
+
+def _own_nodes(scope: ast.AST):
+    """The nodes of a module or function, not descending into nested functions."""
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _module_attributes() -> list[tuple[str, str]]:
+    """(module, attribute) of every ``module.attribute`` a perfbench script
+    reads, within the module or function that imports that akgrowth module."""
+    found = set()
+    for path in sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        functions = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+        for scope in [tree, *functions]:
+            modules = {
+                alias.asname or alias.name: alias.name
+                for node in _own_nodes(scope)
+                if isinstance(node, ast.ImportFrom) and node.module == "akgrowth"
+                for alias in node.names
+            }
+            found |= {
+                (modules[node.value.id], node.attr)
+                for node in ast.walk(scope)
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules
+            }
+    return sorted(found)
+
+
+MODULE_ATTRIBUTES = _module_attributes()
+
+
+def test_the_run_script_reads_the_contour_oracle():
+    # the scan sees run.py's imports inside its functions
+    assert {("closed_loop", "projection_via_contour"),
+            ("closed_loop", "projection_matrix")} <= set(MODULE_ATTRIBUTES)
+
+
+@pytest.mark.parametrize("module, name", MODULE_ATTRIBUTES,
+                         ids=[f"{m}.{n}" for m, n in MODULE_ATTRIBUTES])
+def test_module_attribute_resolves(module, name):
+    assert hasattr(importlib.import_module(f"akgrowth.{module}"), name), (
+        f"perfbench reads akgrowth.{module}.{name}, which is gone")
+
+
+def test_contour_oracle_calls_of_the_run_script(window):
+    source = (PERFBENCH / "run.py").read_text()
+    assert "closed_loop.projection_via_contour(clo, tolerances=tol)" in source
+    assert "closed_loop.projection_matrix(pd)" in source
+    contour = ak.closed_loop.projection_via_contour(window.clo, tolerances=ak.DEFAULT_TOLERANCES)
+    assert contour.n_quad > 0
+    error = np.abs(contour.matrix - ak.closed_loop.projection_matrix(window.pd)).max()
+    assert error < 1e-6  # run.py's ORACLE_ENTRY_TOL
 
 
 def test_positional_calls_of_the_run_script(window):

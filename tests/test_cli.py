@@ -356,7 +356,7 @@ class TestVerify:
 
     def test_reads_K0_only_through_its_pairing(self, window_cfg, tmp_path, monkeypatch):
         # the residual is taken at K0 and transversality from the closed
-        # loop's leading mode: no path is simulated and no state is sampled
+        # loop's leading mode: no path is simulated
         plain = tmp_path / "plain"
         assert main(["verify", "--config", str(window_cfg), "--out", str(plain), "--quiet"]) == 0
 
@@ -364,7 +364,6 @@ class TestVerify:
             raise AssertionError("dense path evaluated")
 
         monkeypatch.setattr(closed_loop, "simulate", dense)
-        monkeypatch.setattr(verify, "sample_halfspace_states", dense)
         out = tmp_path / "out"
         assert main(["verify", "--config", str(window_cfg), "--out", str(out), "--quiet"]) == 0
         assert (out / "audit.json").read_bytes() == (plain / "audit.json").read_bytes()
@@ -438,13 +437,13 @@ def _reference_sweep_row(config, rho, gamma, sigma):
     except InfeasibleParametersError:
         row.update(
             lambda0=basis.lambda0, lambda1=basis.lambda1, feasible=False,
-            g=hjb.growth_rate(params, basis.lambda0),
+            g=hjb.balanced_growth(params.rho, params.gamma, basis.lambda0),
             alpha=None, M=None, rate=None, dominant=None,
         )
         return row
     try:
         pd = closed_loop.compute_projection_data(basis, sol, tolerances)
-        M = stability.explicit_bound_constant(pd)
+        M = float(stability.bound_constant(pd.w.values, pd.beta.values, pd.basis.grid.weight))
     except SpectrumCollisionError:
         M = None
     row.update(

@@ -18,6 +18,7 @@ from akgrowth import (
 from akgrowth.closed_loop import withdrawal_profile
 
 from conftest import build_pipeline
+from oracles import resolvent_apply
 
 TWO_PI = 2.0 * np.pi
 
@@ -84,7 +85,7 @@ class TestOperator:
             lhs = np.linalg.solve(clo.matrix - mu * identity, h.values)
             h0 = inner_l2(h, basis.b0)
             shifted = h + (h0 * sol.alpha0 / (sol.g - mu)) * u_beta
-            rhs = ak.resolvent_apply(basis, mu, shifted)
+            rhs = resolvent_apply(basis, mu, shifted)
             assert np.abs(lhs - rhs.values).max() < 1e-8
 
 
@@ -107,7 +108,7 @@ class TestProjectionData:
     def test_w_matches_resolvent(self, variable):
         sol, basis, pd = variable.sol, variable.basis, variable.pd
         u_beta = (1.0 / sol.alpha0) * withdrawal_profile(sol)
-        via_resolvent = ak.resolvent_apply(basis, sol.g, u_beta)
+        via_resolvent = resolvent_apply(basis, sol.g, u_beta)
         assert np.abs(pd.w.values - via_resolvent.values).max() < 1e-9
 
     def test_mu0(self, variable):
@@ -144,7 +145,7 @@ class TestProjectionApply:
 
     def test_homogeneous_projects_to_mean(self, window):
         out = ak.projection_matrix(window.pd) @ window.K0.values
-        mean = ak.integral(window.K0) / TWO_PI
+        mean = window.grid.weight * float(window.K0.values.sum()) / TWO_PI
         np.testing.assert_allclose(out, mean, rtol=1e-10)
 
 

@@ -185,6 +185,35 @@ class TestRejection:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "kind, line",
+        [("constant", "A.amplitude = 0.5"), ("constant", "A.mode = 3"),
+         ("cosine", "K0.values = 1.0, 2.0"), ("custom-table", "A.mean = 1.0")],
+    )
+    def test_attribute_the_kind_does_not_read(self, kind, line):
+        # a profile reads only its kind's attributes: any other one is a
+        # typo or a wrong kind, not something to ignore
+        text = GOOD
+        if kind == "custom-table":
+            text = GOOD.replace("n_points = 64", "n_points = 8").replace(
+                "A.kind = constant\nA.value = 1.0",
+                "A.kind = custom-table\nA.values = " + ", ".join(["1.0"] * 8))
+        name, attr = line.split(" ")[0].split(".")
+        message = f"^profile '{name}': {kind} has no attribute '{attr}'$"
+        with pytest.raises(ConfigError, match=message):
+            parse_config(text + line + "\n")
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [("A.value = 1.0", "", "profile 'A': constant needs 'value'"),
+         ("K0.mean = 1.0", "", "profile 'K0': cosine needs 'mean'"),
+         ("A.kind = constant\nA.value = 1.0", "A.kind = custom-table",
+          "profile 'A': custom-table needs 'values'")],
+    )
+    def test_kind_needs_its_attribute(self, old, new, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            parse_config(GOOD.replace(old, new))
+
     def test_missing_profile(self):
         text = "schema = 1\nA.kind = constant\nA.value = 1.0\n"
         with pytest.raises(ConfigError):

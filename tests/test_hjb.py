@@ -13,7 +13,7 @@ from akgrowth import (
     UnderflowWarning,
     inner_l2,
 )
-from akgrowth.hjb import positive_power
+from akgrowth.hjb import balanced_growth, positive_power
 
 from conftest import build_pipeline
 
@@ -42,35 +42,32 @@ def homogeneous(rho=1.0, gamma=0.5, n=128):
 class TestWellPosedness:
     def test_direct_inequality(self, window):
         params = window.params
-        assert ak.check_wellposed(params, lambda0=1.0)  # 0.75 > 0.5
-        low = dataclasses.replace(params, rho=0.4)
-        assert not ak.check_wellposed(low, lambda0=1.0)
+        assert ak.wellposed(params.rho, params.gamma, lambda0=1.0)  # 0.75 > 0.5
+        assert not ak.wellposed(0.4, params.gamma, lambda0=1.0)
 
     def test_gamma_above_one_sign_argument(self, gamma2):
         # lambda0*(1-gamma) < 0 < rho, so any positive discount is feasible
-        assert ak.check_wellposed(gamma2.params, lambda0=1.0)
+        assert ak.wellposed(gamma2.params.rho, gamma2.params.gamma, lambda0=1.0)
 
     def test_equality_rejected(self):
         grid = Grid(16)
         one = GridFunction.constant(grid, 1.0)
         params = ak.ModelParams(sigma=1.0, rho=0.5, gamma=0.5, q=0.0, A=one, eta=one)
-        assert not ak.check_wellposed(params, lambda0=1.0)
+        assert not ak.wellposed(params.rho, params.gamma, lambda0=1.0)
 
     def test_infeasible_raises(self):
         pipe = homogeneous(rho=1.0)
         bad = dataclasses.replace(pipe.params, rho=0.4)
         with pytest.raises(InfeasibleParametersError):
-            ak.compute_alpha(pipe.basis, bad)
+            ak.solve_hjb(pipe.basis, bad)
 
 
 class TestGrowthRate:
-    def test_direct(self, window):
-        params = dataclasses.replace(window.params, rho=1.2, gamma=2.0)
-        assert ak.growth_rate(params, 1.0) == pytest.approx(-0.1, rel=1e-15)
+    def test_direct(self):
+        assert balanced_growth(1.2, 2.0, 1.0) == pytest.approx(-0.1, rel=1e-15)
 
     def test_zero_at_rho_equals_lambda0(self, window):
-        params = dataclasses.replace(window.params, rho=1.0)
-        assert ak.growth_rate(params, 1.0) == 0.0
+        assert balanced_growth(1.0, window.params.gamma, 1.0) == 0.0
 
     def test_outside_dominance_window(self):
         # rho=1.2, gamma=2: decay exponent g - A + sigma = -0.1 < 0, and indeed
@@ -156,7 +153,8 @@ class TestFeedback:
     def test_homogeneous_constant_profile(self, window):
         # Phi(K0) is the constant (A - g)/(2*pi) * integral(K0)
         control = ak.feedback_control(window.sol, window.K0)
-        expected = (1.0 - window.sol.g) / TWO_PI * ak.integral(window.K0)
+        integral = window.grid.weight * float(window.K0.values.sum())
+        expected = (1.0 - window.sol.g) / TWO_PI * integral
         np.testing.assert_allclose(control.values, expected, rtol=1e-10)
 
     def test_linearity(self, variable):
@@ -190,7 +188,8 @@ class TestControlPath:
         # e^(g t) (A - g)/(2*pi) * integral(K0), constant in theta
         t = 1.7
         path = ak.optimal_control_path(window.sol, window.K0, np.array([t]))
-        expected = math.exp(window.sol.g * t) * (1.0 - window.sol.g) / TWO_PI * ak.integral(window.K0)
+        integral = window.grid.weight * float(window.K0.values.sum())
+        expected = math.exp(window.sol.g * t) * (1.0 - window.sol.g) / TWO_PI * integral
         np.testing.assert_allclose(path, expected, rtol=1e-10)
 
     def test_rows_follow_times(self, variable):

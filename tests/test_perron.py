@@ -381,33 +381,6 @@ class TestRandomBattery:
         assert sorted(seen) == list(range(count))
 
 
-class TestBoundarySpectrum:
-    def test_two_state_generator(self):
-        gen = GeneratorMatrix(np.array([[-1.0, 1.0], [1.0, -1.0]]))
-        result = ak.boundary_spectrum(gen)
-        assert result.progression_ok
-        assert len(result.eigenvalues) == 1
-        assert result.eigenvalues[0] == pytest.approx(0.0, abs=1e-12)
-
-    def test_three_cycle(self):
-        # eigenvalues of the 3-cycle generator are the cube roots of unity
-        # minus 1; only 0 sits on the boundary line
-        gen = cyclic_shift_generator(3)
-        result = ak.boundary_spectrum(gen)
-        assert result.progression_ok
-        assert len(result.eigenvalues) == 1
-        assert abs(result.eigenvalues[0]) < 1e-12
-
-    def test_symmetric_generator_singleton(self):
-        rng = np.random.default_rng(9)
-        raw = rng.random((6, 6))
-        entries = (raw + raw.T) / 2
-        entries[np.diag_indices(6)] = -np.abs(entries).sum(axis=1)
-        result = ak.boundary_spectrum(GeneratorMatrix(entries))
-        assert result.progression_ok
-        assert len(result.eigenvalues) == 1
-
-
 class TestSemigroupPositivity:
     @pytest.mark.parametrize("t", [0.1, 1.0, 10.0])
     def test_metzler_exponential_nonnegative(self, t):

@@ -3,16 +3,22 @@ import pytest
 
 import akgrowth as ak
 from akgrowth import GridFunction
+from akgrowth.stability import bound_constant
 
 TWO_PI = 2.0 * np.pi
 
 
+def explicit_M(pd):
+    """M = 1 + sup|w| * integral(beta), as ``convergence_bound_check`` takes it."""
+    return float(bound_constant(pd.w.values, pd.beta.values, pd.basis.grid.weight))
+
+
 class TestBoundConstant:
     def test_homogeneous_M_is_two(self, window):
-        assert ak.explicit_bound_constant(window.pd) == pytest.approx(2.0, abs=1e-10)
+        assert explicit_M(window.pd) == pytest.approx(2.0, abs=1e-10)
 
     def test_M_at_least_one(self, variable):
-        assert ak.explicit_bound_constant(variable.pd) >= 1.0
+        assert explicit_M(variable.pd) >= 1.0
 
 
 class TestConvergenceBound:
@@ -60,7 +66,7 @@ class TestAdmissibilityCondition:
     def test_steady_state_trivially_admissible(self, variable_mild):
         pd = variable_mild.pd
         assert pd.w.values.min() > 0
-        M = ak.explicit_bound_constant(pd)
+        M = explicit_M(pd)
         x0 = GridFunction(variable_mild.grid, 2.0 * pd.w.values)
         assert ak.admissibility_condition(pd, x0, M)
 
@@ -68,18 +74,18 @@ class TestAdmissibilityCondition:
         # strong variation makes inf w < 0, so the certificate is unavailable
         pd = variable.pd
         assert pd.w.values.min() < 0
-        M = ak.explicit_bound_constant(pd)
+        M = explicit_M(pd)
         assert not ak.admissibility_condition(pd, variable.K0, M)
 
     def test_homogeneous_reduction_to_mean_condition(self, window):
         # with M = 2 the condition reads 2*sup|K0 - mean| <= mean
         pd = window.pd
-        M = ak.explicit_bound_constant(pd)
+        M = explicit_M(pd)
         for amplitude, expected in [(0.6, False), (0.4, True)]:
             K0 = GridFunction.from_callable(
                 window.grid, lambda t: 1.0 + amplitude * np.cos(t)
             )
-            mean = ak.integral(K0) / TWO_PI
+            mean = window.grid.weight * float(K0.values.sum()) / TWO_PI
             direct = 2.0 * ak.sup_norm(K0 - mean) <= mean
             assert direct is expected
             assert ak.admissibility_condition(pd, K0, M) is expected
@@ -98,13 +104,13 @@ class TestPositivityAudit:
         values[5] = -0.01
         x0 = GridFunction(window.grid, values)
         traj = ak.simulate(window.clo, x0, 1.0, 5)
-        assert not ak.positivity_audit(traj)
+        assert not ak.convergence_bound_check(traj, window.pd).admissible
 
     def test_steady_positive_path(self, variable_mild):
         x0 = GridFunction(variable_mild.grid, 1.5 * variable_mild.pd.w.values)
         assert variable_mild.pd.w.values.min() > 0
         traj = ak.simulate(variable_mild.clo, x0, 5.0, 50)
-        assert ak.positivity_audit(traj)
+        assert ak.convergence_bound_check(traj, variable_mild.pd).admissible
 
 
 class TestDominanceWindow:
@@ -113,6 +119,6 @@ class TestDominanceWindow:
         params, basis = window.params, window.basis
         low = 1.0 - params.gamma
         inside = low < params.rho < low + params.sigma * params.gamma
-        wellposed = ak.check_wellposed(params, basis.lambda0)
+        posed = ak.wellposed(params.rho, params.gamma, basis.lambda0)
         dominant = window.sol.g > basis.lambda1
-        assert inside == (wellposed and dominant)
+        assert inside == (posed and dominant)

@@ -27,6 +27,7 @@ from conftest import (
     pairing_shift,
     perturbed_control,
 )
+from oracles import sample_halfspace_states
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -88,8 +89,8 @@ class TestPayoff:
 
     def test_optimal_payoff_matches_value(self, window):
         sol, K0 = window.sol, window.K0
-        T = ak.default_horizon(sol, K0)
-        tail = ak.closed_form_tail(sol, K0, T)
+        audit = ak.optimality_audit(sol, K0, 0, 0)
+        T, tail = audit.horizon, audit.tail_bound
         result = ak.payoff(
             window.params, lambda t: ak.optimal_control_path(sol, K0, t), T,
             nodes_per_unit=64,
@@ -100,7 +101,7 @@ class TestPayoff:
 
     def test_optimal_payoff_matches_value_gamma2(self, gamma2):
         sol, K0 = gamma2.sol, gamma2.K0
-        T = ak.default_horizon(sol, K0)
+        T = ak.optimality_audit(sol, K0, 0, 0).horizon
         result = ak.payoff(
             gamma2.params, lambda t: ak.optimal_control_path(sol, K0, t), T,
             nodes_per_unit=64,
@@ -120,16 +121,12 @@ class TestPayoff:
     def test_tail_and_horizon_need_the_half_space(self, window):
         outside = GridFunction.constant(window.grid, -1.0)
         with pytest.raises(HalfSpaceError):
-            ak.closed_form_tail(window.sol, outside, 10.0)
-        with pytest.raises(HalfSpaceError):
-            ak.default_horizon(window.sol, outside)
+            ak.optimality_audit(window.sol, outside, 0, 0)
 
     def test_tail_divergence_guard(self, window):
         broken = dataclasses.replace(window.sol, g=1e6)
         with pytest.raises(TailDivergenceError):
-            ak.closed_form_tail(broken, window.K0, 10.0)
-        with pytest.raises(TailDivergenceError):
-            ak.default_horizon(broken, window.K0)
+            ak.optimality_audit(broken, window.K0, 0, 0)
 
     def test_invalid_horizon(self, window):
         with pytest.raises(ValueError):
@@ -278,7 +275,7 @@ class TestBatchedMatchesOracle:
         # e^(|Q1|) of the feedback path's, and |Q1| <= |a| <eta P, b0>
         pipe = _oracle_pipeline(gamma)
         sol, p0 = pipe.sol, _p0(pipe.sol, pipe.K0)
-        horizon = ak.default_horizon(sol, pipe.K0)
+        horizon = ak.optimality_audit(sol, pipe.K0, 0, 0).horizon
         times = np.linspace(0.0, horizon, 4 * math.ceil(horizon) + 1)
         pairings = closed_form_pairing(sol, p0, amplitude, mode, phase, times)
         bound = abs(amplitude) * (pipe.basis.lambda0 - sol.g)
@@ -463,7 +460,7 @@ class TestOptimalityAudit:
             grid, params, K0 = load_config(ROOT / "demos" / f"{source}.cfg").model()
             sol = ak.solve_hjb(ak.eigendecompose(ak.assemble_generator(params, grid)), params)
         p0, v = _p0(sol, K0), ak.value_function(sol, K0)
-        T = ak.default_horizon(sol, K0)
+        T = ak.optimality_audit(sol, K0, 0, 0).horizon
         evaluate = _perturbation_family(sol, p0, T)
         for mode, phase in [(1, 0.0), (2, 1.0), (3, 2.5)]:
             curvature = [(evaluate(a, mode, phase)[0] - v) / a**2 for a in (0.025, 0.05, 0.1)]
@@ -507,7 +504,7 @@ class TestOptimalityAudit:
 
 class TestHjbResidual:
     def test_small_on_random_states(self, variable):
-        states = ak.sample_halfspace_states(variable.basis, 20, seed=21)
+        states = sample_halfspace_states(variable.basis, 20, seed=21)
         worst = max(ak.hjb_residual(variable.sol, s) for s in states)
         assert worst < 1e-9
 
@@ -534,7 +531,7 @@ class TestHjbResidualSeesOnlyThePairing:
     @settings(max_examples=30)
     def test_residual_at_any_state_is_the_residual_at_K0(self, request, name, seed, scale):
         pipe = request.getfixturevalue(name)
-        x = ak.sample_halfspace_states(pipe.basis, 1, seed)[0]
+        x = sample_halfspace_states(pipe.basis, 1, seed)[0]
         x = GridFunction(pipe.grid, scale * x.values)
         residual, at_K0 = ak.hjb_residual(pipe.sol, x), ak.hjb_residual(pipe.sol, pipe.K0)
         assert abs(residual - at_K0) <= 1e-14
@@ -551,7 +548,7 @@ def _path_pairings(pipe, traj):
 
 class TestTransversality:
     def test_optimal_path_passes(self, window):
-        T = ak.default_horizon(window.sol, window.K0)
+        T = ak.optimality_audit(window.sol, window.K0, 0, 0).horizon
         traj = ak.simulate(window.clo, window.K0, T, 200)
         assert ak.transversality_check(window.sol, traj.times, _path_pairings(window, traj))
 
@@ -599,8 +596,9 @@ class TestTransversality:
         # verify's closed form <K0, b0> e^(r t), r = spectrum[0], against the
         # pairings of the simulated path
         pipe = request.getfixturevalue(name)
-        T = ak.default_horizon(pipe.sol, pipe.K0) if horizon == "default" else horizon
-        traj = ak.simulate(pipe.clo, pipe.K0, T, 200)
+        if horizon == "default":
+            horizon = ak.optimality_audit(pipe.sol, pipe.K0, 0, 0).horizon
+        traj = ak.simulate(pipe.clo, pipe.K0, horizon, 200)
         simulated = _path_pairings(pipe, traj)
         closed = inner_l2(pipe.K0, pipe.basis.b0) * np.exp(pipe.clo.spectrum[0] * traj.times)
         np.testing.assert_allclose(closed, simulated, rtol=1e-12)
@@ -610,5 +608,5 @@ class TestTransversality:
 
 class TestHalfSpaceSampling:
     def test_samples_lie_in_half_space(self, variable):
-        for state in ak.sample_halfspace_states(variable.basis, 10, seed=3):
+        for state in sample_halfspace_states(variable.basis, 10, seed=3):
             assert inner_l2(state, variable.basis.b0) > 0
