@@ -13,13 +13,13 @@ import math
 import sys
 import traceback
 from pathlib import Path
-from typing import NoReturn
+from typing import Iterator
 
 import numpy as np
 
 from . import closed_loop, hjb, serialize, spectral, stability, verify
 from .config import RunConfig, load_config
-from .errors import ConfigError, InfeasibleParametersError
+from .errors import ConfigError, InfeasibleParametersError, PositivityError, SpectrumCollisionError
 from .grid import inner_l2
 from .perron import battery_failures, random_metzler_battery
 from .tolerances import Tolerances
@@ -44,7 +44,12 @@ def _model(config: RunConfig):
     grid, params, K0 = config.model()
     tolerances = config.tolerances()
     op = spectral.assemble_generator(params, grid)
-    return params, K0, spectral.eigendecompose(op, tolerances), tolerances
+    try:
+        basis = spectral.eigendecompose(op, tolerances)
+    except PositivityError as exc:  # at a small sigma b0 decays below float64 resolution
+        raise ConfigError(f"sigma = {params.sigma!r} with n_points = {grid.n_points}: "
+                          f"{exc}; a larger sigma keeps b0 resolvable") from exc
+    return params, K0, basis, tolerances
 
 
 def _state_model(config: RunConfig):
@@ -173,117 +178,47 @@ def cmd_verify(config: RunConfig, out: Path, quiet: bool,
 
 def _sweep_group(rhos: list[float], gamma: float, sigma: float,
                  params: spectral.ModelParams, basis: spectral.SpectralBasis,
-                 tolerances: Tolerances) -> list[dict | None]:
+                 tolerances: Tolerances) -> Iterator[dict | Exception]:
     """The sweep.csv rows of one (gamma, sigma), one per rho in order.
 
-    Only the scalars g, alpha and alpha0 depend on rho; they are Python
-    floats, computed as ``solve_hjb`` computes them.  The rho-independent
-    terms come once per group, the profiles of all well-posed rows in one
-    array pass, and each basis transform as the one matrix-vector product
-    per row that ``compute_projection_data`` makes, so every value is
-    bit-identical to the per-point path.  A row that fails a check of
-    ``solve_hjb`` or ``compute_projection_data`` is None.
+    A row that fails a check of ``hjb.solve_rows`` or ``closed_loop.projection_rows``
+    is its error, but an infeasible row is written as such, and a collision
+    of g with the spectrum leaves M empty.
     """
     lambda0, lambda1 = basis.lambda0, basis.lambda1
-    rows: list[dict | None] = []
-    pending = []  # (index, rho, g) of the well-posed rows
-    for rho in rhos:
-        g = hjb.balanced_growth(rho, gamma, lambda0)
+    M = [None] * len(rhos)
+    # a row that fails a check is computed on: its nan or inf is kept quiet
+    with np.errstate(all="ignore"):
+        growth, alpha, alpha0, errors, _, factor = hjb.solve_rows(basis, params, gamma, rhos)
+        solved = [i for i, error in enumerate(errors) if error is None]
+        if solved:
+            _, w, beta, projection_errors = closed_loop.projection_rows(
+                basis, factor, gamma,
+                *([v[i] for i in solved] for v in (alpha, alpha0, growth)), tolerances,
+            )
+            bounds = stability.bound_constant(w, beta, basis.grid.weight).tolist()
+            for i, error, bound in zip(solved, projection_errors, bounds):
+                errors[i], M[i] = error, None if error else bound
+    for rho, g, a, error, bound in zip(rhos, growth, alpha, errors, M):
         row = {"rho": rho, "gamma": gamma, "sigma": sigma,
                "lambda0": lambda0, "lambda1": lambda1}
-        if hjb.wellposed(rho, gamma, lambda0):
-            pending.append((len(rows), rho, g))
-        else:
+        if isinstance(error, InfeasibleParametersError):
             row.update(feasible=False, g=g, alpha=None, M=None, rate=None, dominant=None)
-        rows.append(row)
-    if not pending:
-        return rows
-
-    factor = hjb.eta_factor(params, gamma)
-    integral = hjb.alpha_integral(basis, factor, gamma)
-    solved, alpha, alpha0, g = [], [], [], []
-    for index, rho, growth in pending:
-        try:
-            a = hjb.alpha_closed_form(rho, gamma, lambda0, integral)
-            a0 = hjb.alpha0_closed_form(a, gamma)
-        except (ArithmeticError, ConfigError):  # alpha or alpha0 left the float range
-            rows[index] = None
-            continue
-        rows[index].update(feasible=True, g=growth, alpha=a, M=None,
-                           rate=growth - lambda1, dominant=bool(growth > lambda1))
-        solved.append(index)
-        alpha.append(a)
-        alpha0.append(a0)
-        g.append(growth)
-    if not solved:
-        return rows
-
-    # (m, 1) columns: row i of every (m, n) block below belongs to solved[i]
-    alpha, alpha0, g = (np.array(v)[:, None] for v in (alpha, alpha0, g))
-    b0, weight = basis.b0.values, basis.grid.weight
-    f = hjb.consumption_weight(params)
-    # rows that a check rejects are computed on, with NaN or inf kept quiet,
-    # and dropped below; every check is the one the per-point path makes
-    with np.errstate(all="ignore"):
-        profile = hjb.feedback_profile_values(f, alpha, params.eta.values, b0, gamma)
-        hjb_ok = (
-            np.isfinite(f).all()
-            & np.isfinite(profile).all(axis=1)
-            & (profile.min(axis=1) > 0.0)
-        )
-        collides = (
-            np.abs(basis.eigenvalues - g).min(axis=1) < tolerances.spectrum_collision
-        )
-        u = (1.0 / alpha0) * closed_loop.withdrawal_values(alpha, b0, factor, gamma)
-        beta_coeffs = basis.coefficient_rows(u)
-        mu0 = lambda0 - g
-        defect = closed_loop.quadrature_defect(beta_coeffs[:, 0], mu0[:, 0], alpha0[:, 0])
-        w = basis.synthesize_rows(
-            closed_loop.w_coefficients(beta_coeffs, basis.eigenvalues, g, alpha0)
-        )
-        beta = alpha0 * b0
-        pairing = np.array([weight * float(w_row @ beta_row)
-                            for w_row, beta_row in zip(w, beta)])
-        projection_ok = (
-            np.isfinite(u).all(axis=1)
-            & ~(defect > tolerances.quadrature_consistency)
-            & np.isfinite(w).all(axis=1)
-            & np.isfinite(beta).all(axis=1)
-            & ~(np.abs(pairing - 1.0) > tolerances.pairing_normalization)
-        )
-        M = stability.bound_constant(w, beta, weight)
-    for k, index in enumerate(solved):
-        if not (hjb_ok[k] and (collides[k] or projection_ok[k])):
-            rows[index] = None
-        elif not collides[k]:  # a collision leaves M empty
-            rows[index]["M"] = float(M[k])
-    return rows
-
-
-def _raise_row_error(rho: float, gamma: float, params: spectral.ModelParams,
-                     basis: spectral.SpectralBasis, tolerances: Tolerances) -> NoReturn:
-    """Raise the error of a sweep row that ``_sweep_group`` rejected.
-
-    The row is evaluated again through ``solve_hjb`` and
-    ``compute_projection_data``, so its error is theirs, text included.
-    """
-    sol = hjb.solve_hjb(basis, dataclasses.replace(params, rho=rho, gamma=gamma))
-    closed_loop.compute_projection_data(basis, sol, tolerances)
-    raise RuntimeError(
-        f"sweep row rho={rho!r} gamma={gamma!r} was rejected, "
-        "but the per-point path accepts it"
-    )
+        elif error is None or isinstance(error, SpectrumCollisionError):
+            row.update(feasible=True, g=g, alpha=a, M=bound, rate=g - lambda1,
+                       dominant=bool(g > lambda1))
+        else:
+            row = error
+        yield row
 
 
 def sweep_rows(config: RunConfig) -> list[dict]:
     """The rows of sweep.csv, in Cartesian order with sigma innermost.
 
     The basis depends on sigma but not on rho or gamma, so each distinct
-    sigma is decomposed once.  The closed forms are then evaluated by
-    (gamma, sigma) group (``_sweep_group``): the terms that do not depend on
-    rho once per group, and the rho-dependent scalars once per row.  A row
-    that fails a check raises its error, the first such row in Cartesian
-    order, as if the rows had been evaluated one by one.
+    sigma is decomposed once, and the rows are evaluated by (gamma, sigma)
+    group.  The first row in Cartesian order that failed a check raises its
+    error, as if the rows had been evaluated one by one.
     """
     rhos = config.sweep.get("rho", [config.rho])
     gammas = config.sweep.get("gamma", [config.gamma])
@@ -293,17 +228,17 @@ def sweep_rows(config: RunConfig) -> list[dict]:
         params, _, basis, tolerances = _model(dataclasses.replace(config, sigma=sigma))
         models[sigma] = (params, basis, tolerances)
     groups = {
-        (gamma, sigma): _sweep_group(rhos, gamma, sigma, *models[sigma])
+        (gamma, sigma): list(_sweep_group(rhos, gamma, sigma, *models[sigma]))
         for gamma in dict.fromkeys(gammas)
         for sigma in models
     }
     rows = []
-    for index, rho in enumerate(rhos):
+    for index in range(len(rhos)):
         for gamma in gammas:
             for sigma in sigmas:
                 row = groups[gamma, sigma][index]
-                if row is None:
-                    _raise_row_error(rho, gamma, *models[sigma])
+                if isinstance(row, Exception):
+                    raise row
                 rows.append(dict(row))  # a repeated gamma or sigma reuses the row
     return rows
 

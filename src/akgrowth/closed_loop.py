@@ -12,7 +12,9 @@ are closed forms (Golub, SIAM Review 15, 1973); dense B is only an oracle.
 The dominant eigenvalue (when it dominates) is the growth rate g, with
 eigenvector w; detrended trajectories converge to the rank-one projection
 P x = <x, beta> w, which is validated here both from its closed-form series
-and from a resolvent contour integral.
+and from a resolvent contour integral.  ``projection_rows`` builds the
+series and its checks for many rows at once; ``compute_projection_data`` is
+its row of one.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ContourEnclosureError, GridMismatchError, SpectrumCollisionError
-from .grid import TWO_PI, Grid, GridFunction, inner_l2
+from .grid import NOT_FINITE, TWO_PI, Grid, GridFunction
 from .hjb import HjbSolution, eta_factor, positive_power
 from .spectral import SpectralBasis
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
@@ -120,24 +122,59 @@ class ProjectionData:
         object.__setattr__(self, "beta_coeffs", c)
 
 
-def quadrature_defect(beta0, mu0, alpha0):
-    """Relative distance of <b0, u> = beta0 from its closed form mu0 / alpha0.
+def projection_rows(
+    basis: SpectralBasis,
+    factor: np.ndarray,
+    gamma: float,
+    alpha: list[float],
+    alpha0: list[float],
+    g: list[float],
+    tolerances: Tolerances,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[Exception | None]]:
+    """beta = alpha0*b0, its coefficients beta_k and the series
 
-    Floats give a float; arrays give one defect per entry.
+        w = b0/alpha0 + sum_{k>=1} beta_k / (lambda_k - g) * b_k,
+
+    truncated at the discretization order (exact at this level), for m rows
+    at ``gamma``, ``factor`` = ``hjb.eta_factor(params, gamma)``: the (m, n)
+    blocks of beta_k, w and beta, and per row None or the error of its first
+    failing check, in order: g collides with an eigenvalue; u is not finite;
+    <b0, u> misses mu0 / alpha0, mu0 = lambda0 - g; w or beta is not finite;
+    <w, beta> is not 1.  Callers keep a failing row's nan or inf quiet.
     """
-    target = mu0 / alpha0
-    return np.abs(beta0 - target) / np.maximum(1.0, np.abs(target))
-
-
-def w_coefficients(beta_coeffs: np.ndarray, eigenvalues: np.ndarray, g, alpha0) -> np.ndarray:
-    """Basis coefficients of w = b0/alpha0 + sum_{k>=1} beta_k / (lambda_k - g) * b_k.
-
-    ``g`` and ``alpha0`` are floats, or (m, 1) columns of them for the rows
-    of an (m, n) ``beta_coeffs``.
-    """
-    coeffs = beta_coeffs / (eigenvalues - g)
-    coeffs[..., :1] = 1.0 / alpha0
-    return coeffs
+    lam, b0, weight = basis.eigenvalues, basis.b0.values, basis.grid.weight
+    g_column, alpha0_column = np.array(g)[:, None], np.array(alpha0)[:, None]
+    gaps = np.abs(lam - g_column)
+    # beta-paired withdrawal form beta^(-1/gamma) * eta^((q+gamma-1)/gamma)
+    u = (1.0 / alpha0_column) * withdrawal_values(np.array(alpha)[:, None], b0, factor, gamma)
+    beta_coeffs = basis.coefficient_rows(u)
+    target = (basis.lambda0 - g_column[:, 0]) / alpha0_column[:, 0]
+    defect = np.abs(beta_coeffs[:, 0] - target) / np.maximum(1.0, np.abs(target))
+    coeffs = beta_coeffs / (lam - g_column)
+    coeffs[:, :1] = 1.0 / alpha0_column
+    w = basis.synthesize_rows(coeffs)
+    beta = alpha0_column * b0
+    pairing = [weight * float(w_row @ beta_row) for w_row, beta_row in zip(w, beta)]
+    collides = (gaps.min(axis=1) < tolerances.spectrum_collision).tolist()
+    u_finite = np.isfinite(u).all(axis=1).tolist()
+    defective = (defect > tolerances.quadrature_consistency).tolist()
+    w_beta_finite = (np.isfinite(w).all(axis=1) & np.isfinite(beta).all(axis=1)).tolist()
+    unpaired = (np.abs(np.array(pairing) - 1.0) > tolerances.pairing_normalization).tolist()
+    errors: list[Exception | None] = [None] * len(g)
+    for i in range(len(g)):  # the first check that a row fails names its error
+        if collides[i]:
+            k = int(gaps[i].argmin())
+            message = f"g={g[i]!r} collides with eigenvalue lambda_{k}={lam[k]!r}"
+            errors[i] = SpectrumCollisionError(message)
+        elif not u_finite[i]:
+            errors[i] = ValueError(NOT_FINITE)
+        elif defective[i]:
+            errors[i] = RuntimeError(f"mu0 quadrature consistency defect {defect[i]:g}")
+        elif not w_beta_finite[i]:
+            errors[i] = ValueError(NOT_FINITE)
+        elif unpaired[i]:
+            errors[i] = RuntimeError(f"<w, beta> = {pairing[i]!r} is not 1 within tolerance")
+    return beta_coeffs, w, beta, errors
 
 
 def compute_projection_data(
@@ -145,37 +182,24 @@ def compute_projection_data(
     sol: HjbSolution,
     tolerances: Tolerances = DEFAULT_TOLERANCES,
 ) -> ProjectionData:
-    """Assemble beta = alpha0*b0, the coefficients beta_k, and the series
-
-        w = b0/alpha0 + sum_{k>=1} beta_k / (lambda_k - g) * b_k,
-
-    truncated at the discretization order (exact at this level).  Fails with
-    a SpectrumCollisionError if g is too close to any eigenvalue.
-    """
+    """``projection_rows`` of the one row of ``sol``, whose error it raises."""
     if sol.basis is not basis:
         raise GridMismatchError("solution was solved on a different basis")
-    g = sol.g
-    gaps = np.abs(basis.eigenvalues - g)
-    if float(gaps.min()) < tolerances.spectrum_collision:
-        k = int(gaps.argmin())
-        raise SpectrumCollisionError(
-            f"g={g!r} collides with eigenvalue lambda_{k}={basis.eigenvalues[k]!r}"
+    gamma = sol.params.gamma
+    with np.errstate(all="ignore"):
+        beta_coeffs, w, beta, errors = projection_rows(
+            basis, eta_factor(sol.params, gamma), gamma, [sol.alpha], [sol.alpha0], [sol.g],
+            tolerances,
         )
-    # beta-paired withdrawal form beta^(-1/gamma) * eta^((q+gamma-1)/gamma)
-    u = (1.0 / sol.alpha0) * withdrawal_profile(sol)
-    beta_coeffs = basis.coefficients(u)
-    mu0 = basis.lambda0 - g
-    # quadrature consistency: <b0, u> must equal mu0 / alpha0
-    defect = quadrature_defect(beta_coeffs[0], mu0, sol.alpha0)
-    if defect > tolerances.quadrature_consistency:
-        raise RuntimeError(f"mu0 quadrature consistency defect {defect:g}")
-    w = basis.synthesize(w_coefficients(beta_coeffs, basis.eigenvalues, g, sol.alpha0))
-    beta = GridFunction(basis.grid, sol.alpha0 * basis.b0.values)
-    pairing = inner_l2(w, beta)
-    if abs(pairing - 1.0) > tolerances.pairing_normalization:
-        raise RuntimeError(f"<w, beta> = {pairing!r} is not 1 within tolerance")
+    if errors[0] is not None:
+        raise errors[0]
     return ProjectionData(
-        basis=basis, g=g, beta=beta, w=w, beta_coeffs=beta_coeffs, mu0=mu0
+        basis=basis,
+        g=sol.g,
+        beta=GridFunction(basis.grid, beta[0]),
+        w=GridFunction(basis.grid, w[0]),
+        beta_coeffs=beta_coeffs[0],
+        mu0=basis.lambda0 - sol.g,
     )
 
 

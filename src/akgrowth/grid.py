@@ -17,6 +17,8 @@ import numpy as np
 from .errors import GridMismatchError
 
 TWO_PI = 2.0 * np.pi
+# the text of the ValueError a GridFunction raises on values that are not finite
+NOT_FINITE = "values must all be finite"
 
 
 @dataclass(frozen=True)
@@ -68,7 +70,7 @@ class GridFunction:
                 f"values must have shape ({self.grid.n_points},), got {v.shape}"
             )
         if not np.all(np.isfinite(v)):
-            raise ValueError("values must all be finite")
+            raise ValueError(NOT_FINITE)
         v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "values", v)

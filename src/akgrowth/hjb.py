@@ -12,7 +12,10 @@ consumption is the rank-one linear feedback
     (Phi x)(theta) = (f / (alpha * eta * b0))^(1/gamma)(theta) * <x, b0>.
 
 This module builds those objects and evaluates the associated utility,
-Hamiltonian, and control path.
+Hamiltonian, and control path.  ``solve_rows`` solves the rows of many
+discount rates at one gamma together, as a sweep needs; ``solve_hjb`` is
+its row of one, so each well-posedness and float-range check is written
+once and a swept row is bit-identical to the single solve.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .errors import (
     InfeasibleParametersError,
     UnderflowWarning,
 )
-from .grid import GridFunction, inner_l2, is_strictly_positive
+from .grid import NOT_FINITE, GridFunction, inner_l2
 from .spectral import ModelParams, SpectralBasis
 
 # smallest value positive_power returns; entries below it are floored
@@ -87,55 +90,6 @@ def alpha_integral(basis: SpectralBasis, factor: np.ndarray, gamma: float) -> fl
     return basis.grid.weight * float(integrand.sum())
 
 
-def alpha_closed_form(rho: float, gamma: float, lambda0: float, integral: float) -> float:
-    """alpha = [gamma / (rho - lambda0*(1-gamma)) * integral]^gamma as a float,
-    for a well-posed (rho, gamma) and ``integral`` from ``alpha_integral``.
-
-    At extreme (rho, gamma) the power leaves the float range: a huge rho
-    with gamma > 1 underflows it to 0.  An alpha that is not finite and
-    positive is a ConfigError naming rho and gamma.
-    """
-    try:
-        alpha = (gamma / (rho - lambda0 * (1.0 - gamma)) * integral) ** gamma
-    except OverflowError:
-        alpha = math.inf
-    if not (math.isfinite(alpha) and alpha > 0.0):
-        raise ConfigError(
-            f"rho = {rho!r} with gamma = {gamma!r}: alpha = {alpha!r} "
-            "is not a finite positive float"
-        )
-    return alpha
-
-
-def alpha0_closed_form(alpha: float, gamma: float) -> float:
-    """alpha0 = alpha^(1/(1-gamma)), the scale of the functional beta = alpha0 * b0.
-
-    Within about 1e-3 of gamma = 1 the exponent is large enough for the power
-    to overflow or underflow; that is a ConfigError naming gamma.
-    """
-    try:
-        alpha0 = alpha ** (1.0 / (1.0 - gamma))
-    except OverflowError:
-        alpha0 = math.inf
-    if not (math.isfinite(alpha0) and alpha0 > 0.0):
-        raise ConfigError(
-            f"gamma = {gamma!r} is too close to 1: alpha0 = alpha^(1/(1-gamma)) "
-            f"with alpha = {alpha!r} leaves the float range"
-        )
-    return alpha0
-
-
-def feedback_profile_values(
-    f: np.ndarray, alpha, eta: np.ndarray, b0: np.ndarray, gamma: float
-) -> np.ndarray:
-    """(f / (alpha * eta * b0))^(1/gamma) at the nodes.
-
-    ``alpha`` is a float, or an (m, 1) column of them for an (m, n) block
-    of profiles, one row per alpha.
-    """
-    return positive_power(f / (alpha * eta * b0), 1.0 / gamma)
-
-
 @dataclass(frozen=True, eq=False)
 class HjbSolution:
     """Closed-form solution data for the half-space control problem.
@@ -153,37 +107,83 @@ class HjbSolution:
     consumption_weight_f: GridFunction
 
 
-def solve_hjb(basis: SpectralBasis, params: ModelParams) -> HjbSolution:
-    """Construct the explicit solution record for the given spectral data.
+def solve_rows(
+    basis: SpectralBasis, params: ModelParams, gamma: float, rhos: list[float]
+) -> tuple[list[float], list[float], list[float], list, np.ndarray | None, np.ndarray | None]:
+    """Solve ``params`` on ``basis`` at ``gamma`` for each rho of ``rhos``.
 
-    alpha = [gamma / (rho - lambda0*(1-gamma)) * integral]^gamma, where the
-    integral is f^(1/gamma) (eta b0)^((gamma-1)/gamma) d(theta).  Requires the
-    well-posedness inequality rho > lambda0*(1-gamma).
+    alpha = [gamma / (rho - lambda0*(1-gamma)) * integral]^gamma, with the
+    integral of f^(1/gamma) (eta b0)^((gamma-1)/gamma) taken once.  Returns
+    per row g, alpha and alpha0 as Python floats (nan after a failed check)
+    and None or the error of its first failing check, in order: rho >
+    lambda0*(1-gamma); alpha, then alpha0 = alpha^(1/(1-gamma)), finite and
+    positive; a finite, positive profile.  Then the profiles of the rows
+    with an alpha0, and ``eta_factor(params, gamma)``, None if no row is
+    well-posed.  Callers keep a profile out of float range quiet.
     """
-    rho, gamma, lambda0 = params.rho, params.gamma, basis.lambda0
-    if not wellposed(rho, gamma, lambda0):
-        raise InfeasibleParametersError(
-            f"rho={rho} does not exceed lambda0*(1-gamma)={lambda0 * (1 - gamma)}"
+    lambda0 = basis.lambda0
+    g = [balanced_growth(rho, gamma, lambda0) for rho in rhos]
+    alpha, alpha0 = [math.nan] * len(rhos), [math.nan] * len(rhos)
+    bound = f"does not exceed lambda0*(1-gamma)={lambda0 * (1 - gamma)}"
+    errors: list[Exception | None] = [
+        None if wellposed(rho, gamma, lambda0) else InfeasibleParametersError(f"rho={rho} {bound}")
+        for rho in rhos
+    ]
+    if None not in errors:
+        return g, alpha, alpha0, errors, None, None
+    factor = eta_factor(params, gamma)
+    integral = alpha_integral(basis, factor, gamma)
+    solved = []  # the rows that pass the checks of alpha and alpha0
+    for i, rho in enumerate(rhos):
+        if errors[i] is not None:
+            continue
+        try:
+            a = (gamma / (rho - lambda0 * (1.0 - gamma)) * integral) ** gamma
+        except OverflowError:
+            a = math.inf
+        if not 0.0 < a < math.inf:
+            errors[i] = ConfigError(f"rho = {rho!r} with gamma = {gamma!r}: alpha = {a!r} "
+                                    "is not a finite positive float")
+            continue
+        try:
+            a0 = a ** (1.0 / (1.0 - gamma))
+        except OverflowError:
+            a0 = math.inf
+        if not 0.0 < a0 < math.inf:
+            errors[i] = ConfigError(f"gamma = {gamma!r} is too close to 1: alpha0 = alpha^"
+                                    f"(1/(1-gamma)) with alpha = {a!r} leaves the float range")
+            continue
+        alpha[i], alpha0[i] = a, a0
+        solved.append(i)
+    column = np.array([alpha[i] for i in solved])[:, None]
+    base = consumption_weight(params) / (column * params.eta.values * basis.b0.values)
+    profile = positive_power(base, 1.0 / gamma)
+    finite = np.isfinite(profile).all(axis=1).tolist()
+    positive = (profile.min(axis=1) > 0.0).tolist()
+    for i, profile_finite, profile_positive in zip(solved, finite, positive):
+        if not profile_finite:
+            errors[i] = ValueError(NOT_FINITE)
+        elif not profile_positive:
+            errors[i] = RuntimeError("feedback profile lost strict positivity")
+    return g, alpha, alpha0, errors, profile, factor
+
+
+def solve_hjb(basis: SpectralBasis, params: ModelParams) -> HjbSolution:
+    """``solve_rows`` of the one row of ``params``, whose error it raises."""
+    with np.errstate(all="ignore"):
+        g, alpha, alpha0, errors, profile, _ = solve_rows(
+            basis, params, params.gamma, [params.rho]
         )
-    integral = alpha_integral(basis, eta_factor(params, gamma), gamma)
-    alpha = alpha_closed_form(rho, gamma, lambda0, integral)
-    alpha0 = alpha0_closed_form(alpha, gamma)
-    g = balanced_growth(rho, gamma, lambda0)
-    f = GridFunction(params.grid, consumption_weight(params))
-    profile_values = feedback_profile_values(
-        f.values, alpha, params.eta.values, basis.b0.values, gamma
-    )
-    profile = GridFunction(basis.grid, profile_values)
-    if not is_strictly_positive(profile):
-        raise RuntimeError("feedback profile lost strict positivity")
+    if errors[0] is not None:
+        raise errors[0]
     return HjbSolution(
         params=params,
         basis=basis,
-        alpha=alpha,
-        alpha0=alpha0,
-        g=g,
-        feedback_profile=profile,
-        consumption_weight_f=f,
+        alpha=alpha[0],
+        alpha0=alpha0[0],
+        g=g[0],
+        feedback_profile=GridFunction(basis.grid, profile[0]),
+        consumption_weight_f=GridFunction(params.grid, consumption_weight(params)),
     )
 
 

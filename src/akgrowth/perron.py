@@ -359,14 +359,7 @@ def random_irreducible_metzler(
     """
     if dim < 2:
         raise ValueError("dim must be >= 2")
-    mask = rng.random((dim, dim)) < density
-    entries = np.where(mask, rng.random((dim, dim)), 0.0)
-    np.fill_diagonal(entries, 0.0)
-    cycle = (np.arange(dim) + 1) % dim
-    entries[np.arange(dim), cycle] += rng.random(dim) + 0.1
-    diagonal = -rng.random(dim) * dim
-    entries[np.diag_indices(dim)] = diagonal
-    return GeneratorMatrix(entries)
+    return GeneratorMatrix(_assemble(dim, rng.random((1, 2 * dim * (dim + 1))), density)[0])
 
 
 # matrices of one dimension whose draws are held before they are assembled
@@ -375,16 +368,15 @@ def random_irreducible_metzler(
 _DRAW_BLOCK = 16
 
 
-def _assemble(dim: int, draws: np.ndarray) -> np.ndarray:
-    """The (k, dim, dim) stack that ``random_irreducible_metzler`` builds from
-    each of k rows of its 2 dim (dim + 1) uniform draws, at its default density.
-
-    The same operations in the same order, on whole stacks, so the entries
-    are bit-identical.  Its zeroing of the diagonal is left out: the cycle
-    is off the diagonal, and the diagonal is overwritten last.
+def _assemble(dim: int, draws: np.ndarray, density: float) -> np.ndarray:
+    """The (k, dim, dim) stack of irreducible Metzler matrices built from each
+    of k rows of 2 dim (dim + 1) uniform draws: an off-diagonal entry is kept
+    where its draw is below ``density``, a directed cycle is added, and the
+    diagonal is drawn last.  Whole stacks are built with the same operations
+    in the same order as one matrix, so the entries are bit-identical.
     """
     k, square = len(draws), dim * dim
-    mask = draws[:, :square].reshape(k, dim, dim) < 0.5
+    mask = draws[:, :square].reshape(k, dim, dim) < density
     stack = np.where(mask, draws[:, square:2 * square].reshape(k, dim, dim), 0.0)
     rows = np.arange(dim)
     stack[:, rows, (rows + 1) % dim] += draws[:, 2 * square:2 * square + dim] + 0.1
@@ -399,13 +391,13 @@ def random_metzler_battery(
 
     The generator is consumed now, exactly as by ``count`` calls to
     ``random_irreducible_metzler(int(rng.integers(3, max_dim + 1)), rng)``:
-    one ``integers`` call per matrix, then one ``random`` call that fills
-    the matrix's row of its dimension's draw buffer with the 2 dim (dim + 1)
-    doubles that the four draws of that function take in turn.  ``random``
-    fills in C order, and doubles leave the 32-bit half-word that
-    ``integers`` buffers untouched, so the dimensions, the entries and the
-    final generator state are those of the calls.  A full buffer is
-    assembled into a block of its dimension's stack and reused.
+    one ``integers`` call per matrix, then the one ``random`` call of 2 dim
+    (dim + 1) doubles that the function makes, here into the matrix's row of
+    its dimension's draw buffer.  Doubles leave the 32-bit half-word that
+    ``integers`` buffers untouched, and both build the matrices with
+    ``_assemble``, so the dimensions, the entries and the final generator
+    state are those of the calls.  A full buffer is assembled into a block
+    of its dimension's stack and reused.
 
     The returned iterator yields one (indices, stack) pair per dimension:
     the battery indices, increasing, and the (k, dim, dim) stack of their
@@ -421,7 +413,7 @@ def random_metzler_battery(
         if not indices:
             draws[dim] = np.empty((_DRAW_BLOCK, 2 * dim * (dim + 1)))
         elif row == 0:
-            blocks[dim].append(_assemble(dim, draws[dim]))
+            blocks[dim].append(_assemble(dim, draws[dim], 0.5))
         rng.random(out=draws[dim][row])
         indices.append(index)
 
@@ -429,7 +421,7 @@ def random_metzler_battery(
         for dim in list(members):
             indices = members.pop(dim)
             last = draws.pop(dim)[:(len(indices) - 1) % _DRAW_BLOCK + 1]
-            stack = np.concatenate(blocks.pop(dim, []) + [_assemble(dim, last)])
+            stack = np.concatenate(blocks.pop(dim, []) + [_assemble(dim, last, 0.5)])
             yield np.array(indices), stack
 
     return stacks()

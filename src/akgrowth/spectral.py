@@ -181,14 +181,9 @@ class SpectralBasis:
         products = np.array([self.vectors.T @ row for row in rows])
         return self.grid.weight * products.reshape(rows.shape)
 
-    def synthesize(self, coefficients: np.ndarray) -> GridFunction:
-        """Reassemble sum_k c_k b_k from coefficients."""
-        c = np.asarray(coefficients, dtype=float)
-        return GridFunction(self.grid, self.synthesize_rows(c[None, :])[0])
-
     def synthesize_rows(self, rows: np.ndarray) -> np.ndarray:
-        """``synthesize`` of each row of an (m, n) coefficient array, as node
-        values, one matrix-vector product per row."""
+        """Node values of sum_k c_k b_k for each row c of an (m, n) coefficient
+        array, one matrix-vector product per row."""
         return np.array([self.vectors @ row for row in rows]).reshape(rows.shape)
 
 
@@ -216,7 +211,8 @@ def eigendecompose(
     basis = SpectralBasis(op.grid, lam, vec)
     if not is_strictly_positive(basis.b0):
         raise PositivityError(
-            "leading eigenfunction is not strictly positive after sign fix"
+            "leading eigenfunction is not strictly positive after sign fix: "
+            f"b0 min/max = {vec[:, 0].min() / vec[:, 0].max():.2g}"
         )
     norm = inner_l2(basis.b0, basis.b0)
     if abs(norm - 1.0) > tolerances.b0_normalization:

@@ -35,7 +35,7 @@ def resolvent_apply(
             f"mu={mu!r} is within {gap:g} of the spectrum"
         )
     coeffs = basis.coefficients(x) / (basis.eigenvalues - mu)
-    return basis.synthesize(coeffs)
+    return GridFunction(basis.grid, basis.vectors @ coeffs)
 
 
 def semigroup_apply(basis: SpectralBasis, t: float, x: GridFunction) -> GridFunction:
@@ -43,7 +43,7 @@ def semigroup_apply(basis: SpectralBasis, t: float, x: GridFunction) -> GridFunc
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
     coeffs = basis.coefficients(x) * np.exp(basis.eigenvalues * t)
-    return basis.synthesize(coeffs)
+    return GridFunction(basis.grid, basis.vectors @ coeffs)
 
 
 def sample_halfspace_states(

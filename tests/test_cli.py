@@ -177,6 +177,29 @@ def test_alpha_out_of_float_range_is_a_config_error(tmp_path, capsys, command):
     assert not out.exists()
 
 
+VARIABLE_DEMO = Path(__file__).resolve().parents[1] / "demos" / "config_variable.cfg"
+
+
+@pytest.mark.parametrize(
+    "command, edit",
+    [("solve", ("sigma = 2.0", "sigma = 1e-3")),
+     ("sweep", ("out_dir", "sweep.sigma = 1e-3, 2.0\nout_dir"))],
+)
+def test_unresolvable_b0_is_a_config_error(tmp_path, capsys, command, edit):
+    # at sigma = 1e-3 the leading eigenfunction of the variable demo decays
+    # below float64 resolution (min/max -2.2e-16 at n = 128 and at n = 1024):
+    # a rejected input, named without a traceback, not an internal error
+    cfg = tmp_path / "small_sigma.cfg"
+    cfg.write_text(VARIABLE_DEMO.read_text().replace(*edit))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: sigma = 0.001 with n_points = 128: ")
+    assert "b0 min/max = -" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 DETERMINISM_SWEEP ="sweep.rho = 0.45, 0.75\nsweep.sigma = 1.0, 2.0\n"
 
 
@@ -473,6 +496,16 @@ K0.kind = constant
 K0.value = 1.0
 """
 
+
+def _forbid_per_point_path(monkeypatch):
+    """Make a sweep that evaluates a row through the per-point path fail."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("per-point solve in a sweep")
+
+    monkeypatch.setattr(hjb, "solve_hjb", forbidden)
+    monkeypatch.setattr(closed_loop, "compute_projection_data", forbidden)
+
+
 _SIGMAS = st.sampled_from([0.3, 0.7, 1.0, 2.5])
 _GAMMAS = st.one_of(st.floats(0.1, 0.9), st.floats(1.1, 3.0))
 
@@ -521,7 +554,7 @@ class TestSweepMatchesPerPointReference:
             assert rows[index]["M"] is None
         assert all(rows[index]["M"] is not None for index in (1, 2))
 
-    def test_first_failing_row_raises_its_error(self, tmp_path, capsys):
+    def test_first_failing_row_raises_its_error(self, tmp_path, capsys, monkeypatch):
         # with no slack on <w, beta>, several rows fail; the error is the one
         # the per-point path raises on the first of them in Cartesian order
         cfg = tmp_path / "sweep.cfg"
@@ -545,6 +578,7 @@ class TestSweepMatchesPerPointReference:
                         errors.append(str(exc))
         assert len(errors) > 1 and len(set(errors)) > 1
         assert errors[0].startswith("<w, beta> = ")
+        _forbid_per_point_path(monkeypatch)
         out = tmp_path / "out"
         code = main(["sweep", "--config", str(cfg), "--out", str(out), "--quiet"])
         assert code == 1
@@ -557,7 +591,7 @@ class TestSweepMatchesPerPointReference:
         ids=["alpha0-overflows", "alpha0-underflows", "alpha-underflows", "profile-inf"],
     )
     @pytest.mark.filterwarnings("ignore")
-    def test_float_failures_raise_the_per_point_error(self, gamma, rho):
+    def test_float_failures_raise_the_per_point_error(self, gamma, rho, monkeypatch):
         # near gamma = 1 the power alpha^(1/(1-gamma)) overflows or underflows,
         # and at extreme (gamma, rho) alpha or the profile leave the float
         # range; the sweep raises what the per-point path raises
@@ -574,9 +608,35 @@ class TestSweepMatchesPerPointReference:
                     except (ArithmeticError, ValueError) as exc:
                         expected = expected or exc
         assert expected is not None
+        _forbid_per_point_path(monkeypatch)
         with pytest.raises(type(expected)) as raised:
             cli.sweep_rows(config)
         assert str(raised.value) == str(expected)
+
+    def test_M_matches_a_dense_solve(self):
+        # the per-point path runs the sweep's row kernels, so M is checked
+        # against a dense oracle: w solves (L - g) w = u, u the beta-paired
+        # withdrawal profile, on the assembled generator itself
+        config = dataclasses.replace(
+            parse_config(VARIABLE_SWEEP_CFG), n_points=64,
+            sweep={"rho": [0.3, 0.9, 1.5], "gamma": [0.5, 2.0], "sigma": [0.7, 2.5]},
+        )
+        checked = 0
+        for row in cli.sweep_rows(config):
+            if row["M"] is None:
+                continue
+            gamma = row["gamma"]
+            params, _, basis, _ = cli._model(dataclasses.replace(config, sigma=row["sigma"]))
+            L = spectral.assemble_generator(params, basis.grid).entries
+            b0 = basis.b0.values
+            alpha0 = row["alpha"] ** (1.0 / (1.0 - gamma))
+            u = ((alpha0 * b0) ** (-1.0 / gamma)
+                 * params.eta.values ** ((params.q + gamma - 1.0) / gamma))
+            w = np.linalg.solve(L - row["g"] * np.eye(len(b0)), u)
+            M = 1.0 + np.abs(w).max() * basis.grid.weight * (alpha0 * b0).sum()
+            assert abs(row["M"] - M) <= 1e-8 * M
+            checked += 1
+        assert checked == 10
 
     def test_closed_forms_once_per_group(self, monkeypatch):
         # rho enters only through scalars: the alpha integral is taken once
