@@ -18,7 +18,6 @@ from .closed_loop import (
     projection_matrix,
     projection_via_contour,
     simulate,
-    withdrawal_profile,
 )
 from .errors import (
     ConfigError,

@@ -114,7 +114,7 @@ def cmd_verify(config: RunConfig, out: Path, quiet: bool,
         raise ConfigError(
             f"--debug-perturb-alpha must be > -1 and finite, got {debug_perturb_alpha!r}"
         )
-    params, K0, basis, tolerances, pairing = _state_model(config)
+    params, K0, basis, tolerances, _ = _state_model(config)
     sol = hjb.solve_hjb(basis, params)
     if debug_perturb_alpha:
         sol = dataclasses.replace(sol, alpha=sol.alpha * (1.0 + debug_perturb_alpha))
@@ -132,13 +132,14 @@ def cmd_verify(config: RunConfig, out: Path, quiet: bool,
     # die; it is checked on the optimal path and on the sampled perturbations
     # of the feedback law (admissible by construction), whose discounted value
     # decays at the feedback rate up to the factor e^(-c (1 - e^(-T))).
-    # The optimal path pairs with b0 as the closed loop's leading mode:
-    # <K(t), b0> = <K0, b0> e^(r t) with r = spectrum[0]
-    times = np.linspace(0.0, audit.horizon, config.n_steps + 1)
-    pairings = pairing * np.exp(clo.spectrum[0] * times)
+    # The optimal path's pairing <K(t), b0> grows as e^(r t), r = spectrum[0],
+    # so its discounted value is v(K0) e^(-d t) with d = rho - r (1-gamma)
+    decay = params.rho - float(clo.spectrum[0]) * (1.0 - params.gamma)
     envelope = verify.perturbed_transversality_envelope(sol, audit.horizon)
-    transversal = verify.transversality_check(sol, times, pairings, tolerances) and (
-        audit.max_discounted_terminal_rel <= envelope
+    transversal = (
+        decay > 0
+        and math.exp(-decay * audit.horizon) < tolerances.transversality_tail_rel
+        and audit.max_discounted_terminal_rel <= envelope
     )
 
     checks = {
@@ -187,18 +188,17 @@ def _sweep_group(rhos: list[float], gamma: float, sigma: float,
     """
     lambda0, lambda1 = basis.lambda0, basis.lambda1
     M = [None] * len(rhos)
-    # a row that fails a check is computed on: its nan or inf is kept quiet
-    with np.errstate(all="ignore"):
-        growth, alpha, alpha0, errors, _, factor = hjb.solve_rows(basis, params, gamma, rhos)
-        solved = [i for i, error in enumerate(errors) if error is None]
-        if solved:
-            _, w, beta, projection_errors = closed_loop.projection_rows(
-                basis, factor, gamma,
-                *([v[i] for i in solved] for v in (alpha, alpha0, growth)), tolerances,
-            )
+    growth, alpha, alpha0, errors, _, withdrawal = hjb.solve_rows(basis, params, gamma, rhos)
+    solved = [i for i, error in enumerate(errors) if error is None]
+    if solved:
+        _, w, beta, projection_errors = closed_loop.projection_rows(
+            basis, withdrawal, [alpha0[i] for i in solved], [growth[i] for i in solved],
+            tolerances,
+        )
+        with np.errstate(all="ignore"):  # a failing row's nan or inf is kept quiet
             bounds = stability.bound_constant(w, beta, basis.grid.weight).tolist()
-            for i, error, bound in zip(solved, projection_errors, bounds):
-                errors[i], M[i] = error, None if error else bound
+        for i, error, bound in zip(solved, projection_errors, bounds):
+            errors[i], M[i] = error, None if error else bound
     for rho, g, a, error, bound in zip(rhos, growth, alpha, errors, M):
         row = {"rho": rho, "gamma": gamma, "sigma": sigma,
                "lambda0": lambda0, "lambda1": lambda1}
@@ -350,7 +350,7 @@ def main(argv: list[str] | None = None) -> int:
     except InfeasibleParametersError as exc:
         print(f"infeasible parameters: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (ConfigError, OSError) as exc:
+    except (ConfigError, OSError, SpectrumCollisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except Exception as exc:  # noqa: BLE001 - exit-code contract

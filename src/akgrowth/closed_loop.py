@@ -3,9 +3,9 @@
 Substituting the optimal feedback into the state equation yields a linear
 integro-PDE whose generator is the rank-one perturbation
 
-    B = L - outer(withdrawal_profile, quadrature-weighted b0),
+    B = L - outer(withdrawal, quadrature-weighted b0),
 
-where withdrawal_profile = (alpha*b0)^(-1/gamma) * eta^((q+gamma-1)/gamma).
+where withdrawal is ``HjbSolution.withdrawal``: ``hjb`` owns the feedback law.
 Since <weight*b0, b_k> = delta_k0, B is diag(lambda) with only its first
 column changed in the eigenbasis {b_k} of L, so its spectrum and trajectories
 are closed forms (Golub, SIAM Review 15, 1973); dense B is only an oracle.
@@ -26,47 +26,22 @@ import numpy as np
 
 from .errors import ContourEnclosureError, GridMismatchError, SpectrumCollisionError
 from .grid import NOT_FINITE, TWO_PI, Grid, GridFunction
-from .hjb import HjbSolution, eta_factor, positive_power
+from .hjb import HjbSolution
 from .spectral import SpectralBasis
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 
-def withdrawal_values(alpha, b0: np.ndarray, factor: np.ndarray, gamma: float) -> np.ndarray:
-    """(alpha*b0)^(-1/gamma) * eta^((q+gamma-1)/gamma) at the nodes.
-
-    ``factor`` is ``hjb.eta_factor(params, gamma)``; ``alpha`` is a float, or
-    an (m, 1) column of them for an (m, n) block of profiles.
-    """
-    return positive_power(alpha * b0, -1.0 / gamma) * factor
-
-
-def withdrawal_profile(sol: HjbSolution) -> GridFunction:
-    """Consumption withdrawal per unit of <x, b0>.
-
-    Equals (alpha*b0)^(-1/gamma) * eta^((q+gamma-1)/gamma), so that the
-    feedback withdrawal operator acts as x -> withdrawal_profile * <x, b0>.
-    Dividing by alpha0 gives the equivalent beta-paired form
-    beta^(-1/gamma) * eta^((q+gamma-1)/gamma) with beta = alpha0 * b0.
-    """
-    gamma = sol.params.gamma
-    values = withdrawal_values(
-        sol.alpha, sol.basis.b0.values, eta_factor(sol.params, gamma), gamma
-    )
-    return GridFunction(sol.basis.grid, values)
-
-
 @dataclass(frozen=True, eq=False)
 class ClosedLoopOperator:
-    """B = L - outer(withdrawal, weight * b0) in the eigenbasis of L.
+    """B = L - outer(sol.withdrawal, weight * b0) in the eigenbasis of L.
 
-    With u_k = <withdrawal, b_k> (``withdrawal_coeffs``), B maps coefficients
+    With u_k = <sol.withdrawal, b_k> (``withdrawal_coeffs``), B maps coefficients
     c_k to lambda_k c_k - u_k c_0.  It is triangular, so ``spectrum`` is
     [lambda_0 - u_0, lambda_1, ..., lambda_{n-1}].
     """
 
     basis: SpectralBasis
     sol: HjbSolution
-    withdrawal: GridFunction  # withdrawal_profile(sol)
     withdrawal_coeffs: np.ndarray
     spectrum: np.ndarray
 
@@ -84,7 +59,7 @@ class ClosedLoopOperator:
         basis = self.basis
         weight = basis.grid.weight
         l_matrix = weight * (basis.vectors * basis.eigenvalues) @ basis.vectors.T
-        m = l_matrix - np.outer(self.withdrawal.values, weight * basis.b0.values)
+        m = l_matrix - np.outer(self.sol.withdrawal.values, weight * basis.b0.values)
         m.setflags(write=False)
         return m
 
@@ -93,12 +68,11 @@ def build_closed_loop(basis: SpectralBasis, sol: HjbSolution) -> ClosedLoopOpera
     """Closed-loop generator of the feedback of ``sol``, solved on ``basis``."""
     if sol.basis is not basis:
         raise GridMismatchError("solution was solved on a different basis")
-    withdrawal = withdrawal_profile(sol)
-    u = basis.coefficients(withdrawal)
+    u = basis.coefficients(sol.withdrawal)
     spectrum = np.concatenate(([basis.lambda0 - u[0]], basis.eigenvalues[1:]))
     for array in (u, spectrum):
         array.setflags(write=False)
-    return ClosedLoopOperator(basis, sol, withdrawal, u, spectrum)
+    return ClosedLoopOperator(basis, sol, u, spectrum)
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,11 +96,10 @@ class ProjectionData:
         object.__setattr__(self, "beta_coeffs", c)
 
 
+@np.errstate(all="ignore")
 def projection_rows(
     basis: SpectralBasis,
-    factor: np.ndarray,
-    gamma: float,
-    alpha: list[float],
+    withdrawal: np.ndarray,
     alpha0: list[float],
     g: list[float],
     tolerances: Tolerances,
@@ -136,17 +109,17 @@ def projection_rows(
         w = b0/alpha0 + sum_{k>=1} beta_k / (lambda_k - g) * b_k,
 
     truncated at the discretization order (exact at this level), for m rows
-    at ``gamma``, ``factor`` = ``hjb.eta_factor(params, gamma)``: the (m, n)
+    whose withdrawal profiles are the (m, n) block ``withdrawal``: the (m, n)
     blocks of beta_k, w and beta, and per row None or the error of its first
     failing check, in order: g collides with an eigenvalue; u is not finite;
     <b0, u> misses mu0 / alpha0, mu0 = lambda0 - g; w or beta is not finite;
-    <w, beta> is not 1.  Callers keep a failing row's nan or inf quiet.
+    <w, beta> is not 1.  A failing row's nan or inf is kept quiet.
     """
     lam, b0, weight = basis.eigenvalues, basis.b0.values, basis.grid.weight
     g_column, alpha0_column = np.array(g)[:, None], np.array(alpha0)[:, None]
     gaps = np.abs(lam - g_column)
     # beta-paired withdrawal form beta^(-1/gamma) * eta^((q+gamma-1)/gamma)
-    u = (1.0 / alpha0_column) * withdrawal_values(np.array(alpha)[:, None], b0, factor, gamma)
+    u = (1.0 / alpha0_column) * withdrawal
     beta_coeffs = basis.coefficient_rows(u)
     target = (basis.lambda0 - g_column[:, 0]) / alpha0_column[:, 0]
     defect = np.abs(beta_coeffs[:, 0] - target) / np.maximum(1.0, np.abs(target))
@@ -164,7 +137,7 @@ def projection_rows(
     for i in range(len(g)):  # the first check that a row fails names its error
         if collides[i]:
             k = int(gaps[i].argmin())
-            message = f"g={g[i]!r} collides with eigenvalue lambda_{k}={lam[k]!r}"
+            message = f"g={g[i]!r} collides with eigenvalue lambda_{k}={float(lam[k])!r}"
             errors[i] = SpectrumCollisionError(message)
         elif not u_finite[i]:
             errors[i] = ValueError(NOT_FINITE)
@@ -185,12 +158,9 @@ def compute_projection_data(
     """``projection_rows`` of the one row of ``sol``, whose error it raises."""
     if sol.basis is not basis:
         raise GridMismatchError("solution was solved on a different basis")
-    gamma = sol.params.gamma
-    with np.errstate(all="ignore"):
-        beta_coeffs, w, beta, errors = projection_rows(
-            basis, eta_factor(sol.params, gamma), gamma, [sol.alpha], [sol.alpha0], [sol.g],
-            tolerances,
-        )
+    beta_coeffs, w, beta, errors = projection_rows(
+        basis, sol.withdrawal.values[None, :], [sol.alpha0], [sol.g], tolerances
+    )
     if errors[0] is not None:
         raise errors[0]
     return ProjectionData(

@@ -11,11 +11,13 @@ consumption is the rank-one linear feedback
 
     (Phi x)(theta) = (f / (alpha * eta * b0))^(1/gamma)(theta) * <x, b0>.
 
-This module builds those objects and evaluates the associated utility,
-Hamiltonian, and control path.  ``solve_rows`` solves the rows of many
-discount rates at one gamma together, as a sweep needs; ``solve_hjb`` is
-its row of one, so each well-posedness and float-range check is written
-once and a swept row is bit-identical to the single solve.
+It withdraws eta * Phi x = (alpha*b0)^(-1/gamma) * eta^((q+gamma-1)/gamma)
+* <x, b0> of capital, the rank-one term of the closed loop.  This module
+builds those objects, the feedback law's only home, and evaluates the
+associated utility, Hamiltonian, and control path.  ``solve_rows`` solves
+the rows of many discount rates at one gamma together, as a sweep needs;
+``solve_hjb`` is its row of one, so each well-posedness and float-range
+check is written once and a swept row is bit-identical to the single solve.
 """
 
 from __future__ import annotations
@@ -76,9 +78,9 @@ def consumption_weight(params: ModelParams) -> np.ndarray:
 def eta_factor(params: ModelParams, gamma: float) -> np.ndarray:
     """eta^((q+gamma-1)/gamma) = f^(1/gamma) * eta^((gamma-1)/gamma) at the nodes.
 
-    The rho-independent factor of the alpha integrand and of the closed-loop
-    withdrawal profile; ``gamma`` is passed apart from ``params`` so that a
-    sweep can evaluate it at each swept gamma.
+    The rho-independent factor of the alpha integrand and of the withdrawal
+    profile; ``gamma`` is passed apart from ``params`` so that a sweep can
+    evaluate it at each swept gamma.
     """
     return positive_power(params.eta.values, (params.q + gamma - 1.0) / gamma)
 
@@ -95,7 +97,9 @@ class HjbSolution:
     """Closed-form solution data for the half-space control problem.
 
     feedback_profile is (f / (alpha * eta * b0))^(1/gamma); the optimal
-    control is feedback_profile * <x, b0>.
+    control is feedback_profile * <x, b0>.  withdrawal, eta times it, is
+    (alpha*b0)^(-1/gamma) * eta^((q+gamma-1)/gamma): the capital withdrawn
+    per unit of <x, b0>, the rank-one term of the closed loop.
     """
 
     params: ModelParams
@@ -105,8 +109,10 @@ class HjbSolution:
     g: float
     feedback_profile: GridFunction
     consumption_weight_f: GridFunction
+    withdrawal: GridFunction
 
 
+@np.errstate(all="ignore")
 def solve_rows(
     basis: SpectralBasis, params: ModelParams, gamma: float, rhos: list[float]
 ) -> tuple[list[float], list[float], list[float], list, np.ndarray | None, np.ndarray | None]:
@@ -117,9 +123,10 @@ def solve_rows(
     per row g, alpha and alpha0 as Python floats (nan after a failed check)
     and None or the error of its first failing check, in order: rho >
     lambda0*(1-gamma); alpha, then alpha0 = alpha^(1/(1-gamma)), finite and
-    positive; a finite, positive profile.  Then the profiles of the rows
-    with an alpha0, and ``eta_factor(params, gamma)``, None if no row is
-    well-posed.  Callers keep a profile out of float range quiet.
+    positive; finite feedback and withdrawal profiles.  Then those two
+    profiles as (m, n) blocks whose rows are the m rows with no error, in
+    order; None if no row is well-posed.  A failing row's nan or inf is
+    kept quiet.
     """
     lambda0 = basis.lambda0
     g = [balanced_growth(rho, gamma, lambda0) for rho in rhos]
@@ -158,22 +165,20 @@ def solve_rows(
     column = np.array([alpha[i] for i in solved])[:, None]
     base = consumption_weight(params) / (column * params.eta.values * basis.b0.values)
     profile = positive_power(base, 1.0 / gamma)
-    finite = np.isfinite(profile).all(axis=1).tolist()
-    positive = (profile.min(axis=1) > 0.0).tolist()
-    for i, profile_finite, profile_positive in zip(solved, finite, positive):
-        if not profile_finite:
+    withdrawal = positive_power(column * basis.b0.values, -1.0 / gamma) * factor
+    finite = np.isfinite(profile).all(axis=1) & np.isfinite(withdrawal).all(axis=1)
+    # positive_power floors every entry, so a finite profile is also positive
+    for i, row_finite in zip(solved, finite.tolist()):
+        if not row_finite:
             errors[i] = ValueError(NOT_FINITE)
-        elif not profile_positive:
-            errors[i] = RuntimeError("feedback profile lost strict positivity")
-    return g, alpha, alpha0, errors, profile, factor
+    return g, alpha, alpha0, errors, profile[finite], withdrawal[finite]
 
 
 def solve_hjb(basis: SpectralBasis, params: ModelParams) -> HjbSolution:
     """``solve_rows`` of the one row of ``params``, whose error it raises."""
-    with np.errstate(all="ignore"):
-        g, alpha, alpha0, errors, profile, _ = solve_rows(
-            basis, params, params.gamma, [params.rho]
-        )
+    g, alpha, alpha0, errors, profile, withdrawal = solve_rows(
+        basis, params, params.gamma, [params.rho]
+    )
     if errors[0] is not None:
         raise errors[0]
     return HjbSolution(
@@ -184,6 +189,7 @@ def solve_hjb(basis: SpectralBasis, params: ModelParams) -> HjbSolution:
         g=g[0],
         feedback_profile=GridFunction(basis.grid, profile[0]),
         consumption_weight_f=GridFunction(params.grid, consumption_weight(params)),
+        withdrawal=GridFunction(basis.grid, withdrawal[0]),
     )
 
 

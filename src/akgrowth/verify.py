@@ -16,11 +16,12 @@ overconsumption (Q1 > 0) and underconsumption are tested.  The payoff is a
 series of exponentials and the discounted terminal value a scalar.  The
 feedback plan's own discounted utility is the scalar
 U(c_hat0) e^(-(rho - g (1-gamma)) t), since U is homogeneous of degree
-1-gamma; the audit integrates it on the composite Gauss-Legendre rule, once
-with 64 nodes per unit of time and once with 128 as a quadrature-convergence
-check.  The feedback plan is rank one, c_hat0 = feedback_profile <x0, b0>, so
-these closed forms see the start state only through p0 = <x0, b0>: the audit
-pairs x0 once and its helpers take p0.
+1-gamma; the audit integrates it on the composite Gauss-Legendre rule of
+ceil(T) intervals, at most 4096, once with 64 nodes per interval and once
+with 128 as a quadrature-convergence check.  The feedback plan is rank one,
+c_hat0 = feedback_profile <x0, b0>, so these closed forms see the start
+state only through p0 = <x0, b0>: the audit pairs x0 once and its helpers
+take p0.
 
 The residual of the dynamic-programming equation is homogeneous of degree 0
 in <x, b0>, so ``hjb_residual`` has one value on the whole half-space.
@@ -56,6 +57,9 @@ ControlProvider = Callable[[np.ndarray], np.ndarray]
 # Gauss-Legendre nodes per unit of time in the payoff and open-loop quadratures
 _NODES_PER_UNIT = 64
 
+# most intervals of the composite rule, whatever the horizon
+_MAX_INTERVALS = 4096
+
 # range of the perturbation amplitude a drawn by the audit
 _AMPLITUDES = (0.05, 0.2)
 
@@ -70,8 +74,9 @@ def _gauss_legendre(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _composite_gauss_legendre(T: float, nodes_per_unit: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of a composite Gauss-Legendre rule on [0, T]."""
-    n_intervals = max(1, math.ceil(T))
+    """Nodes and weights of a composite Gauss-Legendre rule on [0, T], on
+    ceil(T) intervals, but at least 1 and at most ``_MAX_INTERVALS``."""
+    n_intervals = min(max(1, math.ceil(T)), _MAX_INTERVALS)
     x, w = _gauss_legendre(nodes_per_unit)
     edges = np.linspace(0.0, T, n_intervals + 1)
     half = np.diff(edges) / 2.0
@@ -90,7 +95,7 @@ def payoff(
     """Discounted payoff of a consumption plan, truncated at horizon T.
 
     The quadrature of e^(-rho t) U(c(t)) over [0, T] by a composite
-    Gauss-Legendre rule with ``nodes_per_unit`` nodes per unit interval.
+    Gauss-Legendre rule with ``nodes_per_unit`` nodes per interval.
     ``control`` maps a 1-D array of m times to the (m, n) array of
     nonnegative consumption profiles at those times; it is called on the
     nodes of one sub-interval at a time.  A -inf utility at any node

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -197,6 +198,41 @@ def test_unresolvable_b0_is_a_config_error(tmp_path, capsys, command, edit):
     assert err.startswith("error: sigma = 0.001 with n_points = 128: ")
     assert "b0 min/max = -" in err
     assert err.count("\n") == 1
+    assert not out.exists()
+
+
+HOMOGENEOUS_DEMO = VARIABLE_DEMO.with_name("config_homogeneous.cfg")
+
+
+@pytest.mark.parametrize(
+    "demo, rho",
+    [(HOMOGENEOUS_DEMO, ("rho = 0.75", "rho = 0.512")),
+     (VARIABLE_DEMO, ("rho = 0.6", "rho = 0.52"))],
+)
+def test_transversality_near_the_well_posedness_bound(tmp_path, recwarn, demo, rho):
+    # rho a little above lambda0*(1-gamma) (0.5 and 0.5111 here) stretches
+    # the horizon so far that e^(r t) at its end leaves float64, though the
+    # discounted value e^(-(rho - r(1-gamma)) t) it enters decays
+    cfg = tmp_path / "near.cfg"
+    cfg.write_text(demo.read_text().replace(*rho))
+    out = tmp_path / "out"
+    assert main(["verify", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    audit = read_json(out / "audit.json")
+    assert audit["horizon"] > 740.0  # r > 0.97 on both demos: e^(r horizon) > e^718
+    assert audit["transversality"] is True
+    assert audit["failed_check"] is None
+
+
+def test_spectrum_collision_is_a_one_line_error(tmp_path, capsys):
+    # rho = 1.0, the top of the homogeneous demo's window, puts g = 0 on
+    # lambda1 = lambda2 = 0: a rejected input, named without a traceback
+    cfg = tmp_path / "collision.cfg"
+    cfg.write_text(HOMOGENEOUS_DEMO.read_text().replace("rho = 0.75", "rho = 1.0"))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: g=\S+ collides with eigenvalue lambda_\d+=[-+.e\d]+\n", err)
     assert not out.exists()
 
 

@@ -15,7 +15,6 @@ from akgrowth import (
     SpectrumCollisionError,
     inner_l2,
 )
-from akgrowth.closed_loop import withdrawal_profile
 
 from conftest import build_pipeline
 from oracles import resolvent_apply
@@ -78,7 +77,7 @@ class TestOperator:
     def test_resolvent_identity(self, variable):
         # (B-mu)^(-1) h = (L-mu)^(-1)(h + h0*alpha0/(g-mu) * beta-form profile)
         basis, sol, clo = variable.basis, variable.sol, variable.clo
-        u_beta = (1.0 / sol.alpha0) * withdrawal_profile(sol)
+        u_beta = (1.0 / sol.alpha0) * sol.withdrawal
         identity = np.eye(basis.grid.n_points)
         for mu, seed in [(0.9, 0), (-1.7, 1), (2.5, 2)]:
             h = random_state(basis.grid, seed)
@@ -107,7 +106,7 @@ class TestProjectionData:
 
     def test_w_matches_resolvent(self, variable):
         sol, basis, pd = variable.sol, variable.basis, variable.pd
-        u_beta = (1.0 / sol.alpha0) * withdrawal_profile(sol)
+        u_beta = (1.0 / sol.alpha0) * sol.withdrawal
         via_resolvent = resolvent_apply(basis, sol.g, u_beta)
         assert np.abs(pd.w.values - via_resolvent.values).max() < 1e-9
 
@@ -258,7 +257,7 @@ class TestClosedFormOracle:
         perturb=st.one_of(st.just(0.0), st.floats(-0.3, 0.3)),
         seed=st.integers(0, 2**32 - 1),
     )
-    # g < lambda1, gamma > 1 and a perturbed alpha in one case
+    # g < lambda1, gamma > 1 and a perturbed withdrawal (rate r != g) in one case
     @example(n=32, sigma=1.0, gamma=2.0, q=0.0, amplitude=0.5, margin=2.5,
              perturb=0.05, seed=0)
     def test_matches_dense_generator(self, n, sigma, gamma, q, amplitude, margin,
@@ -271,7 +270,7 @@ class TestClosedFormOracle:
         # rho does not enter L: place it a margin above the well-posedness bound
         rho = max(0.0, basis.lambda0 * (1.0 - gamma)) + margin
         sol = ak.solve_hjb(basis, dataclasses.replace(params, rho=rho))
-        sol = dataclasses.replace(sol, alpha=sol.alpha * (1.0 + perturb))
+        sol = dataclasses.replace(sol, withdrawal=sol.withdrawal * (1.0 + perturb))
         clo = ak.build_closed_loop(basis, sol)
         # near a collision of the rate with lambda_k dense eigvals is
         # ill-conditioned, so the oracle itself is not trusted there

@@ -1,11 +1,15 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import akgrowth as ak
 from akgrowth import (
+    ConfigError,
     Grid,
     GridFunction,
     HalfSpaceError,
@@ -13,7 +17,7 @@ from akgrowth import (
     UnderflowWarning,
     inner_l2,
 )
-from akgrowth.hjb import balanced_growth, positive_power
+from akgrowth.hjb import balanced_growth, positive_power, solve_rows
 
 from conftest import build_pipeline
 
@@ -171,6 +175,60 @@ class TestFeedback:
         x = GridFunction(variable.grid, variable.basis.vectors[:, 3])
         control = ak.feedback_control(sol, x)
         assert np.abs(control.values).max() < 1e-12
+
+
+class TestWithdrawal:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        gamma=st.one_of(st.floats(0.2, 0.95), st.floats(1.05, 4.0)),
+        q=st.floats(0.0, 2.0),
+        a_amplitude=st.floats(0.0, 0.8),
+        eta_amplitude=st.floats(0.0, 0.8),
+        margin=st.floats(0.01, 3.0),
+    )
+    def test_is_eta_times_feedback_profile(self, gamma, q, a_amplitude, eta_amplitude,
+                                           margin):
+        # (alpha b0)^(-1/gamma) eta^((q+gamma-1)/gamma) against eta times
+        # (f / (alpha eta b0))^(1/gamma): the two forms of the feedback law
+        grid = Grid(32)
+        A = GridFunction.from_callable(grid, lambda t: 1.0 + a_amplitude * np.cos(t))
+        eta = GridFunction.from_callable(grid, lambda t: 1.0 + eta_amplitude * np.cos(2 * t))
+        params = ak.ModelParams(sigma=1.0, rho=1.0, gamma=gamma, q=q, A=A, eta=eta)
+        basis = ak.eigendecompose(ak.assemble_generator(params, grid))
+        rho = max(0.0, basis.lambda0 * (1.0 - gamma)) + margin
+        sol = ak.solve_hjb(basis, dataclasses.replace(params, rho=rho))
+        expected = eta.values * sol.feedback_profile.values
+        np.testing.assert_allclose(sol.withdrawal.values, expected, rtol=1e-12, atol=0.0)
+
+    def test_solve_rows_blocks_hold_the_passing_rows(self):
+        # gamma = 0.25 and eta = 1e-100 make the feedback profile
+        # eta^(-4) / (alpha^4 b0^4) overflow at rho = 1e250 while alpha and
+        # alpha0 stay finite; rho just above lambda0*(1-gamma) = 0.75
+        # overflows alpha, and rho = inf sends it to 0
+        grid = Grid(16)
+        params = ak.ModelParams(
+            sigma=1.0, rho=1.0, gamma=0.25, q=0.0,
+            A=GridFunction.constant(grid, 1.0), eta=GridFunction.constant(grid, 1e-100),
+        )
+        basis = ak.eigendecompose(ak.assemble_generator(params, grid))
+        bound = basis.lambda0 * 0.75
+        rhos = [bound - 0.25, 10.0, bound + 1e-10, 1e250, 1e100, math.inf, 1e200]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the kernel keeps its float errors quiet
+            g, alpha, alpha0, errors, profile, withdrawal = solve_rows(
+                basis, params, 0.25, rhos
+            )
+        assert [type(error) for error in errors] == [
+            InfeasibleParametersError, type(None), ConfigError, ValueError,
+            type(None), ConfigError, type(None),
+        ]
+        assert "alpha = inf " in str(errors[2]) and "alpha = 0.0 " in str(errors[5])
+        assert profile.shape == withdrawal.shape == (3, 16)
+        for row, i in enumerate([1, 4, 6]):
+            sol = ak.solve_hjb(basis, dataclasses.replace(params, rho=rhos[i]))
+            assert np.array_equal(profile[row], sol.feedback_profile.values)
+            assert np.array_equal(withdrawal[row], sol.withdrawal.values)
+            assert (sol.alpha, sol.alpha0, sol.g) == (alpha[i], alpha0[i], g[i])
 
 
 class TestControlPath:

@@ -309,6 +309,15 @@ class TestBatchedMatchesOracle:
         assert abs(scalar - reference) <= bound * abs(reference)
 
 
+def test_composite_rule_is_capped():
+    # near the well-posedness bound the audit horizon grows without limit;
+    # past 4096 intervals each one spans more than a unit of time instead
+    nodes, weights = _composite_gauss_legendre(1e4, 64)
+    assert nodes.size == weights.size == 4096 * 64
+    assert 0.0 < nodes.min() and nodes.max() < 1e4
+    assert weights.sum() == pytest.approx(1e4, rel=1e-12)
+
+
 class TestOptimalityAudit:
     def test_equality_only(self, window):
         audit = ak.optimality_audit(window.sol, window.K0, 0, seed=1)
