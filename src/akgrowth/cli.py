@@ -188,15 +188,14 @@ def _sweep_group(rhos: list[float], gamma: float, sigma: float,
     """
     lambda0, lambda1 = basis.lambda0, basis.lambda1
     M = [None] * len(rhos)
-    growth, alpha, alpha0, errors, _, withdrawal = hjb.solve_rows(basis, params, gamma, rhos)
+    growth, alpha, _, errors, _, withdrawal = hjb.solve_rows(basis, params, gamma, rhos)
     solved = [i for i, error in enumerate(errors) if error is None]
     if solved:
-        _, w, beta, projection_errors = closed_loop.projection_rows(
-            basis, withdrawal, [alpha0[i] for i in solved], [growth[i] for i in solved],
-            tolerances,
+        w, projection_errors = closed_loop.projection_rows(
+            basis, withdrawal, [growth[i] for i in solved], tolerances
         )
         with np.errstate(all="ignore"):  # a failing row's nan or inf is kept quiet
-            bounds = stability.bound_constant(w, beta, basis.grid.weight).tolist()
+            bounds = stability.bound_constant(w, basis.b0.values, basis.grid.weight).tolist()
         for i, error, bound in zip(solved, projection_errors, bounds):
             errors[i], M[i] = error, None if error else bound
     for rho, g, a, error, bound in zip(rhos, growth, alpha, errors, M):

@@ -11,10 +11,11 @@ column changed in the eigenbasis {b_k} of L, so its spectrum and trajectories
 are closed forms (Golub, SIAM Review 15, 1973); dense B is only an oracle.
 The dominant eigenvalue (when it dominates) is the growth rate g, with
 eigenvector w; detrended trajectories converge to the rank-one projection
-P x = <x, beta> w, which is validated here both from its closed-form series
-and from a resolvent contour integral.  ``projection_rows`` builds the
-series and its checks for many rows at once; ``compute_projection_data`` is
-its row of one.
+P x = <x, beta> w with beta = b0, the left eigenvector, and <w, b0> = 1, so
+the scale of the value function cancels and is never formed here.  P is
+validated here both from its closed-form series and from a resolvent
+contour integral.  ``projection_rows`` builds the series and its checks
+for many rows at once; ``compute_projection_data`` is its row of one.
 """
 
 from __future__ import annotations
@@ -77,61 +78,54 @@ def build_closed_loop(basis: SpectralBasis, sol: HjbSolution) -> ClosedLoopOpera
 
 @dataclass(frozen=True, eq=False)
 class ProjectionData:
-    """Steady-state direction w, functional beta, and related constants.
+    """Steady-state direction w of the closed loop and its functional beta.
 
-    beta_coeffs[k] is the basis coefficient of the withdrawal profile; the
-    k = 0 coefficient equals mu0 / alpha0 with mu0 = lambda0 - g.
+    beta is the Perron vector b0 and w is normalised by <w, b0> = 1, so the
+    projection P x = <x, b0> w depends only on the withdrawal profile and b0:
+    the scale of the value function does not enter the closed loop.
     """
 
     basis: SpectralBasis
     g: float
-    beta: GridFunction
     w: GridFunction
-    beta_coeffs: np.ndarray
-    mu0: float
 
-    def __post_init__(self) -> None:
-        c = np.asarray(self.beta_coeffs, dtype=float).copy()
-        c.setflags(write=False)
-        object.__setattr__(self, "beta_coeffs", c)
+    @property
+    def beta(self) -> GridFunction:
+        return self.basis.b0
 
 
 @np.errstate(all="ignore")
 def projection_rows(
     basis: SpectralBasis,
     withdrawal: np.ndarray,
-    alpha0: list[float],
     g: list[float],
     tolerances: Tolerances,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[Exception | None]]:
-    """beta = alpha0*b0, its coefficients beta_k and the series
+) -> tuple[np.ndarray, list[Exception | None]]:
+    """The series, with u_k = <withdrawal, b_k>,
 
-        w = b0/alpha0 + sum_{k>=1} beta_k / (lambda_k - g) * b_k,
+        w = b0 + sum_{k>=1} u_k / (lambda_k - g) * b_k,
 
     truncated at the discretization order (exact at this level), for m rows
     whose withdrawal profiles are the (m, n) block ``withdrawal``: the (m, n)
-    blocks of beta_k, w and beta, and per row None or the error of its first
-    failing check, in order: g collides with an eigenvalue; u is not finite;
-    <b0, u> misses mu0 / alpha0, mu0 = lambda0 - g; w or beta is not finite;
-    <w, beta> is not 1.  A failing row's nan or inf is kept quiet.
+    block of w and per row None or the error of its first failing check, in
+    order: g collides with an eigenvalue; r = g fails, that is u_0 misses
+    mu0 = lambda0 - g in units of max(1, |mu0|); w is not finite; <w, b0> is
+    not 1.  A failing row's nan or inf is kept quiet.
     """
     lam, b0, weight = basis.eigenvalues, basis.b0.values, basis.grid.weight
-    g_column, alpha0_column = np.array(g)[:, None], np.array(alpha0)[:, None]
+    g_column = np.array(g)[:, None]
     gaps = np.abs(lam - g_column)
-    # beta-paired withdrawal form beta^(-1/gamma) * eta^((q+gamma-1)/gamma)
-    u = (1.0 / alpha0_column) * withdrawal
-    beta_coeffs = basis.coefficient_rows(u)
-    target = (basis.lambda0 - g_column[:, 0]) / alpha0_column[:, 0]
-    defect = np.abs(beta_coeffs[:, 0] - target) / np.maximum(1.0, np.abs(target))
-    coeffs = beta_coeffs / (lam - g_column)
-    coeffs[:, :1] = 1.0 / alpha0_column
+    u = basis.coefficient_rows(withdrawal)
+    # r = lambda0 - u_0 is the closed loop's leading eigenvalue, which must be g
+    mu0 = basis.lambda0 - g_column[:, 0]
+    defect = np.abs(u[:, 0] - mu0) / np.maximum(1.0, np.abs(mu0))
+    coeffs = u / (lam - g_column)
+    coeffs[:, 0] = 1.0
     w = basis.synthesize_rows(coeffs)
-    beta = alpha0_column * b0
-    pairing = [weight * float(w_row @ beta_row) for w_row, beta_row in zip(w, beta)]
+    pairing = [weight * float(w_row @ b0) for w_row in w]
     collides = (gaps.min(axis=1) < tolerances.spectrum_collision).tolist()
-    u_finite = np.isfinite(u).all(axis=1).tolist()
     defective = (defect > tolerances.quadrature_consistency).tolist()
-    w_beta_finite = (np.isfinite(w).all(axis=1) & np.isfinite(beta).all(axis=1)).tolist()
+    w_finite = np.isfinite(w).all(axis=1).tolist()
     unpaired = (np.abs(np.array(pairing) - 1.0) > tolerances.pairing_normalization).tolist()
     errors: list[Exception | None] = [None] * len(g)
     for i in range(len(g)):  # the first check that a row fails names its error
@@ -139,15 +133,13 @@ def projection_rows(
             k = int(gaps[i].argmin())
             message = f"g={g[i]!r} collides with eigenvalue lambda_{k}={float(lam[k])!r}"
             errors[i] = SpectrumCollisionError(message)
-        elif not u_finite[i]:
-            errors[i] = ValueError(NOT_FINITE)
         elif defective[i]:
             errors[i] = RuntimeError(f"mu0 quadrature consistency defect {defect[i]:g}")
-        elif not w_beta_finite[i]:
+        elif not w_finite[i]:
             errors[i] = ValueError(NOT_FINITE)
         elif unpaired[i]:
             errors[i] = RuntimeError(f"<w, beta> = {pairing[i]!r} is not 1 within tolerance")
-    return beta_coeffs, w, beta, errors
+    return w, errors
 
 
 def compute_projection_data(
@@ -158,19 +150,10 @@ def compute_projection_data(
     """``projection_rows`` of the one row of ``sol``, whose error it raises."""
     if sol.basis is not basis:
         raise GridMismatchError("solution was solved on a different basis")
-    beta_coeffs, w, beta, errors = projection_rows(
-        basis, sol.withdrawal.values[None, :], [sol.alpha0], [sol.g], tolerances
-    )
+    w, errors = projection_rows(basis, sol.withdrawal.values[None, :], [sol.g], tolerances)
     if errors[0] is not None:
         raise errors[0]
-    return ProjectionData(
-        basis=basis,
-        g=sol.g,
-        beta=GridFunction(basis.grid, beta[0]),
-        w=GridFunction(basis.grid, w[0]),
-        beta_coeffs=beta_coeffs[0],
-        mu0=basis.lambda0 - sol.g,
-    )
+    return ProjectionData(basis=basis, g=sol.g, w=GridFunction(basis.grid, w[0]))
 
 
 def projection_matrix(pd: ProjectionData) -> np.ndarray:

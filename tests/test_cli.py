@@ -236,6 +236,57 @@ def test_spectrum_collision_is_a_one_line_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def _demo_with(demo, edits, extra=""):
+    text = demo.read_text()
+    for old, new in edits:
+        text = text.replace(old, new)
+    return text + extra
+
+
+def test_subnormal_alpha0_stays_out_of_the_closed_loop(tmp_path, capsys):
+    # gamma = 1.002 and rho = 1.51 put alpha0 = alpha^(1/(1-gamma)) at
+    # 1.5e-310, a subnormal whose reciprocal overflows; w and beta = b0 are
+    # normalised without it, so every command runs and the sweep's M is
+    # the per-point one
+    cfg = tmp_path / "subnormal.cfg"
+    cfg.write_text(_demo_with(
+        VARIABLE_DEMO, [("gamma = 0.5", "gamma = 1.002"), ("rho = 0.6", "rho = 1.51")],
+        "sweep.rho = 1.51\n",
+    ))
+    outs = {command: tmp_path / command for command in ("solve", "simulate", "verify", "sweep")}
+    for command, out in outs.items():
+        assert main([command, "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    assert capsys.readouterr().err == ""
+    assert 0.0 < read_json(outs["solve"] / "hjb.json")["alpha0"] < sys.float_info.min
+    M = read_json(outs["simulate"] / "stability.json")["M"]
+    header, row = (outs["sweep"] / "sweep.csv").read_text().splitlines()
+    assert float(dict(zip(header.split(","), row.split(",")))["M"]) == M
+
+
+@pytest.mark.filterwarnings("ignore::akgrowth.UnderflowWarning")
+def test_floored_withdrawal_fails_the_closed_loop(tmp_path, capsys):
+    # eta = 1e-100 with gamma = 0.25: (alpha b0)^(-1/gamma) is floored at
+    # 1e-300 before the huge eta factor, so the withdrawal reads 1.0 where
+    # eta * feedback_profile is 0.239 and the closed loop's leading eigenvalue
+    # lambda0 - u_0 misses g; solve and verify read only the feedback profile
+    cfg = tmp_path / "floor.cfg"
+    cfg.write_text(_demo_with(
+        HOMOGENEOUS_DEMO,
+        [("eta.value = 1.0", "eta.value = 1e-100"), ("gamma = 0.5", "gamma = 0.25"),
+         ("rho = 0.75", "rho = 0.9")],
+        "sweep.rho = 0.9\n",
+    ))
+    for command, code in [("simulate", 1), ("sweep", 1), ("solve", 0), ("verify", 0)]:
+        out = tmp_path / command
+        argv = [command, "--config", str(cfg), "--out", str(out), "--n-points", "32"]
+        assert main([*argv, "--quiet"]) == code
+        if code:
+            assert capsys.readouterr().err == (
+                "internal error: mu0 quadrature consistency defect 1.90663\n"
+            )
+            assert not out.exists()
+
+
 DETERMINISM_SWEEP ="sweep.rho = 0.45, 0.75\nsweep.sigma = 1.0, 2.0\n"
 
 

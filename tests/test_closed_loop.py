@@ -1,4 +1,5 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,8 +14,10 @@ from akgrowth import (
     GridFunction,
     GridMismatchError,
     SpectrumCollisionError,
+    hjb,
     inner_l2,
 )
+from akgrowth.config import load_config
 
 from conftest import build_pipeline
 from oracles import resolvent_apply
@@ -95,23 +98,20 @@ class TestProjectionData:
             ak.compute_projection_data(other, variable.sol)
 
     def test_homogeneous_coefficients_vanish(self, window):
-        pd, sol, basis = window.pd, window.sol, window.basis
-        assert np.abs(pd.beta_coeffs[1:]).max() < 1e-12
-        np.testing.assert_allclose(
-            pd.w.values, basis.b0.values / sol.alpha0, rtol=1e-10
-        )
+        pd, clo, basis = window.pd, window.clo, window.basis
+        assert np.abs(clo.withdrawal_coeffs[1:]).max() < 1e-12
+        np.testing.assert_allclose(pd.w.values, basis.b0.values, rtol=1e-10)
 
     def test_pairing_normalized(self, variable):
         assert inner_l2(variable.pd.w, variable.pd.beta) == pytest.approx(1.0, abs=1e-10)
 
     def test_w_matches_resolvent(self, variable):
         sol, basis, pd = variable.sol, variable.basis, variable.pd
-        u_beta = (1.0 / sol.alpha0) * sol.withdrawal
-        via_resolvent = resolvent_apply(basis, sol.g, u_beta)
+        via_resolvent = resolvent_apply(basis, sol.g, sol.withdrawal)
         assert np.abs(pd.w.values - via_resolvent.values).max() < 1e-9
 
     def test_mu0(self, variable):
-        assert variable.pd.mu0 == pytest.approx(
+        assert variable.clo.withdrawal_coeffs[0] == pytest.approx(
             variable.basis.lambda0 - variable.sol.g, abs=1e-12
         )
 
@@ -126,6 +126,68 @@ class TestProjectionData:
         assert pipe.pd is None
         with pytest.raises(SpectrumCollisionError):
             ak.compute_projection_data(pipe.basis, pipe.sol)
+
+
+def _dense_w_defect(params, grid):
+    """Solution, projection data and the max-norm relative distance of w
+    from np.linalg.solve(L - g, withdrawal) on the assembled generator."""
+    op = ak.assemble_generator(params, grid)
+    basis = ak.eigendecompose(op)
+    sol = ak.solve_hjb(basis, params)
+    pd = ak.compute_projection_data(basis, sol)
+    dense = np.linalg.solve(op.entries - sol.g * np.eye(grid.n_points), sol.withdrawal.values)
+    return sol, pd, float(np.abs(pd.w.values - dense).max() / np.abs(dense).max())
+
+
+VARIABLE_DEMO = Path(__file__).resolve().parents[1] / "demos" / "config_variable.cfg"
+
+
+class TestScaleFreeProjection:
+    """w = (L - g)^(-1) withdrawal with <w, b0> = 1, whatever alpha0 is."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.sampled_from([16, 32, 64]),
+        sigma=st.floats(0.1, 2.0),
+        gamma=st.one_of(st.floats(0.2, 0.95), st.floats(1.05, 4.0)),
+        q=st.floats(0.0, 1.0),
+        a_amplitude=st.floats(0.0, 0.8),
+        eta_amplitude=st.floats(0.0, 0.8),
+        margin=st.floats(0.01, 3.0),
+    )
+    def test_w_solves_the_assembled_generator(self, n, sigma, gamma, q, a_amplitude,
+                                              eta_amplitude, margin):
+        grid = ak.Grid(n)
+        A = GridFunction.from_callable(grid, lambda t: 1.0 + a_amplitude * np.cos(t))
+        eta = GridFunction.from_callable(grid, lambda t: 1.0 + eta_amplitude * np.cos(2 * t))
+        params = ak.ModelParams(sigma=sigma, rho=1.0, gamma=gamma, q=q, A=A, eta=eta)
+        basis = ak.eigendecompose(ak.assemble_generator(params, grid))
+        # rho does not enter L: place it a margin above the well-posedness bound
+        params = dataclasses.replace(
+            params, rho=max(0.0, basis.lambda0 * (1.0 - gamma)) + margin
+        )
+        g = hjb.balanced_growth(params.rho, gamma, basis.lambda0)
+        # L - g has condition about |L| / gap, so the dense solve is trusted
+        # only away from the spectrum
+        assume(np.abs(basis.eigenvalues - g).min() > 1e-2)
+        _, pd, defect = _dense_w_defect(params, grid)
+        assert defect <= 1e-10
+        assert inner_l2(pd.w, pd.beta) == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize(
+        "gamma, rho, alpha0",
+        [(0.99, 0.6, 4.6e101), (1.01, 0.6, 5.2e-103), (1.002, 1.51, 1.5e-310)],
+        ids=["alpha0-huge", "alpha0-tiny", "alpha0-subnormal"],
+    )
+    def test_extreme_alpha0_on_the_variable_demo(self, gamma, rho, alpha0):
+        # near gamma = 1 alpha0 = alpha^(1/(1-gamma)) spans the float range;
+        # at gamma = 1.002 it is subnormal, so 1/alpha0 would overflow
+        config = dataclasses.replace(load_config(VARIABLE_DEMO), gamma=gamma, rho=rho)
+        grid, params, _ = config.model()
+        sol, pd, defect = _dense_w_defect(params, grid)
+        assert sol.alpha0 == pytest.approx(alpha0, rel=0.02)
+        assert defect <= 1e-10
+        assert inner_l2(pd.w, pd.beta) == pytest.approx(1.0, abs=1e-10)
 
 
 class TestProjectionApply:
