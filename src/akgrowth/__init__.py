@@ -27,6 +27,7 @@ from .errors import (
     InfeasibleParametersError,
     PerronViolationError,
     PositivityError,
+    SeriesCancellationError,
     SpectrumCollisionError,
     TailDivergenceError,
     UnderflowWarning,

@@ -19,7 +19,13 @@ import numpy as np
 
 from . import closed_loop, hjb, serialize, spectral, stability, verify
 from .config import RunConfig, load_config
-from .errors import ConfigError, InfeasibleParametersError, PositivityError, SpectrumCollisionError
+from .errors import (
+    ConfigError,
+    InfeasibleParametersError,
+    PositivityError,
+    SeriesCancellationError,
+    SpectrumCollisionError,
+)
 from .grid import inner_l2
 from .perron import battery_failures, random_metzler_battery
 from .tolerances import Tolerances
@@ -349,7 +355,7 @@ def main(argv: list[str] | None = None) -> int:
     except InfeasibleParametersError as exc:
         print(f"infeasible parameters: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (ConfigError, OSError, SpectrumCollisionError) as exc:
+    except (ConfigError, OSError, SeriesCancellationError, SpectrumCollisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except Exception as exc:  # noqa: BLE001 - exit-code contract

@@ -15,7 +15,16 @@ class SpectrumCollisionError(ValueError):
 
 
 class InfeasibleParametersError(ValueError):
-    """Discount and preference parameters violate the well-posedness inequality."""
+    """Discount and preference parameters violate the well-posedness inequality.
+
+    Its args are rho and the bound lambda0*(1-gamma) it does not exceed; the
+    message is formatted only when it is read, since a sweep makes one per
+    infeasible row and reads only its type.
+    """
+
+    def __str__(self) -> str:
+        rho, bound = self.args
+        return f"rho={rho} does not exceed lambda0*(1-gamma)={bound}"
 
 
 class HalfSpaceError(ValueError):
@@ -28,6 +37,10 @@ class ContourEnclosureError(ValueError):
 
 class TailDivergenceError(ValueError):
     """Discounted payoff tail does not converge for the given parameters."""
+
+
+class SeriesCancellationError(RuntimeError):
+    """A closed-form series lost more digits to cancellation than its check allows."""
 
 
 class PerronViolationError(RuntimeError):

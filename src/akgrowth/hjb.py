@@ -131,9 +131,9 @@ def solve_rows(
     lambda0 = basis.lambda0
     g = [balanced_growth(rho, gamma, lambda0) for rho in rhos]
     alpha, alpha0 = [math.nan] * len(rhos), [math.nan] * len(rhos)
-    bound = f"does not exceed lambda0*(1-gamma)={lambda0 * (1 - gamma)}"
+    bound = lambda0 * (1 - gamma)
     errors: list[Exception | None] = [
-        None if wellposed(rho, gamma, lambda0) else InfeasibleParametersError(f"rho={rho} {bound}")
+        None if wellposed(rho, gamma, lambda0) else InfeasibleParametersError(rho, bound)
         for rho in rhos
     ]
     if None not in errors:

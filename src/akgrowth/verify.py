@@ -13,12 +13,17 @@ cos(m theta + phi)), P the feedback profile.  As L b0 = lambda0 b0 and
 with the quadrature Q1 = a <eta P cos(m theta + phi), b0>.  It is positive
 for every draw, so every plan is admissible by construction, and both
 overconsumption (Q1 > 0) and underconsumption are tested.  The payoff is a
-series of exponentials and the discounted terminal value a scalar.  The
-feedback plan's own discounted utility is the scalar
-U(c_hat0) e^(-(rho - g (1-gamma)) t), since U is homogeneous of degree
-1-gamma; the audit integrates it on the composite Gauss-Legendre rule of
-ceil(T) intervals, at most 4096, once with 64 nodes per interval and once
-with 128 as a quadrature-convergence check.  The feedback plan is rank one,
+double series of exponentials and the discounted terminal value a scalar;
+all seeded draws are evaluated together as one array program.  For
+c = (1-gamma) Q1 << 0 the series cancels, and a draw whose rounding bound
+exceeds the dominance tolerance is a ``SeriesCancellationError`` rather than
+a payoff.  The feedback plan's own discounted utility is the scalar
+U(c_hat0) e^(-a0 t), a0 = rho - g (1-gamma), since U is homogeneous of
+degree 1-gamma; the audit sums it in closed form on a composite
+Gauss-Legendre rule of equal intervals, ceil(T) of them but at most 4096,
+or more when a0 is large, so that none spans more than 64/a0: once with 64
+nodes per interval and once with 128 as a quadrature-convergence check.  The
+feedback plan is rank one,
 c_hat0 = feedback_profile <x0, b0>, so these closed forms see the start
 state only through p0 = <x0, b0>: the audit pairs x0 once and its helpers
 take p0.
@@ -45,7 +50,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import HalfSpaceError, TailDivergenceError
+from .errors import HalfSpaceError, SeriesCancellationError, TailDivergenceError
 from .grid import GridFunction
 from .hjb import HjbSolution, _pairing, hamiltonian, utility, value_at_pairing
 from .spectral import ModelParams, SpectralBasis
@@ -57,7 +62,7 @@ ControlProvider = Callable[[np.ndarray], np.ndarray]
 # Gauss-Legendre nodes per unit of time in the payoff and open-loop quadratures
 _NODES_PER_UNIT = 64
 
-# most intervals of the composite rule, whatever the horizon
+# the largest interval count of the composite rule, whatever the horizon
 _MAX_INTERVALS = 4096
 
 # range of the perturbation amplitude a drawn by the audit
@@ -73,10 +78,15 @@ def _gauss_legendre(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
+def _interval_count(T: float) -> int:
+    """ceil(T), but at least 1 and at most ``_MAX_INTERVALS``."""
+    return min(max(1, math.ceil(T)), _MAX_INTERVALS)
+
+
 def _composite_gauss_legendre(T: float, nodes_per_unit: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of a composite Gauss-Legendre rule on [0, T], on
-    ceil(T) intervals, but at least 1 and at most ``_MAX_INTERVALS``."""
-    n_intervals = min(max(1, math.ceil(T)), _MAX_INTERVALS)
+    ``_interval_count(T)`` equal intervals."""
+    n_intervals = _interval_count(T)
     x, w = _gauss_legendre(nodes_per_unit)
     edges = np.linspace(0.0, T, n_intervals + 1)
     half = np.diff(edges) / 2.0
@@ -138,10 +148,21 @@ def _feedback_payoff(a0: float, u0: float, T: float, nodes_per_unit: int) -> flo
 
     Along the feedback path e^(-rho t) U(c_hat(t)) = u0 e^(-a0 t) with
     a0, u0 from ``_feedback_utility``: the integrand of ``payoff`` for that
-    plan, summed on the same composite Gauss-Legendre rule as a scalar.
+    plan, on a composite Gauss-Legendre rule of N equal intervals with
+    ``nodes_per_unit`` nodes each.  N is ``_interval_count(T)``, or more when
+    a0 is large, so that no interval spans more than 64/a0.  With h = T/(2N)
+    the half-width, the rule's sum factors into one interval's sum times a
+    geometric series,
+    u0 (h sum_i w_i e^(-a0 h x_i)) e^(-a0 h) (1 - e^(-2 a0 h N)) / (1 - e^(-2 a0 h)),
+    so it costs the same on any N.
     """
-    nodes, weights = _composite_gauss_legendre(T, nodes_per_unit)
-    return u0 * float(weights @ np.exp(-a0 * nodes))
+    n_intervals = max(_interval_count(T), math.ceil(a0 * T / _NODES_PER_UNIT))
+    x, w = _gauss_legendre(nodes_per_unit)
+    h = T / (2 * n_intervals)
+    interval = h * float(w @ np.exp(-a0 * h * x))
+    return u0 * interval * math.exp(-a0 * h) * (
+        math.expm1(-2.0 * a0 * h * n_intervals) / math.expm1(-2.0 * a0 * h)
+    )
 
 
 def perturbed_transversality_envelope(sol: HjbSolution, T: float) -> float:
@@ -245,10 +266,12 @@ class OptimalityAudit:
 
 def _perturbation_family(
     sol: HjbSolution, p0: float, T: float
-) -> Callable[[float, int, float], tuple[float, float]]:
-    """Map a draw (a, m, phase) of the perturbed feedback law from the pairing
-    p0 to its payoff over [0, T] and its discounted terminal value relative to
-    |v(x0)|, building what does not depend on the draw once.
+) -> Callable[[np.ndarray, np.ndarray, np.ndarray], tuple[np.ndarray, ...]]:
+    """Map arrays of draws (a, m, phase) of the perturbed feedback law from the
+    pairing p0 to arrays of their payoffs over [0, T], their discounted
+    terminal values relative to |v(x0)|, their pairing exponents c and the
+    rounding bounds of their payoffs, building what does not depend on the
+    draws once.  All draws cost a fixed number of array operations.
 
     By homogeneity U(c(t)) e^(-rho t) = e^(-a0 t - c (1 - e^(-t)))
     U(c_hat0 (1 + a e^(-t) cos)), a0 = rho - g (1-gamma), c = (1-gamma) Q1, so
@@ -256,35 +279,63 @@ def _perturbation_family(
     (1 + x)^(1-gamma), converging for |a| < 1, writes the last factor as
     sum_k C(1-gamma, k) a^k M_k e^(-k t) with quadratures
     M_k = int f c_hat0^(1-gamma) cos^k / (1-gamma), M_0 = U(c_hat0); and
-    e^(-c (1 - e^(-t))) = e^(-c) sum_j c^j/j! e^(-j t).  With d the
-    convolution of the two series, J = e^(-c) sum_n d_n (1 - e^(-(a0+n) T)) / (a0+n).
+    e^(-c (1 - e^(-t))) = e^(-c) sum_j c^j/j! e^(-j t).  So
+    J = e^(-c) sum_(k,j) C(1-gamma, k) a^k M_k c^j/j! r_(k+j) with
+    r_n = (1 - e^(-(a0+n) T)) / (a0+n): the Hankel matrix H[k, j] = r_(k+j)
+    is shared by all draws.  Both series keep the terms their largest |a| and
+    |c| need, up to the first term below 1e-17 past the peak.
+
+    For c << 0 the second series alternates with terms up to about e^|c|, and
+    J loses that many digits to cancellation: the rounding bound
+    eps e^(-c) sum_(k,j) |C(1-gamma, k) a^k M_k| |c^j/j!| r_(k+j) measures it.
     """
     a0, u0 = _feedback_utility(sol, p0)
     exponent = 1.0 - sol.params.gamma
     basis = sol.basis
     nodes, weight = basis.grid.nodes, basis.grid.weight
     weighted = sol.consumption_weight_f.values * (sol.feedback_profile.values * p0) ** exponent
-    # Q1 = a <eta P cos(m theta + phase), b0> = a (shift_weights @ cos(m theta + phase))
+    # Q1 = a <eta P cos(m theta + phase), b0> = a (cosine @ shift_weights)
     shift_weights = weight * sol.params.eta.values * sol.feedback_profile.values * basis.b0.values
 
-    def evaluate(amplitude: float, mode: int, phase: float) -> tuple[float, float]:
-        terms = [1.0]  # C(1-gamma, k) a^k
-        # past k = |1-gamma| each term is below 2|a| times the one before
-        while len(terms) <= abs(exponent) + 1 or abs(terms[-1]) > 1e-17:
-            k = len(terms) - 1
-            terms.append(terms[-1] * (exponent - k) / (k + 1) * amplitude)
-        # rows cos^1 .. cos^K by repeated products
-        cosine = np.cos(mode * nodes + phase)
-        powers = np.cumprod(np.broadcast_to(cosine, (len(terms) - 1, cosine.size)), axis=0)
-        moments = np.concatenate(([u0], weight * (powers @ weighted) / exponent))
-        c = exponent * (amplitude * float(shift_weights @ cosine))
-        decay = [1.0]  # c^j / j!, decreasing once j > |c|
-        while len(decay) <= abs(c) + 1 or abs(decay[-1]) > 1e-17:
-            decay.append(decay[-1] * c / len(decay))
-        d = np.convolve(np.multiply(terms, moments), decay)
-        rates = a0 + np.arange(d.size)
-        J = math.exp(-c) * float(np.dot(d, -np.expm1(-rates * T) / rates))
-        return J, math.exp(-a0 * T + c * math.expm1(-T))
+    def evaluate(
+        amplitudes: np.ndarray, modes: np.ndarray, phases: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        cosine = np.cos(np.multiply.outer(modes, nodes) + phases[:, None])
+        # as many binomial terms as the largest |a| needs: past k = |1-gamma|
+        # each term is below 2|a| times the one before
+        a_max = float(np.abs(amplitudes).max(initial=0.0))
+        term, n_terms = 1.0, 1
+        while n_terms <= abs(exponent) + 1 or abs(term) > 1e-17:
+            term = term * (exponent - n_terms + 1) / n_terms * a_max
+            n_terms += 1
+        # C(1-gamma, k+1) / C(1-gamma, k) for k = 0 .. n_terms-2
+        ratios = (exponent - np.arange(n_terms - 1)) / np.arange(1, n_terms)
+        terms = np.ones((amplitudes.size, n_terms))  # C(1-gamma, k) a^k
+        np.cumprod(np.multiply.outer(amplitudes, ratios), axis=1, out=terms[:, 1:])
+        moments = np.empty_like(terms)  # M_k, with cos^k by repeated products
+        moments[:, 0] = u0
+        power = np.ones_like(cosine)
+        for k in range(1, n_terms):
+            power *= cosine
+            moments[:, k] = power @ weighted
+        moments[:, 1:] *= weight / exponent
+        c = exponent * (amplitudes * (cosine @ shift_weights))
+        # as many terms c^j / j! as the largest |c| needs: they decrease once j > |c|
+        c_max = float(np.abs(c).max(initial=0.0))
+        term, n_decay = 1.0, 1
+        while n_decay <= c_max + 1 or term > 1e-17:
+            term = term * c_max / n_decay
+            n_decay += 1
+        decay = np.ones((c.size, n_decay))
+        np.cumprod(np.divide.outer(c, np.arange(1, n_decay)), axis=1, out=decay[:, 1:])
+        rates = a0 + np.arange(n_terms + n_decay - 1)
+        r = -np.expm1(-rates * T) / rates
+        hankel = r[np.add.outer(np.arange(n_terms), np.arange(n_decay))]
+        weighted_terms = terms * moments
+        scale = np.exp(-c)
+        J = scale * ((weighted_terms @ hankel) * decay).sum(axis=1)
+        spread = ((np.abs(weighted_terms) @ hankel) * np.abs(decay)).sum(axis=1)
+        return J, np.exp(-a0 * T + c * math.expm1(-T)), c, np.finfo(float).eps * scale * spread
 
     return evaluate
 
@@ -303,9 +354,13 @@ def optimality_audit(
     up to the truncation tail with 64 time nodes per unit, and records how
     far the same quadrature with 128 nodes per unit moves it.  Then draws
     n_perturbations seeded smooth multiplicative perturbations of the
-    feedback law, each admissible by construction, and checks that every
-    one's closed-form payoff is dominated by v(x0).  Each one's discounted
-    terminal value relative to |v(x0)| is e^(-a0 T - c (1 - e^(-T))).
+    feedback law, each admissible by construction, evaluates their
+    closed-form payoffs in one batch and checks that every one is dominated
+    by v(x0).  Each one's discounted terminal value relative to |v(x0)| is
+    e^(-a0 T - c (1 - e^(-T))).  Raises ``SeriesCancellationError``, naming
+    the first such draw, when a payoff's rounding bound exceeds
+    ``dominance_rel`` |v(x0)|: its series cancelled too far for the
+    dominance check to read it.
     """
     p0 = _pairing(sol, x0)
     v = value_at_pairing(sol, p0)
@@ -320,20 +375,30 @@ def optimality_audit(
     doubled = _feedback_payoff(a0, u0, horizon, 2 * _NODES_PER_UNIT)
     rel_gap = abs(optimal - v) / abs(v)
 
-    evaluate = _perturbation_family(sol, p0, horizon)
     rng = np.random.default_rng(seed)
-    samples: list[PerturbationSample] = []
-    max_terminal = 0.0
-    for _ in range(n_perturbations):
-        amplitude = rng.uniform(*_AMPLITUDES)
-        mode = int(rng.integers(1, 4))
-        phase = rng.uniform(0.0, 2.0 * np.pi)
-        J, terminal = evaluate(amplitude, mode, phase)
-        max_terminal = max(max_terminal, terminal)
-        samples.append(PerturbationSample(float(amplitude), mode, float(phase), J))
-    perturbed = [s.payoff for s in samples]
-    max_perturbed = max(perturbed) if perturbed else float("-inf")
-    dominated = all(p <= v + tolerances.dominance_rel * abs(v) for p in perturbed)
+    draws = [
+        (rng.uniform(*_AMPLITUDES), int(rng.integers(1, 4)), rng.uniform(0.0, 2.0 * np.pi))
+        for _ in range(n_perturbations)
+    ]
+    amplitudes, modes, phases = np.array(draws, dtype=float).reshape(-1, 3).T
+    perturbed, terminal, c, rounding = _perturbation_family(sol, p0, horizon)(
+        amplitudes, modes, phases
+    )
+    limit = tolerances.dominance_rel * abs(v)
+    unresolved = np.flatnonzero(~(rounding <= limit))
+    if unresolved.size:
+        i = int(unresolved[0])
+        raise SeriesCancellationError(
+            f"perturbation {i} (a = {draws[i][0]!r}, m = {draws[i][1]}, phi = {draws[i][2]!r}): "
+            f"its payoff series in c = (1-gamma) Q1 = {float(c[i])!r} carries a rounding "
+            f"error up to {float(rounding[i])!r}, above dominance_rel * |v| = {limit!r}"
+        )
+    samples = [
+        PerturbationSample(float(a), m, float(phase), float(J))
+        for (a, m, phase), J in zip(draws, perturbed)
+    ]
+    max_perturbed = float(perturbed.max(initial=-math.inf))
+    dominated = bool(np.all(perturbed <= v + limit))
     return OptimalityAudit(
         J_opt=optimal,
         v=v,
@@ -345,7 +410,7 @@ def optimality_audit(
         samples=samples,
         max_perturbed_J=max_perturbed,
         all_dominated=dominated,
-        max_discounted_terminal_rel=max_terminal,
+        max_discounted_terminal_rel=float(terminal.max(initial=0.0)),
         seed=seed,
         perturbation_family=(
             "feedback law times 1 + a*exp(-t)*cos(m*theta+phi), "

@@ -1,14 +1,18 @@
-"""Test-only oracles: the eigenexpansion actions of the generator and a
-generator of half-space states.
+"""Test-only oracles: the eigenexpansion actions of the generator, a
+generator of half-space states and the per-draw closed form of the
+optimality audit's perturbation family.
 
 The commands never apply the resolvent or the semigroup to a state, and
 draw no random state: ``tests/test_spectral.py`` checks the basis against
 these actions, ``tests/test_closed_loop.py`` checks the steady profile w
 against the resolvent, and the HJB tests evaluate the residual at the
-sampled states.
+sampled states.  ``tests/test_verify.py`` checks the audit's batched
+perturbation family against the one-draw-at-a-time evaluation.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -16,6 +20,7 @@ from akgrowth.errors import SpectrumCollisionError
 from akgrowth.grid import GridFunction
 from akgrowth.spectral import SpectralBasis
 from akgrowth.tolerances import DEFAULT_TOLERANCES, Tolerances
+from akgrowth.verify import _feedback_utility
 
 
 def resolvent_apply(
@@ -66,3 +71,34 @@ def sample_halfspace_states(
         scale = rng.uniform(0.5, 2.0)
         states.append(GridFunction(basis.grid, scale * values))
     return states
+
+
+def perturbation_payoff(sol, p0: float, T: float, amplitude: float, mode: int, phase: float):
+    """Payoff over [0, T] and discounted terminal value relative to |v(x0)| of
+    one draw (a, m, phase) of the audit's perturbed feedback law from the
+    pairing p0, each series with only the terms that draw needs.
+
+    The binomial series sum_k C(1-gamma, k) a^k M_k e^(-k t) of the utility
+    and the series e^(-c) sum_j c^j/j! e^(-j t) of the pairing's factor are
+    convolved into d, and J = e^(-c) sum_n d_n (1 - e^(-(a0+n) T)) / (a0+n).
+    """
+    a0, u0 = _feedback_utility(sol, p0)
+    exponent = 1.0 - sol.params.gamma
+    nodes, weight = sol.basis.grid.nodes, sol.basis.grid.weight
+    weighted = sol.consumption_weight_f.values * (sol.feedback_profile.values * p0) ** exponent
+    shift_weights = weight * sol.params.eta.values * sol.feedback_profile.values * sol.basis.b0.values
+    terms = [1.0]  # C(1-gamma, k) a^k
+    while len(terms) <= abs(exponent) + 1 or abs(terms[-1]) > 1e-17:
+        k = len(terms) - 1
+        terms.append(terms[-1] * (exponent - k) / (k + 1) * amplitude)
+    cosine = np.cos(mode * nodes + phase)
+    powers = np.cumprod(np.broadcast_to(cosine, (len(terms) - 1, cosine.size)), axis=0)
+    moments = np.concatenate(([u0], weight * (powers @ weighted) / exponent))
+    c = exponent * (amplitude * float(shift_weights @ cosine))
+    decay = [1.0]  # c^j / j!
+    while len(decay) <= abs(c) + 1 or abs(decay[-1]) > 1e-17:
+        decay.append(decay[-1] * c / len(decay))
+    d = np.convolve(np.multiply(terms, moments), decay)
+    rates = a0 + np.arange(d.size)
+    J = math.exp(-c) * float(np.dot(d, -np.expm1(-rates * T) / rates))
+    return J, math.exp(-a0 * T + c * math.expm1(-T))

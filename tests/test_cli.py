@@ -80,6 +80,18 @@ class TestSolve:
         cfg.write_text(WINDOW_CFG.replace("rho = 0.75", "rho = 0.4"))
         assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o"), "--quiet"]) == 2
 
+    def test_infeasible_message(self, tmp_path, capsys):
+        # the error formats its message when it is read; the text is unchanged
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(WINDOW_CFG.replace("rho = 0.75", "rho = 0.4"))
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o"), "--quiet"]) == 2
+        assert capsys.readouterr().err == (
+            "infeasible parameters: rho=0.4 does not exceed lambda0*(1-gamma)=0.49999999999984107\n"
+        )
+        assert str(InfeasibleParametersError(0.4, 0.5)) == (
+            "rho=0.4 does not exceed lambda0*(1-gamma)=0.5"
+        )
+
     def test_broken_table_exit_code(self, tmp_path):
         cfg = tmp_path / "table.cfg"
         cfg.write_text(
@@ -179,6 +191,7 @@ def test_alpha_out_of_float_range_is_a_config_error(tmp_path, capsys, command):
 
 
 VARIABLE_DEMO = Path(__file__).resolve().parents[1] / "demos" / "config_variable.cfg"
+HOMOGENEOUS_DEMO = VARIABLE_DEMO.with_name("config_homogeneous.cfg")
 
 
 @pytest.mark.parametrize(
@@ -364,6 +377,39 @@ class TestVerify:
         assert audit["rel_gap"] < 1e-6
         assert audit["max_hjb_residual"] < 1e-9
         assert audit["transversality"] is True
+        assert audit["failed_check"] is None
+
+    @pytest.mark.parametrize("rho", ["40", "60", "250"])
+    def test_cancelling_payoff_series_is_an_error(self, tmp_path, capsys, rho):
+        # strong eta variation and gamma = 0.2 make c = (1-gamma) Q1 << 0 for
+        # some draws, where the payoff series alternates with terms near e^|c|:
+        # unchecked, rho = 40 passed with payoffs 1.1% off, rho = 60 passed
+        # with payoffs up to 100% off and rho = 250 failed with J = 3.6e73
+        cfg = tmp_path / "cancel.cfg"
+        text = VARIABLE_DEMO.read_text().replace("eta.amplitude = 0.1", "eta.amplitude = 0.9")
+        cfg.write_text(text.replace("gamma = 0.5", "gamma = 0.2").replace("rho = 0.6", f"rho = {rho}"))
+        out = tmp_path / "out"
+        assert main(["verify", "--config", str(cfg), "--out", str(out), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(
+            r"error: perturbation \d+ \(a = \S+, m = [123], phi = \S+\): its payoff series in "
+            r"c = \(1-gamma\) Q1 = -\S+ carries a rounding error up to \S+, above "
+            r"dominance_rel \* \|v\| = \S+\n",
+            err,
+        )
+        assert not out.exists()
+
+    def test_fast_feedback_decay_is_resolved(self, tmp_path):
+        # a0 = rho - g (1-gamma) = 1246 on a horizon floored at 1: one unit
+        # interval of 64 nodes used to miss v by 2.1e-5 and fail value_equality
+        cfg = tmp_path / "fast.cfg"
+        text = HOMOGENEOUS_DEMO.read_text().replace("gamma = 0.5", "gamma = 0.2")
+        cfg.write_text(text.replace("rho = 0.75", "rho = 250"))
+        out = tmp_path / "out"
+        assert main(["verify", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+        audit = read_json(out / "audit.json")
+        assert audit["horizon"] == 1.0
+        assert audit["rel_gap"] < 1e-12
         assert audit["failed_check"] is None
 
     def test_no_perturbations_rejected(self, tmp_path, capsys):

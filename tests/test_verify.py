@@ -1,5 +1,7 @@
 import dataclasses
+import importlib.util
 import math
+import sys
 import tracemalloc
 from functools import partial
 from pathlib import Path
@@ -27,7 +29,7 @@ from conftest import (
     pairing_shift,
     perturbed_control,
 )
-from oracles import sample_halfspace_states
+from oracles import perturbation_payoff, sample_halfspace_states
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -290,8 +292,8 @@ class TestBatchedMatchesOracle:
         p0 = _p0(pipe.sol, pipe.K0)
         control = perturbed_control(pipe.sol, p0, amplitude, mode, phase)
         reference = ak.payoff(pipe.params, control, T)
-        closed = _perturbation_family(pipe.sol, p0, T)(amplitude, mode, phase)[0]
-        assert abs(closed - reference) <= 1e-12 * abs(reference)
+        closed = _perturbation_family(pipe.sol, p0, T)(*_columns([(amplitude, mode, phase)]))[0]
+        assert abs(closed[0] - reference) <= 1e-12 * abs(reference)
 
     @settings(max_examples=30)
     @given(gamma=gammas, T=st.floats(0.5, 40.0), nodes_per_unit=st.sampled_from([64, 128]))
@@ -307,6 +309,98 @@ class TestBatchedMatchesOracle:
         n_nodes = _composite_gauss_legendre(T, nodes_per_unit)[0].size
         bound = 4 * np.finfo(float).eps * n_nodes
         assert abs(scalar - reference) <= bound * abs(reference)
+
+
+def _draw_batches(max_size):
+    """Batches of (a, m, phase) draws with 0.025 <= |a| <= 0.2."""
+    amplitude = st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(0.025, 0.2)).map(
+        lambda pair: pair[0] * pair[1]
+    )
+    draw = st.tuples(amplitude, st.integers(1, 3), st.floats(0.0, 2.0 * np.pi))
+    return st.lists(draw, min_size=1, max_size=max_size)
+
+
+def _columns(draws):
+    """The (amplitudes, modes, phases) arrays of a list of draws."""
+    return tuple(np.array(column) for column in zip(*draws))
+
+
+def _verify_audit_config(seed, path, monkeypatch):
+    """Write the config the benchmark's verify-audit workload generates at seed."""
+    spec = importlib.util.spec_from_file_location(
+        "_perfbench_workloads", ROOT / "perfbench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    return workloads._write_config(path, np.random.default_rng(seed))
+
+
+class TestBatchedFamily:
+    """The perturbation family evaluates a batch of draws at once: against
+    the per-draw series of the reference, and draw by draw."""
+
+    gammas = st.one_of(st.floats(0.2, 0.95), st.floats(1.05, 4.0))
+
+    @settings(max_examples=40, deadline=None)
+    @given(gamma=gammas, T=st.floats(0.5, 40.0), draws=_draw_batches(25))
+    def test_batch_matches_reference(self, gamma, T, draws):
+        pipe = _oracle_pipeline(gamma)
+        p0 = _p0(pipe.sol, pipe.K0)
+        evaluate = _perturbation_family(pipe.sol, p0, T)
+        J, terminal, _, _ = evaluate(*_columns(draws))
+        assert J.shape == terminal.shape == (len(draws),)
+        for draw, J_batch, terminal_batch in zip(draws, J, terminal):
+            J_ref, terminal_ref = perturbation_payoff(pipe.sol, p0, T, *draw)
+            assert abs(J_batch - J_ref) <= 1e-13 * abs(J_ref)
+            assert abs(terminal_batch - terminal_ref) <= 1e-13 * terminal_ref
+            alone = evaluate(*_columns([draw]))[0][0]
+            assert abs(J_batch - alone) <= 1e-14 * abs(alone)
+
+    @pytest.mark.parametrize("T", [0.3, 1.0, 36.8, 103.65, 1e4])
+    @pytest.mark.parametrize("a0", [1e-3, 0.18, 5.0, 50.0])
+    @pytest.mark.parametrize("nodes_per_unit", [64, 128])
+    def test_factored_feedback_payoff(self, T, a0, nodes_per_unit):
+        # the geometric-series form of the composite rule against its node sum;
+        # T = 1e4 takes the 4096-interval cap, except at a0 = 50, where the
+        # factored rule takes intervals of 64/a0 and both sums are exact to rounding
+        u0 = -1.7
+        nodes, weights = _composite_gauss_legendre(T, nodes_per_unit)
+        reference = u0 * float(weights @ np.exp(-a0 * nodes))
+        factored = _feedback_payoff(a0, u0, T, nodes_per_unit)
+        assert abs(factored - reference) <= 4 * np.finfo(float).eps * nodes.size * abs(reference)
+
+    def test_intervals_resolve_a_fast_decay(self):
+        # a0 = 1246 on a horizon floored at 1: intervals of at most 64/a0 keep
+        # the rule near rounding, where one unit interval is off by 2e-5
+        a0, T = 1246.0, 1.0
+        exact = -math.expm1(-a0 * T) / a0
+        for nodes_per_unit in (64, 128):
+            assert abs(_feedback_payoff(a0, 1.0, T, nodes_per_unit) - exact) <= 1e-12 * exact
+
+    @pytest.mark.parametrize(
+        "kind, name",
+        [("demo", "config_homogeneous"), ("demo", "config_variable"),
+         ("golden", "homogeneous"), ("golden", "variable"),
+         *(("verify-audit", seed) for seed in range(1, 11))],
+    )
+    def test_rounding_bound_is_a_few_ulps(self, kind, name, tmp_path, monkeypatch):
+        # the series lose nothing to cancellation on the shipped configs and
+        # the benchmark's: each draw's rounding bound is about eps |v|, far
+        # below dominance_rel |v|
+        if kind == "demo":
+            run = load_config(ROOT / "demos" / f"{name}.cfg")
+        elif kind == "golden":
+            run = dataclasses.replace(load_config(ROOT / "tests" / "golden" / f"{name}.cfg"),
+                                      n_points=32)
+        else:
+            run = load_config(_verify_audit_config(name, tmp_path / "verify.cfg", monkeypatch))
+        grid, params, K0 = run.model()
+        sol = ak.solve_hjb(ak.eigendecompose(ak.assemble_generator(params, grid)), params)
+        audit = ak.optimality_audit(sol, K0, run.n_perturbations, run.seed)
+        draws = [(s.amplitude, s.mode, s.phase) for s in audit.samples]
+        _, _, _, rounding = _perturbation_family(sol, _p0(sol, K0), audit.horizon)(*_columns(draws))
+        assert rounding.max() <= 1e-15 * abs(audit.v)
 
 
 def test_composite_rule_is_capped():
@@ -358,7 +452,8 @@ class TestOptimalityAudit:
     @pytest.mark.parametrize("name", ["variable", "gamma2"])
     def test_draw_sequence_matches_reference(self, name, request, monkeypatch):
         # every draw is admissible, so the samples are the first n triples of
-        # the seeded stream and each one costs one closed-form evaluation
+        # the seeded stream, and one batched evaluation carries them all in
+        # draw order
         pipe = request.getfixturevalue(name)
         family = ak.verify._perturbation_family
         calls = []
@@ -366,9 +461,9 @@ class TestOptimalityAudit:
         def spy(*args):
             evaluate = family(*args)
 
-            def counted(*draw):
-                calls.append(draw)
-                return evaluate(*draw)
+            def counted(amplitudes, modes, phases):
+                calls.append(list(zip(amplitudes.tolist(), modes.tolist(), phases.tolist())))
+                return evaluate(amplitudes, modes, phases)
 
             return counted
 
@@ -376,7 +471,7 @@ class TestOptimalityAudit:
         audit = ak.optimality_audit(pipe.sol, pipe.K0, 8, seed=3)
         draws = [(s.amplitude, s.mode, s.phase) for s in audit.samples]
         assert draws == audit_draws(8, seed=3)
-        assert calls == draws
+        assert calls == [draws]
 
     @pytest.mark.parametrize("source", ["fixture", "demo_config"])
     def test_discounted_terminal_value(self, window, source):
@@ -472,11 +567,13 @@ class TestOptimalityAudit:
         T = ak.optimality_audit(sol, K0, 0, 0).horizon
         evaluate = _perturbation_family(sol, p0, T)
         for mode, phase in [(1, 0.0), (2, 1.0), (3, 2.5)]:
-            curvature = [(evaluate(a, mode, phase)[0] - v) / a**2 for a in (0.025, 0.05, 0.1)]
+            amplitudes = np.array([0.025, 0.05, 0.1, -0.05])
+            J = evaluate(amplitudes, np.full(4, mode), np.full(4, phase))[0]
+            curvature = (J[:3] - v) / amplitudes[:3] ** 2
             assert max(curvature) < 0.0
             assert min(curvature) / max(curvature) <= 1.2
-            assert evaluate(-0.05, mode, phase)[0] < v
-            assert evaluate(0.05, mode, phase)[0] < v
+            assert J[3] < v
+            assert J[1] < v
 
     def test_overconsumption_is_sampled(self):
         # the draws of the variable demo push <x(t), b0> both below (Q1 > 0:
