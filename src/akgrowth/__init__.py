@@ -65,6 +65,7 @@ from .spectral import (
     assemble_generator,
     eigendecompose,
     fourier_second_derivative,
+    principal_pair,
 )
 from .stability import (
     StabilityReport,

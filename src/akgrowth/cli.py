@@ -13,7 +13,7 @@ import math
 import sys
 import traceback
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -41,28 +41,32 @@ def _say(quiet: bool, message: str) -> None:
         print(message)
 
 
-def _model(config: RunConfig):
+def _model(config: RunConfig, decompose: Callable | None = None):
     """Params, K0, spectral basis and tolerances of a config.
 
-    hjb.solve_hjb on this basis is the well-posedness check: it raises
-    InfeasibleParametersError when rho <= lambda0*(1-gamma).
+    The basis is ``decompose(op, tolerances)``, by default
+    ``spectral.eigendecompose``, looked up when called so that a wrapper
+    installed on the module attribute sees the call; ``verify`` passes
+    ``spectral.principal_pair``.  hjb.solve_hjb on this basis is the
+    well-posedness check: it raises InfeasibleParametersError when
+    rho <= lambda0*(1-gamma).
     """
     grid, params, K0 = config.model()
     tolerances = config.tolerances()
     op = spectral.assemble_generator(params, grid)
     try:
-        basis = spectral.eigendecompose(op, tolerances)
+        basis = (decompose or spectral.eigendecompose)(op, tolerances)
     except PositivityError as exc:  # at a small sigma b0 decays below float64 resolution
         raise ConfigError(f"sigma = {params.sigma!r} with n_points = {grid.n_points}: "
                           f"{exc}; a larger sigma keeps b0 resolvable") from exc
     return params, K0, basis, tolerances
 
 
-def _state_model(config: RunConfig):
+def _state_model(config: RunConfig, decompose: Callable | None = None):
     """``_model`` for the commands that start from K0, which must lie in the
     open half-space <K0, b0> > 0 where the value function is defined; the
     pairing <K0, b0> is returned last."""
-    params, K0, basis, tolerances = _model(config)
+    params, K0, basis, tolerances = _model(config, decompose)
     pairing = inner_l2(K0, basis.b0)
     if not pairing > 0:
         raise ConfigError(f"<K0, b0> = {pairing!r} is not strictly positive")
@@ -120,11 +124,12 @@ def cmd_verify(config: RunConfig, out: Path, quiet: bool,
         raise ConfigError(
             f"--debug-perturb-alpha must be > -1 and finite, got {debug_perturb_alpha!r}"
         )
-    params, K0, basis, tolerances, _ = _state_model(config)
+    # the value function, the feedback and every check below read the
+    # generator only through its Perron pair (lambda0, b0)
+    params, K0, basis, tolerances, _ = _state_model(config, spectral.principal_pair)
     sol = hjb.solve_hjb(basis, params)
     if debug_perturb_alpha:
         sol = dataclasses.replace(sol, alpha=sol.alpha * (1.0 + debug_perturb_alpha))
-    clo = closed_loop.build_closed_loop(basis, sol)
 
     # v = alpha <x, b0>^(1-gamma)/(1-gamma) makes the residual homogeneous of
     # degree 0 in <x, b0>: its value at K0 is its value on the half-space
@@ -138,9 +143,11 @@ def cmd_verify(config: RunConfig, out: Path, quiet: bool,
     # die; it is checked on the optimal path and on the sampled perturbations
     # of the feedback law (admissible by construction), whose discounted value
     # decays at the feedback rate up to the factor e^(-c (1 - e^(-T))).
-    # The optimal path's pairing <K(t), b0> grows as e^(r t), r = spectrum[0],
-    # so its discounted value is v(K0) e^(-d t) with d = rho - r (1-gamma)
-    decay = params.rho - float(clo.spectrum[0]) * (1.0 - params.gamma)
+    # The optimal path's pairing <K(t), b0> grows as e^(r t) with r the
+    # closed loop's leading eigenvalue lambda0 - <withdrawal, b0>, so its
+    # discounted value is v(K0) e^(-d t) with d = rho - r (1-gamma)
+    r = basis.lambda0 - inner_l2(sol.withdrawal, basis.b0)
+    decay = params.rho - r * (1.0 - params.gamma)
     envelope = verify.perturbed_transversality_envelope(sol, audit.horizon)
     transversal = (
         decay > 0

@@ -69,6 +69,7 @@ def build_closed_loop(basis: SpectralBasis, sol: HjbSolution) -> ClosedLoopOpera
     """Closed-loop generator of the feedback of ``sol``, solved on ``basis``."""
     if sol.basis is not basis:
         raise GridMismatchError("solution was solved on a different basis")
+    basis.require_full("build_closed_loop")
     u = basis.coefficients(sol.withdrawal)
     spectrum = np.concatenate(([basis.lambda0 - u[0]], basis.eigenvalues[1:]))
     for array in (u, spectrum):
@@ -112,6 +113,7 @@ def projection_rows(
     mu0 = lambda0 - g in units of max(1, |mu0|); w is not finite; <w, b0> is
     not 1.  A failing row's nan or inf is kept quiet.
     """
+    basis.require_full("projection_rows")
     lam, b0, weight = basis.eigenvalues, basis.b0.values, basis.grid.weight
     g_column = np.array(g)[:, None]
     gaps = np.abs(lam - g_column)
@@ -256,6 +258,7 @@ def simulate(
     """
     if x0.grid != clo.grid:
         raise GridMismatchError("initial state lives on a different grid")
+    clo.basis.require_full("simulate")
     if not (np.isfinite(t_final) and t_final > 0):
         raise ValueError(f"t_final must be finite and > 0, got {t_final}")
     if n_steps < 1:

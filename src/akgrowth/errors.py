@@ -2,8 +2,10 @@
 
 
 class GridMismatchError(ValueError):
-    """Two grid quantities living on different grids were combined, or a
-    solution was paired with a basis other than the one it was solved on."""
+    """Two grid quantities living on different grids were combined, a
+    solution was paired with a basis other than the one it was solved on, or
+    a basis holding only the Perron vector reached code that expands in the
+    whole eigenbasis."""
 
 
 class PositivityError(RuntimeError):

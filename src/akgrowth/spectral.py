@@ -6,6 +6,14 @@ derivative matrix, which is symmetric, spectrally accurate for the smooth
 coefficients considered here, and small enough (n <= 512) that a full dense
 eigendecomposition is cheap.
 
+Two decompositions share one set of checks.  ``eigendecompose`` computes
+every eigenvector: the closed loop, its simulation and the sweep's
+projection expand in the whole basis, so ``solve``, ``simulate`` and
+``sweep`` take it.  ``principal_pair`` computes only the Perron pair
+(lambda0, b0) and the eigenvalues: the value function and the feedback read
+the generator only through that pair, so ``verify``, which certifies those
+closed forms, takes it and skips the eigenvectors it would never read.
+
 The eigendecomposition is NumPy's ``eigh``, which runs LAPACK's
 divide-and-conquer driver ``syevd`` (Gu and Eisenstat, SIAM J. Matrix Anal.
 Appl. 16, 1995) on the BLAS NumPy already loads; at n = 512 it is several
@@ -15,6 +23,9 @@ upper triangle (``UPLO="U"``): both triangles hold the same matrix and both
 results lie within a small multiple of eps * ||L|| of the exact spectrum, but
 on the homogeneous profile the upper one leaves lambda_0 half as far from A_0,
 and the growth rate and the audit's terminal value amplify that rounding.
+The Perron pair takes the same driver's eigenvalues alone (``eigvalsh``,
+without the eigenvectors and their back-transform) and then b0 by one step
+of inverse iteration from the vector of ones (Ipsen, SIAM Review 39, 1997).
 """
 
 from __future__ import annotations
@@ -129,12 +140,13 @@ def assemble_generator(
 
 @dataclass(frozen=True, eq=False)
 class SpectralBasis:
-    """Full eigendecomposition of the discretized generator.
+    """Eigenvalues and the leading eigenvectors of the discretized generator.
 
-    ``eigenvalues`` are sorted descending and enumerated with multiplicity.
-    Column k of ``vectors`` holds the eigenfunction b_k sampled on the grid,
-    orthonormal under the quadrature inner product, with b_0 oriented to be
-    strictly positive.
+    ``eigenvalues`` are all n eigenvalues, sorted descending and enumerated
+    with multiplicity.  ``vectors`` is (n, k), 1 <= k <= n: column j holds
+    the eigenfunction b_j sampled on the grid, orthonormal under the
+    quadrature inner product, with b_0 oriented to be strictly positive.
+    ``eigendecompose`` gives every column, ``principal_pair`` only b_0.
     """
 
     grid: Grid
@@ -145,7 +157,7 @@ class SpectralBasis:
         n = self.grid.n_points
         lam = np.asarray(self.eigenvalues, dtype=float)
         vec = np.asarray(self.vectors, dtype=float)
-        if lam.shape != (n,) or vec.shape != (n, n):
+        if lam.shape != (n,) or vec.ndim != 2 or not (vec.shape[0] == n >= vec.shape[1] >= 1):
             raise ValueError("eigenvalues/vectors shapes do not match the grid")
         lam = lam.copy()
         vec = vec.copy()
@@ -166,25 +178,66 @@ class SpectralBasis:
     def b0(self) -> GridFunction:
         return GridFunction(self.grid, self.vectors[:, 0])
 
+    def require_full(self, caller: str) -> None:
+        """Raise GridMismatchError unless the basis holds all n eigenvectors:
+        ``caller`` expands in the whole basis, which a Perron pair is not."""
+        n, k = self.vectors.shape
+        if k != n:
+            raise GridMismatchError(
+                f"{caller} needs the full eigenbasis, got {k} of {n} eigenvectors"
+            )
+
     def coefficients(self, f: GridFunction) -> np.ndarray:
-        """Quadrature inner products <f, b_k> against the whole basis."""
+        """Quadrature inner products <f, b_j> against the basis's k vectors."""
         if f.grid != self.grid:
             raise GridMismatchError("operand lives on a different grid")
         return self.coefficient_rows(f.values[None, :])[0]
 
     def coefficient_rows(self, rows: np.ndarray) -> np.ndarray:
-        """``coefficients`` of each row of an (m, n) array of node values.
+        """``coefficients`` of each row of an (m, n) array of node values,
+        an (m, k) array.
 
         One matrix-vector product per row: a product over all rows at once
         need not round as each row alone does.
         """
         products = np.array([self.vectors.T @ row for row in rows])
-        return self.grid.weight * products.reshape(rows.shape)
+        return self.grid.weight * products.reshape(len(rows), self.vectors.shape[1])
 
     def synthesize_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Node values of sum_k c_k b_k for each row c of an (m, n) coefficient
+        """Node values of sum_j c_j b_j for each row c of an (m, k) coefficient
         array, one matrix-vector product per row."""
-        return np.array([self.vectors @ row for row in rows]).reshape(rows.shape)
+        products = np.array([self.vectors @ row for row in rows])
+        return products.reshape(len(rows), self.grid.n_points)
+
+
+def _checked_basis(
+    grid: Grid, eigenvalues: np.ndarray, vectors: np.ndarray, tolerances: Tolerances
+) -> SpectralBasis:
+    """The basis of descending ``eigenvalues`` and the leading ``vectors``,
+    each of quadrature norm 1, once b_0 passes its checks.
+
+    b_0 is sign-flipped (in place) if needed so that it is strictly
+    positive, and a PositivityError signals a discretization too coarse (or
+    an invalid profile) if it is not; its norm must be 1 within
+    ``b0_normalization`` and lambda_0 must be simple.
+    """
+    if vectors[:, 0].sum() < 0:
+        vectors[:, 0] = -vectors[:, 0]
+    basis = SpectralBasis(grid, eigenvalues, vectors)
+    if not is_strictly_positive(basis.b0):
+        raise PositivityError(
+            "leading eigenfunction is not strictly positive after sign fix: "
+            f"b0 min/max = {vectors[:, 0].min() / vectors[:, 0].max():.2g}"
+        )
+    norm = inner_l2(basis.b0, basis.b0)
+    if abs(norm - 1.0) > tolerances.b0_normalization:
+        raise RuntimeError(f"b0 normalization defect {abs(norm - 1.0):g}")
+    if not basis.eigenvalues[0] > basis.eigenvalues[1]:
+        raise RuntimeError(
+            "leading eigenvalue is not simple: "
+            f"{eigenvalues[0]!r} vs {eigenvalues[1]!r}"
+        )
+    return basis
 
 
 def eigendecompose(
@@ -194,31 +247,57 @@ def eigendecompose(
     """Full symmetric eigendecomposition of the generator.
 
     Eigenvalues come out descending.  Eigenvectors are rescaled so that each
-    b_k has unit quadrature norm; b_0 is sign-flipped if needed so that it is
-    strictly positive, and a PositivityError signals a discretization too
-    coarse (or an invalid profile) if it is not.
+    b_k has unit quadrature norm; b_0 passes the checks of ``_checked_basis``.
     """
     # upper triangle: on the homogeneous profile at n = 128, sigma = 1 it puts
     # lambda_0 3.2e-13 from A_0, the lower one 6.4e-13, which the growth rate
     # g (bounded by 1e-12 in the homogeneous CLI test) doubles to 1.3e-12
     lam, vec = np.linalg.eigh(op.entries, UPLO="U")
-    lam = lam[::-1]
-    vec = vec[:, ::-1]
     # eigh returns Euclidean-orthonormal columns; rescale to quadrature norm 1
-    vec = vec * np.sqrt(op.grid.n_points / TWO_PI)
-    if vec[:, 0].sum() < 0:
-        vec[:, 0] = -vec[:, 0]
-    basis = SpectralBasis(op.grid, lam, vec)
-    if not is_strictly_positive(basis.b0):
+    vec = vec[:, ::-1] * np.sqrt(op.grid.n_points / TWO_PI)
+    return _checked_basis(op.grid, lam[::-1], vec, tolerances)
+
+
+def principal_pair(
+    op: OperatorMatrix,
+    tolerances: Tolerances = DEFAULT_TOLERANCES,
+) -> SpectralBasis:
+    """Every eigenvalue of the generator and its Perron vector b0 alone.
+
+    The eigenvalues are ``eigh``'s driver without the eigenvectors, descending.
+    b0 is one step of inverse iteration, a solve with L - lambda0 I, from the
+    vector of ones: its component along the strictly positive b0 is
+    <1, b0> > 0 divided by the rounding error of lambda0, so the step
+    amplifies it about gap / (eps ||L||) times over every other component,
+    which is as close as ``eigh``'s b0 gets.  It is scaled to unit quadrature
+    norm and passes the checks of ``_checked_basis``.  A leading eigenvector
+    that is not strictly positive can be orthogonal to the vector of ones:
+    a Rayleigh quotient of b0 nearer lambda1 than lambda0 is then a
+    PositivityError too.  The basis holds the one vector b0, and the code
+    that expands in the whole basis refuses it.
+    """
+    grid = op.grid
+    lam = np.linalg.eigvalsh(op.entries, UPLO="U")[::-1]
+    shifted = op.entries.copy()
+    diagonal = np.diag_indices_from(shifted)
+    shifted[diagonal] -= lam[0]
+    ones = np.ones(grid.n_points)
+    try:
+        b0 = np.linalg.solve(shifted, ones)
+    except np.linalg.LinAlgError:
+        # an exactly zero pivot, a few generators in a thousand: the shift
+        # moves by eps ||L||_1, the size of lambda0's own rounding error
+        shifted[diagonal] -= np.finfo(float).eps * float(np.abs(op.entries).sum(axis=0).max())
+        b0 = np.linalg.solve(shifted, ones)
+    b0 /= math.sqrt(grid.weight * float(b0 @ b0))
+    basis = _checked_basis(grid, lam, b0[:, None], tolerances)
+    # a strictly positive b0 pairs positively with the vector of ones, so the
+    # step cannot miss it; a Rayleigh quotient nearer lambda1 than lambda0
+    # means it did, from a leading eigenvector orthogonal to ones
+    quotient = grid.weight * float(b0 @ (op.entries @ b0))
+    if not quotient > (lam[0] + lam[1]) / 2.0:
         raise PositivityError(
-            "leading eigenfunction is not strictly positive after sign fix: "
-            f"b0 min/max = {vec[:, 0].min() / vec[:, 0].max():.2g}"
-        )
-    norm = inner_l2(basis.b0, basis.b0)
-    if abs(norm - 1.0) > tolerances.b0_normalization:
-        raise RuntimeError(f"b0 normalization defect {abs(norm - 1.0):g}")
-    if not basis.eigenvalues[0] > basis.eigenvalues[1]:
-        raise RuntimeError(
-            f"leading eigenvalue is not simple: {lam[0]!r} vs {lam[1]!r}"
+            f"one step from the vector of ones reached the eigenvalue {quotient!r}, "
+            f"not lambda0 = {lam[0]!r}: the leading eigenfunction is not strictly positive"
         )
     return basis

@@ -68,6 +68,9 @@ _MAX_INTERVALS = 4096
 # range of the perturbation amplitude a drawn by the audit
 _AMPLITUDES = (0.05, 0.2)
 
+# log of the largest float: e^|c| past it leaves the float range
+_MAX_EXPONENT = math.log(np.finfo(float).max)
+
 
 @lru_cache(maxsize=None)
 def _gauss_legendre(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -213,6 +216,7 @@ def open_loop_trajectory(
     dts = np.diff(times)
     if times[0] != 0.0 or np.any(dts <= 0):
         raise ValueError("times must increase strictly from 0")
+    basis.require_full("open_loop_trajectory")
     lam = basis.eigenvalues
     # weight and eta folded into the basis: <eta c(s), b_k> = c(s) @ projector[:, k]
     projector = (basis.grid.weight * params.eta.values)[:, None] * basis.vectors
@@ -265,13 +269,14 @@ class OptimalityAudit:
 
 
 def _perturbation_family(
-    sol: HjbSolution, p0: float, T: float
+    sol: HjbSolution, p0: float, T: float, a0: float, u0: float
 ) -> Callable[[np.ndarray, np.ndarray, np.ndarray], tuple[np.ndarray, ...]]:
     """Map arrays of draws (a, m, phase) of the perturbed feedback law from the
-    pairing p0 to arrays of their payoffs over [0, T], their discounted
-    terminal values relative to |v(x0)|, their pairing exponents c and the
-    rounding bounds of their payoffs, building what does not depend on the
-    draws once.  All draws cost a fixed number of array operations.
+    pairing p0, whose ``_feedback_utility`` is (a0, u0), to arrays of their
+    payoffs over [0, T], their discounted terminal values relative to
+    |v(x0)|, their pairing exponents c and the rounding bounds of their
+    payoffs, building what does not depend on the draws once.  All draws
+    cost a fixed number of array operations.
 
     By homogeneity U(c(t)) e^(-rho t) = e^(-a0 t - c (1 - e^(-t)))
     U(c_hat0 (1 + a e^(-t) cos)), a0 = rho - g (1-gamma), c = (1-gamma) Q1, so
@@ -288,8 +293,10 @@ def _perturbation_family(
     For c << 0 the second series alternates with terms up to about e^|c|, and
     J loses that many digits to cancellation: the rounding bound
     eps e^(-c) sum_(k,j) |C(1-gamma, k) a^k M_k| |c^j/j!| r_(k+j) measures it.
+    Past |c| = log(float max) ~ 709.8 the terms e^|c| leave the float range
+    and no series can be evaluated: a batch with such a draw, or with a c that
+    is not finite, is a ``SeriesCancellationError`` naming the first one.
     """
-    a0, u0 = _feedback_utility(sol, p0)
     exponent = 1.0 - sol.params.gamma
     basis = sol.basis
     nodes, weight = basis.grid.nodes, basis.grid.weight
@@ -320,6 +327,15 @@ def _perturbation_family(
             moments[:, k] = power @ weighted
         moments[:, 1:] *= weight / exponent
         c = exponent * (amplitudes * (cosine @ shift_weights))
+        beyond = np.flatnonzero(~(np.abs(c) <= _MAX_EXPONENT))
+        if beyond.size:
+            i = int(beyond[0])
+            raise SeriesCancellationError(
+                f"perturbation {i} (a = {float(amplitudes[i])!r}, m = {int(modes[i])}, "
+                f"phi = {float(phases[i])!r}): its payoff series in c = (1-gamma) Q1 = "
+                f"{float(c[i])!r} needs terms near e^|c|, beyond the float range "
+                f"past |c| = {_MAX_EXPONENT!r}"
+            )
         # as many terms c^j / j! as the largest |c| needs: they decrease once j > |c|
         c_max = float(np.abs(c).max(initial=0.0))
         term, n_decay = 1.0, 1
@@ -360,7 +376,8 @@ def optimality_audit(
     e^(-a0 T - c (1 - e^(-T))).  Raises ``SeriesCancellationError``, naming
     the first such draw, when a payoff's rounding bound exceeds
     ``dominance_rel`` |v(x0)|: its series cancelled too far for the
-    dominance check to read it.
+    dominance check to read it, or when its pairing exponent |c| is past
+    the float range of e^|c|, where no series can be evaluated.
     """
     p0 = _pairing(sol, x0)
     v = value_at_pairing(sol, p0)
@@ -381,7 +398,7 @@ def optimality_audit(
         for _ in range(n_perturbations)
     ]
     amplitudes, modes, phases = np.array(draws, dtype=float).reshape(-1, 3).T
-    perturbed, terminal, c, rounding = _perturbation_family(sol, p0, horizon)(
+    perturbed, terminal, c, rounding = _perturbation_family(sol, p0, horizon, a0, u0)(
         amplitudes, modes, phases
     )
     limit = tolerances.dominance_rel * abs(v)

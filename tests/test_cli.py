@@ -214,6 +214,21 @@ def test_unresolvable_b0_is_a_config_error(tmp_path, capsys, command, edit):
     assert not out.exists()
 
 
+def test_unresolvable_perron_pair_is_a_config_error(tmp_path, capsys):
+    # verify's b0 comes from inverse iteration, whose tails at the noise floor
+    # differ from eigh's: at sigma = 1e-3 they are positive (min/max 7.0e-16,
+    # eigh's -2.2e-16), at sigma = 1e-4 negative like eigh's
+    cfg = tmp_path / "small_sigma.cfg"
+    cfg.write_text(VARIABLE_DEMO.read_text().replace("sigma = 2.0", "sigma = 1e-4"))
+    out = tmp_path / "out"
+    assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: sigma = 0.0001 with n_points = 128: ")
+    assert "b0 min/max = -" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 HOMOGENEOUS_DEMO = VARIABLE_DEMO.with_name("config_homogeneous.cfg")
 
 
@@ -440,8 +455,9 @@ class TestVerify:
         audit = read_json(out / "audit.json")
         assert audit["transversality"] is True
         assert audit["max_discounted_terminal_rel"] <= audit["perturbed_terminal_envelope"]
-        # the figure is the largest value read off the drawn plans' pairings at T
-        params, K0, basis, _ = cli._model(parse_config(text))
+        # the figure is the largest value read off the drawn plans' pairings
+        # at T, on the basis verify itself takes
+        params, K0, basis, _ = cli._model(parse_config(text), spectral.principal_pair)
         sol = hjb.solve_hjb(basis, params)
         p0 = inner_l2(K0, basis.b0)
         closed = largest_discounted_terminal_value(
@@ -509,6 +525,35 @@ class TestVerify:
         out = tmp_path / "out"
         assert main(["verify", "--config", str(window_cfg), "--out", str(out), "--quiet"]) == 0
         assert read_json(out / "audit.json")["failed_check"] is None
+
+    def test_takes_only_the_perron_pair(self, window_cfg, tmp_path, monkeypatch):
+        # every check reads the generator through (lambda0, b0): no
+        # eigenvector past b0 is computed, and no closed loop is built
+        def dense(*args, **kwargs):
+            raise AssertionError("full eigendecomposition evaluated")
+
+        monkeypatch.setattr(np.linalg, "eigh", dense)
+        monkeypatch.setattr(spectral, "eigendecompose", dense)
+        monkeypatch.setattr(closed_loop, "build_closed_loop", dense)
+        out = tmp_path / "out"
+        assert main(["verify", "--config", str(window_cfg), "--out", str(out), "--quiet"]) == 0
+        assert read_json(out / "audit.json")["failed_check"] is None
+
+    def test_unrepresentable_pairing_exponent_is_an_error(self, tmp_path, capsys):
+        # rho = 1e50 makes |c| = |(1-gamma) Q1| about 5e44, past the float range
+        # of e^|c|: the series' term count grew with |c|, and verify never returned
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(VARIABLE_DEMO.read_text().replace("rho = 0.6", "rho = 1e50"))
+        out = tmp_path / "out"
+        assert main(["verify", "--config", str(cfg), "--out", str(out), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(
+            r"error: perturbation 0 \(a = \S+, m = [123], phi = \S+\): its payoff series in "
+            r"c = \(1-gamma\) Q1 = -\S+e\+44 needs terms near e\^\|c\|, beyond the float "
+            r"range past \|c\| = 709\.78\d+\n",
+            err,
+        )
+        assert not out.exists()
 
     def test_reads_K0_only_through_its_pairing(self, window_cfg, tmp_path, monkeypatch):
         # the residual is taken at K0 and transversality from the closed

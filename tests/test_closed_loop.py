@@ -190,6 +190,43 @@ class TestScaleFreeProjection:
         assert inner_l2(pd.w, pd.beta) == pytest.approx(1.0, abs=1e-10)
 
 
+class TestPerronPairIsRefused:
+    """A basis of the Perron pair alone reaches no code that expands in the
+    whole eigenbasis: each entry point names what it needs, where it used to
+    raise a NumPy shape error or build a wrong closed loop."""
+
+    @pytest.fixture()
+    def pair(self, variable):
+        basis = ak.principal_pair(variable.op)
+        return basis, ak.solve_hjb(basis, variable.params)
+
+    def test_build_closed_loop(self, pair):
+        with pytest.raises(GridMismatchError, match="^build_closed_loop needs the full "
+                                                    "eigenbasis, got 1 of 128 eigenvectors$"):
+            ak.build_closed_loop(*pair)
+
+    def test_projection_rows(self, pair):
+        basis, sol = pair
+        with pytest.raises(GridMismatchError, match="^projection_rows needs the full"):
+            ak.closed_loop.projection_rows(basis, sol.withdrawal.values[None, :], [sol.g],
+                                           ak.DEFAULT_TOLERANCES)
+        with pytest.raises(GridMismatchError, match="^projection_rows needs the full"):
+            ak.compute_projection_data(basis, sol)
+
+    def test_simulate(self, variable, pair):
+        basis, sol = pair
+        clo = dataclasses.replace(variable.clo, basis=basis, sol=sol)
+        with pytest.raises(GridMismatchError, match="^simulate needs the full"):
+            ak.simulate(clo, variable.K0, 1.0, 10)
+
+    def test_open_loop_trajectory(self, variable, pair):
+        basis, sol = pair
+        with pytest.raises(GridMismatchError, match="^open_loop_trajectory needs the full"):
+            ak.open_loop_trajectory(basis, variable.params, variable.K0,
+                                    lambda t: ak.optimal_control_path(sol, variable.K0, t),
+                                    np.linspace(0.0, 1.0, 3))
+
+
 class TestProjectionApply:
     def test_fixed_point(self, variable):
         pd = variable.pd

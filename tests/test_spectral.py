@@ -167,14 +167,16 @@ EVEN_N = st.integers(8, 128).map(lambda half: 2 * half)
 
 
 @st.composite
-def profiled_params(draw):
-    """Cosine or custom-table technology on an even grid of 16 to 256 points."""
-    grid = Grid(draw(EVEN_N))
+def profiled_params(draw, sizes=EVEN_N, max_amplitude=0.5, max_mode=4):
+    """Cosine or custom-table technology on an even grid of ``sizes`` points,
+    by default 16 to 256; the cosine's amplitude is at most ``max_amplitude``
+    and its mode at most ``max_mode``."""
+    grid = Grid(draw(sizes))
     if draw(st.booleans()):
         spec = ProfileSpec("cosine", {
             "mean": 1.0,
-            "amplitude": draw(st.floats(0.0, 0.5)),
-            "mode": draw(st.integers(1, 4)),
+            "amplitude": draw(st.floats(0.0, max_amplitude)),
+            "mode": draw(st.integers(1, max_mode)),
             "phase": draw(st.floats(0.0, TWO_PI)),
         })
     else:
@@ -222,6 +224,103 @@ class TestEigendecomposeMatchesEvrOracle:
         params = homogeneous_params(grid, sigma=sigma, A0=A0)
         basis = ak.eigendecompose(ak.assemble_generator(params, grid))
         assert abs(basis.lambda0 - A0) <= 4 * EPS * generator_norm(params)
+
+
+def assert_principal_pair_matches(op):
+    """``principal_pair`` of ``op`` against the ``eigendecompose`` oracle.
+
+    ||L||_1 = ||L||_inf, L being symmetric.  b0 is within the first-order
+    bound eps ||L|| / gap of each other that both carry.  The residual is
+    evaluated in extended precision, so it measures the pair and not its
+    evaluation: it is lambda0's rounding error plus b0's own rounding floor,
+    and over 3,000 generators of this family (n = 16 to 128) it reached
+    2.5 eps ||L|| max|b0|, the same sum in float64 3.2.
+    """
+    basis = ak.eigendecompose(op)
+    pair = ak.principal_pair(op)
+    n = op.grid.n_points
+    assert pair.vectors.shape == (n, 1)
+    norm = np.abs(op.entries).sum(axis=0).max()
+    scale = EPS * norm
+    assert abs(pair.lambda0 - basis.lambda0) <= 8 * scale
+    assert abs(pair.lambda1 - basis.lambda1) <= 8 * scale
+    assert np.abs(pair.eigenvalues - basis.eigenvalues).max() <= n * scale
+    b0 = pair.b0.values
+    gap = basis.lambda0 - basis.lambda1
+    assert np.abs(b0 - basis.b0.values).max() <= 16 * scale / gap * np.abs(b0).max()
+    residual = op.entries.astype(np.longdouble) @ b0 - np.longdouble(pair.lambda0) * b0
+    assert float(np.abs(residual).max()) <= 4 * scale * np.abs(b0).max()
+    assert abs(inner_l2(pair.b0, pair.b0) - 1.0) <= 1e-12
+
+
+class TestPrincipalPair:
+    @settings(max_examples=60)
+    @given(params=profiled_params(sizes=st.sampled_from([16, 32, 64, 128]),
+                                  max_amplitude=0.9, max_mode=5))
+    def test_matches_eigendecompose(self, params):
+        assert_principal_pair_matches(ak.assemble_generator(params, params.grid))
+
+    @pytest.mark.parametrize(
+        "n, sigma, amplitude, mode",
+        [(512, 0.1, 0.9, 1), (512, 0.1, 0.5, 3), (512, 1.0, 0.3, 5), (512, 4.0, 0.0, 1),
+         # the solve at lambda0 = 1.0 itself meets an exactly zero pivot
+         # (OpenBLAS 0.3.31, Haswell kernels)
+         (16, 1.1782688211702437, 0.0, 1)],
+    )
+    def test_fixed_cases(self, n, sigma, amplitude, mode):
+        grid = Grid(n)
+        A = GridFunction.from_callable(grid, lambda t: 1.0 + amplitude * np.cos(mode * t))
+        params = homogeneous_params(grid, sigma=sigma)
+        params = ak.ModelParams(sigma=sigma, rho=1.0, gamma=0.5, q=0.0, A=A, eta=params.eta)
+        assert_principal_pair_matches(ak.assemble_generator(params, grid))
+
+    def test_singular_shift_moves_by_eps_norm(self, variable, monkeypatch):
+        # an exactly zero pivot at lambda0: the step is taken once more from
+        # lambda0 + eps ||L||_1 and still gives b0
+        solve, matrices = np.linalg.solve, []
+
+        def singular_once(a, b):
+            matrices.append(a.copy())
+            if len(matrices) == 1:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", singular_once)
+        assert_principal_pair_matches(variable.op)
+        entries = variable.op.entries
+        assert len(matrices) == 2
+        # the diagonal moves by eps ||L||_1, to within its rounding
+        moved = matrices[0] - matrices[1]
+        ulp = np.spacing(np.abs(np.diag(entries)).max())
+        assert np.count_nonzero(moved - np.diag(np.diag(moved))) == 0
+        assert np.abs(np.diag(moved) - EPS * np.abs(entries).sum(axis=0).max()).max() <= ulp
+
+    def test_homogeneous_b0_is_flat(self):
+        grid = Grid(128)
+        pair = ak.principal_pair(ak.assemble_generator(homogeneous_params(grid), grid))
+        assert np.abs(pair.b0.values - 1.0 / np.sqrt(TWO_PI)).max() < 1e-12
+
+    @pytest.mark.parametrize("decompose", [ak.eigendecompose, ak.principal_pair])
+    def test_positivity_violation_detected(self, decompose):
+        # -D2: its leading eigenvector is the alternating Nyquist mode
+        grid = Grid(8)
+        op = OperatorMatrix(-ak.fourier_second_derivative(8), grid)
+        with pytest.raises(PositivityError):
+            decompose(op)
+
+    def test_coefficients_of_the_leading_vector(self, variable):
+        pair = ak.principal_pair(variable.op)
+        rows = np.stack([variable.K0.values, variable.params.eta.values])
+        coefficients = pair.coefficient_rows(rows)
+        assert coefficients.shape == (2, 1)
+        expected = [inner_l2(GridFunction(variable.grid, row), pair.b0) for row in rows]
+        np.testing.assert_allclose(coefficients[:, 0], expected, rtol=1e-14)
+
+    @pytest.mark.parametrize("k", [0, 17])
+    def test_basis_holds_one_to_n_vectors(self, k):
+        grid = Grid(16)
+        with pytest.raises(ValueError, match="shapes do not match"):
+            ak.SpectralBasis(grid, np.arange(16.0)[::-1], np.ones((16, k)))
 
 
 class TestResolvent:

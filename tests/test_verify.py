@@ -292,7 +292,7 @@ class TestBatchedMatchesOracle:
         p0 = _p0(pipe.sol, pipe.K0)
         control = perturbed_control(pipe.sol, p0, amplitude, mode, phase)
         reference = ak.payoff(pipe.params, control, T)
-        closed = _perturbation_family(pipe.sol, p0, T)(*_columns([(amplitude, mode, phase)]))[0]
+        closed = _family(pipe.sol, p0, T)(*_columns([(amplitude, mode, phase)]))[0]
         assert abs(closed[0] - reference) <= 1e-12 * abs(reference)
 
     @settings(max_examples=30)
@@ -318,6 +318,11 @@ def _draw_batches(max_size):
     )
     draw = st.tuples(amplitude, st.integers(1, 3), st.floats(0.0, 2.0 * np.pi))
     return st.lists(draw, min_size=1, max_size=max_size)
+
+
+def _family(sol, p0, T):
+    """The audit's perturbation family from the pairing p0 on [0, T]."""
+    return _perturbation_family(sol, p0, T, *_feedback_utility(sol, p0))
 
 
 def _columns(draws):
@@ -347,7 +352,7 @@ class TestBatchedFamily:
     def test_batch_matches_reference(self, gamma, T, draws):
         pipe = _oracle_pipeline(gamma)
         p0 = _p0(pipe.sol, pipe.K0)
-        evaluate = _perturbation_family(pipe.sol, p0, T)
+        evaluate = _family(pipe.sol, p0, T)
         J, terminal, _, _ = evaluate(*_columns(draws))
         assert J.shape == terminal.shape == (len(draws),)
         for draw, J_batch, terminal_batch in zip(draws, J, terminal):
@@ -399,7 +404,7 @@ class TestBatchedFamily:
         sol = ak.solve_hjb(ak.eigendecompose(ak.assemble_generator(params, grid)), params)
         audit = ak.optimality_audit(sol, K0, run.n_perturbations, run.seed)
         draws = [(s.amplitude, s.mode, s.phase) for s in audit.samples]
-        _, _, _, rounding = _perturbation_family(sol, _p0(sol, K0), audit.horizon)(*_columns(draws))
+        _, _, _, rounding = _family(sol, _p0(sol, K0), audit.horizon)(*_columns(draws))
         assert rounding.max() <= 1e-15 * abs(audit.v)
 
 
@@ -472,6 +477,35 @@ class TestOptimalityAudit:
         draws = [(s.amplitude, s.mode, s.phase) for s in audit.samples]
         assert draws == audit_draws(8, seed=3)
         assert calls == [draws]
+
+    def test_feedback_utility_once_per_audit(self, variable, monkeypatch):
+        # U(c_hat0) feeds the horizon, J_opt and the perturbation family
+        calls = []
+        feedback_utility = ak.verify._feedback_utility
+
+        def counted(*args):
+            calls.append(args)
+            return feedback_utility(*args)
+
+        monkeypatch.setattr(ak.verify, "_feedback_utility", counted)
+        ak.optimality_audit(variable.sol, variable.K0, 5, seed=3)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("amplitude, c_size", [(0.1, 1000.0), (math.nan, 1.0)])
+    def test_unrepresentable_pairing_exponent_names_the_draw(self, variable, amplitude,
+                                                              c_size):
+        # c is linear in the feedback profile: scaled so that |c| = 1000,
+        # past log(float max) ~ 709.8, e^|c| leaves the float range; a nan c
+        # has no series to sum either
+        sol = variable.sol
+        c = (1.0 - sol.params.gamma) * pairing_shift(sol, 0.1, 2, 0.5)
+        profile = GridFunction(sol.basis.grid, sol.feedback_profile.values * (c_size / abs(c)))
+        scaled = dataclasses.replace(sol, feedback_profile=profile)
+        evaluate = _family(scaled, _p0(sol, variable.K0), 5.0)
+        with pytest.raises(ak.SeriesCancellationError,
+                           match=rf"^perturbation 0 \(a = {amplitude}, m = 2, phi = 0\.5\): "
+                                 r".* = (-?1000\.0\d*|-?999\.99\d*|nan) needs terms near e\^\|c\|"):
+            evaluate(np.array([amplitude]), np.array([2.0]), np.array([0.5]))
 
     @pytest.mark.parametrize("source", ["fixture", "demo_config"])
     def test_discounted_terminal_value(self, window, source):
@@ -565,7 +599,7 @@ class TestOptimalityAudit:
             sol = ak.solve_hjb(ak.eigendecompose(ak.assemble_generator(params, grid)), params)
         p0, v = _p0(sol, K0), ak.value_function(sol, K0)
         T = ak.optimality_audit(sol, K0, 0, 0).horizon
-        evaluate = _perturbation_family(sol, p0, T)
+        evaluate = _family(sol, p0, T)
         for mode, phase in [(1, 0.0), (2, 1.0), (3, 2.5)]:
             amplitudes = np.array([0.025, 0.05, 0.1, -0.05])
             J = evaluate(amplitudes, np.full(4, mode), np.full(4, phase))[0]
