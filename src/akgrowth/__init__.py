@@ -30,7 +30,6 @@ from .errors import (
     SeriesCancellationError,
     SpectrumCollisionError,
     TailDivergenceError,
-    UnderflowWarning,
 )
 from .grid import (
     Grid,

@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package."""
+"""Exception types shared across the package."""
 
 
 class GridMismatchError(ValueError):
@@ -51,7 +51,3 @@ class PerronViolationError(RuntimeError):
 
 class ConfigError(ValueError):
     """Run configuration is malformed or inconsistent."""
-
-
-class UnderflowWarning(UserWarning):
-    """A pointwise power of a strictly positive profile underflowed and was floored."""

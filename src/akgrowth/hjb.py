@@ -11,53 +11,28 @@ consumption is the rank-one linear feedback
 
     (Phi x)(theta) = (f / (alpha * eta * b0))^(1/gamma)(theta) * <x, b0>.
 
-It withdraws eta * Phi x = (alpha*b0)^(-1/gamma) * eta^((q+gamma-1)/gamma)
-* <x, b0> of capital, the rank-one term of the closed loop.  This module
-builds those objects, the feedback law's only home, and evaluates the
-associated utility, Hamiltonian, and control path.  ``solve_rows`` solves
-the rows of many discount rates at one gamma together, as a sweep needs;
-``solve_hjb`` is its row of one, so each well-posedness and float-range
-check is written once and a swept row is bit-identical to the single solve.
+It withdraws eta * Phi x of capital, the rank-one term of the closed loop.
+This module builds those objects, the feedback law's only home, and
+evaluates the associated utility, Hamiltonian, and control path.  Each
+profile is exp of a linear combination of log eta, log b0 and log alpha, so
+no intermediate power can underflow or overflow on its own: a profile entry
+is 0 or inf only where the true value leaves the float range, and no floor
+stands in for it.  ``solve_rows`` solves the rows of many discount rates at
+one gamma together, as a sweep needs; ``solve_hjb`` is its row of one, so
+each well-posedness and float-range check is written once and a swept row
+is bit-identical to the single solve.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    HalfSpaceError,
-    InfeasibleParametersError,
-    UnderflowWarning,
-)
+from .errors import ConfigError, HalfSpaceError, InfeasibleParametersError
 from .grid import NOT_FINITE, GridFunction, inner_l2
 from .spectral import ModelParams, SpectralBasis
-
-# smallest value positive_power returns; entries below it are floored
-UNDERFLOW_FLOOR = 1e-300
-
-
-def positive_power(values: np.ndarray, exponent: float) -> np.ndarray:
-    """Pointwise power of a strictly positive array with an underflow floor.
-
-    Entries that underflow below ``UNDERFLOW_FLOOR`` are clamped up to it and
-    reported through an :class:`UnderflowWarning`; clamping is never silent.
-    """
-    out = np.asarray(values, dtype=float) ** exponent
-    tiny = out < UNDERFLOW_FLOOR
-    if np.any(tiny):
-        warnings.warn(
-            f"{int(tiny.sum())} node(s) underflowed below {UNDERFLOW_FLOOR:g} "
-            "and were floored",
-            UnderflowWarning,
-            stacklevel=2,
-        )
-        out = np.where(tiny, UNDERFLOW_FLOOR, out)
-    return out
 
 
 def wellposed(rho: float, gamma: float, lambda0: float) -> bool:
@@ -71,24 +46,18 @@ def balanced_growth(rho: float, gamma: float, lambda0: float) -> float:
 
 
 def consumption_weight(params: ModelParams) -> np.ndarray:
-    """Utility weight f = eta^q at the nodes."""
-    return positive_power(params.eta.values, params.q)
+    """Utility weight f = eta^q at the nodes; only ``utility`` and the
+    audit's integrands read it, where a weight that underflows to 0 stands
+    for a term that small."""
+    return params.eta.values ** params.q
 
 
-def eta_factor(params: ModelParams, gamma: float) -> np.ndarray:
-    """eta^((q+gamma-1)/gamma) = f^(1/gamma) * eta^((gamma-1)/gamma) at the nodes.
-
-    The rho-independent factor of the alpha integrand and of the withdrawal
-    profile; ``gamma`` is passed apart from ``params`` so that a sweep can
-    evaluate it at each swept gamma.
-    """
-    return positive_power(params.eta.values, (params.q + gamma - 1.0) / gamma)
-
-
-def alpha_integral(basis: SpectralBasis, factor: np.ndarray, gamma: float) -> float:
+def alpha_integral(
+    basis: SpectralBasis, log_eta: np.ndarray, log_b0: np.ndarray, q: float, gamma: float
+) -> float:
     """Quadrature of f^(1/gamma) * (eta * b0)^((gamma-1)/gamma) over the circle,
-    from ``factor`` = ``eta_factor(params, gamma)``; it does not depend on rho."""
-    integrand = factor * positive_power(basis.b0.values, (gamma - 1.0) / gamma)
+    from the logs of eta and b0 at the nodes; it does not depend on rho."""
+    integrand = np.exp(((q + gamma - 1.0) * log_eta + (gamma - 1.0) * log_b0) / gamma)
     return basis.grid.weight * float(integrand.sum())
 
 
@@ -96,10 +65,11 @@ def alpha_integral(basis: SpectralBasis, factor: np.ndarray, gamma: float) -> fl
 class HjbSolution:
     """Closed-form solution data for the half-space control problem.
 
-    feedback_profile is (f / (alpha * eta * b0))^(1/gamma); the optimal
-    control is feedback_profile * <x, b0>.  withdrawal, eta times it, is
-    (alpha*b0)^(-1/gamma) * eta^((q+gamma-1)/gamma): the capital withdrawn
-    per unit of <x, b0>, the rank-one term of the closed loop.
+    feedback_profile is (f / (alpha * eta * b0))^(1/gamma), evaluated as
+    exp(((q-1) log eta - log alpha - log b0) / gamma); the optimal control is
+    feedback_profile * <x, b0>.  withdrawal is eta * feedback_profile by
+    definition: the capital withdrawn per unit of <x, b0>, the rank-one term
+    of the closed loop.
     """
 
     params: ModelParams
@@ -123,7 +93,8 @@ def solve_rows(
     per row g, alpha and alpha0 as Python floats (nan after a failed check)
     and None or the error of its first failing check, in order: rho >
     lambda0*(1-gamma); alpha, then alpha0 = alpha^(1/(1-gamma)), finite and
-    positive; finite feedback and withdrawal profiles.  Then those two
+    positive; finite feedback and withdrawal profiles; for gamma > 1, a
+    feedback profile with no entry that underflows to 0.  Then those two
     profiles as (m, n) blocks whose rows are the m rows with no error, in
     order; None if no row is well-posed.  A failing row's nan or inf is
     kept quiet.
@@ -138,8 +109,8 @@ def solve_rows(
     ]
     if None not in errors:
         return g, alpha, alpha0, errors, None, None
-    factor = eta_factor(params, gamma)
-    integral = alpha_integral(basis, factor, gamma)
+    log_eta, log_b0 = np.log(params.eta.values), np.log(basis.b0.values)
+    integral = alpha_integral(basis, log_eta, log_b0, params.q, gamma)
     solved = []  # the rows that pass the checks of alpha and alpha0
     for i, rho in enumerate(rhos):
         if errors[i] is not None:
@@ -162,16 +133,28 @@ def solve_rows(
             continue
         alpha[i], alpha0[i] = a, a0
         solved.append(i)
-    column = np.array([alpha[i] for i in solved])[:, None]
-    base = consumption_weight(params) / (column * params.eta.values * basis.b0.values)
-    profile = positive_power(base, 1.0 / gamma)
-    withdrawal = positive_power(column * basis.b0.values, -1.0 / gamma) * factor
-    finite = np.isfinite(profile).all(axis=1) & np.isfinite(withdrawal).all(axis=1)
-    # positive_power floors every entry, so a finite profile is also positive
-    for i, row_finite in zip(solved, finite.tolist()):
-        if not row_finite:
+    log_alpha = np.log([alpha[i] for i in solved])[:, None]
+    log_profile = ((params.q - 1.0) * log_eta - log_alpha - log_b0) / gamma
+    profile = np.exp(log_profile)
+    withdrawal = params.eta.values * profile
+    # eta is finite and positive, so an inf in the profile is one in the withdrawal
+    finite = np.isfinite(withdrawal).all(axis=1)
+    # below gamma = 1 a zero consumption node has utility 0, the limit of the
+    # true value; above it, utility -inf where the true value is finite
+    positive = profile.all(axis=1) | (gamma < 1.0)
+    for row, i in enumerate(solved):
+        if not finite[row]:
             errors[i] = ValueError(NOT_FINITE)
-    return g, alpha, alpha0, errors, profile[finite], withdrawal[finite]
+        elif not positive[row]:
+            node = int(np.argmin(profile[row]))
+            errors[i] = ConfigError(
+                f"rho = {rhos[i]!r} with gamma = {gamma!r}: the feedback profile underflows "
+                f"to 0 at node {node} (theta = {basis.grid.nodes[node]:.6g}); log P spans "
+                f"[{log_profile[row].min():.6g}, {log_profile[row].max():.6g}], and a zero "
+                "consumption has utility -inf for gamma > 1"
+            )
+    kept = finite & positive
+    return g, alpha, alpha0, errors, profile[kept], withdrawal[kept]
 
 
 def solve_hjb(basis: SpectralBasis, params: ModelParams) -> HjbSolution:
@@ -272,12 +255,13 @@ def hamiltonian(sol: HjbSolution, x: GridFunction) -> float:
     """
     inner = _pairing(sol, x)
     gamma = sol.params.gamma
-    integrand = (
-        positive_power(sol.consumption_weight_f.values, 1.0 / gamma)
-        * positive_power(
-            sol.alpha * sol.params.eta.values * sol.basis.b0.values,
-            (gamma - 1.0) / gamma,
-        )
+    # from alpha itself, not from the feedback profile: with the profile held
+    # fixed, rho v - drift - H vanishes for every alpha, as gamma g = lambda0 - rho
+    log_eta = np.log(sol.params.eta.values)
+    log_b0 = np.log(sol.basis.b0.values)
+    integrand = np.exp(
+        (sol.params.q * log_eta + (gamma - 1.0) * (math.log(sol.alpha) + log_eta + log_b0))
+        / gamma
     )
     quad = sol.basis.grid.weight * float(integrand.sum())
     return gamma * inner ** (1.0 - gamma) / (1.0 - gamma) * quad

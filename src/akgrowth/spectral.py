@@ -216,27 +216,34 @@ def _checked_basis(
     """The basis of descending ``eigenvalues`` and the leading ``vectors``,
     each of quadrature norm 1, once b_0 passes its checks.
 
-    b_0 is sign-flipped (in place) if needed so that it is strictly
-    positive, and a PositivityError signals a discretization too coarse (or
-    an invalid profile) if it is not; its norm must be 1 within
-    ``b0_normalization`` and lambda_0 must be simple.
+    lambda_0 must be simple.  b_0 is sign-flipped (in place) if needed so
+    that it is strictly positive with a margin above its rounding error, and
+    a PositivityError signals a discretization too coarse (or an invalid
+    profile) if it is not; its norm must be 1 within ``b0_normalization``.
     """
-    if vectors[:, 0].sum() < 0:
-        vectors[:, 0] = -vectors[:, 0]
-    basis = SpectralBasis(grid, eigenvalues, vectors)
-    if not is_strictly_positive(basis.b0):
-        raise PositivityError(
-            "leading eigenfunction is not strictly positive after sign fix: "
-            f"b0 min/max = {vectors[:, 0].min() / vectors[:, 0].max():.2g}"
-        )
-    norm = inner_l2(basis.b0, basis.b0)
-    if abs(norm - 1.0) > tolerances.b0_normalization:
-        raise RuntimeError(f"b0 normalization defect {abs(norm - 1.0):g}")
-    if not basis.eigenvalues[0] > basis.eigenvalues[1]:
+    if not eigenvalues[0] > eigenvalues[1]:
         raise RuntimeError(
             "leading eigenvalue is not simple: "
             f"{eigenvalues[0]!r} vs {eigenvalues[1]!r}"
         )
+    b0 = vectors[:, 0]
+    if b0.sum() < 0:
+        b0 *= -1.0
+    # b0's rounding error relative to max b0 is up to 16 eps ||L|| / gap, the
+    # bound that eigh and inverse iteration both meet: a smaller minimum has
+    # a sign set by the eigensolver's noise, not by the generator
+    gap = eigenvalues[0] - eigenvalues[1]
+    margin = 16 * np.finfo(float).eps * np.abs(eigenvalues).max() / gap
+    if not b0.min() > margin * b0.max():
+        raise PositivityError(
+            "leading eigenfunction is not strictly positive after sign fix: "
+            f"b0 min/max = {b0.min() / b0.max():.2g}, not above its rounding margin "
+            f"16 eps max|lambda| / (lambda0 - lambda1) = {margin:.2g}"
+        )
+    basis = SpectralBasis(grid, eigenvalues, vectors)
+    norm = inner_l2(basis.b0, basis.b0)
+    if abs(norm - 1.0) > tolerances.b0_normalization:
+        raise RuntimeError(f"b0 normalization defect {abs(norm - 1.0):g}")
     return basis
 
 

@@ -302,7 +302,7 @@ def _perturbation_family(
     nodes, weight = basis.grid.nodes, basis.grid.weight
     weighted = sol.consumption_weight_f.values * (sol.feedback_profile.values * p0) ** exponent
     # Q1 = a <eta P cos(m theta + phase), b0> = a (cosine @ shift_weights)
-    shift_weights = weight * sol.params.eta.values * sol.feedback_profile.values * basis.b0.values
+    shift_weights = weight * sol.withdrawal.values * basis.b0.values
 
     def evaluate(
         amplitudes: np.ndarray, modes: np.ndarray, phases: np.ndarray

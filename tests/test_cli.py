@@ -229,6 +229,33 @@ def test_unresolvable_perron_pair_is_a_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["solve", "verify"])
+@pytest.mark.parametrize("sigma", ["1e-3", "2e-3"])
+def test_b0_within_its_rounding_margin_is_a_config_error(tmp_path, capsys, command, sigma):
+    # a b0 minimum below 16 eps max|lambda| / gap of max b0 has the sign of
+    # the eigensolver's noise (eigh's min/max is -2.2e-16 at sigma = 1e-3 and
+    # +2.6e-15 at 2e-3), so both decompositions reject it alike
+    cfg = tmp_path / "small_sigma.cfg"
+    cfg.write_text(VARIABLE_DEMO.read_text().replace("sigma = 2.0", f"sigma = {sigma}"))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: sigma = {float(sigma)!r} with n_points = 128: ")
+    assert "b0 min/max = " in err and "rounding margin" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_b0_above_its_rounding_margin_runs(tmp_path):
+    # sigma = 3e-3: b0 min/max 1.5e-12 against the margin 9.9e-13
+    cfg = tmp_path / "small_sigma.cfg"
+    cfg.write_text(_demo_with(VARIABLE_DEMO, [("sigma = 2.0", "sigma = 3e-3"),
+                                              ("rho = 0.6", "rho = 0.7")]))
+    for command in ("solve", "verify"):
+        out = tmp_path / command
+        assert main([command, "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+
+
 HOMOGENEOUS_DEMO = VARIABLE_DEMO.with_name("config_homogeneous.cfg")
 
 
@@ -291,28 +318,70 @@ def test_subnormal_alpha0_stays_out_of_the_closed_loop(tmp_path, capsys):
     assert float(dict(zip(header.split(","), row.split(",")))["M"]) == M
 
 
-@pytest.mark.filterwarnings("ignore::akgrowth.UnderflowWarning")
-def test_floored_withdrawal_fails_the_closed_loop(tmp_path, capsys):
-    # eta = 1e-100 with gamma = 0.25: (alpha b0)^(-1/gamma) is floored at
-    # 1e-300 before the huge eta factor, so the withdrawal reads 1.0 where
-    # eta * feedback_profile is 0.239 and the closed loop's leading eigenvalue
-    # lambda0 - u_0 misses g; solve and verify read only the feedback profile
-    cfg = tmp_path / "floor.cfg"
-    cfg.write_text(_demo_with(
+def test_tiny_eta_gives_the_correct_closed_loop(tmp_path, capsys):
+    # eta = 1e-100 with gamma = 0.25: the feedback profile is of order 1e99
+    # and the withdrawal eta * P of order one, which no intermediate power
+    # may round away; the closed loop's leading eigenvalue
+    # lambda0 - <withdrawal, b0> is then g, and every command runs
+    text = _demo_with(
         HOMOGENEOUS_DEMO,
         [("eta.value = 1.0", "eta.value = 1e-100"), ("gamma = 0.5", "gamma = 0.25"),
          ("rho = 0.75", "rho = 0.9")],
         "sweep.rho = 0.9\n",
-    ))
-    for command, code in [("simulate", 1), ("sweep", 1), ("solve", 0), ("verify", 0)]:
+    )
+    cfg = tmp_path / "tiny_eta.cfg"
+    cfg.write_text(text)
+    for command in ("solve", "simulate", "verify", "sweep"):
         out = tmp_path / command
         argv = [command, "--config", str(cfg), "--out", str(out), "--n-points", "32"]
-        assert main([*argv, "--quiet"]) == code
-        if code:
-            assert capsys.readouterr().err == (
-                "internal error: mu0 quadrature consistency defect 1.90663\n"
-            )
-            assert not out.exists()
+        assert main([*argv, "--quiet"]) == 0
+    assert capsys.readouterr().err == ""
+    params, _, basis, _ = cli._model(dataclasses.replace(parse_config(text), n_points=32))
+    sol = hjb.solve_hjb(basis, params)
+    assert abs(basis.lambda0 - inner_l2(sol.withdrawal, basis.b0) - sol.g) <= 1e-12
+
+
+@pytest.mark.parametrize("command", ["solve", "simulate", "verify", "sweep"])
+def test_underflowing_profile_above_gamma_one_is_a_config_error(tmp_path, capsys, command):
+    # q = 1000 on eta down to 0.05 puts log P near -1800 at eta's minimum:
+    # with gamma = 2 a zero consumption there has utility -inf, so the input
+    # is rejected before any output rather than run on a wrong profile
+    cfg = tmp_path / "underflow.cfg"
+    cfg.write_text(_demo_with(
+        VARIABLE_DEMO,
+        [("gamma = 0.5", "gamma = 2.0"), ("q = 0.5", "q = 1000.0"),
+         ("eta.amplitude = 0.1", "eta.amplitude = 0.95")],
+    ))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: rho = 0.6 with gamma = 2.0: the feedback profile "
+                          "underflows to 0 at node ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_underflowing_profile_below_gamma_one_is_zero(tmp_path, capsys):
+    # q = 400 on eta down to 0.01 with gamma = 0.5: P underflows to 0 where
+    # its true value is below the float range, which gives those nodes the
+    # utility 0 that the true value rounds to, and every command runs
+    text = _demo_with(
+        VARIABLE_DEMO,
+        [("q = 0.5", "q = 400.0"), ("eta.amplitude = 0.1", "eta.amplitude = 0.99")],
+    )
+    cfg = tmp_path / "underflow.cfg"
+    cfg.write_text(text)
+    for command in ("solve", "simulate", "verify", "sweep"):
+        out = tmp_path / command
+        assert main([command, "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    assert capsys.readouterr().err == ""
+    params, _, basis, _ = cli._model(parse_config(text))
+    sol = hjb.solve_hjb(basis, params)
+    log_profile = (((params.q - 1.0) * np.log(params.eta.values) - math.log(sol.alpha)
+                    - np.log(basis.b0.values)) / params.gamma)
+    zero = sol.feedback_profile.values == 0.0
+    assert zero.any()
+    assert (log_profile[zero] < math.log(5e-324)).all()  # below the least subnormal
 
 
 DETERMINISM_SWEEP ="sweep.rho = 0.45, 0.75\nsweep.sigma = 1.0, 2.0\n"
@@ -827,9 +896,9 @@ class TestSweepMatchesPerPointReference:
         integrals = []
         original = hjb.alpha_integral
 
-        def spy(basis, factor, gamma):
+        def spy(basis, log_eta, log_b0, q, gamma):
             integrals.append((basis.lambda0, gamma))
-            return original(basis, factor, gamma)
+            return original(basis, log_eta, log_b0, q, gamma)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("per-point solve in a sweep")

@@ -1,7 +1,9 @@
 import dataclasses
 import math
+import sys
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,10 +16,10 @@ from akgrowth import (
     GridFunction,
     HalfSpaceError,
     InfeasibleParametersError,
-    UnderflowWarning,
     inner_l2,
 )
-from akgrowth.hjb import balanced_growth, positive_power, solve_rows
+from akgrowth import hjb
+from akgrowth.hjb import balanced_growth, solve_rows
 
 from conftest import build_pipeline
 
@@ -118,8 +120,8 @@ class TestAlpha:
         params, basis, sol = variable.params, variable.basis, variable.sol
         gamma, rho = params.gamma, params.rho
         integrand = (
-            positive_power(params.eta.values, (params.q + gamma - 1.0) / gamma)
-            * positive_power(basis.b0.values, (gamma - 1.0) / gamma)
+            params.eta.values ** ((params.q + gamma - 1.0) / gamma)
+            * basis.b0.values ** ((gamma - 1.0) / gamma)
         )
         quad = basis.grid.weight * integrand.sum()
         lhs = rho * sol.alpha / (1.0 - gamma)
@@ -231,6 +233,77 @@ class TestWithdrawal:
             assert (sol.alpha, sol.alpha0, sol.g) == (alpha[i], alpha0[i], g[i])
 
 
+def _normal(x):
+    """True iff the positive real x lies in the range of normal doubles."""
+    return sys.float_info.min <= x <= sys.float_info.max
+
+
+class TestLogSpaceProfiles:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        gamma=st.one_of(st.floats(0.2, 0.95), st.floats(1.05, 4.0)),
+        q=st.floats(0.0, 400.0),
+        a_amplitude=st.floats(0.0, 0.8),
+        eta_amplitude=st.floats(0.0, 0.99),
+        margin=st.floats(0.01, 3.0),
+    )
+    def test_profiles_match_mpmath(self, gamma, q, a_amplitude, eta_amplitude, margin):
+        # 40-digit references on the code's own alpha and b0: the profiles
+        # to 1e-12 relative wherever they are normal doubles, and to 1e-12
+        # of the least normal below that; a failed row is one whose
+        # reference leaves the float range
+        grid = Grid(32)
+        A = GridFunction.from_callable(grid, lambda t: 1.0 + a_amplitude * np.cos(t))
+        eta = GridFunction.from_callable(grid, lambda t: 1.0 + eta_amplitude * np.cos(2 * t))
+        params = ak.ModelParams(sigma=1.0, rho=1.0, gamma=gamma, q=q, A=A, eta=eta)
+        basis = ak.eigendecompose(ak.assemble_generator(params, grid))
+        rho = max(0.0, basis.lambda0 * (1.0 - gamma)) + margin
+        log_eta, log_b0 = np.log(eta.values), np.log(basis.b0.values)
+        with np.errstate(over="ignore"):  # an integral past float max is inf
+            integral = hjb.alpha_integral(basis, log_eta, log_b0, q, gamma)
+        _, alpha, _, errors, profile, withdrawal = solve_rows(basis, params, gamma, [rho])
+        with mpmath.workdps(40):
+            mq, mg = mpmath.mpf(q), mpmath.mpf(gamma)
+            m_eta = [mpmath.mpf(x) for x in eta.values]
+            m_b0 = [mpmath.mpf(x) for x in basis.b0.values]
+            ref_integral = mpmath.mpf(grid.weight) * mpmath.fsum(
+                mpmath.exp(((mq + mg - 1) * mpmath.log(e) + (mg - 1) * mpmath.log(b)) / mg)
+                for e, b in zip(m_eta, m_b0)
+            )
+            if _normal(ref_integral):
+                assert abs(integral - ref_integral) <= 1e-12 * ref_integral
+            error = errors[0]
+            if isinstance(error, ConfigError) and "alpha" in str(error):
+                bound = mpmath.mpf(basis.lambda0) * (1 - mg)
+                scaled = mg / (mpmath.mpf(rho) - bound) * ref_integral
+                ref_alpha = scaled ** mg
+                assert not all(_normal(x) for x in (
+                    ref_integral, scaled, ref_alpha, ref_alpha ** (1 / (1 - mg))
+                ))
+                return
+            log_alpha = mpmath.log(mpmath.mpf(alpha[0]))
+            ref_profile = [
+                mpmath.exp(((mq - 1) * mpmath.log(e) - log_alpha - mpmath.log(b)) / mg)
+                for e, b in zip(m_eta, m_b0)
+            ]
+            ref_withdrawal = [e * p for e, p in zip(m_eta, ref_profile)]
+            if isinstance(error, ValueError) and not isinstance(error, ConfigError):
+                assert max(ref_withdrawal) > sys.float_info.max * (1 - 1e-12)
+                return
+            if error is not None:
+                assert gamma > 1 and "underflows to 0" in str(error)
+                assert min(ref_profile) < 5e-324  # below the least subnormal
+                return
+            for values, references in [(profile[0], ref_profile),
+                                       (withdrawal[0], ref_withdrawal)]:
+                for value, reference in zip(values.tolist(), references):
+                    if _normal(reference):
+                        assert abs(value - reference) <= 1e-12 * reference
+                    else:
+                        assert abs(value - reference) <= 1e-12 * sys.float_info.min
+        assert np.array_equal(withdrawal[0], eta.values * profile[0])
+
+
 class TestControlPath:
     def test_time_zero(self, variable):
         path0 = ak.optimal_control_path(variable.sol, variable.K0, np.array([0.0]))
@@ -331,9 +404,3 @@ class TestHamiltonianAndUtility:
             ak.utility(variable.params, -rows)
         with pytest.raises(ValueError):
             ak.utility(variable.params, rows[:, :-1])
-
-    def test_underflow_reported_not_silent(self):
-        with pytest.warns(UnderflowWarning):
-            out = positive_power(np.array([1e-200, 1.0]), 2.0)
-        assert out[0] == 1e-300
-        assert out[1] == 1.0

@@ -496,11 +496,15 @@ class TestOptimalityAudit:
                                                               c_size):
         # c is linear in the feedback profile: scaled so that |c| = 1000,
         # past log(float max) ~ 709.8, e^|c| leaves the float range; a nan c
-        # has no series to sum either
+        # has no series to sum either.  The withdrawal eta * P scales with it
         sol = variable.sol
         c = (1.0 - sol.params.gamma) * pairing_shift(sol, 0.1, 2, 0.5)
-        profile = GridFunction(sol.basis.grid, sol.feedback_profile.values * (c_size / abs(c)))
-        scaled = dataclasses.replace(sol, feedback_profile=profile)
+        scale = c_size / abs(c)
+        scaled = dataclasses.replace(
+            sol,
+            feedback_profile=GridFunction(sol.basis.grid, sol.feedback_profile.values * scale),
+            withdrawal=GridFunction(sol.basis.grid, sol.withdrawal.values * scale),
+        )
         evaluate = _family(scaled, _p0(sol, variable.K0), 5.0)
         with pytest.raises(ak.SeriesCancellationError,
                            match=rf"^perturbation 0 \(a = {amplitude}, m = 2, phi = 0\.5\): "
