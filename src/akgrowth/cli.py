@@ -76,9 +76,10 @@ def _state_model(config: RunConfig, decompose: Callable | None = None):
 def cmd_solve(config: RunConfig, out: Path, quiet: bool) -> int:
     params, _, basis, _, pairing = _state_model(config)
     sol = hjb.solve_hjb(basis, params)
+    summary = hjb.hjb_summary(sol)  # its alpha0 check comes before any output
     out.mkdir(parents=True, exist_ok=True)
     serialize.write_json(out / "spectral.json", serialize.basis_summary(basis))
-    serialize.write_json(out / "hjb.json", hjb.hjb_summary(sol))
+    serialize.write_json(out / "hjb.json", summary)
     serialize.write_json(
         out / "value.json",
         {"inner_K0_b0": pairing, "value": hjb.value_at_pairing(sol, pairing)},
@@ -201,7 +202,7 @@ def _sweep_group(rhos: list[float], gamma: float, sigma: float,
     """
     lambda0, lambda1 = basis.lambda0, basis.lambda1
     M = [None] * len(rhos)
-    growth, alpha, _, errors, _, withdrawal = hjb.solve_rows(basis, params, gamma, rhos)
+    growth, alpha, errors, _, withdrawal = hjb.solve_rows(basis, params, gamma, rhos)
     solved = [i for i, error in enumerate(errors) if error is None]
     if solved:
         w, projection_errors = closed_loop.projection_rows(

@@ -13,14 +13,15 @@ consumption is the rank-one linear feedback
 
 It withdraws eta * Phi x of capital, the rank-one term of the closed loop.
 This module builds those objects, the feedback law's only home, and
-evaluates the associated utility, Hamiltonian, and control path.  Each
-profile is exp of a linear combination of log eta, log b0 and log alpha, so
-no intermediate power can underflow or overflow on its own: a profile entry
-is 0 or inf only where the true value leaves the float range, and no floor
-stands in for it.  ``solve_rows`` solves the rows of many discount rates at
-one gamma together, as a sweep needs; ``solve_hjb`` is its row of one, so
-each well-posedness and float-range check is written once and a swept row
-is bit-identical to the single solve.
+evaluates the associated utility, Hamiltonian, and control path.  alpha and
+each profile are exp of a linear combination of logs (of gamma, the discount
+margin, the integral as a log-sum-exp, eta, b0 and alpha), so no power can
+underflow or overflow on its own: alpha or a profile entry is 0 or inf only
+where the true value leaves the float range.  alpha0 = alpha^(1/(1-gamma))
+enters no closed form; only ``hjb_summary`` forms it.  ``solve_rows`` solves
+the rows of many discount rates at one gamma together, as a sweep needs;
+``solve_hjb`` is its row of one, so each check is written once and a swept
+row is bit-identical to the single solve.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, HalfSpaceError, InfeasibleParametersError
-from .grid import NOT_FINITE, GridFunction, inner_l2
+from .grid import GridFunction, inner_l2
 from .spectral import ModelParams, SpectralBasis
 
 
@@ -52,13 +53,16 @@ def consumption_weight(params: ModelParams) -> np.ndarray:
     return params.eta.values ** params.q
 
 
-def alpha_integral(
+def log_alpha_integral(
     basis: SpectralBasis, log_eta: np.ndarray, log_b0: np.ndarray, q: float, gamma: float
 ) -> float:
-    """Quadrature of f^(1/gamma) * (eta * b0)^((gamma-1)/gamma) over the circle,
-    from the logs of eta and b0 at the nodes; it does not depend on rho."""
-    integrand = np.exp(((q + gamma - 1.0) * log_eta + (gamma - 1.0) * log_b0) / gamma)
-    return basis.grid.weight * float(integrand.sum())
+    """log of the quadrature of f^(1/gamma) * (eta * b0)^((gamma-1)/gamma) over
+    the circle, from the logs of eta and b0 at the nodes, as a log-sum-exp
+    shifted by its largest exponent, so no term overflows or underflows on
+    its own; it does not depend on rho."""
+    exponent = ((q + gamma - 1.0) * log_eta + (gamma - 1.0) * log_b0) / gamma
+    peak = float(exponent.max())
+    return math.log(basis.grid.weight) + peak + math.log(float(np.exp(exponent - peak).sum()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,103 +79,88 @@ class HjbSolution:
     params: ModelParams
     basis: SpectralBasis
     alpha: float
-    alpha0: float
     g: float
     feedback_profile: GridFunction
-    consumption_weight_f: GridFunction
     withdrawal: GridFunction
 
 
 @np.errstate(all="ignore")
 def solve_rows(
     basis: SpectralBasis, params: ModelParams, gamma: float, rhos: list[float]
-) -> tuple[list[float], list[float], list[float], list, np.ndarray | None, np.ndarray | None]:
+) -> tuple[list[float], list[float], list, np.ndarray | None, np.ndarray | None]:
     """Solve ``params`` on ``basis`` at ``gamma`` for each rho of ``rhos``.
 
-    alpha = [gamma / (rho - lambda0*(1-gamma)) * integral]^gamma, with the
-    integral of f^(1/gamma) (eta b0)^((gamma-1)/gamma) taken once.  Returns
-    per row g, alpha and alpha0 as Python floats (nan after a failed check)
-    and None or the error of its first failing check, in order: rho >
-    lambda0*(1-gamma); alpha, then alpha0 = alpha^(1/(1-gamma)), finite and
-    positive; finite feedback and withdrawal profiles; for gamma > 1, a
-    feedback profile with no entry that underflows to 0.  Then those two
+    log alpha = gamma (log gamma - log(rho - lambda0*(1-gamma)) + log I), with
+    log I the log of the integral of f^(1/gamma) (eta b0)^((gamma-1)/gamma),
+    taken once.  Returns per row g and alpha as Python floats (alpha nan
+    after a failed check) and None or the error of its first failing check,
+    in order: rho > lambda0*(1-gamma); alpha a finite positive float; a
+    withdrawal eta * P with no entry that overflows and, for gamma > 1, a
+    feedback profile P with no entry that underflows to 0.  Then those two
     profiles as (m, n) blocks whose rows are the m rows with no error, in
     order; None if no row is well-posed.  A failing row's nan or inf is
     kept quiet.
     """
     lambda0 = basis.lambda0
     g = [balanced_growth(rho, gamma, lambda0) for rho in rhos]
-    alpha, alpha0 = [math.nan] * len(rhos), [math.nan] * len(rhos)
+    alpha = [math.nan] * len(rhos)
     bound = lambda0 * (1 - gamma)
     errors: list[Exception | None] = [
         None if wellposed(rho, gamma, lambda0) else InfeasibleParametersError(rho, bound)
         for rho in rhos
     ]
     if None not in errors:
-        return g, alpha, alpha0, errors, None, None
+        return g, alpha, errors, None, None
     log_eta, log_b0 = np.log(params.eta.values), np.log(basis.b0.values)
-    integral = alpha_integral(basis, log_eta, log_b0, params.q, gamma)
-    solved = []  # the rows that pass the checks of alpha and alpha0
-    for i, rho in enumerate(rhos):
-        if errors[i] is not None:
-            continue
-        try:
-            a = (gamma / (rho - lambda0 * (1.0 - gamma)) * integral) ** gamma
-        except OverflowError:
-            a = math.inf
-        if not 0.0 < a < math.inf:
-            errors[i] = ConfigError(f"rho = {rho!r} with gamma = {gamma!r}: alpha = {a!r} "
+    log_integral = log_alpha_integral(basis, log_eta, log_b0, params.q, gamma)
+    rows = [i for i, error in enumerate(errors) if error is None]
+    margins = np.array([rhos[i] for i in rows]) - bound
+    log_alpha = gamma * (math.log(gamma) - np.log(margins) + log_integral)
+    solved, positions = [], []  # the rows whose alpha passes its check
+    for position, (i, a) in enumerate(zip(rows, np.exp(log_alpha).tolist())):
+        if 0.0 < a < math.inf:
+            alpha[i] = a
+            solved.append(i)
+            positions.append(position)
+        else:
+            errors[i] = ConfigError(f"rho = {rhos[i]!r} with gamma = {gamma!r}: alpha = {a!r} "
                                     "is not a finite positive float")
-            continue
-        try:
-            a0 = a ** (1.0 / (1.0 - gamma))
-        except OverflowError:
-            a0 = math.inf
-        if not 0.0 < a0 < math.inf:
-            errors[i] = ConfigError(f"gamma = {gamma!r} is too close to 1: alpha0 = alpha^"
-                                    f"(1/(1-gamma)) with alpha = {a!r} leaves the float range")
-            continue
-        alpha[i], alpha0[i] = a, a0
-        solved.append(i)
-    log_alpha = np.log([alpha[i] for i in solved])[:, None]
-    log_profile = ((params.q - 1.0) * log_eta - log_alpha - log_b0) / gamma
+    log_profile = ((params.q - 1.0) * log_eta - log_alpha[positions, None] - log_b0) / gamma
     profile = np.exp(log_profile)
     withdrawal = params.eta.values * profile
-    # eta is finite and positive, so an inf in the profile is one in the withdrawal
-    finite = np.isfinite(withdrawal).all(axis=1)
-    # below gamma = 1 a zero consumption node has utility 0, the limit of the
-    # true value; above it, utility -inf where the true value is finite
-    positive = profile.all(axis=1) | (gamma < 1.0)
-    for row, i in enumerate(solved):
-        if not finite[row]:
-            errors[i] = ValueError(NOT_FINITE)
-        elif not positive[row]:
-            node = int(np.argmin(profile[row]))
-            errors[i] = ConfigError(
-                f"rho = {rhos[i]!r} with gamma = {gamma!r}: the feedback profile underflows "
-                f"to 0 at node {node} (theta = {basis.grid.nodes[node]:.6g}); log P spans "
-                f"[{log_profile[row].min():.6g}, {log_profile[row].max():.6g}], and a zero "
-                "consumption has utility -inf for gamma > 1"
-            )
-    kept = finite & positive
-    return g, alpha, alpha0, errors, profile[kept], withdrawal[kept]
+    # eta is finite and positive, so an inf in the profile is one in the
+    # withdrawal; below gamma = 1 a zero consumption node has utility 0, the
+    # limit of the true value, and above it utility -inf where that is finite
+    ok = np.isfinite(withdrawal)
+    if gamma > 1.0:
+        ok &= profile > 0.0
+    kept = ok.all(axis=1)
+    for row in np.flatnonzero(~kept).tolist():
+        i, node = solved[row], int(ok[row].argmin())
+        what, why = (
+            ("the feedback profile underflows to 0",
+             ", and a zero consumption has utility -inf for gamma > 1")
+            if profile[row, node] == 0.0 else ("the withdrawal eta * P overflows", "")
+        )
+        errors[i] = ConfigError(
+            f"rho = {rhos[i]!r} with gamma = {gamma!r}: {what} at node {node} (theta = "
+            f"{basis.grid.nodes[node]:.6g}); log P spans [{log_profile[row].min():.6g}, "
+            f"{log_profile[row].max():.6g}]{why}"
+        )
+    return g, alpha, errors, profile[kept], withdrawal[kept]
 
 
 def solve_hjb(basis: SpectralBasis, params: ModelParams) -> HjbSolution:
     """``solve_rows`` of the one row of ``params``, whose error it raises."""
-    g, alpha, alpha0, errors, profile, withdrawal = solve_rows(
-        basis, params, params.gamma, [params.rho]
-    )
+    g, alpha, errors, profile, withdrawal = solve_rows(basis, params, params.gamma, [params.rho])
     if errors[0] is not None:
         raise errors[0]
     return HjbSolution(
         params=params,
         basis=basis,
         alpha=alpha[0],
-        alpha0=alpha0[0],
         g=g[0],
         feedback_profile=GridFunction(basis.grid, profile[0]),
-        consumption_weight_f=GridFunction(params.grid, consumption_weight(params)),
         withdrawal=GridFunction(basis.grid, withdrawal[0]),
     )
 
@@ -268,10 +257,18 @@ def hamiltonian(sol: HjbSolution, x: GridFunction) -> float:
 
 
 def hjb_summary(sol: HjbSolution) -> dict:
-    """Summary mapping used for JSON serialization."""
+    """Summary mapping used for JSON serialization, the one place that forms
+    alpha0 = alpha^(1/(1-gamma)); a ConfigError if alpha0 is not a finite
+    positive float, as for gamma within about 1e-3 of 1."""
+    gamma = sol.params.gamma
+    with np.errstate(over="ignore", under="ignore"):
+        alpha0 = float(np.float64(sol.alpha) ** (1.0 / (1.0 - gamma)))
+    if not 0.0 < alpha0 < math.inf:
+        raise ConfigError(f"gamma = {gamma!r} is too close to 1: alpha0 = alpha^(1/(1-gamma)) "
+                          f"with alpha = {sol.alpha!r} leaves the float range")
     return {
         "alpha": sol.alpha,
-        "alpha0": sol.alpha0,
+        "alpha0": alpha0,
         "g": sol.g,
         "lambda0": sol.basis.lambda0,
         "wellposed": wellposed(sol.params.rho, sol.params.gamma, sol.basis.lambda0),

@@ -52,7 +52,7 @@ import numpy as np
 
 from .errors import HalfSpaceError, SeriesCancellationError, TailDivergenceError
 from .grid import GridFunction
-from .hjb import HjbSolution, _pairing, hamiltonian, utility, value_at_pairing
+from .hjb import HjbSolution, _pairing, consumption_weight, hamiltonian, utility, value_at_pairing
 from .spectral import ModelParams, SpectralBasis
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
@@ -300,7 +300,7 @@ def _perturbation_family(
     exponent = 1.0 - sol.params.gamma
     basis = sol.basis
     nodes, weight = basis.grid.nodes, basis.grid.weight
-    weighted = sol.consumption_weight_f.values * (sol.feedback_profile.values * p0) ** exponent
+    weighted = consumption_weight(sol.params) * (sol.feedback_profile.values * p0) ** exponent
     # Q1 = a <eta P cos(m theta + phase), b0> = a (cosine @ shift_weights)
     shift_weights = weight * sol.withdrawal.values * basis.b0.values
 

@@ -18,6 +18,7 @@ import numpy as np
 
 from akgrowth.errors import SpectrumCollisionError
 from akgrowth.grid import GridFunction
+from akgrowth.hjb import consumption_weight
 from akgrowth.spectral import SpectralBasis
 from akgrowth.tolerances import DEFAULT_TOLERANCES, Tolerances
 from akgrowth.verify import _feedback_utility
@@ -85,7 +86,7 @@ def perturbation_payoff(sol, p0: float, T: float, amplitude: float, mode: int, p
     a0, u0 = _feedback_utility(sol, p0)
     exponent = 1.0 - sol.params.gamma
     nodes, weight = sol.basis.grid.nodes, sol.basis.grid.weight
-    weighted = sol.consumption_weight_f.values * (sol.feedback_profile.values * p0) ** exponent
+    weighted = consumption_weight(sol.params) * (sol.feedback_profile.values * p0) ** exponent
     shift_weights = weight * sol.params.eta.values * sol.feedback_profile.values * sol.basis.b0.values
     terms = [1.0]  # C(1-gamma, k) a^k
     while len(terms) <= abs(exponent) + 1 or abs(terms[-1]) > 1e-17:

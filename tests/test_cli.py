@@ -161,17 +161,28 @@ def test_K0_outside_half_space_is_a_config_error(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("command", ["solve", "simulate", "verify", "sweep"])
-@pytest.mark.parametrize("gamma", [0.999, 1.001])
+@pytest.mark.parametrize("gamma", [0.999, 1.001, 1 - 1e-6, 1 + 1e-6])
 def test_gamma_near_one_is_a_config_error(tmp_path, capsys, command, gamma):
     # alpha0 = alpha^(1/(1-gamma)) overflows below gamma = 1 and underflows
-    # to 0 above it; either is named before any output
+    # to 0 above it; it is a config error of solve alone, the one command
+    # that reports it, named before any output.  No closed form reads
+    # alpha0, so the other commands run, and verify passes all its checks
     cfg = tmp_path / "gamma.cfg"
     cfg.write_text(WINDOW_CFG.replace("gamma = 0.5", f"gamma = {gamma}"))
     out = tmp_path / "out"
     argv = [command, "--config", str(cfg), "--out", str(out), "--n-points", "32"]
-    assert main([*argv, "--quiet"]) == 1
-    assert capsys.readouterr().err.startswith(f"error: gamma = {gamma!r} is too close to 1")
-    assert not out.exists()
+    if command == "solve":
+        assert main([*argv, "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: gamma = {gamma!r} is too close to 1: alpha0 = ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+        return
+    assert main([*argv, "--quiet"]) == 0
+    assert capsys.readouterr().err == ""
+    if command == "verify":
+        audit = read_json(out / "audit.json")
+        assert len(audit["checks"]) == 4 and all(audit["checks"].values())
 
 
 @pytest.mark.parametrize("command", ["solve", "simulate", "verify", "sweep"])
@@ -359,6 +370,44 @@ def test_underflowing_profile_above_gamma_one_is_a_config_error(tmp_path, capsys
                           "underflows to 0 at node ")
     assert err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "simulate", "verify", "sweep"])
+def test_overflowing_withdrawal_is_a_config_error(tmp_path, capsys, command):
+    # eta = 1e-100 with gamma = 0.25 and rho = 1e250: alpha is a normal
+    # double, but log P = 806 puts the profile and eta * P past float max
+    cfg = tmp_path / "overflow.cfg"
+    cfg.write_text(_demo_with(
+        HOMOGENEOUS_DEMO,
+        [("eta.value = 1.0", "eta.value = 1e-100"), ("gamma = 0.5", "gamma = 0.25"),
+         ("rho = 0.75", "rho = 1e250")],
+    ))
+    out = tmp_path / "out"
+    argv = [command, "--config", str(cfg), "--out", str(out), "--n-points", "32"]
+    assert main([*argv, "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: rho = 1e+250 with gamma = 0.25: the withdrawal eta * P "
+                          "overflows at node 0 (theta = 0); log P spans [806.")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_large_alpha_runs(tmp_path, capsys):
+    # gamma = 0.2, q = 400 and eta.amplitude = 0.99 on the variable demo put
+    # alpha near 2.1e119 and alpha0 near 1.4e149, both normal doubles, though
+    # the integral in alpha overflows in linear space; every command runs
+    cfg = tmp_path / "large_alpha.cfg"
+    cfg.write_text(_demo_with(
+        VARIABLE_DEMO,
+        [("gamma = 0.5", "gamma = 0.2"), ("q = 0.5", "q = 400.0"),
+         ("eta.amplitude = 0.1", "eta.amplitude = 0.99"), ("rho = 0.6", "rho = 1.5")],
+    ))
+    for command in ("solve", "simulate", "verify", "sweep"):
+        out = tmp_path / command
+        assert main([command, "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    assert capsys.readouterr().err == ""
+    summary = read_json(tmp_path / "solve" / "hjb.json")
+    assert 1e119 < summary["alpha"] < 1e120 and 1e149 < summary["alpha0"] < 1e150
 
 
 def test_underflowing_profile_below_gamma_one_is_zero(tmp_path, capsys):
@@ -832,29 +881,49 @@ class TestSweepMatchesPerPointReference:
         assert capsys.readouterr().err == f"internal error: {errors[0]}\n"
         assert not (out / "sweep.csv").exists()
 
-    @pytest.mark.parametrize(
-        "gamma, rho",
-        [(0.999, 0.5), (1.001, 0.5), (20.0, 1e50), (0.001, 5.0)],
-        ids=["alpha0-overflows", "alpha0-underflows", "alpha-underflows", "profile-inf"],
-    )
-    @pytest.mark.filterwarnings("ignore")
-    def test_float_failures_raise_the_per_point_error(self, gamma, rho, monkeypatch):
-        # near gamma = 1 the power alpha^(1/(1-gamma)) overflows or underflows,
-        # and at extreme (gamma, rho) alpha or the profile leave the float
-        # range; the sweep raises what the per-point path raises
+    @pytest.mark.parametrize("gamma", [0.999, 1.001],
+                             ids=["alpha0-overflows", "alpha0-underflows"])
+    def test_gamma_near_one_rows_match(self, gamma, monkeypatch):
+        # alpha0 = alpha^(1/(1-gamma)) leaves the float range here, but no
+        # row forms it: the sweep runs, and its rows are the per-point rows
         config = dataclasses.replace(
             parse_config(VARIABLE_SWEEP_CFG),
-            sweep={"rho": [1.5, rho], "gamma": [2.0, gamma], "sigma": [1.0, 2.0]},
+            sweep={"rho": [1.5, 0.5], "gamma": [2.0, gamma], "sigma": [1.0, 2.0]},
+        )
+        expected = [
+            _reference_sweep_row(config, r, g, s)
+            for r in (1.5, 0.5) for g in (2.0, gamma) for s in (1.0, 2.0)
+        ]
+        _forbid_per_point_path(monkeypatch)
+        rows = cli.sweep_rows(config)
+        assert [list(row) for row in rows] == [list(row) for row in expected]
+        assert rows == expected
+
+    @pytest.mark.parametrize(
+        "text, gamma, rho, reason",
+        [(VARIABLE_SWEEP_CFG, 20.0, 1e50, ": alpha = 0.0 "),
+         (_demo_with(HOMOGENEOUS_DEMO, [("eta.value = 1.0", "eta.value = 1e-100")]),
+          0.25, 1e250, ": the withdrawal eta * P overflows at node ")],
+        ids=["alpha-underflows", "profile-inf"],
+    )
+    @pytest.mark.filterwarnings("ignore")
+    def test_float_failures_raise_the_per_point_error(self, text, gamma, rho, reason,
+                                                      monkeypatch):
+        # at extreme (gamma, rho) alpha or the withdrawal eta * P leave the
+        # float range; the sweep raises what the per-point path raises
+        config = dataclasses.replace(
+            parse_config(text), n_points=16,
+            sweep={"rho": [1.5, rho], "gamma": [gamma, 2.0], "sigma": [1.0, 2.0]},
         )
         expected = None
         for r in (1.5, rho):
-            for g in (2.0, gamma):
+            for g in (gamma, 2.0):
                 for sigma in (1.0, 2.0):
                     try:
                         _reference_sweep_row(config, r, g, sigma)
                     except (ArithmeticError, ValueError) as exc:
                         expected = expected or exc
-        assert expected is not None
+        assert str(expected).startswith(f"rho = {rho!r} with gamma = {gamma!r}{reason}")
         _forbid_per_point_path(monkeypatch)
         with pytest.raises(type(expected)) as raised:
             cli.sweep_rows(config)
@@ -894,7 +963,7 @@ class TestSweepMatchesPerPointReference:
                    "sigma": [1.0, 2.5, 1.0]},
         )
         integrals = []
-        original = hjb.alpha_integral
+        original = hjb.log_alpha_integral
 
         def spy(basis, log_eta, log_b0, q, gamma):
             integrals.append((basis.lambda0, gamma))
@@ -903,7 +972,7 @@ class TestSweepMatchesPerPointReference:
         def forbidden(*args, **kwargs):
             raise AssertionError("per-point solve in a sweep")
 
-        monkeypatch.setattr(hjb, "alpha_integral", spy)
+        monkeypatch.setattr(hjb, "log_alpha_integral", spy)
         monkeypatch.setattr(hjb, "solve_hjb", forbidden)
         monkeypatch.setattr(closed_loop, "compute_projection_data", forbidden)
         rows = cli.sweep_rows(config)

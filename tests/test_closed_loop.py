@@ -78,15 +78,14 @@ class TestOperator:
         assert np.abs(computed - expected).max() < 1e-7
 
     def test_resolvent_identity(self, variable):
-        # (B-mu)^(-1) h = (L-mu)^(-1)(h + h0*alpha0/(g-mu) * beta-form profile)
+        # (B-mu)^(-1) h = (L-mu)^(-1)(h + h0/(g-mu) * withdrawal), h0 = <h, b0>
         basis, sol, clo = variable.basis, variable.sol, variable.clo
-        u_beta = (1.0 / sol.alpha0) * sol.withdrawal
         identity = np.eye(basis.grid.n_points)
         for mu, seed in [(0.9, 0), (-1.7, 1), (2.5, 2)]:
             h = random_state(basis.grid, seed)
             lhs = np.linalg.solve(clo.matrix - mu * identity, h.values)
             h0 = inner_l2(h, basis.b0)
-            shifted = h + (h0 * sol.alpha0 / (sol.g - mu)) * u_beta
+            shifted = h + (h0 / (sol.g - mu)) * sol.withdrawal
             rhs = resolvent_apply(basis, mu, shifted)
             assert np.abs(lhs - rhs.values).max() < 1e-8
 
@@ -185,7 +184,7 @@ class TestScaleFreeProjection:
         config = dataclasses.replace(load_config(VARIABLE_DEMO), gamma=gamma, rho=rho)
         grid, params, _ = config.model()
         sol, pd, defect = _dense_w_defect(params, grid)
-        assert sol.alpha0 == pytest.approx(alpha0, rel=0.02)
+        assert ak.hjb_summary(sol)["alpha0"] == pytest.approx(alpha0, rel=0.02)
         assert defect <= 1e-10
         assert inner_l2(pd.w, pd.beta) == pytest.approx(1.0, abs=1e-10)
 

@@ -2,11 +2,12 @@ import dataclasses
 import math
 import sys
 import warnings
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import akgrowth as ak
@@ -19,11 +20,13 @@ from akgrowth import (
     inner_l2,
 )
 from akgrowth import hjb
+from akgrowth.config import parse_config
 from akgrowth.hjb import balanced_growth, solve_rows
 
 from conftest import build_pipeline
 
 TWO_PI = 2.0 * np.pi
+VARIABLE_DEMO = Path(__file__).resolve().parents[1] / "demos" / "config_variable.cfg"
 
 # frozen closed forms for sigma=1, A=1, eta=1, q=0 (independent quadrature oracle):
 #   gamma=0.5, rho=1.0  : alpha = (2*pi)^(3/4)
@@ -98,7 +101,7 @@ class TestAlpha:
     def test_alpha0_consistency(self, variable):
         sol = variable.sol
         expected = sol.alpha ** (1.0 / (1.0 - variable.params.gamma))
-        assert sol.alpha0 == pytest.approx(expected, rel=1e-12)
+        assert ak.hjb_summary(sol)["alpha0"] == pytest.approx(expected, rel=1e-12)
 
     def test_monotone_decreasing_in_rho(self):
         alphas = [homogeneous(rho=rho).sol.alpha for rho in (0.7, 0.9, 1.1)]
@@ -204,9 +207,10 @@ class TestWithdrawal:
 
     def test_solve_rows_blocks_hold_the_passing_rows(self):
         # gamma = 0.25 and eta = 1e-100 make the feedback profile
-        # eta^(-4) / (alpha^4 b0^4) overflow at rho = 1e250 while alpha and
-        # alpha0 stay finite; rho just above lambda0*(1-gamma) = 0.75
-        # overflows alpha, and rho = inf sends it to 0
+        # eta^(-4) / (alpha^4 b0^4) overflow at rho = 1e250 while alpha stays
+        # finite; rho just above lambda0*(1-gamma) = 0.75 puts alpha near
+        # e^179, whose linear-space integral eta^(-3) / margin would
+        # overflow, and rho = inf sends alpha to 0
         grid = Grid(16)
         params = ak.ModelParams(
             sigma=1.0, rho=1.0, gamma=0.25, q=0.0,
@@ -217,20 +221,19 @@ class TestWithdrawal:
         rhos = [bound - 0.25, 10.0, bound + 1e-10, 1e250, 1e100, math.inf, 1e200]
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # the kernel keeps its float errors quiet
-            g, alpha, alpha0, errors, profile, withdrawal = solve_rows(
-                basis, params, 0.25, rhos
-            )
+            g, alpha, errors, profile, withdrawal = solve_rows(basis, params, 0.25, rhos)
         assert [type(error) for error in errors] == [
-            InfeasibleParametersError, type(None), ConfigError, ValueError,
+            InfeasibleParametersError, type(None), type(None), ConfigError,
             type(None), ConfigError, type(None),
         ]
-        assert "alpha = inf " in str(errors[2]) and "alpha = 0.0 " in str(errors[5])
-        assert profile.shape == withdrawal.shape == (3, 16)
-        for row, i in enumerate([1, 4, 6]):
+        assert 1e77 < alpha[2] < 1e78
+        assert "eta * P overflows " in str(errors[3]) and "alpha = 0.0 " in str(errors[5])
+        assert profile.shape == withdrawal.shape == (4, 16)
+        for row, i in enumerate([1, 2, 4, 6]):
             sol = ak.solve_hjb(basis, dataclasses.replace(params, rho=rhos[i]))
             assert np.array_equal(profile[row], sol.feedback_profile.values)
             assert np.array_equal(withdrawal[row], sol.withdrawal.values)
-            assert (sol.alpha, sol.alpha0, sol.g) == (alpha[i], alpha0[i], g[i])
+            assert (sol.alpha, sol.g) == (alpha[i], g[i])
 
 
 def _normal(x):
@@ -238,20 +241,39 @@ def _normal(x):
     return sys.float_info.min <= x <= sys.float_info.max
 
 
+def _reference_logs(basis, eta, q, gamma, rho):
+    """40-digit log I and log alpha on the code's own b0, for mpmath.workdps(40)."""
+    mq, mg = mpmath.mpf(q), mpmath.mpf(gamma)
+    log_integral = mpmath.log(mpmath.mpf(basis.grid.weight) * mpmath.fsum(
+        mpmath.exp(((mq + mg - 1) * mpmath.log(e) + (mg - 1) * mpmath.log(b)) / mg)
+        for e, b in zip(eta.values.tolist(), basis.b0.values.tolist())
+    ))
+    margin = mpmath.mpf(rho) - mpmath.mpf(basis.lambda0) * (1 - mg)
+    return log_integral, mg * (mpmath.log(mg) - mpmath.log(margin) + log_integral)
+
+
+_NEAR_ONE = st.tuples(st.floats(1e-6, 0.05), st.sampled_from([-1.0, 1.0])).map(
+    lambda t: 1.0 + t[1] * t[0]
+)
+
+
 class TestLogSpaceProfiles:
     @settings(max_examples=60, deadline=None)
     @given(
-        gamma=st.one_of(st.floats(0.2, 0.95), st.floats(1.05, 4.0)),
+        gamma=st.one_of(st.floats(0.2, 0.95), st.floats(1.05, 4.0), _NEAR_ONE),
         q=st.floats(0.0, 400.0),
         a_amplitude=st.floats(0.0, 0.8),
         eta_amplitude=st.floats(0.0, 0.99),
         margin=st.floats(0.01, 3.0),
     )
+    @example(gamma=1 - 1e-6, q=0.5, a_amplitude=0.3, eta_amplitude=0.1, margin=0.5)
+    @example(gamma=1 + 1e-6, q=0.5, a_amplitude=0.3, eta_amplitude=0.1, margin=0.5)
     def test_profiles_match_mpmath(self, gamma, q, a_amplitude, eta_amplitude, margin):
-        # 40-digit references on the code's own alpha and b0: the profiles
-        # to 1e-12 relative wherever they are normal doubles, and to 1e-12
-        # of the least normal below that; a failed row is one whose
-        # reference leaves the float range
+        # 40-digit references on the code's own b0: log I to 1e-12 of
+        # max(1, |log I|), alpha to 1e-12 relative wherever it is a normal
+        # double, and the profiles to 1e-12 relative wherever they are
+        # normal, and to 1e-12 of the least normal below that; a failed row
+        # is one whose reference leaves the float range
         grid = Grid(32)
         A = GridFunction.from_callable(grid, lambda t: 1.0 + a_amplitude * np.cos(t))
         eta = GridFunction.from_callable(grid, lambda t: 1.0 + eta_amplitude * np.cos(2 * t))
@@ -259,35 +281,26 @@ class TestLogSpaceProfiles:
         basis = ak.eigendecompose(ak.assemble_generator(params, grid))
         rho = max(0.0, basis.lambda0 * (1.0 - gamma)) + margin
         log_eta, log_b0 = np.log(eta.values), np.log(basis.b0.values)
-        with np.errstate(over="ignore"):  # an integral past float max is inf
-            integral = hjb.alpha_integral(basis, log_eta, log_b0, q, gamma)
-        _, alpha, _, errors, profile, withdrawal = solve_rows(basis, params, gamma, [rho])
+        log_integral = hjb.log_alpha_integral(basis, log_eta, log_b0, q, gamma)
+        _, alpha, errors, profile, withdrawal = solve_rows(basis, params, gamma, [rho])
         with mpmath.workdps(40):
+            ref_log_integral, ref_log_alpha = _reference_logs(basis, eta, q, gamma, rho)
+            assert abs(log_integral - ref_log_integral) <= 1e-12 * max(1, abs(ref_log_integral))
+            ref_alpha = mpmath.exp(ref_log_alpha)
+            error = errors[0]
+            if isinstance(error, ConfigError) and ": alpha = " in str(error):
+                assert ref_alpha > sys.float_info.max * (1 - 1e-12) or ref_alpha < 5e-324
+                return
+            if _normal(ref_alpha):
+                assert abs(alpha[0] - ref_alpha) <= 1e-12 * ref_alpha
             mq, mg = mpmath.mpf(q), mpmath.mpf(gamma)
             m_eta = [mpmath.mpf(x) for x in eta.values]
-            m_b0 = [mpmath.mpf(x) for x in basis.b0.values]
-            ref_integral = mpmath.mpf(grid.weight) * mpmath.fsum(
-                mpmath.exp(((mq + mg - 1) * mpmath.log(e) + (mg - 1) * mpmath.log(b)) / mg)
-                for e, b in zip(m_eta, m_b0)
-            )
-            if _normal(ref_integral):
-                assert abs(integral - ref_integral) <= 1e-12 * ref_integral
-            error = errors[0]
-            if isinstance(error, ConfigError) and "alpha" in str(error):
-                bound = mpmath.mpf(basis.lambda0) * (1 - mg)
-                scaled = mg / (mpmath.mpf(rho) - bound) * ref_integral
-                ref_alpha = scaled ** mg
-                assert not all(_normal(x) for x in (
-                    ref_integral, scaled, ref_alpha, ref_alpha ** (1 / (1 - mg))
-                ))
-                return
-            log_alpha = mpmath.log(mpmath.mpf(alpha[0]))
             ref_profile = [
-                mpmath.exp(((mq - 1) * mpmath.log(e) - log_alpha - mpmath.log(b)) / mg)
-                for e, b in zip(m_eta, m_b0)
+                mpmath.exp(((mq - 1) * mpmath.log(e) - ref_log_alpha - mpmath.log(b)) / mg)
+                for e, b in zip(m_eta, basis.b0.values.tolist())
             ]
             ref_withdrawal = [e * p for e, p in zip(m_eta, ref_profile)]
-            if isinstance(error, ValueError) and not isinstance(error, ConfigError):
+            if error is not None and "eta * P overflows" in str(error):
                 assert max(ref_withdrawal) > sys.float_info.max * (1 - 1e-12)
                 return
             if error is not None:
@@ -302,6 +315,28 @@ class TestLogSpaceProfiles:
                     else:
                         assert abs(value - reference) <= 1e-12 * sys.float_info.min
         assert np.array_equal(withdrawal[0], eta.values * profile[0])
+
+    def test_large_alpha_on_the_variable_demo(self):
+        # gamma = 0.2, q = 400 and eta.amplitude = 0.99 put alpha near
+        # 2.1e119, a normal double whose linear-space integral overflows;
+        # alpha0 = alpha^(1/(1-gamma)) amplifies alpha's relative error by
+        # its condition number 1/|1-gamma|
+        text = VARIABLE_DEMO.read_text()
+        for old, new in [("gamma = 0.5", "gamma = 0.2"), ("q = 0.5", "q = 400.0"),
+                         ("eta.amplitude = 0.1", "eta.amplitude = 0.99"),
+                         ("rho = 0.6", "rho = 1.5")]:
+            text = text.replace(old, new)
+        grid, params, _ = parse_config(text).model()
+        basis = ak.eigendecompose(ak.assemble_generator(params, grid))
+        sol = ak.solve_hjb(basis, params)
+        alpha0 = ak.hjb_summary(sol)["alpha0"]
+        with mpmath.workdps(40):
+            _, ref_log_alpha = _reference_logs(basis, params.eta, params.q, 0.2, 1.5)
+            ref_alpha = mpmath.exp(ref_log_alpha)
+            ref_alpha0 = mpmath.exp(ref_log_alpha / mpmath.mpf(0.8))
+        assert 1e119 < sol.alpha < 1e120 and 1e149 < alpha0 < 1e150
+        assert abs(sol.alpha - ref_alpha) <= 1e-12 * ref_alpha
+        assert abs(alpha0 - ref_alpha0) <= (1e-12 / 0.8 + 1e-15) * ref_alpha0
 
 
 class TestControlPath:
@@ -363,7 +398,7 @@ class TestHamiltonianAndUtility:
         sol, params, basis = variable.sol, variable.params, variable.basis
         x = variable.K0
         z = ak.feedback_control(sol, x)
-        f = sol.consumption_weight_f.values
+        f = hjb.consumption_weight(params)
         lhs = f * z.values ** (-params.gamma)
         rhs = (
             sol.alpha
