@@ -42,7 +42,7 @@ class TailDivergenceError(ValueError):
 
 
 class SeriesCancellationError(RuntimeError):
-    """A closed-form series lost more digits to cancellation than its check allows."""
+    """A closed-form series needs terms beyond the float range."""
 
 
 class PerronViolationError(RuntimeError):

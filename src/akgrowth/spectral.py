@@ -98,9 +98,10 @@ def fourier_second_derivative(n: int) -> np.ndarray:
     column = np.empty(n)
     column[0] = -np.pi**2 / (3.0 * h**2) - 1.0 / 6.0
     column[1:] = -0.5 * (-1.0) ** j / np.sin(j * h / 2.0) ** 2
-    # entry (i, k) depends on |i - k| only: the symmetric Toeplitz matrix of column
-    i = np.arange(n)
-    return column[np.abs(i[:, None] - i[None, :])]
+    # entry (i, k) depends on |i - k| only: the symmetric Toeplitz matrix of
+    # column, whose row i is the n-window at n-1-i of column[n-1:0:-1] + column
+    windows = np.lib.stride_tricks.sliding_window_view(np.concatenate((column[:0:-1], column)), n)
+    return windows[::-1].copy()
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,8 +129,8 @@ def assemble_generator(
     """Assemble sigma * D2 + diag(A) on the given grid.
 
     The result is symmetric by construction (``fourier_second_derivative``
-    indexes one column by |i - k|), so no tolerance is consulted;
-    ``tolerances`` stays in the signature for callers that pass it.
+    is the symmetric Toeplitz matrix of one column), so no tolerance is
+    consulted; ``tolerances`` stays in the signature for callers that pass it.
     """
     if params.grid != grid:
         raise GridMismatchError("params profiles do not live on the requested grid")

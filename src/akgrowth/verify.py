@@ -12,14 +12,13 @@ cos(m theta + phi)), P the feedback profile.  As L b0 = lambda0 b0 and
 <eta P, b0> = lambda0 - g, its pairing is p(t) = p0 exp(g t - Q1 (1 - e^(-t)))
 with the quadrature Q1 = a <eta P cos(m theta + phi), b0>.  It is positive
 for every draw, so every plan is admissible by construction, and both
-overconsumption (Q1 > 0) and underconsumption are tested.  The payoff is a
-double series of exponentials and the discounted terminal value a scalar;
-all seeded draws are evaluated together as one array program.  For
-c = (1-gamma) Q1 << 0 the series cancels, and a draw whose rounding bound
-exceeds the dominance tolerance is a ``SeriesCancellationError`` rather than
-a payoff.  The feedback plan's own discounted utility is the scalar
+overconsumption (Q1 > 0) and underconsumption are tested.  The payoff over
+[0, inf) is a double series whose series in c = (1-gamma) Q1 has positive
+terms on either side of c = 0, and the discounted terminal value at the
+horizon a scalar; all seeded draws are evaluated together as one array
+program.  The feedback plan's own discounted utility is the scalar
 U(c_hat0) e^(-a0 t), a0 = rho - g (1-gamma), since U is homogeneous of
-degree 1-gamma; the audit sums it in closed form on a composite
+degree 1-gamma; the audit sums it over [0, T] in closed form on a composite
 Gauss-Legendre rule of equal intervals, ceil(T) of them but at most 4096,
 or more when a0 is large, so that none spans more than 64/a0: once with 64
 nodes per interval and once with 128 as a quadrature-convergence check.  The
@@ -247,7 +246,9 @@ class OptimalityAudit:
     """Outcome of the payoff-equality and dominance audits.
 
     Every perturbed plan is admissible by construction (see the module
-    docstring).  max_discounted_terminal_rel is the largest
+    docstring).  J_opt is the feedback plan's payoff over [0, horizon], and
+    the samples' payoffs and max_perturbed_J are over [0, inf).
+    max_discounted_terminal_rel is the largest
     e^(-rho T) |v(x(T))| over the perturbed plans, relative to |v(x0)|; it
     audits the vanishing of the discounted value along them.
     quadrature_doubling_gap is |J_opt at 128 nodes per unit - J_opt|.
@@ -273,29 +274,30 @@ def _perturbation_family(
 ) -> Callable[[np.ndarray, np.ndarray, np.ndarray], tuple[np.ndarray, ...]]:
     """Map arrays of draws (a, m, phase) of the perturbed feedback law from the
     pairing p0, whose ``_feedback_utility`` is (a0, u0), to arrays of their
-    payoffs over [0, T], their discounted terminal values relative to
-    |v(x0)|, their pairing exponents c and the rounding bounds of their
-    payoffs, building what does not depend on the draws once.  All draws
-    cost a fixed number of array operations.
+    payoffs over [0, inf), their discounted terminal values at T relative
+    to |v(x0)| and their pairing exponents c, building what does not depend
+    on the draws once.  All draws cost a fixed number of array operations.
 
     By homogeneity U(c(t)) e^(-rho t) = e^(-a0 t - c (1 - e^(-t)))
     U(c_hat0 (1 + a e^(-t) cos)), a0 = rho - g (1-gamma), c = (1-gamma) Q1, so
     the terminal value is e^(-a0 T - c (1 - e^(-T))).  The binomial series of
     (1 + x)^(1-gamma), converging for |a| < 1, writes the last factor as
     sum_k C(1-gamma, k) a^k M_k e^(-k t) with quadratures
-    M_k = int f c_hat0^(1-gamma) cos^k / (1-gamma), M_0 = U(c_hat0); and
-    e^(-c (1 - e^(-t))) = e^(-c) sum_j c^j/j! e^(-j t).  So
-    J = e^(-c) sum_(k,j) C(1-gamma, k) a^k M_k c^j/j! r_(k+j) with
-    r_n = (1 - e^(-(a0+n) T)) / (a0+n): the Hankel matrix H[k, j] = r_(k+j)
-    is shared by all draws.  Both series keep the terms their largest |a| and
-    |c| need, up to the first term below 1e-17 past the peak.
+    M_k = int f c_hat0^(1-gamma) cos^k / (1-gamma), M_0 = U(c_hat0).  With
+    s = e^(-t), J = sum_k C(1-gamma, k) a^k M_k I_k, where
+    I_k = int_0^1 s^(a0+k-1) e^(-c (1-s)) ds = 1F1(1; a0+k+1; -c) / (a0+k)
+    is Kummer's function.  Its series is summed in positive terms on either
+    side of c = 0: I_k = e^(-c) sum_j (c^j/j!) / (a0+k+j) for c >= 0, and by
+    Kummer's transformation I_k = sum_j (|c|^j/j!) B(a0+k, j+1) for c < 0,
+    with B(a, 1) = 1/a and B(a, j+2) = B(a, j+1) (j+1)/(a+j+1).  The Hankel
+    matrix 1/(a0+k+j) and the Beta matrix B(a0+k, j+1) are shared by all
+    draws, and each draw takes the one the sign of its c selects.  Both
+    series keep the terms their largest |a| and |c| need, up to the first
+    term below 1e-17 past the peak.
 
-    For c << 0 the second series alternates with terms up to about e^|c|, and
-    J loses that many digits to cancellation: the rounding bound
-    eps e^(-c) sum_(k,j) |C(1-gamma, k) a^k M_k| |c^j/j!| r_(k+j) measures it.
-    Past |c| = log(float max) ~ 709.8 the terms e^|c| leave the float range
-    and no series can be evaluated: a batch with such a draw, or with a c that
-    is not finite, is a ``SeriesCancellationError`` naming the first one.
+    Past |c| = log(float max) ~ 709.8 the terms |c|^j/j! leave the float
+    range: a batch with such a draw, or with a c that is not finite, is a
+    ``SeriesCancellationError`` naming the first one.
     """
     exponent = 1.0 - sol.params.gamma
     basis = sol.basis
@@ -306,7 +308,7 @@ def _perturbation_family(
 
     def evaluate(
         amplitudes: np.ndarray, modes: np.ndarray, phases: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         cosine = np.cos(np.multiply.outer(modes, nodes) + phases[:, None])
         # as many binomial terms as the largest |a| needs: past k = |1-gamma|
         # each term is below 2|a| times the one before
@@ -336,22 +338,23 @@ def _perturbation_family(
                 f"{float(c[i])!r} needs terms near e^|c|, beyond the float range "
                 f"past |c| = {_MAX_EXPONENT!r}"
             )
-        # as many terms c^j / j! as the largest |c| needs: they decrease once j > |c|
+        # as many terms |c|^j / j! as the largest |c| needs: they decrease once j > |c|
         c_max = float(np.abs(c).max(initial=0.0))
         term, n_decay = 1.0, 1
         while n_decay <= c_max + 1 or term > 1e-17:
             term = term * c_max / n_decay
             n_decay += 1
         decay = np.ones((c.size, n_decay))
-        np.cumprod(np.divide.outer(c, np.arange(1, n_decay)), axis=1, out=decay[:, 1:])
-        rates = a0 + np.arange(n_terms + n_decay - 1)
-        r = -np.expm1(-rates * T) / rates
-        hankel = r[np.add.outer(np.arange(n_terms), np.arange(n_decay))]
+        np.cumprod(np.divide.outer(np.abs(c), np.arange(1, n_decay)), axis=1, out=decay[:, 1:])
+        # I_k = e^(-c) sum_j decay_j / (a0+k+j) for c >= 0, sum_j decay_j B(a0+k, j+1)
+        # for c < 0, with B(a0+k, j+1) = prod_(i <= j) max(i, 1) / (a0+k+i)
+        steps = np.arange(n_decay)
+        hankel = 1.0 / np.add.outer(a0 + np.arange(n_terms), steps)
+        beta = np.cumprod(hankel * np.maximum(steps, 1), axis=1)
         weighted_terms = terms * moments
-        scale = np.exp(-c)
-        J = scale * ((weighted_terms @ hankel) * decay).sum(axis=1)
-        spread = ((np.abs(weighted_terms) @ hankel) * np.abs(decay)).sum(axis=1)
-        return J, np.exp(-a0 * T + c * math.expm1(-T)), c, np.finfo(float).eps * scale * spread
+        series = np.where((c >= 0.0)[:, None], weighted_terms @ hankel, weighted_terms @ beta)
+        J = np.exp(-np.maximum(c, 0.0)) * (series * decay).sum(axis=1)
+        return J, np.exp(-a0 * T + c * math.expm1(-T)), c
 
     return evaluate
 
@@ -371,13 +374,12 @@ def optimality_audit(
     far the same quadrature with 128 nodes per unit moves it.  Then draws
     n_perturbations seeded smooth multiplicative perturbations of the
     feedback law, each admissible by construction, evaluates their
-    closed-form payoffs in one batch and checks that every one is dominated
-    by v(x0).  Each one's discounted terminal value relative to |v(x0)| is
+    closed-form payoffs over [0, inf) in one batch and checks that every one
+    is dominated by v(x0); J_opt stays the payoff over [0, horizon].  Each
+    one's discounted terminal value at the horizon relative to |v(x0)| is
     e^(-a0 T - c (1 - e^(-T))).  Raises ``SeriesCancellationError``, naming
-    the first such draw, when a payoff's rounding bound exceeds
-    ``dominance_rel`` |v(x0)|: its series cancelled too far for the
-    dominance check to read it, or when its pairing exponent |c| is past
-    the float range of e^|c|, where no series can be evaluated.
+    the first such draw, when its pairing exponent c is not finite or |c| is
+    past the float range of e^|c|, where no series can be evaluated.
     """
     p0 = _pairing(sol, x0)
     v = value_at_pairing(sol, p0)
@@ -398,24 +400,15 @@ def optimality_audit(
         for _ in range(n_perturbations)
     ]
     amplitudes, modes, phases = np.array(draws, dtype=float).reshape(-1, 3).T
-    perturbed, terminal, c, rounding = _perturbation_family(sol, p0, horizon, a0, u0)(
+    perturbed, terminal, _ = _perturbation_family(sol, p0, horizon, a0, u0)(
         amplitudes, modes, phases
     )
-    limit = tolerances.dominance_rel * abs(v)
-    unresolved = np.flatnonzero(~(rounding <= limit))
-    if unresolved.size:
-        i = int(unresolved[0])
-        raise SeriesCancellationError(
-            f"perturbation {i} (a = {draws[i][0]!r}, m = {draws[i][1]}, phi = {draws[i][2]!r}): "
-            f"its payoff series in c = (1-gamma) Q1 = {float(c[i])!r} carries a rounding "
-            f"error up to {float(rounding[i])!r}, above dominance_rel * |v| = {limit!r}"
-        )
     samples = [
         PerturbationSample(float(a), m, float(phase), float(J))
         for (a, m, phase), J in zip(draws, perturbed)
     ]
     max_perturbed = float(perturbed.max(initial=-math.inf))
-    dominated = bool(np.all(perturbed <= v + limit))
+    dominated = bool(np.all(perturbed <= v + tolerances.dominance_rel * abs(v)))
     return OptimalityAudit(
         J_opt=optimal,
         v=v,

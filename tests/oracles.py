@@ -1,19 +1,21 @@
 """Test-only oracles: the eigenexpansion actions of the generator, a
 generator of half-space states and the per-draw closed form of the
-optimality audit's perturbation family.
+optimality audit's perturbation family, in floats and in mpmath.
 
 The commands never apply the resolvent or the semigroup to a state, and
 draw no random state: ``tests/test_spectral.py`` checks the basis against
 these actions, ``tests/test_closed_loop.py`` checks the steady profile w
 against the resolvent, and the HJB tests evaluate the residual at the
 sampled states.  ``tests/test_verify.py`` checks the audit's batched
-perturbation family against the one-draw-at-a-time evaluation.
+perturbation family against the one-draw-at-a-time evaluation, and against
+its alternating series summed in mpmath with the digits it cancels.
 """
 
 from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 
 from akgrowth.errors import SpectrumCollisionError
@@ -74,15 +76,10 @@ def sample_halfspace_states(
     return states
 
 
-def perturbation_payoff(sol, p0: float, T: float, amplitude: float, mode: int, phase: float):
-    """Payoff over [0, T] and discounted terminal value relative to |v(x0)| of
+def _draw_series(sol, p0: float, amplitude: float, mode: int, phase: float):
+    """a0, the pairing exponent c and the weights C(1-gamma, k) a^k M_k of
     one draw (a, m, phase) of the audit's perturbed feedback law from the
-    pairing p0, each series with only the terms that draw needs.
-
-    The binomial series sum_k C(1-gamma, k) a^k M_k e^(-k t) of the utility
-    and the series e^(-c) sum_j c^j/j! e^(-j t) of the pairing's factor are
-    convolved into d, and J = e^(-c) sum_n d_n (1 - e^(-(a0+n) T)) / (a0+n).
-    """
+    pairing p0, with as many binomial terms as that draw needs."""
     a0, u0 = _feedback_utility(sol, p0)
     exponent = 1.0 - sol.params.gamma
     nodes, weight = sol.basis.grid.nodes, sol.basis.grid.weight
@@ -96,10 +93,48 @@ def perturbation_payoff(sol, p0: float, T: float, amplitude: float, mode: int, p
     powers = np.cumprod(np.broadcast_to(cosine, (len(terms) - 1, cosine.size)), axis=0)
     moments = np.concatenate(([u0], weight * (powers @ weighted) / exponent))
     c = exponent * (amplitude * float(shift_weights @ cosine))
+    return a0, c, np.multiply(terms, moments)
+
+
+def perturbation_payoff(sol, p0: float, T: float, amplitude: float, mode: int, phase: float):
+    """Payoff over [0, inf) and discounted terminal value at T relative to
+    |v(x0)| of one draw (a, m, phase) of the audit's perturbed feedback law
+    from the pairing p0, each series with only the terms that draw needs.
+
+    The binomial series sum_k C(1-gamma, k) a^k M_k e^(-k t) of the utility
+    and the series e^(-c) sum_j c^j/j! e^(-j t) of the pairing's factor are
+    convolved into d, and J = e^(-c) sum_n d_n / (a0+n).  For c < 0 the
+    series alternates, so this float sum holds only for moderate |c|.
+    """
+    a0, c, weights = _draw_series(sol, p0, amplitude, mode, phase)
     decay = [1.0]  # c^j / j!
     while len(decay) <= abs(c) + 1 or abs(decay[-1]) > 1e-17:
         decay.append(decay[-1] * c / len(decay))
-    d = np.convolve(np.multiply(terms, moments), decay)
-    rates = a0 + np.arange(d.size)
-    J = math.exp(-c) * float(np.dot(d, -np.expm1(-rates * T) / rates))
+    d = np.convolve(weights, decay)
+    J = math.exp(-c) * float(np.dot(d, 1.0 / (a0 + np.arange(d.size))))
     return J, math.exp(-a0 * T + c * math.expm1(-T))
+
+
+def perturbation_payoff_mp(sol, p0: float, amplitude: float, mode: int, phase: float) -> float:
+    """The payoff over [0, inf) of ``perturbation_payoff``, its alternating
+    series e^(-c) sum_(k,j) C(1-gamma, k) a^k M_k c^j/j! / (a0+k+j) summed in
+    mpmath at 30 + 2|c|/ln 10 digits.
+
+    For c < 0 the terms reach e^|c| times the largest weight over a0, and
+    the sum is at least e^(-|c|) times it, so the sum loses at most
+    2|c|/ln 10 digits to cancellation; the terms stop once |c|^j/j! falls
+    below 10^-digits past j = |c|.  Only the weights are floats.
+    """
+    a0, c, weights = _draw_series(sol, p0, amplitude, mode, phase)
+    with mpmath.workdps(30 + math.ceil(2.0 * abs(c) / math.log(10.0))):
+        c_mp = mpmath.mpf(c)
+        cutoff = mpmath.mpf(10) ** -mpmath.mp.dps
+        decay = [mpmath.mpf(1)]  # c^j / j!
+        while len(decay) <= abs(c) + 1 or abs(decay[-1]) > cutoff:
+            decay.append(decay[-1] * c_mp / len(decay))
+        reciprocals = [1 / (mpmath.mpf(a0) + n) for n in range(len(weights) + len(decay))]
+        series = mpmath.fsum(
+            mpmath.mpf(w) * mpmath.fdot(decay, reciprocals[k:k + len(decay)])
+            for k, w in enumerate(weights)
+        )
+        return float(mpmath.exp(-c_mp) * series)

@@ -84,6 +84,14 @@ class TestAssemble:
         d2 = ak.fourier_second_derivative(n)
         assert np.abs(d2.sum(axis=1)).max() < 1e-10
 
+    @pytest.mark.parametrize("n", [8, 128, 512])
+    def test_second_derivative_is_the_toeplitz_of_its_column(self, n):
+        # the strided construction against gathering the column at |i - k|
+        d2 = ak.fourier_second_derivative(n)
+        i = np.arange(n)
+        assert np.array_equal(d2, d2[0][np.abs(i[:, None] - i[None, :])])
+        assert d2.flags.writeable and d2.flags.c_contiguous
+
     def test_symmetry(self):
         grid = Grid(128)
         A = GridFunction.from_callable(grid, lambda t: 1 + 0.5 * np.cos(t))
