@@ -28,7 +28,6 @@ from .errors import (
 )
 from .grid import inner_l2
 from .perron import battery_failures, random_metzler_battery
-from .tolerances import Tolerances
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -42,9 +41,9 @@ def _say(quiet: bool, message: str) -> None:
 
 
 def _model(config: RunConfig, decompose: Callable | None = None):
-    """Params, K0, spectral basis and tolerances of a config.
+    """Params, K0 and spectral basis of a config.
 
-    The basis is ``decompose(op, tolerances)``, by default
+    The basis is ``decompose(op)``, by default
     ``spectral.eigendecompose``, looked up when called so that a wrapper
     installed on the module attribute sees the call; ``verify`` passes
     ``spectral.principal_pair``.  hjb.solve_hjb on this basis is the
@@ -52,29 +51,28 @@ def _model(config: RunConfig, decompose: Callable | None = None):
     rho <= lambda0*(1-gamma).
     """
     grid, params, K0 = config.model()
-    tolerances = config.tolerances()
     op = spectral.assemble_generator(params, grid)
     try:
-        basis = (decompose or spectral.eigendecompose)(op, tolerances)
+        basis = (decompose or spectral.eigendecompose)(op)
     except PositivityError as exc:  # at a small sigma b0 decays below float64 resolution
         raise ConfigError(f"sigma = {params.sigma!r} with n_points = {grid.n_points}: "
                           f"{exc}; a larger sigma keeps b0 resolvable") from exc
-    return params, K0, basis, tolerances
+    return params, K0, basis
 
 
 def _state_model(config: RunConfig, decompose: Callable | None = None):
     """``_model`` for the commands that start from K0, which must lie in the
     open half-space <K0, b0> > 0 where the value function is defined; the
     pairing <K0, b0> is returned last."""
-    params, K0, basis, tolerances = _model(config, decompose)
+    params, K0, basis = _model(config, decompose)
     pairing = inner_l2(K0, basis.b0)
     if not pairing > 0:
         raise ConfigError(f"<K0, b0> = {pairing!r} is not strictly positive")
-    return params, K0, basis, tolerances, pairing
+    return params, K0, basis, pairing
 
 
 def cmd_solve(config: RunConfig, out: Path, quiet: bool) -> int:
-    params, _, basis, _, pairing = _state_model(config)
+    params, _, basis, pairing = _state_model(config)
     sol = hjb.solve_hjb(basis, params)
     summary = hjb.hjb_summary(sol)  # its alpha0 check comes before any output
     out.mkdir(parents=True, exist_ok=True)
@@ -91,15 +89,15 @@ def cmd_solve(config: RunConfig, out: Path, quiet: bool) -> int:
 
 
 def cmd_simulate(config: RunConfig, out: Path, quiet: bool) -> int:
-    params, K0, basis, tolerances, _ = _state_model(config)
+    params, K0, basis, _ = _state_model(config)
     sol = hjb.solve_hjb(basis, params)
     clo = closed_loop.build_closed_loop(basis, sol)
-    pd = closed_loop.compute_projection_data(basis, sol, tolerances)
+    pd = closed_loop.compute_projection_data(basis, sol)
     try:
         traj = closed_loop.simulate(clo, K0, config.t_final, config.n_steps)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    report = stability.convergence_bound_check(traj, pd, tolerances)
+    report = stability.convergence_bound_check(traj, pd, config.tolerances())
     out.mkdir(parents=True, exist_ok=True)
     serialize.write_trajectory_csv(out / "trajectory.csv", traj)
     serialize.write_json(
@@ -127,7 +125,8 @@ def cmd_verify(config: RunConfig, out: Path, quiet: bool,
         )
     # the value function, the feedback and every check below read the
     # generator only through its Perron pair (lambda0, b0)
-    params, K0, basis, tolerances, _ = _state_model(config, spectral.principal_pair)
+    params, K0, basis, _ = _state_model(config, spectral.principal_pair)
+    tolerances = config.tolerances()
     sol = hjb.solve_hjb(basis, params)
     if debug_perturb_alpha:
         sol = dataclasses.replace(sol, alpha=sol.alpha * (1.0 + debug_perturb_alpha))
@@ -191,23 +190,21 @@ def cmd_verify(config: RunConfig, out: Path, quiet: bool,
     return EXIT_OK
 
 
-def _sweep_group(rhos: list[float], gamma: float, sigma: float,
-                 params: spectral.ModelParams, basis: spectral.SpectralBasis,
-                 tolerances: Tolerances) -> Iterator[dict | Exception]:
+def _sweep_group(rhos: list[float], gamma: float, sigma: float, params: spectral.ModelParams,
+                 basis: spectral.SpectralBasis) -> Iterator[dict | Exception]:
     """The sweep.csv rows of one (gamma, sigma), one per rho in order.
 
     A row that fails a check of ``hjb.solve_rows`` or ``closed_loop.projection_rows``
     is its error, but an infeasible row is written as such, and a collision
-    of g with the spectrum leaves M empty.
+    of g with an eigenvalue lambda_k, k >= 1, leaves M empty.
     """
     lambda0, lambda1 = basis.lambda0, basis.lambda1
     M = [None] * len(rhos)
     growth, alpha, errors, _, withdrawal = hjb.solve_rows(basis, params, gamma, rhos)
     solved = [i for i, error in enumerate(errors) if error is None]
     if solved:
-        w, projection_errors = closed_loop.projection_rows(
-            basis, withdrawal, [growth[i] for i in solved], tolerances
-        )
+        w, projection_errors = closed_loop.projection_rows(basis, withdrawal,
+                                                           [growth[i] for i in solved])
         with np.errstate(all="ignore"):  # a failing row's nan or inf is kept quiet
             bounds = stability.bound_constant(w, basis.b0.values, basis.grid.weight).tolist()
         for i, error, bound in zip(solved, projection_errors, bounds):
@@ -238,8 +235,8 @@ def sweep_rows(config: RunConfig) -> list[dict]:
     sigmas = config.sweep.get("sigma", [config.sigma])
     models = {}
     for sigma in dict.fromkeys(sigmas):
-        params, _, basis, tolerances = _model(dataclasses.replace(config, sigma=sigma))
-        models[sigma] = (params, basis, tolerances)
+        params, _, basis = _model(dataclasses.replace(config, sigma=sigma))
+        models[sigma] = (params, basis)
     groups = {
         (gamma, sigma): list(_sweep_group(rhos, gamma, sigma, *models[sigma]))
         for gamma in dict.fromkeys(gammas)

@@ -31,6 +31,8 @@ from .hjb import HjbSolution
 from .spectral import SpectralBasis
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
+SUBNORMAL = np.finfo(float).smallest_subnormal
+
 
 @dataclass(frozen=True, eq=False)
 class ClosedLoopOperator:
@@ -96,51 +98,57 @@ class ProjectionData:
 
 
 @np.errstate(all="ignore")
-def projection_rows(
-    basis: SpectralBasis,
-    withdrawal: np.ndarray,
-    g: list[float],
-    tolerances: Tolerances,
-) -> tuple[np.ndarray, list[Exception | None]]:
-    """The series, with u_k = <withdrawal, b_k>,
-
-        w = b0 + sum_{k>=1} u_k / (lambda_k - g) * b_k,
-
-    truncated at the discretization order (exact at this level), for m rows
-    whose withdrawal profiles are the (m, n) block ``withdrawal``: the (m, n)
-    block of w and per row None or the error of its first failing check, in
-    order: g collides with an eigenvalue; r = g fails, that is u_0 misses
-    mu0 = lambda0 - g in units of max(1, |mu0|); w is not finite; <w, b0> is
-    not 1.  A failing row's nan or inf is kept quiet.
+def projection_rows(basis: SpectralBasis, withdrawal: np.ndarray,
+                    g: list[float]) -> tuple[np.ndarray, list[Exception | None]]:
+    """The series w = sum_k c_k b_k, with c_0 = 1, c_k = u_k / (lambda_k - g)
+    and u_k = <withdrawal, b_k>, truncated at the discretization order (exact
+    at this level), for m rows whose withdrawal profiles are the (m, n) block
+    ``withdrawal``: the (m, n) block of w and per row None or the error of its
+    first failing check, in order: g collides with an eigenvalue lambda_k,
+    k >= 1; r = g fails, that is u_0 misses mu0 = lambda0 - g; w is not
+    finite; <w, b0> is not 1.  Each bound is the rounding of the row's own
+    numbers (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3),
+    so a row past one is a fault.  A failing row's nan or inf is kept quiet.
     """
     basis.require_full("projection_rows")
     lam, b0, weight = basis.eigenvalues, basis.b0.values, basis.grid.weight
-    g_column = np.array(g)[:, None]
-    gaps = np.abs(lam - g_column)
+    n, eps, g_row = basis.grid.n_points, np.finfo(float).eps, np.array(g)
+    # the series never divides by lambda0 - g: only lambda_k, k >= 1, collide
+    gaps = np.abs(lam[1:] - g_row[:, None])
     u = basis.coefficient_rows(withdrawal)
     # r = lambda0 - u_0 is the closed loop's leading eigenvalue, which must be g
-    mu0 = basis.lambda0 - g_column[:, 0]
-    defect = np.abs(u[:, 0] - mu0) / np.maximum(1.0, np.abs(mu0))
-    coeffs = u / (lam - g_column)
+    defect = np.abs(u[:, 0] - (basis.lambda0 - g_row))
+    coeffs = u / (lam - g_row[:, None])
     coeffs[:, 0] = 1.0
     w = basis.synthesize_rows(coeffs)
     pairing = [weight * float(w_row @ b0) for w_row in w]
-    collides = (gaps.min(axis=1) < tolerances.spectrum_collision).tolist()
-    defective = (defect > tolerances.quadrature_consistency).tolist()
+    # the eigenvalues and g are each off by a few eps times their size
+    collides = (gaps.min(axis=1) < 16 * eps * (np.abs(lam).max() + np.abs(g_row))).tolist()
+    # u_0 sums n terms, each withdrawal entry exp of a log-linear form and so
+    # off by eps |log| of itself (a 0 by less than the smallest subnormal),
+    # and lambda0 - g may cancel
+    logs = np.log(np.maximum((withdrawal.max(axis=1), withdrawal.min(axis=1)), SUBNORMAL))
+    size = (n + np.abs(logs).max(axis=0)) * np.abs(u[:, 0]) + abs(basis.lambda0) + np.abs(g_row)
+    mu0_bound = 16 * eps * size
+    defective = (defect > mu0_bound).tolist()
     w_finite = np.isfinite(w).all(axis=1).tolist()
-    unpaired = (np.abs(np.array(pairing) - 1.0) > tolerances.pairing_normalization).tolist()
+    # w and then <w, b0> sum n times every c_k b_k
+    pairing_bound = 4 * n * eps * np.abs(coeffs).sum(axis=1)
+    unpaired = (np.abs(np.array(pairing) - 1.0) > pairing_bound).tolist()
     errors: list[Exception | None] = [None] * len(g)
     for i in range(len(g)):  # the first check that a row fails names its error
         if collides[i]:
-            k = int(gaps[i].argmin())
+            k = 1 + int(gaps[i].argmin())
             message = f"g={g[i]!r} collides with eigenvalue lambda_{k}={float(lam[k])!r}"
             errors[i] = SpectrumCollisionError(message)
         elif defective[i]:
-            errors[i] = RuntimeError(f"mu0 quadrature consistency defect {defect[i]:g}")
+            errors[i] = RuntimeError(f"mu0 quadrature consistency defect {defect[i]:g} "
+                                     f"above its rounding bound {mu0_bound[i]:.2g}")
         elif not w_finite[i]:
             errors[i] = ValueError(NOT_FINITE)
         elif unpaired[i]:
-            errors[i] = RuntimeError(f"<w, beta> = {pairing[i]!r} is not 1 within tolerance")
+            errors[i] = RuntimeError(f"<w, beta> = {pairing[i]!r} is not 1 within its rounding "
+                                     f"bound 4 n eps sum|c_k| = {pairing_bound[i]:.2g}")
     return w, errors
 
 
@@ -149,10 +157,11 @@ def compute_projection_data(
     sol: HjbSolution,
     tolerances: Tolerances = DEFAULT_TOLERANCES,
 ) -> ProjectionData:
-    """``projection_rows`` of the one row of ``sol``, whose error it raises."""
+    """``projection_rows`` of the one row of ``sol``, whose error it raises;
+    ``tolerances`` is not consulted and stays for callers that pass it."""
     if sol.basis is not basis:
         raise GridMismatchError("solution was solved on a different basis")
-    w, errors = projection_rows(basis, sol.withdrawal.values[None, :], [sol.g], tolerances)
+    w, errors = projection_rows(basis, sol.withdrawal.values[None, :], [sol.g])
     if errors[0] is not None:
         raise errors[0]
     return ProjectionData(basis=basis, g=sol.g, w=GridFunction(basis.grid, w[0]))

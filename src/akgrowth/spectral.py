@@ -211,16 +211,14 @@ class SpectralBasis:
         return products.reshape(len(rows), self.grid.n_points)
 
 
-def _checked_basis(
-    grid: Grid, eigenvalues: np.ndarray, vectors: np.ndarray, tolerances: Tolerances
-) -> SpectralBasis:
+def _checked_basis(grid: Grid, eigenvalues: np.ndarray, vectors: np.ndarray) -> SpectralBasis:
     """The basis of descending ``eigenvalues`` and the leading ``vectors``,
     each of quadrature norm 1, once b_0 passes its checks.
 
     lambda_0 must be simple.  b_0 is sign-flipped (in place) if needed so
     that it is strictly positive with a margin above its rounding error, and
     a PositivityError signals a discretization too coarse (or an invalid
-    profile) if it is not; its norm must be 1 within ``b0_normalization``.
+    profile) if it is not; its norm must be 1 within 4 n eps, its rounding.
     """
     if not eigenvalues[0] > eigenvalues[1]:
         raise RuntimeError(
@@ -243,8 +241,10 @@ def _checked_basis(
         )
     basis = SpectralBasis(grid, eigenvalues, vectors)
     norm = inner_l2(basis.b0, basis.b0)
-    if abs(norm - 1.0) > tolerances.b0_normalization:
-        raise RuntimeError(f"b0 normalization defect {abs(norm - 1.0):g}")
+    bound = 4 * grid.n_points * np.finfo(float).eps
+    if abs(norm - 1.0) > bound:
+        raise RuntimeError(f"b0 normalization defect {abs(norm - 1.0):g} above its "
+                           f"rounding bound 4 n eps = {bound:.2g}")
     return basis
 
 
@@ -256,6 +256,7 @@ def eigendecompose(
 
     Eigenvalues come out descending.  Eigenvectors are rescaled so that each
     b_k has unit quadrature norm; b_0 passes the checks of ``_checked_basis``.
+    ``tolerances`` is not consulted and stays for callers that pass it.
     """
     # upper triangle: on the homogeneous profile at n = 128, sigma = 1 it puts
     # lambda_0 3.2e-13 from A_0, the lower one 6.4e-13, which the growth rate
@@ -263,13 +264,10 @@ def eigendecompose(
     lam, vec = np.linalg.eigh(op.entries, UPLO="U")
     # eigh returns Euclidean-orthonormal columns; rescale to quadrature norm 1
     vec = vec[:, ::-1] * np.sqrt(op.grid.n_points / TWO_PI)
-    return _checked_basis(op.grid, lam[::-1], vec, tolerances)
+    return _checked_basis(op.grid, lam[::-1], vec)
 
 
-def principal_pair(
-    op: OperatorMatrix,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
-) -> SpectralBasis:
+def principal_pair(op: OperatorMatrix) -> SpectralBasis:
     """Every eigenvalue of the generator and its Perron vector b0 alone.
 
     The eigenvalues are ``eigh``'s driver without the eigenvectors, descending.
@@ -298,7 +296,7 @@ def principal_pair(
         shifted[diagonal] -= np.finfo(float).eps * float(np.abs(op.entries).sum(axis=0).max())
         b0 = np.linalg.solve(shifted, ones)
     b0 /= math.sqrt(grid.weight * float(b0 @ b0))
-    basis = _checked_basis(grid, lam, b0[:, None], tolerances)
+    basis = _checked_basis(grid, lam, b0[:, None])
     # a strictly positive b0 pairs positively with the vector of ones, so the
     # step cannot miss it; a Rayleigh quotient nearer lambda1 than lambda0
     # means it did, from a leading eigenvector orthogonal to ones

@@ -22,7 +22,6 @@ from akgrowth.errors import SpectrumCollisionError
 from akgrowth.grid import GridFunction
 from akgrowth.hjb import consumption_weight
 from akgrowth.spectral import SpectralBasis
-from akgrowth.tolerances import DEFAULT_TOLERANCES, Tolerances
 from akgrowth.verify import _feedback_utility
 
 
@@ -30,15 +29,14 @@ def resolvent_apply(
     basis: SpectralBasis,
     mu: float,
     x: GridFunction,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
+    min_gap: float,
 ) -> GridFunction:
     """Apply (L - mu)^{-1} through the eigenexpansion.
 
-    mu must stay away from every eigenvalue by at least the
-    ``spectrum_collision`` tolerance.
+    mu must stay more than ``min_gap`` away from every eigenvalue.
     """
     gap = float(np.abs(basis.eigenvalues - mu).min())
-    if gap <= tolerances.spectrum_collision:
+    if gap <= min_gap:
         raise SpectrumCollisionError(
             f"mu={mu!r} is within {gap:g} of the spectrum"
         )

@@ -12,7 +12,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from akgrowth import DEFAULT_TOLERANCES, cli, closed_loop, hjb, inner_l2, spectral, stability, verify
+from akgrowth import cli, closed_loop, hjb, inner_l2, spectral, stability, verify
 from akgrowth.cli import main
 from akgrowth.config import parse_config
 from akgrowth.errors import InfeasibleParametersError, SpectrumCollisionError
@@ -110,10 +110,12 @@ class TestSolve:
     @pytest.mark.parametrize(
         "name",
         ["orthonormality", "growth_law_rel", "underflow_floor", "perron_realness",
-         "perron_simplicity", "perron_positivity", "metzler_slack"],
+         "perron_simplicity", "perron_positivity", "metzler_slack", "b0_normalization",
+         "spectrum_collision", "quadrature_consistency", "pairing_normalization"],
     )
     def test_removed_tolerance_is_unknown(self, tmp_path, capsys, name):
-        # these knobs changed no command's output, so they are no longer accepted
+        # these knobs changed no command's output, or gave way to a bound the
+        # check derives, so they are no longer accepted
         cfg = tmp_path / "tol.cfg"
         cfg.write_text(WINDOW_CFG + f"tol.{name} = 1e-6\n")
         out = tmp_path / "out"
@@ -299,6 +301,34 @@ def test_spectrum_collision_is_a_one_line_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_g_next_to_lambda0_is_no_collision(tmp_path, capsys):
+    # rho 1e-10 above the edge puts g 2e-10 below lambda0, but the series for
+    # w never divides by lambda0 - g: simulate runs, and sweep writes M
+    cfg = tmp_path / "edge.cfg"
+    cfg.write_text(HOMOGENEOUS_DEMO.read_text().replace("rho = 0.75", "rho = 0.5000000001")
+                   + "sweep.rho = 0.5000000001\n")
+    for command in ("simulate", "sweep"):
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / command), "--quiet"]
+        assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    M = read_json(tmp_path / "simulate" / "stability.json")["M"]
+    assert M == pytest.approx(2.0, rel=1e-11)
+    header, row = (tmp_path / "sweep" / "sweep.csv").read_text().strip().split("\n")
+    assert float(dict(zip(header.split(","), row.split(",")))["M"]) == M
+
+
+def test_small_sigma_runs_every_command(tmp_path, capsys):
+    # at sigma = 3e-3 the withdrawal spans 4.6e23 and <w, b0> is 1 only to
+    # 3.5e-6, inside the rounding bound of its series
+    cfg = tmp_path / "small_sigma.cfg"
+    cfg.write_text(_demo_with(VARIABLE_DEMO, [("sigma = 2.0", "sigma = 3e-3"),
+                                              ("rho = 0.6", "rho = 0.7")]))
+    for command in ("solve", "simulate", "verify", "sweep"):
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / command), "--quiet"]
+        assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+
+
 def _demo_with(demo, edits, extra=""):
     text = demo.read_text()
     for old, new in edits:
@@ -344,7 +374,7 @@ def test_tiny_eta_gives_the_correct_closed_loop(tmp_path, capsys):
         argv = [command, "--config", str(cfg), "--out", str(out), "--n-points", "32"]
         assert main([*argv, "--quiet"]) == 0
     assert capsys.readouterr().err == ""
-    params, _, basis, _ = cli._model(dataclasses.replace(parse_config(text), n_points=32))
+    params, _, basis = cli._model(dataclasses.replace(parse_config(text), n_points=32))
     sol = hjb.solve_hjb(basis, params)
     assert abs(basis.lambda0 - inner_l2(sol.withdrawal, basis.b0) - sol.g) <= 1e-12
 
@@ -421,7 +451,7 @@ def test_underflowing_profile_below_gamma_one_is_zero(tmp_path, capsys):
         out = tmp_path / command
         assert main([command, "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
     assert capsys.readouterr().err == ""
-    params, _, basis, _ = cli._model(parse_config(text))
+    params, _, basis = cli._model(parse_config(text))
     sol = hjb.solve_hjb(basis, params)
     log_profile = (((params.q - 1.0) * np.log(params.eta.values) - math.log(sol.alpha)
                     - np.log(basis.b0.values)) / params.gamma)
@@ -568,7 +598,7 @@ class TestVerify:
         assert audit["max_discounted_terminal_rel"] <= audit["perturbed_terminal_envelope"]
         # the figure is the largest value read off the drawn plans' pairings
         # at T, on the basis verify itself takes
-        params, K0, basis, _ = cli._model(parse_config(text), spectral.principal_pair)
+        params, K0, basis = cli._model(parse_config(text), spectral.principal_pair)
         sol = hjb.solve_hjb(basis, params)
         p0 = inner_l2(K0, basis.b0)
         closed = largest_discounted_terminal_value(
@@ -595,7 +625,7 @@ class TestVerify:
         assert main(["verify", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
         audit = read_json(out / "audit.json")
         assert audit["failed_check"] is None
-        params, _, basis, _ = cli._model(parse_config(text))
+        params, _, basis = cli._model(parse_config(text))
         sol = hjb.solve_hjb(basis, params)
         decay = math.exp(-verify.optimal_payoff_exponent(sol) * audit["horizon"])
         assert audit["max_discounted_terminal_rel"] > 2.0 * decay
@@ -701,20 +731,19 @@ class TestSweep:
 
     def test_one_eigendecompose_per_sigma(self, tmp_path, monkeypatch):
         # rho and gamma enter only through closed forms, so each distinct
-        # sigma is decomposed once, with the config's tolerance overrides,
-        # and infeasible points are checked on that shared basis
+        # sigma is decomposed once, and infeasible points are checked on
+        # that shared basis
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text(
             WINDOW_CFG
-            + "tol.b0_normalization = 1e-9\nsweep.rho = 0.45, 0.75\nsweep.gamma = 0.5, 2.0\n"
-            + "sweep.sigma = 1.0, 2.0, 1.0\n"
+            + "sweep.rho = 0.45, 0.75\nsweep.gamma = 0.5, 2.0\nsweep.sigma = 1.0, 2.0, 1.0\n"
         )
         calls = []
         original = spectral.eigendecompose
 
-        def spy(op, tolerances=DEFAULT_TOLERANCES):
-            calls.append(tolerances)
-            return original(op, tolerances)
+        def spy(op):
+            calls.append(op)
+            return original(op)
 
         monkeypatch.setattr(spectral, "eigendecompose", spy)
         out = tmp_path / "out"
@@ -723,7 +752,6 @@ class TestSweep:
         assert len(lines) == 1 + 12
         assert any(",false," in line for line in lines)
         assert len(calls) == 2
-        assert all(tolerances.b0_normalization == 1e-9 for tolerances in calls)
 
     @pytest.mark.parametrize(
         "sweep", ["sweep.gamma = 0.5, 1.0\n", "sweep.rho = 0.75, -0.2\n",
@@ -743,7 +771,7 @@ def _reference_sweep_row(config, rho, gamma, sigma):
     """One sweep row computed alone: its own config, model and basis."""
     point = dataclasses.replace(config, rho=rho, gamma=gamma, sigma=sigma)
     row = {"rho": rho, "gamma": gamma, "sigma": sigma}
-    params, _, basis, tolerances = cli._model(point)
+    params, _, basis = cli._model(point)
     try:
         sol = hjb.solve_hjb(basis, params)
     except InfeasibleParametersError:
@@ -754,7 +782,7 @@ def _reference_sweep_row(config, rho, gamma, sigma):
         )
         return row
     try:
-        pd = closed_loop.compute_projection_data(basis, sol, tolerances)
+        pd = closed_loop.compute_projection_data(basis, sol)
         M = float(stability.bound_constant(pd.w.values, pd.beta.values, pd.basis.grid.weight))
     except SpectrumCollisionError:
         M = None
@@ -827,7 +855,7 @@ class TestSweepMatchesPerPointReference:
         # rho = lambda0 - gamma * lambda1 puts g on lambda1: a feasible row
         # whose projection collides with the spectrum and leaves M empty
         config = parse_config(VARIABLE_SWEEP_CFG)
-        _, _, basis, _ = cli._model(config)
+        _, _, basis = cli._model(config)
         gammas = [0.5, 2.0]
         rhos = [basis.lambda0 - gamma * basis.lambda1 for gamma in gammas]
         config = dataclasses.replace(
@@ -844,12 +872,19 @@ class TestSweepMatchesPerPointReference:
         assert all(rows[index]["M"] is not None for index in (1, 2))
 
     def test_first_failing_row_raises_its_error(self, tmp_path, capsys, monkeypatch):
-        # with no slack on <w, beta>, several rows fail; the error is the one
+        # w scaled by 1 + 1e-6 (1 + |c_1|), far past the rounding of <w, beta>,
+        # makes every row fail, each with its own pairing; the error is the one
         # the per-point path raises on the first of them in Cartesian order
+        synthesize_rows = spectral.SpectralBasis.synthesize_rows
+
+        def scaled(self, rows):
+            return synthesize_rows(self, rows) * (1.0 + 1e-6 * (1.0 + np.abs(rows[:, 1:2])))
+
+        monkeypatch.setattr(spectral.SpectralBasis, "synthesize_rows", scaled)
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text(
             VARIABLE_SWEEP_CFG + "sweep.rho = 0.3, 1.5\nsweep.gamma = 0.5, 2.0\n"
-            "sweep.sigma = 1.0, 2.0\ntol.pairing_normalization = 0\n"
+            "sweep.sigma = 1.0, 2.0\n"
         )
         config = parse_config(cfg.read_text())
         errors = []
@@ -857,10 +892,10 @@ class TestSweepMatchesPerPointReference:
             for gamma in (0.5, 2.0):
                 for sigma in (1.0, 2.0):
                     point = dataclasses.replace(config, rho=rho, gamma=gamma, sigma=sigma)
-                    params, _, basis, tolerances = cli._model(point)
+                    params, _, basis = cli._model(point)
                     try:
                         sol = hjb.solve_hjb(basis, params)
-                        closed_loop.compute_projection_data(basis, sol, tolerances)
+                        closed_loop.compute_projection_data(basis, sol)
                     except InfeasibleParametersError:
                         continue
                     except RuntimeError as exc:
@@ -935,7 +970,7 @@ class TestSweepMatchesPerPointReference:
             if row["M"] is None:
                 continue
             gamma = row["gamma"]
-            params, _, basis, _ = cli._model(dataclasses.replace(config, sigma=row["sigma"]))
+            params, _, basis = cli._model(dataclasses.replace(config, sigma=row["sigma"]))
             L = spectral.assemble_generator(params, basis.grid).entries
             b0 = basis.b0.values
             alpha0 = row["alpha"] ** (1.0 / (1.0 - gamma))

@@ -86,7 +86,7 @@ class TestOperator:
             lhs = np.linalg.solve(clo.matrix - mu * identity, h.values)
             h0 = inner_l2(h, basis.b0)
             shifted = h + (h0 / (sol.g - mu)) * sol.withdrawal
-            rhs = resolvent_apply(basis, mu, shifted)
+            rhs = resolvent_apply(basis, mu, shifted, min_gap=1e-9)
             assert np.abs(lhs - rhs.values).max() < 1e-8
 
 
@@ -106,7 +106,7 @@ class TestProjectionData:
 
     def test_w_matches_resolvent(self, variable):
         sol, basis, pd = variable.sol, variable.basis, variable.pd
-        via_resolvent = resolvent_apply(basis, sol.g, sol.withdrawal)
+        via_resolvent = resolvent_apply(basis, sol.g, sol.withdrawal, min_gap=1e-9)
         assert np.abs(pd.w.values - via_resolvent.values).max() < 1e-9
 
     def test_mu0(self, variable):
@@ -189,6 +189,86 @@ class TestScaleFreeProjection:
         assert inner_l2(pd.w, pd.beta) == pytest.approx(1.0, abs=1e-10)
 
 
+EPS = np.finfo(float).eps
+
+
+class TestDerivedBounds:
+    """The checks of the basis and of w compare with rounding bounds they
+    derive; on well-posed rows each defect stays within half its bound.
+
+    Draws whose b0 the positivity margin refuses (a grid too coarse for a
+    small sigma) are skipped: that check is not one of these bounds.  The
+    examples are the largest defect-to-bound ratios a search of a few
+    thousand draws found, each above a tenth: they show that no bound is
+    ten times looser than the rounding it covers.
+    """
+
+    @settings(max_examples=80, deadline=None)
+    @example(n=16, log_sigma=-1.7466153796013855, a_amplitude=0.3193591095809114,
+             eta_amplitude=0.14786436020755683, eta_mode=2, q=0.8871875007546963,
+             gamma=0.12852200450384094,
+             offsets=[-8.518635026574009, -5.748158473852852, -4.042407873256711])
+    @example(n=24, log_sigma=-1.156263802258084, a_amplitude=0.2753346576816479,
+             eta_amplitude=0.13635752366318282, eta_mode=3, q=0.8664299640963378,
+             gamma=0.13326222909517066,
+             offsets=[-8.609695103606782, 0.3894382625474595, -4.241242558907554])
+    @example(n=16, log_sigma=-1.8240509560736542, a_amplitude=0.3018874629517778,
+             eta_amplitude=0.0, eta_mode=1, q=0.0, gamma=0.1096424636897405, offsets=[-1.0])
+    @given(
+        n=st.sampled_from([16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512]),
+        log_sigma=st.floats(np.log10(3e-3), np.log10(4.0)),
+        a_amplitude=st.floats(0.0, 0.5),
+        eta_amplitude=st.floats(0.0, 0.5),
+        eta_mode=st.integers(1, 3),
+        q=st.floats(0.0, 2.0),
+        gamma=st.one_of(st.floats(0.1, 0.95), st.floats(1.05, 4.0)),
+        offsets=st.lists(st.floats(-10.0, np.log10(3.0)), min_size=1, max_size=3),
+    )
+    def test_defects_within_half_their_bounds(self, n, log_sigma, a_amplitude, eta_amplitude,
+                                              eta_mode, q, gamma, offsets):
+        grid = ak.Grid(n)
+        A = GridFunction(grid, 1.0 + a_amplitude * np.cos(grid.nodes))
+        eta = GridFunction(grid, 1.0 + eta_amplitude * np.cos(eta_mode * grid.nodes))
+        params = ak.ModelParams(sigma=10.0**log_sigma, rho=1.0, gamma=gamma, q=q, A=A, eta=eta)
+        op = ak.assemble_generator(params, grid)
+        try:
+            bases = [ak.eigendecompose(op), ak.principal_pair(op)]
+        except ak.PositivityError:
+            assume(False)
+        for basis in bases:
+            assert abs(inner_l2(basis.b0, basis.b0) - 1.0) <= 0.5 * 4 * n * EPS
+        basis, lam = bases[0], bases[0].eigenvalues
+        # rho from 1e-10 relative above the well-posedness edge to 3 above
+        # it, and last the rho that puts g on lambda1
+        edge = max(basis.lambda0 * (1.0 - gamma), 0.0)
+        rhos = [edge + 10.0**offset * max(edge, 1.0) for offset in offsets]
+        rhos.append(basis.lambda0 - gamma * basis.lambda1)
+        g, _, errors, _, withdrawal = hjb.solve_rows(basis, params, gamma, rhos)
+        solved = [i for i, error in enumerate(errors) if error is None]
+        assume(solved)
+        g = [g[i] for i in solved]
+        w, errors = ak.closed_loop.projection_rows(basis, withdrawal, g)
+        for i, row, g_i, w_i, error in zip(solved, withdrawal, g, w, errors):
+            collision_bound = 16 * EPS * (np.abs(lam).max() + abs(g_i))
+            gap = np.abs(lam[1:] - g_i).min()
+            if i == len(rhos) - 1 or gap <= 0.5 * collision_bound:
+                # on a constant profile an integer rho can put g on lambda_k too
+                assert gap <= 0.5 * collision_bound
+                assert isinstance(error, SpectrumCollisionError)
+                k = 1 + int(np.abs(lam[1:] - g_i).argmin())
+                assert str(error).startswith(f"g={g_i!r} collides with eigenvalue lambda_{k}=")
+                continue
+            assert gap > 2 * collision_bound
+            assert error is None
+            u = basis.coefficients(GridFunction(grid, row))
+            coeffs = np.concatenate(([1.0], u[1:] / (lam[1:] - g_i)))
+            pairing_bound = 4 * n * EPS * np.abs(coeffs).sum()
+            assert abs(grid.weight * float(w_i @ basis.b0.values) - 1.0) <= 0.5 * pairing_bound
+            log_size = np.abs(np.log(row)).max()
+            mu0_bound = 16 * EPS * ((n + log_size) * abs(u[0]) + abs(basis.lambda0) + abs(g_i))
+            assert abs(u[0] - (basis.lambda0 - g_i)) <= 0.5 * mu0_bound
+
+
 class TestPerronPairIsRefused:
     """A basis of the Perron pair alone reaches no code that expands in the
     whole eigenbasis: each entry point names what it needs, where it used to
@@ -207,8 +287,7 @@ class TestPerronPairIsRefused:
     def test_projection_rows(self, pair):
         basis, sol = pair
         with pytest.raises(GridMismatchError, match="^projection_rows needs the full"):
-            ak.closed_loop.projection_rows(basis, sol.withdrawal.values[None, :], [sol.g],
-                                           ak.DEFAULT_TOLERANCES)
+            ak.closed_loop.projection_rows(basis, sol.withdrawal.values[None, :], [sol.g])
         with pytest.raises(GridMismatchError, match="^projection_rows needs the full"):
             ak.compute_projection_data(basis, sol)
 

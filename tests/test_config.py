@@ -70,8 +70,8 @@ class TestParsing:
         np.testing.assert_allclose(params.A.values, 2.0)
 
     def test_tolerance_override(self):
-        config = parse_config(GOOD + "tol.spectrum_collision = 1e-6\n")
-        assert config.tolerances().spectrum_collision == 1e-6
+        config = parse_config(GOOD + "tol.dominance_rel = 1e-3\n")
+        assert config.tolerances().dominance_rel == 1e-3
 
     def test_every_tolerance_is_read(self):
         # a field that no module reads would be a tol.* key that changes nothing
@@ -253,7 +253,7 @@ class TestRejection:
 
     @pytest.mark.parametrize(
         "key, bad",
-        [("K0.mode", "one"), ("A.value", "abc"), ("tol.b0_normalization", "abc"), ("sweep.sigma", ",")],
+        [("K0.mode", "one"), ("A.value", "abc"), ("tol.dominance_rel", "abc"), ("sweep.sigma", ",")],
     )
     def test_unparseable_value_names_its_key(self, key, bad):
         kept = [line for line in GOOD.splitlines() if not line.startswith(f"{key} =")]

@@ -395,7 +395,7 @@ class TestBatchedFamily:
          ("golden", "homogeneous"), ("golden", "variable"),
          *(("verify-audit", seed) for seed in range(1, 11))],
     )
-    def test_rounding_bound_is_a_few_ulps(self, kind, name, tmp_path, monkeypatch):
+    def test_draws_match_mp_twin(self, kind, name, tmp_path, monkeypatch):
         # on the shipped configs and the benchmark's, every draw's payoff is
         # within 1e-13 of its alternating series summed in mpmath
         if kind == "demo":
