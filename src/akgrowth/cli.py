@@ -190,9 +190,10 @@ def cmd_verify(config: RunConfig, out: Path, quiet: bool,
     return EXIT_OK
 
 
-def _sweep_group(rhos: list[float], gamma: float, sigma: float, params: spectral.ModelParams,
+def _sweep_batch(rhos: list[float], gammas: list[float], sigma: float,
+                 params: spectral.ModelParams,
                  basis: spectral.SpectralBasis) -> Iterator[dict | Exception]:
-    """The sweep.csv rows of one (gamma, sigma), one per rho in order.
+    """The sweep.csv rows of one sigma, one per row (gammas[i], rhos[i]), in order.
 
     A row that fails a check of ``hjb.solve_rows`` or ``closed_loop.projection_rows``
     is its error, but an infeasible row is written as such, and a collision
@@ -200,7 +201,7 @@ def _sweep_group(rhos: list[float], gamma: float, sigma: float, params: spectral
     """
     lambda0, lambda1 = basis.lambda0, basis.lambda1
     M = [None] * len(rhos)
-    growth, alpha, errors, _, withdrawal = hjb.solve_rows(basis, params, gamma, rhos)
+    growth, alpha, errors, _, withdrawal = hjb.solve_rows(basis, params, gammas, rhos)
     solved = [i for i, error in enumerate(errors) if error is None]
     if solved:
         w, projection_errors = closed_loop.projection_rows(basis, withdrawal,
@@ -209,7 +210,7 @@ def _sweep_group(rhos: list[float], gamma: float, sigma: float, params: spectral
             bounds = stability.bound_constant(w, basis.b0.values, basis.grid.weight).tolist()
         for i, error, bound in zip(solved, projection_errors, bounds):
             errors[i], M[i] = error, None if error else bound
-    for rho, g, a, error, bound in zip(rhos, growth, alpha, errors, M):
+    for rho, gamma, g, a, error, bound in zip(rhos, gammas, growth, alpha, errors, M):
         row = {"rho": rho, "gamma": gamma, "sigma": sigma,
                "lambda0": lambda0, "lambda1": lambda1}
         if isinstance(error, InfeasibleParametersError):
@@ -226,27 +227,25 @@ def sweep_rows(config: RunConfig) -> list[dict]:
     """The rows of sweep.csv, in Cartesian order with sigma innermost.
 
     The basis depends on sigma but not on rho or gamma, so each distinct
-    sigma is decomposed once, and the rows are evaluated by (gamma, sigma)
-    group.  The first row in Cartesian order that failed a check raises its
+    sigma is decomposed once, and its (gamma, rho) rows are evaluated as one
+    batch.  The first row in Cartesian order that failed a check raises its
     error, as if the rows had been evaluated one by one.
     """
     rhos = config.sweep.get("rho", [config.rho])
     gammas = config.sweep.get("gamma", [config.gamma])
     sigmas = config.sweep.get("sigma", [config.sigma])
-    models = {}
+    # a batch holds every rho of each distinct gamma in turn
+    offsets = {gamma: j * len(rhos) for j, gamma in enumerate(dict.fromkeys(gammas))}
+    batch_rhos, batch_gammas = rhos * len(offsets), [g for g in offsets for _ in rhos]
+    batches = {}
     for sigma in dict.fromkeys(sigmas):
         params, _, basis = _model(dataclasses.replace(config, sigma=sigma))
-        models[sigma] = (params, basis)
-    groups = {
-        (gamma, sigma): list(_sweep_group(rhos, gamma, sigma, *models[sigma]))
-        for gamma in dict.fromkeys(gammas)
-        for sigma in models
-    }
+        batches[sigma] = list(_sweep_batch(batch_rhos, batch_gammas, sigma, params, basis))
     rows = []
     for index in range(len(rhos)):
         for gamma in gammas:
             for sigma in sigmas:
-                row = groups[gamma, sigma][index]
+                row = batches[sigma][offsets[gamma] + index]
                 if isinstance(row, Exception):
                     raise row
                 rows.append(dict(row))  # a repeated gamma or sigma reuses the row

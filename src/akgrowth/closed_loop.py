@@ -32,6 +32,7 @@ from .spectral import SpectralBasis
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 SUBNORMAL = np.finfo(float).smallest_subnormal
+CONTOUR_IMAG = 1e-8  # bound on the imaginary residue of the contour oracle's projection
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,7 +112,7 @@ def projection_rows(basis: SpectralBasis, withdrawal: np.ndarray,
     so a row past one is a fault.  A failing row's nan or inf is kept quiet.
     """
     basis.require_full("projection_rows")
-    lam, b0, weight = basis.eigenvalues, basis.b0.values, basis.grid.weight
+    lam = basis.eigenvalues
     n, eps, g_row = basis.grid.n_points, np.finfo(float).eps, np.array(g)
     # the series never divides by lambda0 - g: only lambda_k, k >= 1, collide
     gaps = np.abs(lam[1:] - g_row[:, None])
@@ -121,7 +122,7 @@ def projection_rows(basis: SpectralBasis, withdrawal: np.ndarray,
     coeffs = u / (lam - g_row[:, None])
     coeffs[:, 0] = 1.0
     w = basis.synthesize_rows(coeffs)
-    pairing = [weight * float(w_row @ b0) for w_row in w]
+    pairing = basis.b0_pairings(w)
     # the eigenvalues and g are each off by a few eps times their size
     collides = (gaps.min(axis=1) < 16 * eps * (np.abs(lam).max() + np.abs(g_row))).tolist()
     # u_0 sums n terms, each withdrawal entry exp of a log-linear form and so
@@ -134,7 +135,7 @@ def projection_rows(basis: SpectralBasis, withdrawal: np.ndarray,
     w_finite = np.isfinite(w).all(axis=1).tolist()
     # w and then <w, b0> sum n times every c_k b_k
     pairing_bound = 4 * n * eps * np.abs(coeffs).sum(axis=1)
-    unpaired = (np.abs(np.array(pairing) - 1.0) > pairing_bound).tolist()
+    unpaired = (np.abs(pairing - 1.0) > pairing_bound).tolist()
     errors: list[Exception | None] = [None] * len(g)
     for i in range(len(g)):  # the first check that a row fails names its error
         if collides[i]:
@@ -147,8 +148,8 @@ def projection_rows(basis: SpectralBasis, withdrawal: np.ndarray,
         elif not w_finite[i]:
             errors[i] = ValueError(NOT_FINITE)
         elif unpaired[i]:
-            errors[i] = RuntimeError(f"<w, beta> = {pairing[i]!r} is not 1 within its rounding "
-                                     f"bound 4 n eps sum|c_k| = {pairing_bound[i]:.2g}")
+            errors[i] = RuntimeError(f"<w, beta> = {float(pairing[i])!r} is not 1 within its "
+                                     f"rounding bound 4 n eps sum|c_k| = {pairing_bound[i]:.2g}")
     return w, errors
 
 
@@ -192,7 +193,8 @@ def projection_via_contour(
     The contour is the circle about g of the given radius, discretized by
     the periodic trapezoid rule (spectrally accurate here).  By default the
     radius is half the distance from g to the nearest other eigenvalue of B.
-    The circle must enclose g and nothing else.
+    The circle must enclose g and nothing else, and the result's imaginary
+    part stay within ``CONTOUR_IMAG``; ``tolerances`` is not consulted.
     """
     if n_quad < 16:
         raise ValueError(f"n_quad must be >= 16, got {n_quad}")
@@ -222,7 +224,7 @@ def projection_via_contour(
     # P = -(1/2 pi i) * sum_j resolvent(mu_j) * i * radius * phase_j * dt
     acc *= -radius / n_quad
     imag_residue = float(np.abs(acc.imag).max())
-    if imag_residue > tolerances.contour_imag:
+    if imag_residue > CONTOUR_IMAG:
         raise RuntimeError(f"contour projection imaginary residue {imag_residue:g}")
     return ContourProjection(matrix=acc.real, imag_residue=imag_residue, n_quad=int(n_quad))
 

@@ -19,9 +19,9 @@ margin, the integral as a log-sum-exp, eta, b0 and alpha), so no power can
 underflow or overflow on its own: alpha or a profile entry is 0 or inf only
 where the true value leaves the float range.  alpha0 = alpha^(1/(1-gamma))
 enters no closed form; only ``hjb_summary`` forms it.  ``solve_rows`` solves
-the rows of many discount rates at one gamma together, as a sweep needs;
-``solve_hjb`` is its row of one, so each check is written once and a swept
-row is bit-identical to the single solve.
+many (gamma, rho) rows on one basis together, as a sweep needs for each
+sigma; ``solve_hjb`` is its row of one, so each check is written once and a
+swept row is bit-identical to the single solve.
 """
 
 from __future__ import annotations
@@ -86,36 +86,39 @@ class HjbSolution:
 
 @np.errstate(all="ignore")
 def solve_rows(
-    basis: SpectralBasis, params: ModelParams, gamma: float, rhos: list[float]
+    basis: SpectralBasis, params: ModelParams, gammas: list[float], rhos: list[float]
 ) -> tuple[list[float], list[float], list, np.ndarray | None, np.ndarray | None]:
-    """Solve ``params`` on ``basis`` at ``gamma`` for each rho of ``rhos``.
+    """Solve ``params`` on ``basis`` at each row (gammas[i], rhos[i]).
 
     log alpha = gamma (log gamma - log(rho - lambda0*(1-gamma)) + log I), with
     log I the log of the integral of f^(1/gamma) (eta b0)^((gamma-1)/gamma),
-    taken once.  Returns per row g and alpha as Python floats (alpha nan
-    after a failed check) and None or the error of its first failing check,
-    in order: rho > lambda0*(1-gamma); alpha a finite positive float; a
-    withdrawal eta * P with no entry that overflows and, for gamma > 1, a
-    feedback profile P with no entry that underflows to 0.  Then those two
-    profiles as (m, n) blocks whose rows are the m rows with no error, in
-    order; None if no row is well-posed.  A failing row's nan or inf is
-    kept quiet.
+    taken once per distinct gamma.  Returns per row g and alpha as Python
+    floats (alpha nan after a failed check) and None or the error of its
+    first failing check, in order: rho > lambda0*(1-gamma); alpha a finite
+    positive float; a withdrawal eta * P with no entry that overflows and,
+    for gamma > 1, a feedback profile P with no entry that underflows to 0.
+    Then those two profiles as (m, n) blocks whose rows are the m rows with
+    no error, in order; None if no row is well-posed.  A failing row's nan
+    or inf is kept quiet.
     """
     lambda0 = basis.lambda0
-    g = [balanced_growth(rho, gamma, lambda0) for rho in rhos]
+    g = [balanced_growth(rho, gamma, lambda0) for gamma, rho in zip(gammas, rhos)]
     alpha = [math.nan] * len(rhos)
-    bound = lambda0 * (1 - gamma)
     errors: list[Exception | None] = [
-        None if wellposed(rho, gamma, lambda0) else InfeasibleParametersError(rho, bound)
-        for rho in rhos
+        None if wellposed(rho, gamma, lambda0)
+        else InfeasibleParametersError(rho, lambda0 * (1 - gamma))
+        for gamma, rho in zip(gammas, rhos)
     ]
     if None not in errors:
         return g, alpha, errors, None, None
     log_eta, log_b0 = np.log(params.eta.values), np.log(basis.b0.values)
-    log_integral = log_alpha_integral(basis, log_eta, log_b0, params.q, gamma)
     rows = [i for i, error in enumerate(errors) if error is None]
-    margins = np.array([rhos[i] for i in rows]) - bound
-    log_alpha = gamma * (math.log(gamma) - np.log(margins) + log_integral)
+    logs = {gamma: (math.log(gamma), log_alpha_integral(basis, log_eta, log_b0, params.q, gamma))
+            for gamma in dict.fromkeys(gammas[i] for i in rows)}
+    gamma_row = np.array([gammas[i] for i in rows])
+    log_gamma, log_integral = np.array([logs[gamma] for gamma in gamma_row.tolist()]).T
+    margins = np.array([rhos[i] - lambda0 * (1 - gammas[i]) for i in rows])
+    log_alpha = gamma_row * (log_gamma - np.log(margins) + log_integral)
     solved, positions = [], []  # the rows whose alpha passes its check
     for position, (i, a) in enumerate(zip(rows, np.exp(log_alpha).tolist())):
         if 0.0 < a < math.inf:
@@ -123,17 +126,16 @@ def solve_rows(
             solved.append(i)
             positions.append(position)
         else:
-            errors[i] = ConfigError(f"rho = {rhos[i]!r} with gamma = {gamma!r}: alpha = {a!r} "
-                                    "is not a finite positive float")
-    log_profile = ((params.q - 1.0) * log_eta - log_alpha[positions, None] - log_b0) / gamma
+            errors[i] = ConfigError(f"rho = {rhos[i]!r} with gamma = {gammas[i]!r}: "
+                                    f"alpha = {a!r} is not a finite positive float")
+    gamma_col = gamma_row[positions, None]
+    log_profile = ((params.q - 1.0) * log_eta - log_alpha[positions, None] - log_b0) / gamma_col
     profile = np.exp(log_profile)
     withdrawal = params.eta.values * profile
     # eta is finite and positive, so an inf in the profile is one in the
     # withdrawal; below gamma = 1 a zero consumption node has utility 0, the
     # limit of the true value, and above it utility -inf where that is finite
-    ok = np.isfinite(withdrawal)
-    if gamma > 1.0:
-        ok &= profile > 0.0
+    ok = np.isfinite(withdrawal) & ((profile > 0.0) | (gamma_col <= 1.0))
     kept = ok.all(axis=1)
     for row in np.flatnonzero(~kept).tolist():
         i, node = solved[row], int(ok[row].argmin())
@@ -143,7 +145,7 @@ def solve_rows(
             if profile[row, node] == 0.0 else ("the withdrawal eta * P overflows", "")
         )
         errors[i] = ConfigError(
-            f"rho = {rhos[i]!r} with gamma = {gamma!r}: {what} at node {node} (theta = "
+            f"rho = {rhos[i]!r} with gamma = {gammas[i]!r}: {what} at node {node} (theta = "
             f"{basis.grid.nodes[node]:.6g}); log P spans [{log_profile[row].min():.6g}, "
             f"{log_profile[row].max():.6g}]{why}"
         )
@@ -152,7 +154,7 @@ def solve_rows(
 
 def solve_hjb(basis: SpectralBasis, params: ModelParams) -> HjbSolution:
     """``solve_rows`` of the one row of ``params``, whose error it raises."""
-    g, alpha, errors, profile, withdrawal = solve_rows(basis, params, params.gamma, [params.rho])
+    g, alpha, errors, profile, withdrawal = solve_rows(basis, params, [params.gamma], [params.rho])
     if errors[0] is not None:
         raise errors[0]
     return HjbSolution(

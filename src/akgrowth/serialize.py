@@ -5,11 +5,12 @@ insertion order, and no timestamps are emitted, so identical inputs produce
 byte-identical files.
 
 ``format_float`` is the one per-value formatter: ``'%.17g'``, with NaN and
-the infinities spelled ``NaN``, ``Infinity`` and ``-Infinity``.  The JSON
-writer calls it per value.  The CSV writers of float arrays (``basis.csv``,
-``trajectory.csv``, ``deviations.csv``) print whole arrays through a NumPy
-kernel that writes the bytes of ``'%.17g' % x`` exactly for every x with
-1e-4 <= |x| < 1e17, the numbers ``%g`` prints in fixed notation:
+the infinities spelled ``NaN``, ``Infinity`` and ``-Infinity``.  It is used
+only by the JSON writer and for the CSV cells outside the kernel's range.
+The CSV writers (``basis.csv``, ``trajectory.csv``, ``deviations.csv`` and
+``sweep.csv``) print whole arrays through a NumPy kernel that writes the
+bytes of ``'%.17g' % x`` exactly for every x with 1e-4 <= |x| < 1e17, the
+numbers ``%g`` prints in fixed notation:
 
 * The 17 digits are N = round(|x| * 10^(16 - E)), rounded half to even,
   with E the decimal exponent, 10^16 <= N < 10^17.  For E in [-4, 16] the
@@ -22,10 +23,11 @@ kernel that writes the bytes of ``'%.17g' % x`` exactly for every x with
   zeros; trailing zeros, and a point with no digits after it, become NULs.
 
 The writers lay out the cells of a block of lines side by side, with the
-commas and newlines, and delete the NULs from its bytes.  Zeros, the
-numbers outside that range, NaN and the infinities go through
-``format_float`` one at a time.  A block holds about 8k numbers, so the
-writers never hold a whole file in memory.
+commas and newlines, and delete the NULs from its bytes; sweep.csv's flags
+are fixed cells, and its empty cells all NULs.  Zeros, the numbers outside
+that range, NaN and the infinities go through ``format_float`` one at a
+time.  Blocks hold about 8k numbers (sweep.csv is one block), so no array
+writer holds a whole file in memory.
 """
 
 from __future__ import annotations
@@ -304,22 +306,26 @@ def write_basis_csv(path: str | Path, basis: SpectralBasis) -> None:
 
 
 def write_trajectory_csv(path: str | Path, traj: Trajectory) -> None:
-    """Long-format trajectory, one row per (time, node), streamed in blocks
-    of rows, never whole in memory."""
+    """Long-format trajectory, one row per (time, node), streamed in blocks of
+    time rows through one buffer that holds the separators and theta once."""
     n = traj.grid.n_points
-    # the time and node columns repeat: format their values once
     times = _cells(traj.times)
-    theta = _cells(traj.grid.nodes)
-    states = traj.states.reshape(-1)
-    detrended = traj.detrended.reshape(-1)
-    rows = _BLOCK_CELLS // 2
+    steps = max(1, _BLOCK_CELLS // (2 * n))
+    buffer = bytearray(steps * n * 4 * (_WIDTH + 1))
+    block = np.frombuffer(buffer, np.uint8).reshape(steps, n, 4, _WIDTH + 1)
+    block[..., _WIDTH] = ord(",")
+    block[..., 3, _WIDTH] = ord("\n")
+    block[:, :, 1, :_WIDTH] = _cells(traj.grid.nodes)
     with open(path, "wb") as handle:
         handle.write(b"t,theta,K,K_detrended\n")
-        for start in range(0, states.size, rows):
-            block = slice(start, min(start + rows, states.size))
-            step, node = np.divmod(np.arange(block.start, block.stop), n)
-            pairs = np.stack((states[block], detrended[block]), axis=1)
-            handle.write(_lines(times[step], theta[node], _cells(pairs)))
+        for start in range(0, len(times), steps):
+            rows = slice(start, start + steps)
+            k = len(times[rows])
+            block[:k, :, 0, :_WIDTH] = times[rows, None]  # each time over its n rows
+            block[:k, :, 2:, :_WIDTH] = _cells(np.stack((traj.states[rows],
+                                                         traj.detrended[rows]), axis=-1))
+            text = buffer if k == steps else buffer[:block[:k].size]  # a short last block
+            handle.write(text.translate(None, b"\0"))
 
 
 def trajectory_summary(traj: Trajectory, basis: SpectralBasis) -> dict:
@@ -360,22 +366,20 @@ def write_deviation_csv(path: str | Path, report: StabilityReport) -> None:
     Path(path).write_text(deviation_csv(report))
 
 
-_SWEEP_COLUMNS = (
-    "rho", "gamma", "sigma", "lambda0", "lambda1",
-    "feasible", "g", "alpha", "M", "rate", "dominant",
-)
-
-
-def _sweep_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return format_float(value)
+_SWEEP_COLUMNS = ("rho", "gamma", "sigma", "lambda0", "lambda1",
+                  "feasible", "g", "alpha", "M", "rate", "dominant")
+_SWEEP_NUMBERS = [c for c in _SWEEP_COLUMNS if c not in ("feasible", "dominant")]
+_FLAG_TEXT = {None: b"", True: b"true", False: b"false"}
 
 
 def write_sweep_csv(path: str | Path, rows: list[dict]) -> None:
     """One line per sweep row: None is an empty cell, booleans are true/false."""
-    lines = [",".join(_SWEEP_COLUMNS)]
-    lines += [",".join(_sweep_cell(row[c]) for c in _SWEEP_COLUMNS) for row in rows]
-    Path(path).write_text("\n".join(lines) + "\n")
+    numbers = np.array([[row[c] for c in _SWEEP_NUMBERS] for row in rows], object)
+    missing = numbers == None  # noqa: E711 - elementwise
+    cells = _cells(np.where(missing, 1.0, numbers).astype(float))  # None: 1.0, then emptied
+    cells[missing] = 0
+    flags = np.array([[_FLAG_TEXT[row["feasible"]], _FLAG_TEXT[row["dominant"]]] for row in rows],
+                     f"S{_WIDTH}").view(np.uint8).reshape(-1, 2, _WIDTH)
+    with open(path, "wb") as handle:
+        handle.write((",".join(_SWEEP_COLUMNS) + "\n").encode())
+        handle.write(_lines(cells[:, :5], flags[:, 0], cells[:, 5:], flags[:, 1]))

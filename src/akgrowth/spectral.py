@@ -198,17 +198,20 @@ class SpectralBasis:
         """``coefficients`` of each row of an (m, n) array of node values,
         an (m, k) array.
 
-        One matrix-vector product per row: a product over all rows at once
-        need not round as each row alone does.
+        One stacked matrix-vector product over the (m, n, 1) stack of rows:
+        NumPy runs one gemv per stacked item, as for a row alone, so each row
+        rounds as it would alone, which one GEMM over all rows need not do.
         """
-        products = np.array([self.vectors.T @ row for row in rows])
-        return self.grid.weight * products.reshape(len(rows), self.vectors.shape[1])
+        return self.grid.weight * (self.vectors.T @ rows[:, :, None])[:, :, 0]
 
     def synthesize_rows(self, rows: np.ndarray) -> np.ndarray:
         """Node values of sum_j c_j b_j for each row c of an (m, k) coefficient
-        array, one matrix-vector product per row."""
-        products = np.array([self.vectors @ row for row in rows])
-        return products.reshape(len(rows), self.grid.n_points)
+        array, one stacked matrix-vector product as in ``coefficient_rows``."""
+        return (self.vectors @ rows[:, :, None])[:, :, 0]
+
+    def b0_pairings(self, rows: np.ndarray) -> np.ndarray:
+        """<row, b0> of each row of an (m, n) array, one stacked dot product each."""
+        return self.grid.weight * (rows[:, None, :] @ self.b0.values[:, None])[:, 0, 0]
 
 
 def _checked_basis(grid: Grid, eigenvalues: np.ndarray, vectors: np.ndarray) -> SpectralBasis:

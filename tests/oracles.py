@@ -1,6 +1,7 @@
 """Test-only oracles: the eigenexpansion actions of the generator, a
-generator of half-space states and the per-draw closed form of the
-optimality audit's perturbation family, in floats and in mpmath.
+generator of half-space states, the per-draw closed form of the
+optimality audit's perturbation family, in floats and in mpmath, the
+per-row loops of the basis products and the per-cell sweep.csv writer.
 
 The commands never apply the resolvent or the semigroup to a state, and
 draw no random state: ``tests/test_spectral.py`` checks the basis against
@@ -9,6 +10,9 @@ against the resolvent, and the HJB tests evaluate the residual at the
 sampled states.  ``tests/test_verify.py`` checks the audit's batched
 perturbation family against the one-draw-at-a-time evaluation, and against
 its alternating series summed in mpmath with the digits it cancels.
+``tests/test_spectral.py`` and ``tests/test_serialize.py`` check the
+stacked basis products and the array sweep.csv writer against the loops
+they replaced, bit for bit and byte for byte.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import numpy as np
 from akgrowth.errors import SpectrumCollisionError
 from akgrowth.grid import GridFunction
 from akgrowth.hjb import consumption_weight
+from akgrowth.serialize import format_float
 from akgrowth.spectral import SpectralBasis
 from akgrowth.verify import _feedback_utility
 
@@ -42,6 +47,42 @@ def resolvent_apply(
         )
     coeffs = basis.coefficients(x) / (basis.eigenvalues - mu)
     return GridFunction(basis.grid, basis.vectors @ coeffs)
+
+
+def coefficient_rows_loop(basis: SpectralBasis, rows: np.ndarray) -> np.ndarray:
+    """``SpectralBasis.coefficient_rows`` as one matrix-vector product per row."""
+    products = np.array([basis.vectors.T @ row for row in rows])
+    return basis.grid.weight * products.reshape(len(rows), basis.vectors.shape[1])
+
+
+def synthesize_rows_loop(basis: SpectralBasis, rows: np.ndarray) -> np.ndarray:
+    """``SpectralBasis.synthesize_rows`` as one matrix-vector product per row."""
+    products = np.array([basis.vectors @ row for row in rows])
+    return products.reshape(len(rows), basis.grid.n_points)
+
+
+def b0_pairings_loop(basis: SpectralBasis, rows: np.ndarray) -> np.ndarray:
+    """``SpectralBasis.b0_pairings`` as one dot product per row."""
+    return np.array([basis.grid.weight * float(row @ basis.b0.values) for row in rows])
+
+
+SWEEP_COLUMNS = ("rho", "gamma", "sigma", "lambda0", "lambda1",
+                 "feasible", "g", "alpha", "M", "rate", "dominant")
+
+
+def sweep_csv_per_cell(rows: list[dict]) -> str:
+    """sweep.csv text with one ``format_float`` call per numeric cell: None
+    is an empty cell, booleans are true/false."""
+    def cell(value) -> str:
+        if value is None:
+            return ""
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        return format_float(value)
+
+    lines = [",".join(SWEEP_COLUMNS)]
+    lines += [",".join(cell(row[c]) for c in SWEEP_COLUMNS) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def semigroup_apply(basis: SpectralBasis, t: float, x: GridFunction) -> GridFunction:

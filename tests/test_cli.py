@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from akgrowth import cli, closed_loop, hjb, inner_l2, spectral, stability, verify
 from akgrowth.cli import main
 from akgrowth.config import parse_config
-from akgrowth.errors import InfeasibleParametersError, SpectrumCollisionError
+from akgrowth.errors import ConfigError, InfeasibleParametersError, SpectrumCollisionError
 from akgrowth.perron import (
     GeneratorMatrix,
     eigenvalues_admitting_positive_eigenvector,
@@ -111,7 +111,8 @@ class TestSolve:
         "name",
         ["orthonormality", "growth_law_rel", "underflow_floor", "perron_realness",
          "perron_simplicity", "perron_positivity", "metzler_slack", "b0_normalization",
-         "spectrum_collision", "quadrature_consistency", "pairing_normalization"],
+         "spectrum_collision", "quadrature_consistency", "pairing_normalization",
+         "contour_imag"],
     )
     def test_removed_tolerance_is_unknown(self, tmp_path, capsys, name):
         # these knobs changed no command's output, or gave way to a bound the
@@ -753,6 +754,36 @@ class TestSweep:
         assert any(",false," in line for line in lines)
         assert len(calls) == 2
 
+    def test_row_kernels_once_per_sigma(self, monkeypatch):
+        # every (gamma, rho) row of a sigma is one batch: one solve_rows and
+        # one projection_rows call per distinct sigma, over all its rows
+        config = dataclasses.replace(
+            parse_config(WINDOW_CFG),
+            sweep={"rho": [0.45, 0.75, 0.9], "gamma": [0.5, 2.0, 0.5],
+                   "sigma": [1.0, 2.0, 1.0]},
+        )
+        solved, projected = [], []
+        solve_rows, projection_rows = hjb.solve_rows, closed_loop.projection_rows
+
+        def solve_spy(basis, params, gammas, rhos):
+            solved.append((list(gammas), list(rhos)))
+            return solve_rows(basis, params, gammas, rhos)
+
+        def projection_spy(basis, withdrawal, g):
+            projected.append(len(g))
+            return projection_rows(basis, withdrawal, g)
+
+        monkeypatch.setattr(hjb, "solve_rows", solve_spy)
+        monkeypatch.setattr(closed_loop, "projection_rows", projection_spy)
+        rows = cli.sweep_rows(config)
+        assert len(rows) == 27
+        batch = ([0.5] * 3 + [2.0] * 3, [0.45, 0.75, 0.9] * 2)
+        assert solved == [batch, batch]
+        # projection_rows takes the batch's rows that solve_rows passed
+        feasible = {(row["rho"], row["gamma"], row["sigma"]) for row in rows if row["feasible"]}
+        assert projected == [sum(s == sigma for *_, s in feasible) for sigma in (1.0, 2.0)]
+        assert 0 < min(projected) and max(projected) < 6
+
     @pytest.mark.parametrize(
         "sweep", ["sweep.gamma = 0.5, 1.0\n", "sweep.rho = 0.75, -0.2\n",
                   "sweep.sigma = 1.0, 0.0\n"]
@@ -908,6 +939,34 @@ class TestSweepMatchesPerPointReference:
         assert code == 1
         assert capsys.readouterr().err == f"internal error: {errors[0]}\n"
         assert not (out / "sweep.csv").exists()
+
+    def test_cartesian_first_failing_row_of_a_batch_raises(self, monkeypatch):
+        # one sigma, so one batch that holds every rho of gamma = 2 and then
+        # every rho of gamma = 20; alpha underflows to 0 at (gamma, rho) =
+        # (2, 1e250) and at (20, 1e50).  (2, 1e250) comes first in the
+        # batch, but (rho, gamma) = (1e50, 20) comes first in Cartesian order
+        config = dataclasses.replace(
+            parse_config(VARIABLE_SWEEP_CFG),
+            sweep={"rho": [1e50, 1e250], "gamma": [2.0, 20.0], "sigma": [1.0]},
+        )
+        failures = []
+        for rho in (1e50, 1e250):
+            for gamma in (2.0, 20.0):
+                try:
+                    _reference_sweep_row(config, rho, gamma, 1.0)
+                except ConfigError as exc:
+                    failures.append(((rho, gamma), str(exc)))
+        assert [point for point, _ in failures] == [(1e50, 20.0), (1e250, 2.0), (1e250, 20.0)]
+        params, _, basis = cli._model(config)
+        errors = hjb.solve_rows(basis, params, [2.0, 2.0, 20.0, 20.0],
+                                [1e50, 1e250, 1e50, 1e250])[2]
+        assert [error is None for error in errors] == [True, False, False, False]
+        assert str(errors[1]) == failures[1][1]
+        _forbid_per_point_path(monkeypatch)
+        with pytest.raises(ConfigError) as raised:
+            cli.sweep_rows(config)
+        assert str(raised.value) == failures[0][1]
+        assert str(raised.value).startswith("rho = 1e+50 with gamma = 20.0: alpha = 0.0 ")
 
     @pytest.mark.parametrize("gamma", [0.999, 1.001],
                              ids=["alpha0-overflows", "alpha0-underflows"])

@@ -243,7 +243,7 @@ class TestDerivedBounds:
         edge = max(basis.lambda0 * (1.0 - gamma), 0.0)
         rhos = [edge + 10.0**offset * max(edge, 1.0) for offset in offsets]
         rhos.append(basis.lambda0 - gamma * basis.lambda1)
-        g, _, errors, _, withdrawal = hjb.solve_rows(basis, params, gamma, rhos)
+        g, _, errors, _, withdrawal = hjb.solve_rows(basis, params, [gamma] * len(rhos), rhos)
         solved = [i for i, error in enumerate(errors) if error is None]
         assume(solved)
         g = [g[i] for i in solved]

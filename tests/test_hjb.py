@@ -221,7 +221,8 @@ class TestWithdrawal:
         rhos = [bound - 0.25, 10.0, bound + 1e-10, 1e250, 1e100, math.inf, 1e200]
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # the kernel keeps its float errors quiet
-            g, alpha, errors, profile, withdrawal = solve_rows(basis, params, 0.25, rhos)
+            g, alpha, errors, profile, withdrawal = solve_rows(basis, params, [0.25] * len(rhos),
+                                                                rhos)
         assert [type(error) for error in errors] == [
             InfeasibleParametersError, type(None), type(None), ConfigError,
             type(None), ConfigError, type(None),
@@ -282,7 +283,7 @@ class TestLogSpaceProfiles:
         rho = max(0.0, basis.lambda0 * (1.0 - gamma)) + margin
         log_eta, log_b0 = np.log(eta.values), np.log(basis.b0.values)
         log_integral = hjb.log_alpha_integral(basis, log_eta, log_b0, q, gamma)
-        _, alpha, errors, profile, withdrawal = solve_rows(basis, params, gamma, [rho])
+        _, alpha, errors, profile, withdrawal = solve_rows(basis, params, [gamma], [rho])
         with mpmath.workdps(40):
             ref_log_integral, ref_log_alpha = _reference_logs(basis, eta, q, gamma, rho)
             assert abs(log_integral - ref_log_integral) <= 1e-12 * max(1, abs(ref_log_integral))

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 import akgrowth as ak
 from akgrowth import serialize
 
+from oracles import SWEEP_COLUMNS, sweep_csv_per_cell
+
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
@@ -131,6 +133,22 @@ class TestCsv:
         serialize.write_basis_csv(path, basis)
         assert path.read_bytes() == ("\n".join(reference) + "\n").encode()
 
+
+    @pytest.mark.parametrize("block_cells", [8, 64])
+    def test_trajectory_blocks_match_per_cell_formatting(self, block_cells, monkeypatch,
+                                                         tmp_path):
+        # blocks of 1 and of 4 time rows at n = 8: full blocks, then a short one
+        from conftest import window_pipeline
+
+        monkeypatch.setattr(serialize, "_BLOCK_CELLS", block_cells)
+        pipe = window_pipeline(8)
+        traj = ak.simulate(pipe.clo, pipe.K0, 2.0, 9)
+        fmt = serialize.format_float
+        reference = ["t,theta,K,K_detrended"] + [
+            f"{fmt(t)},{fmt(theta)},{fmt(traj.states[i, j])},{fmt(traj.detrended[i, j])}"
+            for i, t in enumerate(traj.times) for j, theta in enumerate(traj.grid.nodes)
+        ]
+        assert written_trajectory(traj, tmp_path) == "\n".join(reference) + "\n"
 
 def non_finite_trajectory():
     grid = ak.Grid(8)
@@ -285,6 +303,36 @@ class TestGoldenRoundTrip:
         )
         assert serialize.deviation_csv(report) == text
 
+
+
+_FLAG = st.sampled_from([None, True, False])
+_NUMBER = st.one_of(
+    st.none(), st.floats(),
+    st.sampled_from([0.0, -0.0, 1e-5, -9.999999999999999e-5, 1e-4, 1e17, -3.5e17, 5e-324]),
+)
+_SWEEP_ROW = st.fixed_dictionaries(
+    {c: _FLAG if c in ("feasible", "dominant") else _NUMBER for c in SWEEP_COLUMNS}
+)
+# None in every numeric column, both flags, negative values, the signed
+# zeros, and values below 1e-4 and at or above 1e17
+_SWEEP_EXAMPLE = [
+    dict(zip(SWEEP_COLUMNS, row)) for row in [
+        (0.45, 0.5, 1.0, 1.25, -0.75, False, 1.6, None, None, None, None),
+        (-0.0, 2.0, 3e-5, 0.0, -1e-5, True, -2.5, 1e17, 7.5, 0.125, True),
+        (1e300, -1e17, 5e-324, np.nextafter(1e17, 0.0), 1e-4, True, 0.1, 2.0, None,
+         -1.0 / 3.0, False),
+        (None, None, None, None, None, None, None, None, None, None, None),
+    ]
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(_SWEEP_ROW, min_size=1, max_size=24))
+@example(rows=_SWEEP_EXAMPLE)
+def test_sweep_file_matches_per_cell_formatting(rows, tmp_path_factory):
+    path = tmp_path_factory.mktemp("sweep") / "sweep.csv"
+    serialize.write_sweep_csv(path, rows)
+    assert path.read_bytes() == sweep_csv_per_cell(rows).encode()
 
 def test_trajectory_write_streams_in_blocks(tmp_path):
     # 161 x 512 is the size of the benchmark's simulate, ~8 MB of text

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import akgrowth as ak
@@ -16,7 +16,13 @@ from akgrowth import (
 )
 from akgrowth.config import ProfileSpec
 
-from oracles import resolvent_apply, semigroup_apply
+from oracles import (
+    b0_pairings_loop,
+    coefficient_rows_loop,
+    resolvent_apply,
+    semigroup_apply,
+    synthesize_rows_loop,
+)
 
 TWO_PI = 2.0 * np.pi
 
@@ -405,3 +411,29 @@ class TestSemigroup:
         lhs = inner_l2(GridFunction(basis.grid, op.entries @ x.values), y)
         rhs = inner_l2(x, GridFunction(basis.grid, op.entries @ y.values))
         assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs))
+
+
+class TestStackedProducts:
+    """The basis products of many rows are stacked matrix-vector (or dot)
+    products, one per row, so each row rounds exactly as the per-row loop
+    does; one matrix-matrix product over all rows need not."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(half=st.integers(8, 256), m=st.integers(1, 64), full=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    @example(half=64, m=8, full=True, seed=0)
+    @example(half=64, m=48, full=True, seed=1)
+    @example(half=256, m=1, full=True, seed=2)
+    @example(half=8, m=3, full=False, seed=3)
+    def test_rows_match_the_per_row_loop(self, half, m, full, seed):
+        # n from 16 to 512; a basis of all n vectors or of b0 alone
+        n = 2 * half
+        rng = np.random.default_rng(seed)
+        vectors = rng.standard_normal((n, n if full else 1))
+        basis = ak.SpectralBasis(Grid(n), np.sort(rng.standard_normal(n))[::-1], vectors)
+        rows = rng.standard_normal((m, n))
+        coefficients = rng.standard_normal((m, vectors.shape[1]))
+        assert np.array_equal(basis.coefficient_rows(rows), coefficient_rows_loop(basis, rows))
+        assert np.array_equal(basis.synthesize_rows(coefficients),
+                              synthesize_rows_loop(basis, coefficients))
+        assert np.array_equal(basis.b0_pairings(rows), b0_pairings_loop(basis, rows))
