@@ -71,7 +71,6 @@ from .stability import (
     admissibility_condition,
     convergence_bound_check,
 )
-from .tolerances import DEFAULT_TOLERANCES, Tolerances
 from .verify import (
     OptimalityAudit,
     hjb_residual,

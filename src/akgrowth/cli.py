@@ -26,7 +26,7 @@ from .errors import (
     SeriesCancellationError,
     SpectrumCollisionError,
 )
-from .grid import inner_l2
+from .grid import Grid, inner_l2
 from .perron import battery_failures, random_metzler_battery
 
 EXIT_OK = 0
@@ -40,24 +40,29 @@ def _say(quiet: bool, message: str) -> None:
         print(message)
 
 
-def _model(config: RunConfig, decompose: Callable | None = None):
-    """Params, K0 and spectral basis of a config.
+def _basis(grid: Grid, params: spectral.ModelParams, decompose: Callable | None = None):
+    """The spectral basis ``decompose(op)`` of the generator of ``params``.
 
-    The basis is ``decompose(op)``, by default
-    ``spectral.eigendecompose``, looked up when called so that a wrapper
-    installed on the module attribute sees the call; ``verify`` passes
-    ``spectral.principal_pair``.  hjb.solve_hjb on this basis is the
-    well-posedness check: it raises InfeasibleParametersError when
-    rho <= lambda0*(1-gamma).
+    ``decompose`` is by default ``spectral.eigendecompose``, looked up when
+    called so that a wrapper installed on the module attribute sees the
+    call; ``verify`` passes ``spectral.principal_pair``.
     """
-    grid, params, K0 = config.model()
     op = spectral.assemble_generator(params, grid)
     try:
-        basis = (decompose or spectral.eigendecompose)(op)
+        return (decompose or spectral.eigendecompose)(op)
     except PositivityError as exc:  # at a small sigma b0 decays below float64 resolution
         raise ConfigError(f"sigma = {params.sigma!r} with n_points = {grid.n_points}: "
                           f"{exc}; a larger sigma keeps b0 resolvable") from exc
-    return params, K0, basis
+
+
+def _model(config: RunConfig, decompose: Callable | None = None):
+    """Params, K0 and spectral basis (``_basis``) of a config.
+
+    hjb.solve_hjb on this basis is the well-posedness check: it raises
+    InfeasibleParametersError when rho <= lambda0*(1-gamma).
+    """
+    grid, params, K0 = config.model()
+    return params, K0, _basis(grid, params, decompose)
 
 
 def _state_model(config: RunConfig, decompose: Callable | None = None):
@@ -97,7 +102,7 @@ def cmd_simulate(config: RunConfig, out: Path, quiet: bool) -> int:
         traj = closed_loop.simulate(clo, K0, config.t_final, config.n_steps)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    report = stability.convergence_bound_check(traj, pd, config.tolerances())
+    report = stability.convergence_bound_check(traj, pd)
     out.mkdir(parents=True, exist_ok=True)
     serialize.write_trajectory_csv(out / "trajectory.csv", traj)
     serialize.write_json(
@@ -126,7 +131,6 @@ def cmd_verify(config: RunConfig, out: Path, quiet: bool,
     # the value function, the feedback and every check below read the
     # generator only through its Perron pair (lambda0, b0)
     params, K0, basis, _ = _state_model(config, spectral.principal_pair)
-    tolerances = config.tolerances()
     sol = hjb.solve_hjb(basis, params)
     if debug_perturb_alpha:
         sol = dataclasses.replace(sol, alpha=sol.alpha * (1.0 + debug_perturb_alpha))
@@ -135,9 +139,7 @@ def cmd_verify(config: RunConfig, out: Path, quiet: bool,
     # degree 0 in <x, b0>: its value at K0 is its value on the half-space
     max_residual = verify.hjb_residual(sol, K0)
 
-    audit = verify.optimality_audit(
-        sol, K0, config.n_perturbations, config.seed, tolerances
-    )
+    audit = verify.optimality_audit(sol, K0, config.n_perturbations, config.seed)
 
     # transversality needs a horizon long enough for the discounted value to
     # die; it is checked on the optimal path and on the sampled perturbations
@@ -151,13 +153,13 @@ def cmd_verify(config: RunConfig, out: Path, quiet: bool,
     envelope = verify.perturbed_transversality_envelope(sol, audit.horizon)
     transversal = (
         decay > 0
-        and math.exp(-decay * audit.horizon) < tolerances.transversality_tail_rel
+        and math.exp(-decay * audit.horizon) < verify.TRANSVERSALITY_TAIL_REL
         and audit.max_discounted_terminal_rel <= envelope
     )
 
     checks = {
-        "hjb_residual": bool(max_residual < tolerances.hjb_residual_rel),
-        "value_equality": bool(audit.rel_gap < tolerances.value_equality_rel),
+        "hjb_residual": bool(max_residual < verify.HJB_RESIDUAL_REL),
+        "value_equality": bool(audit.rel_gap < verify.VALUE_EQUALITY_REL),
         "dominance": bool(audit.all_dominated),
         "transversality": bool(transversal),
     }
@@ -226,10 +228,11 @@ def _sweep_batch(rhos: list[float], gammas: list[float], sigma: float,
 def sweep_rows(config: RunConfig) -> list[dict]:
     """The rows of sweep.csv, in Cartesian order with sigma innermost.
 
-    The basis depends on sigma but not on rho or gamma, so each distinct
-    sigma is decomposed once, and its (gamma, rho) rows are evaluated as one
-    batch.  The first row in Cartesian order that failed a check raises its
-    error, as if the rows had been evaluated one by one.
+    The model is built once.  The basis depends on sigma but not on rho or
+    gamma, so each distinct sigma is decomposed once, and its (gamma, rho)
+    rows are evaluated as one batch.  The first row in Cartesian order that
+    failed a check raises its error, as if the rows had been evaluated one
+    by one.
     """
     rhos = config.sweep.get("rho", [config.rho])
     gammas = config.sweep.get("gamma", [config.gamma])
@@ -237,9 +240,11 @@ def sweep_rows(config: RunConfig) -> list[dict]:
     # a batch holds every rho of each distinct gamma in turn
     offsets = {gamma: j * len(rhos) for j, gamma in enumerate(dict.fromkeys(gammas))}
     batch_rhos, batch_gammas = rhos * len(offsets), [g for g in offsets for _ in rhos]
+    grid, model_params, _ = config.model()
     batches = {}
     for sigma in dict.fromkeys(sigmas):
-        params, _, basis = _model(dataclasses.replace(config, sigma=sigma))
+        params = dataclasses.replace(model_params, sigma=sigma)
+        basis = _basis(grid, params)
         batches[sigma] = list(_sweep_batch(batch_rhos, batch_gammas, sigma, params, basis))
     rows = []
     for index in range(len(rhos)):

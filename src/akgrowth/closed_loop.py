@@ -29,7 +29,6 @@ from .errors import ContourEnclosureError, GridMismatchError, SpectrumCollisionE
 from .grid import NOT_FINITE, TWO_PI, Grid, GridFunction
 from .hjb import HjbSolution
 from .spectral import SpectralBasis
-from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 SUBNORMAL = np.finfo(float).smallest_subnormal
 CONTOUR_IMAG = 1e-8  # bound on the imaginary residue of the contour oracle's projection
@@ -153,13 +152,10 @@ def projection_rows(basis: SpectralBasis, withdrawal: np.ndarray,
     return w, errors
 
 
-def compute_projection_data(
-    basis: SpectralBasis,
-    sol: HjbSolution,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
-) -> ProjectionData:
+def compute_projection_data(basis: SpectralBasis, sol: HjbSolution,
+                            tolerances=None) -> ProjectionData:
     """``projection_rows`` of the one row of ``sol``, whose error it raises;
-    ``tolerances`` is not consulted and stays for callers that pass it."""
+    ``tolerances`` is ignored and stays for ``perfbench/run.py``, which passes it."""
     if sol.basis is not basis:
         raise GridMismatchError("solution was solved on a different basis")
     w, errors = projection_rows(basis, sol.withdrawal.values[None, :], [sol.g])
@@ -186,7 +182,7 @@ def projection_via_contour(
     clo: ClosedLoopOperator,
     radius: float | None = None,
     n_quad: int = 64,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
+    tolerances=None,
 ) -> ContourProjection:
     """Spectral projection -1/(2*pi*i) * contour integral of (B - mu)^{-1}.
 
@@ -194,7 +190,8 @@ def projection_via_contour(
     the periodic trapezoid rule (spectrally accurate here).  By default the
     radius is half the distance from g to the nearest other eigenvalue of B.
     The circle must enclose g and nothing else, and the result's imaginary
-    part stay within ``CONTOUR_IMAG``; ``tolerances`` is not consulted.
+    part stay within ``CONTOUR_IMAG``; ``tolerances`` is ignored and stays
+    for ``perfbench/run.py``, which passes it.
     """
     if n_quad < 16:
         raise ValueError(f"n_quad must be >= 16, got {n_quad}")

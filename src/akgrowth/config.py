@@ -35,7 +35,6 @@ import numpy as np
 from .errors import ConfigError
 from .grid import Grid, GridFunction
 from .spectral import ModelParams
-from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 SCHEMA_VERSION = 1
 
@@ -95,10 +94,11 @@ class RunConfig:
     n_perturbations: int = 20
     out_dir: str = "."
     sweep: dict = field(default_factory=dict)
-    tolerance_overrides: dict = field(default_factory=dict)
 
-    def tolerances(self) -> Tolerances:
-        return replace(DEFAULT_TOLERANCES, **self.tolerance_overrides)
+    def tolerances(self) -> None:
+        """None: no threshold is configurable.  Kept only for
+        ``perfbench/run.py``, which passes the result to functions that ignore it."""
+        return None
 
     def model(self) -> tuple[Grid, ModelParams, GridFunction]:
         """Validate and build the grid, parameters, and initial state."""
@@ -178,15 +178,11 @@ def parse_config(text: str) -> RunConfig:
     scalars: dict = {}
     profiles: dict[str, dict] = {}
     sweep: dict[str, list[float]] = {}
-    overrides: dict[str, float] = {}
     for key, value in pairs.items():
         if key in _SCALAR_KEYS:
             scalars[key] = _parse(key, value, _SCALAR_KEYS[key])
         elif key.startswith("tol."):
-            name = key[4:]
-            if name not in Tolerances.__dataclass_fields__:
-                raise ConfigError(f"unknown tolerance {name!r}")
-            overrides[name] = _parse(key, value, float)
+            raise ConfigError(f"unknown tolerance {key[4:]!r}")
         elif key.startswith("sweep."):
             name = key[6:]
             if name not in ("rho", "gamma", "sigma"):
@@ -221,7 +217,6 @@ def parse_config(text: str) -> RunConfig:
     config = RunConfig(
         profiles=profile_specs,
         sweep=sweep,
-        tolerance_overrides=overrides,
         **scalars,
     )
     # fail fast on anything inconsistent before any computation runs,

@@ -24,7 +24,7 @@ whose text is the one reported.
 The thresholds are the module constants ``REALNESS_TOL``,
 ``SIMPLICITY_TOL``, ``POSITIVITY_TOL``, ``METZLER_SLACK``,
 ``UNIQUENESS_TOL`` and ``CONDITION_LIMIT`` (derived from ``REALNESS_TOL``);
-``perron-audit`` reads no config, so none of them is a ``tol.*`` key.
+like every threshold of the program, none of them is a config key.
 """
 
 from __future__ import annotations

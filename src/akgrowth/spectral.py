@@ -38,7 +38,6 @@ import numpy as np
 
 from .errors import GridMismatchError, PositivityError
 from .grid import TWO_PI, Grid, GridFunction, inner_l2, is_strictly_positive
-from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,16 +120,13 @@ class OperatorMatrix:
         object.__setattr__(self, "entries", m)
 
 
-def assemble_generator(
-    params: ModelParams,
-    grid: Grid,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
-) -> OperatorMatrix:
+def assemble_generator(params: ModelParams, grid: Grid, tolerances=None) -> OperatorMatrix:
     """Assemble sigma * D2 + diag(A) on the given grid.
 
     The result is symmetric by construction (``fourier_second_derivative``
     is the symmetric Toeplitz matrix of one column), so no tolerance is
-    consulted; ``tolerances`` stays in the signature for callers that pass it.
+    consulted; ``tolerances`` is ignored and stays for ``perfbench/run.py``,
+    which passes it.
     """
     if params.grid != grid:
         raise GridMismatchError("params profiles do not live on the requested grid")
@@ -251,15 +247,12 @@ def _checked_basis(grid: Grid, eigenvalues: np.ndarray, vectors: np.ndarray) -> 
     return basis
 
 
-def eigendecompose(
-    op: OperatorMatrix,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
-) -> SpectralBasis:
+def eigendecompose(op: OperatorMatrix, tolerances=None) -> SpectralBasis:
     """Full symmetric eigendecomposition of the generator.
 
     Eigenvalues come out descending.  Eigenvectors are rescaled so that each
     b_k has unit quadrature norm; b_0 passes the checks of ``_checked_basis``.
-    ``tolerances`` is not consulted and stays for callers that pass it.
+    ``tolerances`` is ignored and stays for ``perfbench/run.py``, which passes it.
     """
     # upper triangle: on the homogeneous profile at n = 128, sigma = 1 it puts
     # lambda_0 3.2e-13 from A_0, the lower one 6.4e-13, which the growth rate

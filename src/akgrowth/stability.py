@@ -18,7 +18,9 @@ import numpy as np
 
 from .closed_loop import ProjectionData, Trajectory
 from .grid import GridFunction, inner_l2, sup_norm
-from .tolerances import DEFAULT_TOLERANCES, Tolerances
+
+# absolute slack of the convergence-bound audit
+BOUND_SLACK = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,16 +81,12 @@ def fit_decay_rate(times: np.ndarray, deviations: np.ndarray) -> float:
     return float(slope)
 
 
-def convergence_bound_check(
-    traj: Trajectory,
-    pd: ProjectionData,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
-) -> StabilityReport:
+def convergence_bound_check(traj: Trajectory, pd: ProjectionData) -> StabilityReport:
     """Audit the explicit convergence bound at every sampled time.
 
     Checks sup|detrended(t) - steady| <= M * exp(-(g-lambda1)*t) * sup|K0 -
-    steady| with the explicit M, allowing only the absolute slack recorded in
-    the tolerance record.  Violations are reported, never raised.
+    steady| with the explicit M, allowing only the absolute slack
+    ``BOUND_SLACK``.  Violations are reported, never raised.
     """
     M = float(bound_constant(pd.w.values, pd.beta.values, pd.basis.grid.weight))
     K0 = GridFunction(traj.grid, traj.states[0])
@@ -97,7 +95,7 @@ def convergence_bound_check(
     deviations = np.abs(traj.detrended - steady.values).max(axis=1)
     rate = pd.g - pd.basis.lambda1
     bounds = M * np.exp(-rate * traj.times) * deviations[0]
-    violations = deviations - (bounds + tolerances.bound_slack)
+    violations = deviations - (bounds + BOUND_SLACK)
     max_violation = float(violations.max())
     return StabilityReport(
         M=M,

@@ -53,7 +53,6 @@ from .errors import HalfSpaceError, SeriesCancellationError, TailDivergenceError
 from .grid import GridFunction
 from .hjb import HjbSolution, _pairing, consumption_weight, hamiltonian, utility, value_at_pairing
 from .spectral import ModelParams, SpectralBasis
-from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 # (m,) times -> (m, n) consumption rows
 ControlProvider = Callable[[np.ndarray], np.ndarray]
@@ -69,6 +68,16 @@ _AMPLITUDES = (0.05, 0.2)
 
 # log of the largest float: e^|c| past it leaves the float range
 _MAX_EXPONENT = math.log(np.finfo(float).max)
+
+# the certificate's thresholds, relative to |v(x0)|: the feedback payoff's
+# truncation tail, the dominance slack of a perturbed payoff, the defect of
+# the dynamic-programming equation, the payoff-equals-value gap, and the
+# discounted value left at the horizon
+TAIL_REL = 1e-8
+DOMINANCE_REL = 1e-6
+HJB_RESIDUAL_REL = 1e-9
+VALUE_EQUALITY_REL = 1e-6
+TRANSVERSALITY_TAIL_REL = 1e-6
 
 
 @lru_cache(maxsize=None)
@@ -364,7 +373,6 @@ def optimality_audit(
     x0: GridFunction,
     n_perturbations: int,
     seed: int,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
 ) -> OptimalityAudit:
     """Certify v(x0) against the payoff functional.
 
@@ -385,10 +393,10 @@ def optimality_audit(
     v = value_at_pairing(sol, p0)
     a0, u0 = _feedback_utility(sol, p0)
     # the smallest horizon, at least 1, at which the closed-form tail of the
-    # feedback payoff, |u0| e^(-a0 T)/a0, drops below tail_rel * |v|
+    # feedback payoff, |u0| e^(-a0 T)/a0, drops below TAIL_REL * |v|
     horizon = 1.0
     if u0 != 0.0:
-        horizon = max(1.0, math.log(abs(u0) / (a0 * tolerances.tail_rel * abs(v))) / a0)
+        horizon = max(1.0, math.log(abs(u0) / (a0 * TAIL_REL * abs(v))) / a0)
     tail = math.exp(-a0 * horizon) / a0 * abs(u0)
     optimal = _feedback_payoff(a0, u0, horizon, _NODES_PER_UNIT)
     doubled = _feedback_payoff(a0, u0, horizon, 2 * _NODES_PER_UNIT)
@@ -408,7 +416,7 @@ def optimality_audit(
         for (a, m, phase), J in zip(draws, perturbed)
     ]
     max_perturbed = float(perturbed.max(initial=-math.inf))
-    dominated = bool(np.all(perturbed <= v + tolerances.dominance_rel * abs(v)))
+    dominated = bool(np.all(perturbed <= v + DOMINANCE_REL * abs(v)))
     return OptimalityAudit(
         J_opt=optimal,
         v=v,
@@ -452,14 +460,13 @@ def transversality_check(
     sol: HjbSolution,
     times: np.ndarray,
     pairings: np.ndarray,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
 ) -> bool:
     """Discounted value along a path must decay to (numerical) zero.
 
     ``pairings`` are the path's <K(t), b0> at ``times``, all the value
     function reads of a state.  True iff e^(-rho t) |v(K(t))| is
     nonincreasing over the sampled tail (second half of the samples) and its
-    final value is below ``transversality_tail_rel`` times |v(K(0))|.
+    final value is below ``TRANSVERSALITY_TAIL_REL`` times |v(K(0))|.
     """
     if np.any(pairings <= 0.0):
         raise HalfSpaceError(
@@ -469,5 +476,5 @@ def transversality_check(
     tail = values[values.size // 2 :]
     slack = 1e-12 * values[0]
     decreasing = bool(np.all(np.diff(tail) <= slack))
-    small = values[-1] < tolerances.transversality_tail_rel * values[0]
+    small = values[-1] < TRANSVERSALITY_TAIL_REL * values[0]
     return decreasing and small

@@ -3,8 +3,9 @@
 perfbench/spans.py wraps the functions it lists in ``TRACED`` and evaluates
 its ``FLOPS`` models on their bound arguments and results.  perfbench/run.py
 reads attributes of the akgrowth modules it imports, calls
-``build_closed_loop`` and ``compute_projection_data`` positionally, and
-checks ``projection_via_contour`` against ``projection_matrix``.  A change to
+``build_closed_loop`` and ``compute_projection_data`` positionally, passes
+``RunConfig.tolerances()`` to four functions that ignore it, and checks
+``projection_via_contour`` against ``projection_matrix``.  A change to
 ``src/`` that breaks any of these breaks the benchmark without failing any
 other test.  The benchmark files are only read here.
 """
@@ -21,8 +22,10 @@ import numpy as np
 import pytest
 
 import akgrowth as ak
+from akgrowth.config import load_config
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+DEMO = PERFBENCH.parent / "demos" / "config_homogeneous.cfg"
 
 
 def _traced() -> dict:
@@ -92,25 +95,39 @@ def test_module_attribute_resolves(module, name):
         f"perfbench reads akgrowth.{module}.{name}, which is gone")
 
 
-def test_contour_oracle_calls_of_the_run_script(window):
+@pytest.fixture()
+def run_tolerances():
+    """What run.py's contour oracle passes as ``tol``: ``RunConfig.tolerances()``,
+    which no threshold reads any more but which the run script still calls."""
+    source = (PERFBENCH / "run.py").read_text()
+    assert "tol = run.tolerances()" in source
+    assert "spectral.eigendecompose(spectral.assemble_generator(params, grid, tol), tol)" in source
+    return load_config(DEMO).tolerances()
+
+
+def test_contour_oracle_calls_of_the_run_script(window, run_tolerances):
     source = (PERFBENCH / "run.py").read_text()
     assert "closed_loop.projection_via_contour(clo, tolerances=tol)" in source
     assert "closed_loop.projection_matrix(pd)" in source
-    contour = ak.closed_loop.projection_via_contour(window.clo, tolerances=ak.DEFAULT_TOLERANCES)
+    contour = ak.closed_loop.projection_via_contour(window.clo, tolerances=run_tolerances)
     assert contour.n_quad > 0
     error = np.abs(contour.matrix - ak.closed_loop.projection_matrix(window.pd)).max()
     assert error < 1e-6  # run.py's ORACLE_ENTRY_TOL
 
 
-def test_positional_calls_of_the_run_script(window):
+def test_positional_calls_of_the_run_script(window, run_tolerances):
     source = (PERFBENCH / "run.py").read_text()
     assert "closed_loop.build_closed_loop(basis, sol)" in source
     assert "closed_loop.compute_projection_data(basis, sol, tol)" in source
     for function, arity in ((ak.closed_loop.build_closed_loop, 2),
                             (ak.closed_loop.compute_projection_data, 3)):
         inspect.signature(function).bind(*range(arity))
+    op = ak.spectral.assemble_generator(window.params, window.grid, run_tolerances)
+    np.testing.assert_array_equal(op.entries, window.op.entries)
+    basis = ak.spectral.eigendecompose(op, run_tolerances)
+    np.testing.assert_array_equal(basis.eigenvalues, window.basis.eigenvalues)
     clo = ak.closed_loop.build_closed_loop(window.basis, window.sol)
-    pd = ak.closed_loop.compute_projection_data(window.basis, window.sol, ak.DEFAULT_TOLERANCES)
+    pd = ak.closed_loop.compute_projection_data(window.basis, window.sol, run_tolerances)
     assert clo.grid == window.grid
     assert pd.basis is window.basis
 
@@ -134,7 +151,7 @@ FLOPS = _load_spans().FLOPS
 
 # FLOPS model -> the call the program makes, on the ``window`` fixture
 FLOP_CALLS = {
-    "spectral.eigendecompose": lambda w: (w.op, ak.DEFAULT_TOLERANCES),
+    "spectral.eigendecompose": lambda w: (w.op, load_config(DEMO).tolerances()),
     "closed_loop.build_closed_loop": lambda w: (w.basis, w.sol),
     "closed_loop.simulate": lambda w: (w.clo, w.K0, 10.0, 200),
     "closed_loop.projection_via_contour": lambda w: (w.clo,),

@@ -112,17 +112,42 @@ class TestSolve:
         ["orthonormality", "growth_law_rel", "underflow_floor", "perron_realness",
          "perron_simplicity", "perron_positivity", "metzler_slack", "b0_normalization",
          "spectrum_collision", "quadrature_consistency", "pairing_normalization",
-         "contour_imag"],
+         "contour_imag", "bound_slack", "value_equality_rel", "tail_rel",
+         "dominance_rel", "hjb_residual_rel", "transversality_tail_rel"],
     )
     def test_removed_tolerance_is_unknown(self, tmp_path, capsys, name):
-        # these knobs changed no command's output, or gave way to a bound the
-        # check derives, so they are no longer accepted
+        # these knobs changed no command's output, gave way to a bound the
+        # check derives, or became a constant beside the check that reads it,
+        # so they are no longer accepted
         cfg = tmp_path / "tol.cfg"
         cfg.write_text(WINDOW_CFG + f"tol.{name} = 1e-6\n")
         out = tmp_path / "out"
         assert main(["solve", "--config", str(cfg), "--out", str(out), "--quiet"]) == 1
         assert capsys.readouterr().err.startswith(f"error: unknown tolerance '{name}'")
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "simulate", "verify", "sweep"])
+def test_tolerance_key_fails_every_command(tmp_path, capsys, command):
+    # no threshold is configurable: the key fails the config before any output
+    cfg = tmp_path / "tol.cfg"
+    cfg.write_text(WINDOW_CFG + "tol.dominance_rel = 1e-3\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: unknown tolerance 'dominance_rel'\n"
+    assert not out.exists()
+
+
+def test_thresholds_are_constants():
+    # the values the retired tol.* keys defaulted to
+    assert stability.BOUND_SLACK == 1e-9
+    assert verify.VALUE_EQUALITY_REL == 1e-6
+    assert verify.TAIL_REL == 1e-8
+    assert verify.DOMINANCE_REL == 1e-6
+    assert verify.HJB_RESIDUAL_REL == 1e-9
+    assert verify.TRANSVERSALITY_TAIL_REL == 1e-6
 
 
 @pytest.mark.parametrize("command", ["solve", "simulate", "verify", "sweep"])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import akgrowth
-from akgrowth import ConfigError, Tolerances, cli
+from akgrowth import ConfigError, cli
 from akgrowth.config import parse_config
 
 GOOD = """
@@ -68,22 +68,6 @@ class TestParsing:
         config = parse_config(head + table + rest)
         _, params, _ = config.model()
         np.testing.assert_allclose(params.A.values, 2.0)
-
-    def test_tolerance_override(self):
-        config = parse_config(GOOD + "tol.dominance_rel = 1e-3\n")
-        assert config.tolerances().dominance_rel == 1e-3
-
-    def test_every_tolerance_is_read(self):
-        # a field that no module reads would be a tol.* key that changes nothing
-        package = Path(akgrowth.__file__).parent
-        read = {
-            node.attr
-            for path in package.glob("*.py")
-            if path.name != "tolerances.py"
-            for node in ast.walk(ast.parse(path.read_text()))
-            if isinstance(node, ast.Attribute)
-        }
-        assert set(Tolerances.__dataclass_fields__) - read == set()
 
     def test_no_module_imports_scipy(self):
         # NumPy and the standard library run every command
@@ -253,7 +237,7 @@ class TestRejection:
 
     @pytest.mark.parametrize(
         "key, bad",
-        [("K0.mode", "one"), ("A.value", "abc"), ("tol.dominance_rel", "abc"), ("sweep.sigma", ",")],
+        [("K0.mode", "one"), ("A.value", "abc"), ("n_steps", "abc"), ("sweep.sigma", ",")],
     )
     def test_unparseable_value_names_its_key(self, key, bad):
         kept = [line for line in GOOD.splitlines() if not line.startswith(f"{key} =")]
