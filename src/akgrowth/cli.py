@@ -128,67 +128,20 @@ def cmd_verify(config: RunConfig, out: Path, quiet: bool,
         raise ConfigError(
             f"--debug-perturb-alpha must be > -1 and finite, got {debug_perturb_alpha!r}"
         )
-    # the value function, the feedback and every check below read the
-    # generator only through its Perron pair (lambda0, b0)
+    # the value function, the feedback and every check of the certificate
+    # read the generator only through its Perron pair (lambda0, b0)
     params, K0, basis, _ = _state_model(config, spectral.principal_pair)
     sol = hjb.solve_hjb(basis, params)
     if debug_perturb_alpha:
         sol = dataclasses.replace(sol, alpha=sol.alpha * (1.0 + debug_perturb_alpha))
 
-    # v = alpha <x, b0>^(1-gamma)/(1-gamma) makes the residual homogeneous of
-    # degree 0 in <x, b0>: its value at K0 is its value on the half-space
-    max_residual = verify.hjb_residual(sol, K0)
-
-    audit = verify.optimality_audit(sol, K0, config.n_perturbations, config.seed)
-
-    # transversality needs a horizon long enough for the discounted value to
-    # die; it is checked on the optimal path and on the sampled perturbations
-    # of the feedback law (admissible by construction), whose discounted value
-    # decays at the feedback rate up to the factor e^(-c (1 - e^(-T))).
-    # The optimal path's pairing <K(t), b0> grows as e^(r t) with r the
-    # closed loop's leading eigenvalue lambda0 - <withdrawal, b0>, so its
-    # discounted value is v(K0) e^(-d t) with d = rho - r (1-gamma)
-    r = basis.lambda0 - inner_l2(sol.withdrawal, basis.b0)
-    decay = params.rho - r * (1.0 - params.gamma)
-    envelope = verify.perturbed_transversality_envelope(sol, audit.horizon)
-    transversal = (
-        decay > 0
-        and math.exp(-decay * audit.horizon) < verify.TRANSVERSALITY_TAIL_REL
-        and audit.max_discounted_terminal_rel <= envelope
-    )
-
-    checks = {
-        "hjb_residual": bool(max_residual < verify.HJB_RESIDUAL_REL),
-        "value_equality": bool(audit.rel_gap < verify.VALUE_EQUALITY_REL),
-        "dominance": bool(audit.all_dominated),
-        "transversality": bool(transversal),
-    }
-    failed = [name for name, ok in checks.items() if not ok]
-    report = {
-        "J_opt": audit.J_opt,
-        "v": audit.v,
-        "rel_gap": audit.rel_gap,
-        "n_perturbations": audit.n_perturbations,
-        "max_perturbed_J": audit.max_perturbed_J,
-        "all_dominated": audit.all_dominated,
-        "max_hjb_residual": max_residual,
-        "transversality": transversal,
-        "max_discounted_terminal_rel": audit.max_discounted_terminal_rel,
-        "perturbed_terminal_envelope": envelope,
-        "horizon": audit.horizon,
-        "tail_bound": audit.tail_bound,
-        "quadrature_doubling_gap": audit.quadrature_doubling_gap,
-        "seed": audit.seed,
-        "perturbation_family": audit.perturbation_family,
-        "checks": checks,
-        "failed_check": failed[0] if failed else None,
-    }
+    report = verify.certificate(sol, K0, config.n_perturbations, config.seed)
     out.mkdir(parents=True, exist_ok=True)
     serialize.write_json(out / "audit.json", report)
-    if failed:
-        _say(quiet, f"verify: FAILED check {failed[0]}")
+    if report["failed_check"]:
+        _say(quiet, f"verify: FAILED check {report['failed_check']}")
         return EXIT_AUDIT_FAILED
-    _say(quiet, f"verify: all checks passed (rel_gap={audit.rel_gap!r})")
+    _say(quiet, f"verify: all checks passed (rel_gap={report['rel_gap']!r})")
     return EXIT_OK
 
 

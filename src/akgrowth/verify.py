@@ -31,6 +31,7 @@ The residual of the dynamic-programming equation is homogeneous of degree 0
 in <x, b0>, so ``hjb_residual`` has one value on the whole half-space.
 ``transversality_check`` reads a path through its pairings <K(t), b0>, which
 for the optimal path are the closed loop's leading mode <K0, b0> e^(r t).
+``certificate`` compares every defect with its threshold: audit.json's record.
 
 ``payoff`` and ``open_loop_trajectory`` integrate any control numerically; a
 control maps a 1-D array of m times to the (m, n) array of consumption
@@ -50,7 +51,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import HalfSpaceError, SeriesCancellationError, TailDivergenceError
-from .grid import GridFunction
+from .grid import GridFunction, inner_l2
 from .hjb import HjbSolution, _pairing, consumption_weight, hamiltonian, utility, value_at_pairing
 from .spectral import ModelParams, SpectralBasis
 
@@ -478,3 +479,48 @@ def transversality_check(
     decreasing = bool(np.all(np.diff(tail) <= slack))
     small = values[-1] < TRANSVERSALITY_TAIL_REL * values[0]
     return decreasing and small
+
+
+def certificate(sol: HjbSolution, x0: GridFunction, n_perturbations: int, seed: int) -> dict:
+    """The optimality certificate of ``sol`` at x0, the record of audit.json: its
+    ``checks`` are, in order, ``hjb_residual`` < HJB_RESIDUAL_REL, the
+    ``optimality_audit`` gap < VALUE_EQUALITY_REL, dominance and
+    transversality; ``failed_check`` is the first that fails, or None.
+
+    Transversality reads the optimal path through its pairing, the closed
+    loop's leading mode <K0, b0> e^(r t), r = lambda0 - <withdrawal, b0>, so
+    its discounted value is v(K0) e^(-d t), d = rho - r (1-gamma).  It holds
+    when three clauses do, T the audit's horizon:
+    - d > 0: the discounted value dies.  d equals a0 = rho - g (1-gamma)
+      exactly when the growth identity <eta P, b0> = lambda0 - g holds.
+    - e^(-d T) < TRANSVERSALITY_TAIL_REL: it has died by T.  T makes
+      e^(-a0 T) = TAIL_REL (unless floored at 1), so the clause holds
+      whenever d > ln(1/TRANSVERSALITY_TAIL_REL)/T, about 3/4 of a0.
+    - max_discounted_terminal_rel <= perturbed_terminal_envelope: at T no
+      perturbed plan's discounted value exceeds the envelope that
+      ``perturbed_transversality_envelope`` proves, for every admissible
+      plan if gamma < 1 and for the audit's family if gamma > 1.
+    """
+    max_residual = hjb_residual(sol, x0)  # one value on the whole half-space
+    audit = optimality_audit(sol, x0, n_perturbations, seed)
+    params, basis = sol.params, sol.basis
+    r = basis.lambda0 - inner_l2(sol.withdrawal, basis.b0)
+    decay = params.rho - r * (1.0 - params.gamma)
+    envelope = perturbed_transversality_envelope(sol, audit.horizon)
+    transversal = bool(decay > 0
+                       and math.exp(-decay * audit.horizon) < TRANSVERSALITY_TAIL_REL
+                       and audit.max_discounted_terminal_rel <= envelope)
+    checks = {"hjb_residual": bool(max_residual < HJB_RESIDUAL_REL),
+              "value_equality": bool(audit.rel_gap < VALUE_EQUALITY_REL),
+              "dominance": audit.all_dominated, "transversality": transversal}
+    return {
+        "J_opt": audit.J_opt, "v": audit.v, "rel_gap": audit.rel_gap,
+        "n_perturbations": audit.n_perturbations, "max_perturbed_J": audit.max_perturbed_J,
+        "all_dominated": audit.all_dominated, "max_hjb_residual": max_residual,
+        "transversality": transversal,
+        "max_discounted_terminal_rel": audit.max_discounted_terminal_rel,
+        "perturbed_terminal_envelope": envelope, "horizon": audit.horizon,
+        "tail_bound": audit.tail_bound, "quadrature_doubling_gap": audit.quadrature_doubling_gap,
+        "seed": audit.seed, "perturbation_family": audit.perturbation_family,
+        "checks": checks, "failed_check": next((k for k, ok in checks.items() if not ok), None),
+    }

@@ -56,7 +56,7 @@ CLUSTER_GAP = 0.1
 CLUSTER_SEPARATION = 0.5
 # audit.json fields that are rounding-level quantities themselves
 FIELD_BOUNDS = {
-    # tolerance hjb_residual_rel = 1e-9; the defect itself is ~1e-16
+    # threshold verify.HJB_RESIDUAL_REL = 1e-9; the defect itself is ~1e-16
     "max_hjb_residual": (DRIFT_REL, 1e-13),
     # the distance of two quadratures of one scalar exponential, ~1e-15
     "quadrature_doubling_gap": (0.0, 1e-12),

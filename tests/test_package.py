@@ -193,6 +193,19 @@ def test_a_shadowing_local_is_no_reference(tmp_path):
     assert _unreferenced(package, perfbench) == {"integral", "scale"}
 
 
+
+def test_cli_reads_no_threshold():
+    # the certificate's thresholds and each comparison with them live in
+    # verify: cli reads no ALL-CAPS constant of a package module
+    tree = _parse(PACKAGE / "cli.py")
+    modules, names = _imports(tree)
+    read = [f"{modules[node.value.id]}.{node.attr}" for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in modules and node.attr.isupper()]
+    read += [f"{module}.{name}" for module, name in names.values() if name.isupper()]
+    assert read == []
+
+
 def test_every_import_is_used():
     unused = []
     for path in sorted(PACKAGE.glob("*.py")):

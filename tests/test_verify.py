@@ -1,5 +1,6 @@
 import dataclasses
 import importlib.util
+import json
 import math
 import sys
 import tracemalloc
@@ -782,6 +783,30 @@ class TestTransversality:
         np.testing.assert_allclose(closed, simulated, rtol=1e-12)
         assert (ak.transversality_check(pipe.sol, traj.times, closed)
                 == ak.transversality_check(pipe.sol, traj.times, simulated))
+
+
+
+class TestCertificate:
+    @pytest.mark.parametrize("name", ["homogeneous", "variable"])
+    @pytest.mark.parametrize("perturb_alpha, failed", [(0.0, None), (0.05, "hjb_residual")])
+    def test_record_of_the_golden_cases(self, name, perturb_alpha, failed):
+        # the golden verify cases without the CLI: the record has audit.json's
+        # keys in order, the four checks in order, and the first failing check;
+        # test_golden compares the values
+        golden = ROOT / "tests" / "golden"
+        run = dataclasses.replace(load_config(golden / f"{name}.cfg"), n_points=32)
+        grid, params, K0 = run.model()
+        sol = ak.solve_hjb(ak.principal_pair(ak.assemble_generator(params, grid)), params)
+        if perturb_alpha:  # as verify --debug-perturb-alpha applies it
+            sol = dataclasses.replace(sol, alpha=sol.alpha * (1.0 + perturb_alpha))
+        record = ak.verify.certificate(sol, K0, run.n_perturbations, run.seed)
+        case = f"{name}-verify-alpha" if perturb_alpha else f"{name}-verify"
+        committed = json.loads((golden / case / "audit.json").read_text())
+        assert list(record) == list(committed)
+        assert list(record["checks"]) == [
+            "hjb_residual", "value_equality", "dominance", "transversality"]
+        assert record["checks"] == committed["checks"]
+        assert record["failed_check"] == committed["failed_check"] == failed
 
 
 class TestHalfSpaceSampling:
