@@ -55,21 +55,16 @@ def _basis(grid: Grid, params: spectral.ModelParams, decompose: Callable | None 
                           f"{exc}; a larger sigma keeps b0 resolvable") from exc
 
 
-def _model(config: RunConfig, decompose: Callable | None = None):
-    """Params, K0 and spectral basis (``_basis``) of a config.
+def _state_model(config: RunConfig, decompose: Callable | None = None):
+    """Params, K0, spectral basis (``_basis``) and the pairing <K0, b0> of a
+    config, for the commands that start from K0, which must lie in the open
+    half-space <K0, b0> > 0 where the value function is defined.
 
     hjb.solve_hjb on this basis is the well-posedness check: it raises
     InfeasibleParametersError when rho <= lambda0*(1-gamma).
     """
     grid, params, K0 = config.model()
-    return params, K0, _basis(grid, params, decompose)
-
-
-def _state_model(config: RunConfig, decompose: Callable | None = None):
-    """``_model`` for the commands that start from K0, which must lie in the
-    open half-space <K0, b0> > 0 where the value function is defined; the
-    pairing <K0, b0> is returned last."""
-    params, K0, basis = _model(config, decompose)
+    basis = _basis(grid, params, decompose)
     pairing = inner_l2(K0, basis.b0)
     if not pairing > 0:
         raise ConfigError(f"<K0, b0> = {pairing!r} is not strictly positive")
@@ -181,7 +176,7 @@ def _sweep_batch(rhos: list[float], gammas: list[float], sigma: float,
 def sweep_rows(config: RunConfig) -> list[dict]:
     """The rows of sweep.csv, in Cartesian order with sigma innermost.
 
-    The model is built once.  The basis depends on sigma but not on rho or
+    It reads the config's model.  The basis depends on sigma but not on rho or
     gamma, so each distinct sigma is decomposed once, and its (gamma, rho)
     rows are evaluated as one batch.  The first row in Cartesian order that
     failed a check raises its error, as if the rows had been evaluated one
@@ -299,11 +294,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_perron_audit(
                 args.seed, args.count, args.max_dim, Path(args.out), quiet
             )
-        config = load_config(args.config)
-        if args.n_points is not None:
-            config = dataclasses.replace(config, n_points=args.n_points)
-        if args.seed is not None:
-            config = dataclasses.replace(config, seed=args.seed)
+        config = load_config(args.config, n_points=args.n_points, seed=args.seed)
         out = Path(args.out) if args.out is not None else Path(config.out_dir)
         if args.command == "solve":
             return cmd_solve(config, out, quiet)

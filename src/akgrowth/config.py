@@ -21,6 +21,10 @@ so a run is fully reproducible from its config file alone:
     t_final = 10.0
     n_steps = 200
     seed = 2024
+
+Building a ``RunConfig`` is the one validation of a run, and builds its
+model once.  ``parse_config`` only parses, and applies the CLI's
+``--n-points`` and ``--seed`` overrides before that validation.
 """
 
 from __future__ import annotations
@@ -94,14 +98,16 @@ class RunConfig:
     n_perturbations: int = 20
     out_dir: str = "."
     sweep: dict = field(default_factory=dict)
+    # (grid, params, K0), built once by __post_init__; replace() rebuilds it
+    _model: tuple = field(init=False, repr=False, compare=False)
 
-    def tolerances(self) -> None:
-        """None: no threshold is configurable.  Kept only for
-        ``perfbench/run.py``, which passes the result to functions that ignore it."""
-        return None
-
-    def model(self) -> tuple[Grid, ModelParams, GridFunction]:
-        """Validate and build the grid, parameters, and initial state."""
+    def __post_init__(self) -> None:
+        """Validate the run, each swept value included, and build its model."""
+        if not (math.isfinite(self.t_final) and self.t_final > 0):
+            raise ConfigError(f"t_final must be finite and > 0, got {self.t_final}")
+        for key in ("n_steps", "n_perturbations"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         try:
@@ -117,17 +123,26 @@ class RunConfig:
             except ValueError as exc:
                 raise ConfigError(f"profile {name!r}: {exc}") from exc
         try:
-            params = ModelParams(
-                sigma=self.sigma,
-                rho=self.rho,
-                gamma=self.gamma,
-                q=self.q,
-                A=built["A"],
-                eta=built["eta"],
-            )
+            params = ModelParams(sigma=self.sigma, rho=self.rho, gamma=self.gamma, q=self.q,
+                                 A=built["A"], eta=built["eta"])
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        return grid, params, built["K0"]
+        for name, values in self.sweep.items():
+            for value in values:
+                try:
+                    replace(params, **{name: value})
+                except ValueError as exc:
+                    raise ConfigError(f"sweep.{name}: {exc}") from exc
+        object.__setattr__(self, "_model", (grid, params, built["K0"]))
+
+    def tolerances(self) -> None:
+        """None: no threshold is configurable.  Kept only for
+        ``perfbench/run.py``, which passes the result to functions that ignore it."""
+        return None
+
+    def model(self) -> tuple[Grid, ModelParams, GridFunction]:
+        """The grid, parameters, and initial state, built at construction."""
+        return self._model
 
 
 def _float_list(text: str) -> list[float]:
@@ -153,8 +168,9 @@ def _parse(key: str, text: str, convert: Callable):
         raise ConfigError(f"cannot parse {key} = {text!r}") from exc
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse and fully validate a config document (no partial results)."""
+def parse_config(text: str, *, n_points: int | None = None,
+                 seed: int | None = None) -> RunConfig:
+    """Parse a config document; ``n_points`` and ``seed`` replace the file's."""
     pairs: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -214,27 +230,13 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"profile {name!r}: {kind} needs {needed!r}")
         profile_specs[name] = ProfileSpec(kind=kind, parameters=parameters)
 
-    config = RunConfig(
-        profiles=profile_specs,
-        sweep=sweep,
-        **scalars,
-    )
-    # fail fast on anything inconsistent before any computation runs,
-    # swept values included: each must pass the ModelParams rules on its own
-    if not (math.isfinite(config.t_final) and config.t_final > 0):
-        raise ConfigError(f"t_final must be finite and > 0, got {config.t_final}")
-    for key in ("n_steps", "n_perturbations"):
-        if getattr(config, key) < 1:
-            raise ConfigError(f"{key} must be >= 1, got {getattr(config, key)}")
-    _, params, _ = config.model()
-    for name, values in sweep.items():
-        for value in values:
-            try:
-                replace(params, **{name: value})
-            except ValueError as exc:
-                raise ConfigError(f"sweep.{name}: {exc}") from exc
-    return config
+    if n_points is not None:
+        scalars["n_points"] = n_points
+    if seed is not None:
+        scalars["seed"] = seed
+    return RunConfig(profiles=profile_specs, sweep=sweep, **scalars)
 
 
-def load_config(path: str | Path) -> RunConfig:
-    return parse_config(Path(path).read_text())
+def load_config(path: str | Path, *, n_points: int | None = None,
+                seed: int | None = None) -> RunConfig:
+    return parse_config(Path(path).read_text(), n_points=n_points, seed=seed)

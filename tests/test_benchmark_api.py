@@ -11,6 +11,7 @@ other test.  The benchmark files are only read here.
 """
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -103,6 +104,18 @@ def run_tolerances():
     assert "tol = run.tolerances()" in source
     assert "spectral.eigendecompose(spectral.assemble_generator(params, grid, tol), tol)" in source
     return load_config(DEMO).tolerances()
+
+
+def test_replace_rebuilds_the_model_of_the_run_script():
+    # contour_oracle runs replace(load_config(path), n_points=512).model():
+    # the replaced config builds its own model at 512 points, not a copy
+    source = (PERFBENCH / "run.py").read_text()
+    assert "dataclasses.replace(config.load_config(inp.config), n_points=512)" in source
+    assert "grid, params, _ = run.model()" in source
+    run = dataclasses.replace(load_config(DEMO), n_points=512)
+    grid, params, K0 = run.model()
+    assert grid.n_points == 512
+    assert params.A.grid == params.eta.grid == K0.grid == grid
 
 
 def test_contour_oracle_calls_of_the_run_script(window, run_tolerances):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from akgrowth import cli, closed_loop, hjb, inner_l2, spectral, stability, verify
 from akgrowth.cli import main
-from akgrowth.config import parse_config
+from akgrowth.config import ProfileSpec, parse_config
 from akgrowth.errors import ConfigError, InfeasibleParametersError, SpectrumCollisionError
 from akgrowth.perron import (
     GeneratorMatrix,
@@ -152,12 +152,51 @@ def test_thresholds_are_constants():
 
 @pytest.mark.parametrize("command", ["solve", "simulate", "verify", "sweep"])
 def test_invalid_n_points_override(window_cfg, tmp_path, capsys, command):
-    # the override is validated when the command builds its model, before any output
+    # the override is validated with the rest of the config, before any output
     out = tmp_path / "out"
     argv = [command, "--config", str(window_cfg), "--out", str(out), "--n-points", "7"]
     assert main([*argv, "--quiet"]) == 1
     assert capsys.readouterr().err.startswith("error:")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "simulate", "verify", "sweep"])
+@pytest.mark.parametrize("key, invalid, flag", [("n_points", "6", "32"), ("seed", "-3", "5")])
+def test_override_replaces_an_invalid_file_value(tmp_path, command, key, invalid, flag):
+    # an override is applied before the config is validated, so the file's
+    # value is never checked and the run is the one with the flag's value
+    # written in
+    line = re.search(f"^{key} = .*$", WINDOW_CFG, re.M).group()
+    runs = {}
+    for name, value, flags in [("flag", invalid, [f"--{key.replace('_', '-')}", flag]),
+                               ("file", flag, [])]:
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(WINDOW_CFG.replace(line, f"{key} = {value}"))
+        out = tmp_path / name
+        assert main([command, "--config", str(cfg), "--out", str(out), *flags, "--quiet"]) == 0
+        runs[name] = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert runs["flag"] and runs["flag"] == runs["file"]
+
+
+@pytest.mark.parametrize("command", ["solve", "simulate", "verify", "sweep"])
+@pytest.mark.parametrize("n_points", [None, 32])
+def test_profiles_built_once_per_op(tmp_path, monkeypatch, command, n_points):
+    # a run is one model: the config builds the grid and its three profiles
+    # once, at the n the command runs, and every command reads that model
+    cfg = tmp_path / "variable.cfg"
+    cfg.write_text(VARIABLE_DEMO.read_text() + "sweep.sigma = 1.0, 2.0, 3.0\n")
+    built = []
+    build = ProfileSpec.build
+
+    def spy(self, grid):
+        built.append(grid.n_points)
+        return build(self, grid)
+
+    monkeypatch.setattr(ProfileSpec, "build", spy)
+    flags = [] if n_points is None else ["--n-points", str(n_points)]
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out), *flags, "--quiet"]) == 0
+    assert built == [n_points or 128] * 3
 
 
 @pytest.mark.parametrize("command", ["solve", "simulate", "verify", "sweep"])
@@ -400,7 +439,7 @@ def test_tiny_eta_gives_the_correct_closed_loop(tmp_path, capsys):
         argv = [command, "--config", str(cfg), "--out", str(out), "--n-points", "32"]
         assert main([*argv, "--quiet"]) == 0
     assert capsys.readouterr().err == ""
-    params, _, basis = cli._model(dataclasses.replace(parse_config(text), n_points=32))
+    params, _, basis, _ = cli._state_model(parse_config(text, n_points=32))
     sol = hjb.solve_hjb(basis, params)
     assert abs(basis.lambda0 - inner_l2(sol.withdrawal, basis.b0) - sol.g) <= 1e-12
 
@@ -477,7 +516,7 @@ def test_underflowing_profile_below_gamma_one_is_zero(tmp_path, capsys):
         out = tmp_path / command
         assert main([command, "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
     assert capsys.readouterr().err == ""
-    params, _, basis = cli._model(parse_config(text))
+    params, _, basis, _ = cli._state_model(parse_config(text))
     sol = hjb.solve_hjb(basis, params)
     log_profile = (((params.q - 1.0) * np.log(params.eta.values) - math.log(sol.alpha)
                     - np.log(basis.b0.values)) / params.gamma)
@@ -624,7 +663,7 @@ class TestVerify:
         assert audit["max_discounted_terminal_rel"] <= audit["perturbed_terminal_envelope"]
         # the figure is the largest value read off the drawn plans' pairings
         # at T, on the basis verify itself takes
-        params, K0, basis = cli._model(parse_config(text), spectral.principal_pair)
+        params, K0, basis, _ = cli._state_model(parse_config(text), spectral.principal_pair)
         sol = hjb.solve_hjb(basis, params)
         p0 = inner_l2(K0, basis.b0)
         closed = largest_discounted_terminal_value(
@@ -651,7 +690,7 @@ class TestVerify:
         assert main(["verify", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
         audit = read_json(out / "audit.json")
         assert audit["failed_check"] is None
-        params, _, basis = cli._model(parse_config(text))
+        params, _, basis, _ = cli._state_model(parse_config(text))
         sol = hjb.solve_hjb(basis, params)
         decay = math.exp(-verify.optimal_payoff_exponent(sol) * audit["horizon"])
         assert audit["max_discounted_terminal_rel"] > 2.0 * decay
@@ -827,7 +866,8 @@ def _reference_sweep_row(config, rho, gamma, sigma):
     """One sweep row computed alone: its own config, model and basis."""
     point = dataclasses.replace(config, rho=rho, gamma=gamma, sigma=sigma)
     row = {"rho": rho, "gamma": gamma, "sigma": sigma}
-    params, _, basis = cli._model(point)
+    grid, params, _ = point.model()
+    basis = cli._basis(grid, params)
     try:
         sol = hjb.solve_hjb(basis, params)
     except InfeasibleParametersError:
@@ -911,7 +951,8 @@ class TestSweepMatchesPerPointReference:
         # rho = lambda0 - gamma * lambda1 puts g on lambda1: a feasible row
         # whose projection collides with the spectrum and leaves M empty
         config = parse_config(VARIABLE_SWEEP_CFG)
-        _, _, basis = cli._model(config)
+        grid, params, _ = config.model()
+        basis = cli._basis(grid, params)
         gammas = [0.5, 2.0]
         rhos = [basis.lambda0 - gamma * basis.lambda1 for gamma in gammas]
         config = dataclasses.replace(
@@ -948,7 +989,8 @@ class TestSweepMatchesPerPointReference:
             for gamma in (0.5, 2.0):
                 for sigma in (1.0, 2.0):
                     point = dataclasses.replace(config, rho=rho, gamma=gamma, sigma=sigma)
-                    params, _, basis = cli._model(point)
+                    grid, params, _ = point.model()
+                    basis = cli._basis(grid, params)
                     try:
                         sol = hjb.solve_hjb(basis, params)
                         closed_loop.compute_projection_data(basis, sol)
@@ -982,7 +1024,8 @@ class TestSweepMatchesPerPointReference:
                 except ConfigError as exc:
                     failures.append(((rho, gamma), str(exc)))
         assert [point for point, _ in failures] == [(1e50, 20.0), (1e250, 2.0), (1e250, 20.0)]
-        params, _, basis = cli._model(config)
+        grid, params, _ = config.model()
+        basis = cli._basis(grid, params)
         errors = hjb.solve_rows(basis, params, [2.0, 2.0, 20.0, 20.0],
                                 [1e50, 1e250, 1e50, 1e250])[2]
         assert [error is None for error in errors] == [True, False, False, False]
@@ -1054,7 +1097,8 @@ class TestSweepMatchesPerPointReference:
             if row["M"] is None:
                 continue
             gamma = row["gamma"]
-            params, _, basis = cli._model(dataclasses.replace(config, sigma=row["sigma"]))
+            grid, params, _ = dataclasses.replace(config, sigma=row["sigma"]).model()
+            basis = cli._basis(grid, params)
             L = spectral.assemble_generator(params, basis.grid).entries
             b0 = basis.b0.values
             alpha0 = row["alpha"] ** (1.0 / (1.0 - gamma))

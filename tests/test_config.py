@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import re
 from pathlib import Path
 
@@ -234,6 +235,26 @@ class TestRejection:
     def test_swept_value_breaking_model_rules(self, sweep):
         with pytest.raises(ConfigError, match=sweep.split(" ")[0]):
             parse_config(GOOD + sweep + "\n")
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("sigma", 0.0), ("t_final", 0.0), ("n_points", 7), ("sweep", {"sigma": [1.0, 0.0]})],
+    )
+    def test_replace_is_validated_like_a_config_file(self, tmp_path, capsys, key, value):
+        # a RunConfig made in code is validated as it is built, and fails
+        # with the error the CLI prints for that value in a config file
+        if key == "sweep":
+            text = GOOD + "sweep.sigma = 1.0, 0.0\n"
+        else:
+            text = re.sub(f"(?m)^{key} = .*$", f"{key} = {value}", GOOD)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        assert cli.main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                         "--quiet"]) == 1
+        printed = capsys.readouterr().err
+        with pytest.raises(ConfigError) as raised:
+            dataclasses.replace(parse_config(GOOD), **{key: value})
+        assert printed == f"error: {raised.value}\n"
 
     @pytest.mark.parametrize(
         "key, bad",
