@@ -37,12 +37,13 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError
-from .grid import Grid, GridFunction
+from .grid import TWO_PI, Grid, GridFunction
 from .spectral import ModelParams
 
 SCHEMA_VERSION = 1
 
 _PROFILE_NAMES = ("A", "eta", "K0")
+_SWEEP_NAMES = ("rho", "gamma", "sigma")
 _SCALAR_KEYS = {
     "n_points": int,
     "sigma": float,
@@ -72,7 +73,14 @@ class ProfileSpec:
             amplitude = self.parameters.get("amplitude", 0.0)
             mode = int(self.parameters.get("mode", 1))
             phase = self.parameters.get("phase", 0.0)
-            theta = grid.nodes
+            # the nodes as signed angles 2 pi s / n, s in (-n/2, n/2]: the
+            # angles of nodes j and n - j are then exact negatives, so a
+            # phase-0 profile is exactly even, as the generator's
+            # reflection blocks require
+            n = grid.n_points
+            signed = np.arange(n)
+            signed[n // 2 + 1:] -= n
+            theta = TWO_PI * signed / n
             return GridFunction(grid, mean + amplitude * np.cos(mode * theta + phase))
         if self.kind == "custom-table":
             values = self.parameters["values"]
@@ -110,6 +118,9 @@ class RunConfig:
                 raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        for name in self.sweep:
+            if name not in _SWEEP_NAMES:
+                raise ConfigError(f"unknown sweep parameter {name!r}")
         try:
             grid = Grid(self.n_points)
         except ValueError as exc:
@@ -200,10 +211,7 @@ def parse_config(text: str, *, n_points: int | None = None,
         elif key.startswith("tol."):
             raise ConfigError(f"unknown tolerance {key[4:]!r}")
         elif key.startswith("sweep."):
-            name = key[6:]
-            if name not in ("rho", "gamma", "sigma"):
-                raise ConfigError(f"unknown sweep parameter {name!r}")
-            sweep[name] = _parse(key, value, _float_list)
+            sweep[key[6:]] = _parse(key, value, _float_list)
         elif "." in key:
             name, attr = key.split(".", 1)
             if name not in _PROFILE_NAMES:

@@ -26,6 +26,21 @@ and the growth rate and the audit's terminal value amplify that rounding.
 The Perron pair takes the same driver's eigenvalues alone (``eigvalsh``,
 without the eigenvectors and their back-transform) and then b0 by one step
 of inverse iteration from the vector of ones (Ipsen, SIAM Review 39, 1997).
+
+When A is even about node 0, as every ``constant`` profile and every
+``cosine`` profile of phase 0 is, the generator commutes with the reflection
+j -> -j mod n of the nodes and splits into an even block of size n/2 + 1 and
+an odd block of size n/2 - 1 (``_reflection_blocks``).  Both decompositions
+then solve the two blocks instead of the whole matrix, which halves the
+solve and cuts ``syevd``'s 1 + 6n + 2n^2 workspace about fourfold; the
+strictly positive b0 pairs positively with the vector of ones, which is
+even, so it lies in the even block, where ``principal_pair`` runs its step.
+The split is taken only when L[i, k] == L[-i, -k] holds exactly, entry for
+entry: a generator even only to rounding would have its eigenvectors forced
+into a parity its own matrix does not have.  So the second-derivative column
+is mirrored rather than computed twice, and the config samples a cosine at
+signed angles that are exact negatives of each other.  Any other generator,
+a table that is not even or a cosine of nonzero phase, is solved whole.
 """
 
 from __future__ import annotations
@@ -93,10 +108,14 @@ def fourier_second_derivative(n: int) -> np.ndarray:
     if n < 8 or n % 2 != 0:
         raise ValueError(f"n must be even and >= 8, got {n}")
     h = TWO_PI / n
-    j = np.arange(1, n)
+    half = n // 2
+    j = np.arange(1, half + 1)
     column = np.empty(n)
     column[0] = -np.pi**2 / (3.0 * h**2) - 1.0 / 6.0
-    column[1:] = -0.5 * (-1.0) ** j / np.sin(j * h / 2.0) ** 2
+    column[1:half + 1] = -0.5 * (-1.0) ** j / np.sin(j * h / 2.0) ** 2
+    # column[n - j] = column[j] exactly, so the matrix commutes exactly with
+    # the reflection j -> -j mod n of the nodes, which ``eigendecompose`` uses
+    column[half + 1:] = column[half - 1:0:-1]
     # entry (i, k) depends on |i - k| only: the symmetric Toeplitz matrix of
     # column, whose row i is the n-window at n-1-i of column[n-1:0:-1] + column
     windows = np.lib.stride_tricks.sliding_window_view(np.concatenate((column[:0:-1], column)), n)
@@ -247,20 +266,89 @@ def _checked_basis(grid: Grid, eigenvalues: np.ndarray, vectors: np.ndarray) -> 
     return basis
 
 
+def _reflection_blocks(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The even and odd blocks of a symmetric generator that commutes exactly
+    with the reflection j -> -j mod n of the nodes, or None if it does not.
+
+    The even block is L in the orthonormal basis e_0, (e_j + e_(n-j)) / sqrt 2
+    for 0 < j < n/2, and e_(n/2); the odd block in (e_j - e_(n-j)) / sqrt 2.
+    Each entry is gathered from the rows j <= n/2 of L, one sum or difference.
+    """
+    if not (np.array_equal(entries, entries.T)
+            and np.array_equal(entries[0, 1:], entries[0, :0:-1])
+            and np.array_equal(entries[1:, 1:], entries[:0:-1, :0:-1])):
+        return None
+    n = entries.shape[0]
+    half = n // 2
+    near = entries[:half + 1, :half + 1]
+    far = entries[:half + 1, -np.arange(half + 1) % n]  # far[a, b] = L[a, n - b]
+    even = near + far
+    odd = near[1:half, 1:half] - far[1:half, 1:half]
+    # nodes 0 and n/2 are their own mirror images: their rows and columns
+    # carry sqrt(2) L, the 2 x 2 block between them L itself
+    ends = [0, half]
+    even[ends] = math.sqrt(2.0) * near[ends]
+    even[:, ends] = math.sqrt(2.0) * near[:, ends]
+    even[np.ix_(ends, ends)] = near[np.ix_(ends, ends)]
+    return even, odd
+
+
+def _even_node_values(coordinates: np.ndarray, scale: float) -> np.ndarray:
+    """Scale, in place, the rows of (n/2 + 1, ...) even-block ``coordinates``
+    to ``scale`` times the values of their vectors at nodes 0 to n/2, which
+    nodes n - j repeat."""
+    half = coordinates.shape[0] - 1
+    coordinates[[0, half]] *= scale
+    coordinates[1:half] *= scale / math.sqrt(2.0)
+    return coordinates
+
+
+def _block_eigh(entries: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray] | None:
+    """Descending eigenvalues and ``scale`` times the eigenvectors of a
+    generator that commutes exactly with the reflection of the nodes, solved
+    as its two blocks (``_reflection_blocks``), each vector unfolded straight
+    into its descending column; None for any other generator.  The blocks and
+    their vectors are freed on return, before the caller copies the result."""
+    blocks = _reflection_blocks(entries)
+    if blocks is None:
+        return None
+    (lam_even, vec_even), (lam_odd, vec_odd) = (np.linalg.eigh(b, UPLO="U") for b in blocks)
+    lam = np.concatenate((lam_even, lam_odd))
+    order = np.argsort(-lam, kind="stable")
+    n = len(lam)
+    column = np.empty(n, dtype=int)
+    column[order] = np.arange(n)  # the column of each block eigenvalue, descending
+    half = n // 2
+    even, odd = column[:half + 1], column[half + 1:]
+    vectors = np.zeros((n, n))  # an odd vector vanishes at nodes 0 and n/2
+    vectors[:half + 1, even] = _even_node_values(vec_even, scale)
+    vectors[half + 1:, even] = vec_even[half - 1:0:-1]
+    vec_odd *= scale / math.sqrt(2.0)
+    vectors[1:half, odd] = vec_odd
+    vectors[half + 1:, odd] = -vec_odd[::-1]
+    return lam[order], vectors
+
+
 def eigendecompose(op: OperatorMatrix, tolerances=None) -> SpectralBasis:
     """Full symmetric eigendecomposition of the generator.
 
     Eigenvalues come out descending.  Eigenvectors are rescaled so that each
     b_k has unit quadrature norm; b_0 passes the checks of ``_checked_basis``.
+    A generator that commutes exactly with the reflection of the nodes is
+    solved as its two blocks (``_block_eigh``), any other one whole.
     ``tolerances`` is ignored and stays for ``perfbench/run.py``, which passes it.
     """
-    # upper triangle: on the homogeneous profile at n = 128, sigma = 1 it puts
-    # lambda_0 3.2e-13 from A_0, the lower one 6.4e-13, which the growth rate
-    # g (bounded by 1e-12 in the homogeneous CLI test) doubles to 1.3e-12
-    lam, vec = np.linalg.eigh(op.entries, UPLO="U")
     # eigh returns Euclidean-orthonormal columns; rescale to quadrature norm 1
-    vec = vec[:, ::-1] * np.sqrt(op.grid.n_points / TWO_PI)
-    return _checked_basis(op.grid, lam[::-1], vec)
+    scale = math.sqrt(op.grid.n_points / TWO_PI)
+    # upper triangle: on the homogeneous profile at n = 128, sigma = 1 the
+    # even block's eigh puts lambda_0 2.0e-13 from A_0 with it and 7.1e-13
+    # with the lower one, which the growth rate g (bounded by 1e-12 in the
+    # homogeneous CLI test) doubles to 1.4e-12
+    pairs = _block_eigh(op.entries, scale)
+    if pairs is None:
+        lam, vec = np.linalg.eigh(op.entries, UPLO="U")
+        pairs = lam[::-1], vec[:, ::-1] * scale
+    return _checked_basis(op.grid, *pairs)
 
 
 def principal_pair(op: OperatorMatrix) -> SpectralBasis:
@@ -276,14 +364,24 @@ def principal_pair(op: OperatorMatrix) -> SpectralBasis:
     that is not strictly positive can be orthogonal to the vector of ones:
     a Rayleigh quotient of b0 nearer lambda1 than lambda0 is then a
     PositivityError too.  The basis holds the one vector b0, and the code
-    that expands in the whole basis refuses it.
+    that expands in the whole basis refuses it.  A generator that commutes
+    exactly with the reflection of the nodes gives its eigenvalues block by
+    block (``_reflection_blocks``), and the step runs in the even block, which
+    holds the vector of ones and so every strictly positive eigenvector.
     """
     grid = op.grid
-    lam = np.linalg.eigvalsh(op.entries, UPLO="U")[::-1]
-    shifted = op.entries.copy()
+    n = grid.n_points
+    blocks = _reflection_blocks(op.entries)
+    if blocks is None:
+        lam = np.linalg.eigvalsh(op.entries, UPLO="U")[::-1]
+        shifted, ones = op.entries.copy(), np.ones(n)
+    else:
+        lam = np.sort(np.concatenate([np.linalg.eigvalsh(b, UPLO="U") for b in blocks]))[::-1]
+        shifted = blocks[0]
+        ones = np.full(n // 2 + 1, math.sqrt(2.0))  # the vector of ones in the even block
+        ones[[0, -1]] = 1.0
     diagonal = np.diag_indices_from(shifted)
     shifted[diagonal] -= lam[0]
-    ones = np.ones(grid.n_points)
     try:
         b0 = np.linalg.solve(shifted, ones)
     except np.linalg.LinAlgError:
@@ -291,6 +389,9 @@ def principal_pair(op: OperatorMatrix) -> SpectralBasis:
         # moves by eps ||L||_1, the size of lambda0's own rounding error
         shifted[diagonal] -= np.finfo(float).eps * float(np.abs(op.entries).sum(axis=0).max())
         b0 = np.linalg.solve(shifted, ones)
+    if blocks is not None:
+        b0 = _even_node_values(b0, 1.0)
+        b0 = np.concatenate((b0, b0[-2:0:-1]))
     b0 /= math.sqrt(grid.weight * float(b0 @ b0))
     basis = _checked_basis(grid, lam, b0[:, None])
     # a strictly positive b0 pairs positively with the vector of ones, so the

@@ -81,12 +81,16 @@ class TestSolve:
         assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o"), "--quiet"]) == 2
 
     def test_infeasible_message(self, tmp_path, capsys):
-        # the error formats its message when it is read; the text is unchanged
+        # the error formats its message when it is read; the text is unchanged.
+        # The bound's digits are the eigensolver's rounding of lambda0 = 1, so
+        # they are taken from the same config's own lambda0
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(WINDOW_CFG.replace("rho = 0.75", "rho = 0.4"))
         assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o"), "--quiet"]) == 2
+        grid, params, _ = parse_config(cfg.read_text()).model()
+        lambda0 = cli._basis(grid, params).lambda0
         assert capsys.readouterr().err == (
-            "infeasible parameters: rho=0.4 does not exceed lambda0*(1-gamma)=0.49999999999984107\n"
+            f"infeasible parameters: rho=0.4 does not exceed lambda0*(1-gamma)={lambda0 * (1 - 0.5)}\n"
         )
         assert str(InfeasibleParametersError(0.4, 0.5)) == (
             "rho=0.4 does not exceed lambda0*(1-gamma)=0.5"
@@ -293,16 +297,18 @@ def test_unresolvable_b0_is_a_config_error(tmp_path, capsys, command, edit):
 
 
 def test_unresolvable_perron_pair_is_a_config_error(tmp_path, capsys):
-    # verify's b0 comes from inverse iteration, whose tails at the noise floor
-    # differ from eigh's: at sigma = 1e-3 they are positive (min/max 7.0e-16,
-    # eigh's -2.2e-16), at sigma = 1e-4 negative like eigh's
+    # verify's b0 comes from inverse iteration, whose tails at sigma = 1e-4
+    # lie at the noise floor, so the sign of their min/max is the solver's
+    # rounding; the error states the rule it breaks, a min/max below the margin
     cfg = tmp_path / "small_sigma.cfg"
     cfg.write_text(VARIABLE_DEMO.read_text().replace("sigma = 2.0", "sigma = 1e-4"))
     out = tmp_path / "out"
     assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: sigma = 0.0001 with n_points = 128: ")
-    assert "b0 min/max = -" in err
+    ratio, margin = re.search(r"b0 min/max = (\S+), not above its rounding margin "
+                              r"16 eps max\|lambda\| / \(lambda0 - lambda1\) = (\S+);", err).groups()
+    assert float(ratio) < float(margin)
     assert err.count("\n") == 1
     assert not out.exists()
 

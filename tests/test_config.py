@@ -238,13 +238,17 @@ class TestRejection:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("sigma", 0.0), ("t_final", 0.0), ("n_points", 7), ("sweep", {"sigma": [1.0, 0.0]})],
+        [("sigma", 0.0), ("t_final", 0.0), ("n_points", 7), ("sweep", {"sigma": [1.0, 0.0]}),
+         # a name the parser refuses: replace() once ignored q and raised
+         # TypeError on bogus
+         ("sweep", {"q": [0.1, 0.2]}), ("sweep", {"bogus": [1.0]})],
     )
     def test_replace_is_validated_like_a_config_file(self, tmp_path, capsys, key, value):
         # a RunConfig made in code is validated as it is built, and fails
         # with the error the CLI prints for that value in a config file
         if key == "sweep":
-            text = GOOD + "sweep.sigma = 1.0, 0.0\n"
+            (name, values), = value.items()
+            text = GOOD + f"sweep.{name} = {', '.join(map(repr, values))}\n"
         else:
             text = re.sub(f"(?m)^{key} = .*$", f"{key} = {value}", GOOD)
         cfg = tmp_path / "bad.cfg"

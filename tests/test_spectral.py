@@ -337,6 +337,148 @@ class TestPrincipalPair:
             ak.SpectralBasis(grid, np.arange(16.0)[::-1], np.ones((16, k)))
 
 
+@st.composite
+def even_params(draw):
+    """A technology profile even about node 0, as the config builds it, on
+    an even grid of 8 to 256 points, with sigma from 1e-2 to 10: a constant,
+    a phase-0 cosine of mode 1 to 5 and amplitude below 0.99, or a table."""
+    grid = Grid(draw(st.integers(4, 128).map(lambda half: 2 * half)))
+    kind = draw(st.sampled_from(["constant", "cosine", "custom-table"]))
+    if kind == "constant":
+        spec = ProfileSpec(kind, {"value": draw(st.floats(0.1, 5.0))})
+    elif kind == "cosine":
+        spec = ProfileSpec(kind, {"mean": 1.0, "amplitude": draw(st.floats(0.0, 0.98)),
+                                  "mode": draw(st.integers(1, 5))})
+    else:
+        half = draw(st.lists(st.floats(0.5, 1.5), min_size=grid.n_points // 2 + 1,
+                             max_size=grid.n_points // 2 + 1))
+        spec = ProfileSpec(kind, {"values": half + half[-2:0:-1]})
+    return ak.ModelParams(
+        sigma=draw(st.floats(1e-2, 10.0)), rho=1.0, gamma=0.5, q=0.0,
+        A=spec.build(grid), eta=GridFunction.constant(grid, 1.0),
+    )
+
+
+def dense_oracle(op):
+    """Descending eigenvalues and quadrature-scaled eigenvectors of the whole
+    matrix, the dense path of ``eigendecompose`` before its checks of b0."""
+    lam, vec = np.linalg.eigh(op.entries, UPLO="U")
+    return lam[::-1], vec[:, ::-1] * np.sqrt(op.grid.n_points / TWO_PI)
+
+
+def unchecked_eigendecompose(op, monkeypatch):
+    """``eigendecompose``'s eigenvalues and vectors as handed to its checks of
+    b0, which at a small sigma may refuse b0."""
+    seen, checked_basis = [], ak.spectral._checked_basis
+
+    def spy(grid, eigenvalues, vectors):
+        seen.append((eigenvalues.copy(), vectors.copy()))
+        return checked_basis(grid, eigenvalues, vectors)
+
+    monkeypatch.setattr(ak.spectral, "_checked_basis", spy)
+    try:
+        ak.eigendecompose(op)
+    except (PositivityError, RuntimeError):
+        pass
+    monkeypatch.undo()
+    return seen[0]
+
+
+def solver_shapes(op, monkeypatch):
+    """The shapes of the matrices that ``eigendecompose`` hands to ``eigh``
+    and ``principal_pair`` to ``eigvalsh``."""
+    shapes = {"eigh": [], "eigvalsh": []}
+    for name in shapes:
+        def spy(a, *args, _solver=getattr(np.linalg, name), _shapes=shapes[name], **kwargs):
+            _shapes.append(a.shape)
+            return _solver(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, spy)
+    ak.eigendecompose(op)
+    ak.principal_pair(op)
+    monkeypatch.undo()
+    return shapes
+
+
+class TestReflectionBlocks:
+    """A generator that commutes exactly with the reflection j -> -j mod n
+    is solved as an even block of n/2 + 1 and an odd block of n/2 - 1."""
+
+    @settings(max_examples=40)
+    @given(params=even_params())
+    def test_blocks_match_the_dense_oracle(self, params):
+        op = ak.assemble_generator(params, params.grid)
+        n, weight = params.grid.n_points, params.grid.weight
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            assert solver_shapes(op, monkeypatch)["eigh"] == [(n // 2 + 1,) * 2, (n // 2 - 1,) * 2]
+            lam, vectors = unchecked_eigendecompose(op, monkeypatch)
+        oracle_lam, oracle_vectors = dense_oracle(op)
+        # both carry a rounding error of a few eps ||L||: over 400 random
+        # generators of this family they differed by at most 7.3 eps ||L||
+        bound = 16 * EPS * generator_norm(params)
+        assert np.abs(lam - oracle_lam).max() <= bound
+        # quadrature-orthonormal within its rounding, at most 0.6 n eps there
+        assert np.abs(weight * vectors.T @ vectors - np.eye(n)).max() <= 4 * n * EPS
+        # each cluster's projector within Davis-Kahan's ||E|| / separation of
+        # the oracle's, for a perturbation E the size of the eigenvalue bound;
+        # clusters split where neighbours lie 1e-6 ||L|| apart
+        edges = np.flatnonzero(-np.diff(oracle_lam) >= 1e-6 * generator_norm(params)) + 1
+        for cluster in np.split(np.arange(n), edges):
+            rest = np.delete(oracle_lam, cluster)
+            separation = np.abs(rest[:, None] - oracle_lam[cluster]).min() if len(rest) else np.inf
+            defect = weight * np.abs(vectors[:, cluster] @ vectors[:, cluster].T
+                                     - oracle_vectors[:, cluster] @ oracle_vectors[:, cluster].T)
+            assert defect.max() <= bound / separation
+        # where the dense b0 clears its rounding margin tenfold, both
+        # decompositions keep it, and principal_pair matches eigendecompose
+        b0 = oracle_vectors[:, 0] * np.sign(oracle_vectors[:, 0].sum())
+        margin = 16 * EPS * np.abs(oracle_lam).max() / (oracle_lam[0] - oracle_lam[1])
+        if b0.min() > 10 * margin * b0.max():
+            assert_principal_pair_matches(op)
+
+    @pytest.mark.parametrize("spec", [
+        ProfileSpec("cosine", {"mean": 1.0, "amplitude": 0.5, "mode": 2, "phase": 0.3}),
+        ProfileSpec("custom-table", {
+            "values": (1.0 + 0.2 * np.random.default_rng(8).random(64)).tolist()}),
+    ])
+    def test_uneven_profile_takes_the_dense_path(self, spec, monkeypatch):
+        grid = Grid(64)
+        params = ak.ModelParams(sigma=0.7, rho=1.0, gamma=0.5, q=0.0, A=spec.build(grid),
+                                eta=GridFunction.constant(grid, 1.0))
+        op = ak.assemble_generator(params, grid)
+        assert solver_shapes(op, monkeypatch) == {"eigh": [(64, 64)], "eigvalsh": [(64, 64)]}
+        # the same eigenvalues and vectors as the dense path, bit for bit
+        basis = ak.eigendecompose(op)
+        lam, vectors = dense_oracle(op)
+        vectors[:, 0] *= np.sign(vectors[:, 0].sum())
+        assert np.array_equal(basis.eigenvalues, lam)
+        assert np.array_equal(basis.vectors, vectors)
+
+    @pytest.mark.parametrize("spec", [
+        ProfileSpec("constant", {"value": 1.0}),
+        ProfileSpec("cosine", {"mean": 1.0, "amplitude": 0.5, "mode": 2}),
+    ])
+    def test_even_profile_takes_the_blocks(self, spec, monkeypatch):
+        grid = Grid(64)
+        params = ak.ModelParams(sigma=0.7, rho=1.0, gamma=0.5, q=0.0, A=spec.build(grid),
+                                eta=GridFunction.constant(grid, 1.0))
+        shapes = solver_shapes(ak.assemble_generator(params, grid), monkeypatch)
+        assert shapes == {"eigh": [(33, 33), (31, 31)], "eigvalsh": [(33, 33), (31, 31)]}
+
+    @pytest.mark.parametrize("n", [8, 128, 512, 1024])
+    def test_second_derivative_is_exactly_mirror_symmetric(self, n):
+        d2 = ak.fourier_second_derivative(n)
+        mirror = -np.arange(n) % n
+        assert np.array_equal(d2, d2[mirror][:, mirror])
+
+    def test_phase_zero_cosine_profiles_are_exactly_even(self):
+        for n in range(8, 1025, 2):
+            grid = Grid(n)
+            for mode in range(1, 8):
+                values = ProfileSpec("cosine", {"mean": 1.0, "amplitude": 0.5,
+                                                "mode": mode}).build(grid).values
+                assert np.array_equal(values[1:], values[:0:-1]), (n, mode)
+
+
 class TestResolvent:
     def test_eigenvector_identity(self, variable):
         # with mu = lambda0 - 1 the resolvent leaves b0 unchanged
