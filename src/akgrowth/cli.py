@@ -50,7 +50,7 @@ def _basis(grid: Grid, params: spectral.ModelParams, decompose: Callable | None 
     op = spectral.assemble_generator(params, grid)
     try:
         return (decompose or spectral.eigendecompose)(op)
-    except PositivityError as exc:  # at a small sigma b0 decays below float64 resolution
+    except PositivityError as exc:  # b0 unresolved at a small sigma, or lambda0 not simple
         raise ConfigError(f"sigma = {params.sigma!r} with n_points = {grid.n_points}: "
                           f"{exc}; a larger sigma keeps b0 resolvable") from exc
 
@@ -154,7 +154,7 @@ def _sweep_batch(rhos: list[float], gammas: list[float], sigma: float,
     growth, alpha, errors, _, withdrawal = hjb.solve_rows(basis, params, gammas, rhos)
     solved = [i for i, error in enumerate(errors) if error is None]
     if solved:
-        w, projection_errors = closed_loop.projection_rows(basis, withdrawal,
+        w, projection_errors = closed_loop.projection_rows(basis, withdrawal[solved],
                                                            [growth[i] for i in solved])
         with np.errstate(all="ignore"):  # a failing row's nan or inf is kept quiet
             bounds = stability.bound_constant(w, basis.b0.values, basis.grid.weight).tolist()
@@ -177,17 +177,15 @@ def sweep_rows(config: RunConfig) -> list[dict]:
     """The rows of sweep.csv, in Cartesian order with sigma innermost.
 
     It reads the config's model.  The basis depends on sigma but not on rho or
-    gamma, so each distinct sigma is decomposed once, and its (gamma, rho)
-    rows are evaluated as one batch.  The first row in Cartesian order that
-    failed a check raises its error, as if the rows had been evaluated one
-    by one.
+    gamma, so each distinct sigma is decomposed once, and its (rho, gamma)
+    rows, in Cartesian order, are evaluated as one batch.  The first row in
+    Cartesian order that failed a check raises its error, as if the rows had
+    been evaluated one by one.
     """
     rhos = config.sweep.get("rho", [config.rho])
     gammas = config.sweep.get("gamma", [config.gamma])
     sigmas = config.sweep.get("sigma", [config.sigma])
-    # a batch holds every rho of each distinct gamma in turn
-    offsets = {gamma: j * len(rhos) for j, gamma in enumerate(dict.fromkeys(gammas))}
-    batch_rhos, batch_gammas = rhos * len(offsets), [g for g in offsets for _ in rhos]
+    batch_rhos, batch_gammas = [rho for rho in rhos for _ in gammas], gammas * len(rhos)
     grid, model_params, _ = config.model()
     batches = {}
     for sigma in dict.fromkeys(sigmas):
@@ -195,13 +193,12 @@ def sweep_rows(config: RunConfig) -> list[dict]:
         basis = _basis(grid, params)
         batches[sigma] = list(_sweep_batch(batch_rhos, batch_gammas, sigma, params, basis))
     rows = []
-    for index in range(len(rhos)):
-        for gamma in gammas:
-            for sigma in sigmas:
-                row = batches[sigma][offsets[gamma] + index]
-                if isinstance(row, Exception):
-                    raise row
-                rows.append(dict(row))  # a repeated gamma or sigma reuses the row
+    for index in range(len(batch_rhos)):
+        for sigma in sigmas:
+            row = batches[sigma][index]
+            if isinstance(row, Exception):
+                raise row
+            rows.append(dict(row))  # a repeated sigma reuses the row
     return rows
 
 

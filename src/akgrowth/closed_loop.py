@@ -30,7 +30,6 @@ from .grid import NOT_FINITE, TWO_PI, Grid, GridFunction
 from .hjb import HjbSolution
 from .spectral import SpectralBasis
 
-SUBNORMAL = np.finfo(float).smallest_subnormal
 CONTOUR_IMAG = 1e-8  # bound on the imaginary residue of the contour oracle's projection
 
 
@@ -105,10 +104,11 @@ def projection_rows(basis: SpectralBasis, withdrawal: np.ndarray,
     at this level), for m rows whose withdrawal profiles are the (m, n) block
     ``withdrawal``: the (m, n) block of w and per row None or the error of its
     first failing check, in order: g collides with an eigenvalue lambda_k,
-    k >= 1; r = g fails, that is u_0 misses mu0 = lambda0 - g; w is not
-    finite; <w, b0> is not 1.  Each bound is the rounding of the row's own
-    numbers (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3),
-    so a row past one is a fault.  A failing row's nan or inf is kept quiet.
+    k >= 1; w is not finite; <w, b0> is not 1.  r = g, that is u_0 = lambda0 - g,
+    is the growth identity that ``hjb.solve_rows`` checks where it forms the
+    withdrawal.  Each bound is the rounding of the row's own numbers (Higham,
+    Accuracy and Stability of Numerical Algorithms, ch. 3), so a row past one
+    is a fault.  A failing row's nan or inf is kept quiet.
     """
     basis.require_full("projection_rows")
     lam = basis.eigenvalues
@@ -116,21 +116,12 @@ def projection_rows(basis: SpectralBasis, withdrawal: np.ndarray,
     # the series never divides by lambda0 - g: only lambda_k, k >= 1, collide
     gaps = np.abs(lam[1:] - g_row[:, None])
     u = basis.coefficient_rows(withdrawal)
-    # r = lambda0 - u_0 is the closed loop's leading eigenvalue, which must be g
-    defect = np.abs(u[:, 0] - (basis.lambda0 - g_row))
     coeffs = u / (lam - g_row[:, None])
     coeffs[:, 0] = 1.0
     w = basis.synthesize_rows(coeffs)
     pairing = basis.b0_pairings(w)
     # the eigenvalues and g are each off by a few eps times their size
     collides = (gaps.min(axis=1) < 16 * eps * (np.abs(lam).max() + np.abs(g_row))).tolist()
-    # u_0 sums n terms, each withdrawal entry exp of a log-linear form and so
-    # off by eps |log| of itself (a 0 by less than the smallest subnormal),
-    # and lambda0 - g may cancel
-    logs = np.log(np.maximum((withdrawal.max(axis=1), withdrawal.min(axis=1)), SUBNORMAL))
-    size = (n + np.abs(logs).max(axis=0)) * np.abs(u[:, 0]) + abs(basis.lambda0) + np.abs(g_row)
-    mu0_bound = 16 * eps * size
-    defective = (defect > mu0_bound).tolist()
     w_finite = np.isfinite(w).all(axis=1).tolist()
     # w and then <w, b0> sum n times every c_k b_k
     pairing_bound = 4 * n * eps * np.abs(coeffs).sum(axis=1)
@@ -141,9 +132,6 @@ def projection_rows(basis: SpectralBasis, withdrawal: np.ndarray,
             k = 1 + int(gaps[i].argmin())
             message = f"g={g[i]!r} collides with eigenvalue lambda_{k}={float(lam[k])!r}"
             errors[i] = SpectrumCollisionError(message)
-        elif defective[i]:
-            errors[i] = RuntimeError(f"mu0 quadrature consistency defect {defect[i]:g} "
-                                     f"above its rounding bound {mu0_bound[i]:.2g}")
         elif not w_finite[i]:
             errors[i] = ValueError(NOT_FINITE)
         elif unpaired[i]:

@@ -87,7 +87,7 @@ class HjbSolution:
 @np.errstate(all="ignore")
 def solve_rows(
     basis: SpectralBasis, params: ModelParams, gammas: list[float], rhos: list[float]
-) -> tuple[list[float], list[float], list, np.ndarray | None, np.ndarray | None]:
+) -> tuple[list[float], list[float], list, np.ndarray, np.ndarray]:
     """Solve ``params`` on ``basis`` at each row (gammas[i], rhos[i]).
 
     log alpha = gamma (log gamma - log(rho - lambda0*(1-gamma)) + log I), with
@@ -96,60 +96,64 @@ def solve_rows(
     floats (alpha nan after a failed check) and None or the error of its
     first failing check, in order: rho > lambda0*(1-gamma); alpha a finite
     positive float; a withdrawal eta * P with no entry that overflows and,
-    for gamma > 1, a feedback profile P with no entry that underflows to 0.
-    Then those two profiles as (m, n) blocks whose rows are the m rows with
-    no error, in order; None if no row is well-posed.  A failing row's nan
-    or inf is kept quiet.
+    for gamma > 1, a feedback profile P with no entry that underflows to 0;
+    the growth identity <eta P, b0> = lambda0 - g within its rounding bound.
+    Then those two profiles as (m, n) blocks whose row i belongs to row i;
+    a failed row's values mean nothing, and its nan or inf is kept quiet.
     """
-    lambda0 = basis.lambda0
+    lambda0, n, eps = basis.lambda0, basis.grid.n_points, np.finfo(float).eps
     g = [balanced_growth(rho, gamma, lambda0) for gamma, rho in zip(gammas, rhos)]
-    alpha = [math.nan] * len(rhos)
-    errors: list[Exception | None] = [
-        None if wellposed(rho, gamma, lambda0)
-        else InfeasibleParametersError(rho, lambda0 * (1 - gamma))
-        for gamma, rho in zip(gammas, rhos)
-    ]
-    if None not in errors:
-        return g, alpha, errors, None, None
     log_eta, log_b0 = np.log(params.eta.values), np.log(basis.b0.values)
-    rows = [i for i, error in enumerate(errors) if error is None]
     logs = {gamma: (math.log(gamma), log_alpha_integral(basis, log_eta, log_b0, params.q, gamma))
-            for gamma in dict.fromkeys(gammas[i] for i in rows)}
-    gamma_row = np.array([gammas[i] for i in rows])
-    log_gamma, log_integral = np.array([logs[gamma] for gamma in gamma_row.tolist()]).T
-    margins = np.array([rhos[i] - lambda0 * (1 - gammas[i]) for i in rows])
+            for gamma in dict.fromkeys(gammas)}
+    gamma_row = np.array(gammas)
+    log_gamma, log_integral = np.array([logs[gamma] for gamma in gammas]).T
+    margins = np.array([rho - lambda0 * (1 - gamma) for gamma, rho in zip(gammas, rhos)])
     log_alpha = gamma_row * (log_gamma - np.log(margins) + log_integral)
-    solved, positions = [], []  # the rows whose alpha passes its check
-    for position, (i, a) in enumerate(zip(rows, np.exp(log_alpha).tolist())):
-        if 0.0 < a < math.inf:
-            alpha[i] = a
-            solved.append(i)
-            positions.append(position)
-        else:
-            errors[i] = ConfigError(f"rho = {rhos[i]!r} with gamma = {gammas[i]!r}: "
-                                    f"alpha = {a!r} is not a finite positive float")
-    gamma_col = gamma_row[positions, None]
-    log_profile = ((params.q - 1.0) * log_eta - log_alpha[positions, None] - log_b0) / gamma_col
+    alpha = np.exp(log_alpha).tolist()
+    gamma_col = gamma_row[:, None]
+    log_profile = ((params.q - 1.0) * log_eta - log_alpha[:, None] - log_b0) / gamma_col
     profile = np.exp(log_profile)
     withdrawal = params.eta.values * profile
     # eta is finite and positive, so an inf in the profile is one in the
     # withdrawal; below gamma = 1 a zero consumption node has utility 0, the
     # limit of the true value, and above it utility -inf where that is finite
     ok = np.isfinite(withdrawal) & ((profile > 0.0) | (gamma_col <= 1.0))
-    kept = ok.all(axis=1)
-    for row in np.flatnonzero(~kept).tolist():
-        i, node = solved[row], int(ok[row].argmin())
-        what, why = (
-            ("the feedback profile underflows to 0",
-             ", and a zero consumption has utility -inf for gamma > 1")
-            if profile[row, node] == 0.0 else ("the withdrawal eta * P overflows", "")
-        )
-        errors[i] = ConfigError(
-            f"rho = {rhos[i]!r} with gamma = {gammas[i]!r}: {what} at node {node} (theta = "
-            f"{basis.grid.nodes[node]:.6g}); log P spans [{log_profile[row].min():.6g}, "
-            f"{log_profile[row].max():.6g}]{why}"
-        )
-    return g, alpha, errors, profile[kept], withdrawal[kept]
+    # <eta P, b0> sums n terms, each exp of the log-linear form above and so off
+    # by eps times the sizes of its terms (Higham, Accuracy and Stability of
+    # Numerical Algorithms, ch. 3); g and alpha's margin rho - lambda0*(1-gamma)
+    # are off by eps (|lambda0| + |rho|) / gamma; and lambda0 - g may cancel
+    pairing = basis.b0_pairings(withdrawal)
+    size = (abs((params.q - 1.0) * log_eta) + abs(log_b0) + abs(log_alpha)[:, None]) / gamma_col
+    scalars = abs(lambda0) + (abs(lambda0) + np.abs(rhos)) / gamma_row
+    bound = 16 * eps * ((n + (size + abs(log_eta)).max(axis=1)) * abs(pairing) + scalars)
+    defect = abs(pairing - (lambda0 - np.array(g)))
+    errors: list[Exception | None] = []
+    for i, (gamma, rho, a) in enumerate(zip(gammas, rhos, alpha)):
+        error = None  # the first check that a row fails names its error
+        if not wellposed(rho, gamma, lambda0):
+            error = InfeasibleParametersError(rho, lambda0 * (1 - gamma))
+        elif not 0.0 < a < math.inf:
+            error = ConfigError(f"rho = {rho!r} with gamma = {gamma!r}: "
+                                f"alpha = {a!r} is not a finite positive float")
+        elif not ok[i].all():
+            node = int(ok[i].argmin())
+            what, why = (
+                ("the feedback profile underflows to 0",
+                 ", and a zero consumption has utility -inf for gamma > 1")
+                if profile[i, node] == 0.0 else ("the withdrawal eta * P overflows", "")
+            )
+            error = ConfigError(
+                f"rho = {rho!r} with gamma = {gamma!r}: {what} at node {node} (theta = "
+                f"{basis.grid.nodes[node]:.6g}); log P spans [{log_profile[i].min():.6g}, "
+                f"{log_profile[i].max():.6g}]{why}"
+            )
+        elif defect[i] > bound[i]:
+            error = RuntimeError(f"mu0 quadrature consistency defect {defect[i]:g} "
+                                 f"above its rounding bound {bound[i]:.2g}")
+        errors.append(error)
+    alpha = [a if error is None else math.nan for a, error in zip(alpha, errors)]
+    return g, alpha, errors, profile, withdrawal
 
 
 def solve_hjb(basis: SpectralBasis, params: ModelParams) -> HjbSolution:

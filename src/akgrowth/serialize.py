@@ -40,7 +40,7 @@ import numpy as np
 
 from .closed_loop import Trajectory
 from .spectral import SpectralBasis
-from .stability import StabilityReport
+from .stability import StabilityReport, _log_slope
 
 
 def format_float(x: float) -> str:
@@ -331,10 +331,7 @@ def write_trajectory_csv(path: str | Path, traj: Trajectory) -> None:
 def trajectory_summary(traj: Trajectory, basis: SpectralBasis) -> dict:
     """Pairings <K(t), b0> per sample plus the fitted growth exponent."""
     pairings = basis.grid.weight * (traj.states @ basis.b0.values)
-    if np.all(pairings > 0):
-        fitted = float(np.polyfit(traj.times, np.log(pairings), 1)[0])
-    else:
-        fitted = float("nan")
+    fitted = _log_slope(traj.times, pairings) if np.all(pairings > 0) else float("nan")
     return {
         "times": traj.times,
         "inner_b0": pairings,

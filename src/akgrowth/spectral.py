@@ -234,14 +234,14 @@ def _checked_basis(grid: Grid, eigenvalues: np.ndarray, vectors: np.ndarray) -> 
     each of quadrature norm 1, once b_0 passes its checks.
 
     lambda_0 must be simple.  b_0 is sign-flipped (in place) if needed so
-    that it is strictly positive with a margin above its rounding error, and
-    a PositivityError signals a discretization too coarse (or an invalid
-    profile) if it is not; its norm must be 1 within 4 n eps, its rounding.
+    that it is strictly positive with a margin above its rounding error.  A
+    PositivityError signals a discretization too coarse (or an invalid
+    profile) if either fails; b_0's norm must be 1 within 4 n eps, its rounding.
     """
     if not eigenvalues[0] > eigenvalues[1]:
-        raise RuntimeError(
+        raise PositivityError(
             "leading eigenvalue is not simple: "
-            f"{eigenvalues[0]!r} vs {eigenvalues[1]!r}"
+            f"{float(eigenvalues[0])!r} vs {float(eigenvalues[1])!r}"
         )
     b0 = vectors[:, 0]
     if b0.sum() < 0:

@@ -12,6 +12,7 @@ as admissible for the original positivity-constrained problem.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,6 +63,15 @@ def admissibility_condition(pd: ProjectionData, K0: GridFunction, M: float) -> b
     return M * deviation <= abs(pairing) * w_min
 
 
+def _log_slope(times: np.ndarray, values: np.ndarray) -> float:
+    """Least-squares slope of log(values) against increasing ``times``, fitted
+    in time scaled by 2^-e, e the binary exponent of the last time, as
+    ``np.polyfit`` squares times, which underflow below about 1e-162.  The
+    scale is exact, so the slope keeps the bits of the unscaled fit."""
+    e = math.frexp(float(times[-1]))[1]
+    return math.ldexp(float(np.polyfit(np.ldexp(times, -e), np.log(values), 1)[0]), -e)
+
+
 def fit_decay_rate(times: np.ndarray, deviations: np.ndarray) -> float:
     """Least-squares slope of log(deviation) against time.
 
@@ -75,10 +85,7 @@ def fit_decay_rate(times: np.ndarray, deviations: np.ndarray) -> float:
     usable = deviations > 1e-12 * dev0
     if int(usable.sum()) < 2:
         return float("nan")
-    t = times[usable]
-    y = np.log(deviations[usable])
-    slope = np.polyfit(t, y, 1)[0]
-    return float(slope)
+    return _log_slope(times[usable], deviations[usable])
 
 
 def convergence_bound_check(traj: Trajectory, pd: ProjectionData) -> StabilityReport:

@@ -191,14 +191,18 @@ def perturbed_transversality_envelope(sol: HjbSolution, T: float) -> float:
     with |Q1| <= a (lambda0 - g) since eta P b0 >= 0: decay at the feedback
     rate within the factor e^((gamma-1) a_max (lambda0 - g)), a_max the
     family's largest amplitude.  The envelope takes that factor, and at
-    least 2.
+    least 2, in one exponent, so a factor past the float range alone leaves
+    a finite envelope; an envelope past it is inf.
     """
     gamma = sol.params.gamma
     if gamma < 1:
         rate = sol.params.rho - sol.basis.lambda0 * (1.0 - gamma)
         return math.exp(-rate * T) * (1.0 + 1e-9)
     spread = (gamma - 1.0) * _AMPLITUDES[1] * (sol.basis.lambda0 - sol.g)
-    return max(2.0, math.exp(spread)) * math.exp(-optimal_payoff_exponent(sol) * T)
+    try:
+        return math.exp(max(math.log(2.0), spread) - optimal_payoff_exponent(sol) * T)
+    except OverflowError:
+        return math.inf
 
 
 def open_loop_trajectory(

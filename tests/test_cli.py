@@ -531,6 +531,73 @@ def test_underflowing_profile_below_gamma_one_is_zero(tmp_path, capsys):
     assert (log_profile[zero] < math.log(5e-324)).all()  # below the least subnormal
 
 
+def test_growth_identity_bound_covers_the_terms_of_P(tmp_path, capsys):
+    # gamma = 0.03 with q = 20 on eta near 800 puts |(q-1) log eta| / gamma
+    # near 1.3e4, while |log eta P| stays small: <eta P, b0> = lambda0 - g
+    # holds to eps times the former, which the bound takes from the terms
+    # that P is formed from, so the closed-loop commands run like solve
+    cfg = tmp_path / "mu0.cfg"
+    cfg.write_text(_demo_with(
+        VARIABLE_DEMO,
+        [("rho = 0.6", "rho = 3.0"), ("gamma = 0.5", "gamma = 0.03"), ("q = 0.5", "q = 20"),
+         ("eta.mean = 1.0", "eta.mean = 800.0"), ("eta.amplitude = 0.1", "eta.amplitude = 0.3")],
+        "sweep.gamma = 0.03, 0.05\n",
+    ))
+    for command in ("solve", "simulate", "verify", "sweep"):
+        out = tmp_path / command
+        assert main([command, "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("command", ["solve", "simulate", "verify", "sweep"])
+def test_degenerate_lambda0_is_a_config_error(tmp_path, capsys, command):
+    # A's mode 4 is the Nyquist mode at n = 8, where the generator's two
+    # leading eigenvalues coincide (verify's inverse iteration then misses
+    # a positive b0): a rejected input for every command, with plain floats
+    cfg = tmp_path / "degenerate.cfg"
+    cfg.write_text(
+        "schema = 1\nn_points = 8\nsigma = 0.023044998914349017\n"
+        "rho = 59.8949244952219\ngamma = 0.0023250109957080674\nq = 0.8978364919605895\n"
+        "A.kind = cosine\nA.mean = 68.38603600967075\nA.amplitude = 0.13096484892806434\n"
+        "A.mode = 4\neta.kind = cosine\neta.mean = 95.34929641849241\n"
+        "eta.amplitude = 0.8470240087736557\neta.mode = 3\nK0.kind = cosine\n"
+        "K0.mean = 0.128262567161616\nK0.amplitude = 0.6905125154657128\nK0.mode = 3\n"
+    )
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: sigma = 0.023044998914349017 with n_points = 8: ")
+    assert err.count("\n") == 1 and "np.float64" not in err
+    assert not out.exists()
+
+
+def test_gamma_above_one_envelope_past_the_float_range(tmp_path, capsys):
+    # gamma = 30 with A near 150: the envelope's factor e^841 overflows on
+    # its own, while the envelope e^(841 - a0 T) is finite
+    cfg = tmp_path / "gamma30.cfg"
+    cfg.write_text(_demo_with(VARIABLE_DEMO, [("gamma = 0.5", "gamma = 30.0"),
+                                              ("A.mean = 1.0", "A.mean = 150")]))
+    out = tmp_path / "out"
+    assert main(["verify", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    assert capsys.readouterr().err == ""
+    audit = read_json(out / "audit.json")
+    assert audit["failed_check"] is None
+    assert audit["max_discounted_terminal_rel"] <= audit["perturbed_terminal_envelope"] < math.inf
+
+
+def test_tiny_horizon_runs(tmp_path, capsys):
+    # at t_final = 1e-170 the squares of the sample times underflow, which
+    # the log-linear fits of the trajectory summary and the stability
+    # report avoid by fitting in time scaled by a power of two
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(_demo_with(VARIABLE_DEMO, [("t_final = 8.0", "t_final = 1e-170")]))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    assert capsys.readouterr().err == ""
+    assert math.isfinite(read_json(out / "trajectory_summary.json")["fitted_growth_rate"])
+    assert math.isfinite(read_json(out / "stability.json")["fitted_rate"])
+
+
 DETERMINISM_SWEEP ="sweep.rho = 0.45, 0.75\nsweep.sigma = 1.0, 2.0\n"
 
 
@@ -825,8 +892,8 @@ class TestSweep:
         assert len(calls) == 2
 
     def test_row_kernels_once_per_sigma(self, monkeypatch):
-        # every (gamma, rho) row of a sigma is one batch: one solve_rows and
-        # one projection_rows call per distinct sigma, over all its rows
+        # every (rho, gamma) row of a sigma, in Cartesian order, is one batch:
+        # one solve_rows and one projection_rows call per distinct sigma
         config = dataclasses.replace(
             parse_config(WINDOW_CFG),
             sweep={"rho": [0.45, 0.75, 0.9], "gamma": [0.5, 2.0, 0.5],
@@ -847,12 +914,12 @@ class TestSweep:
         monkeypatch.setattr(closed_loop, "projection_rows", projection_spy)
         rows = cli.sweep_rows(config)
         assert len(rows) == 27
-        batch = ([0.5] * 3 + [2.0] * 3, [0.45, 0.75, 0.9] * 2)
+        batch = ([0.5, 2.0, 0.5] * 3, [0.45] * 3 + [0.75] * 3 + [0.9] * 3)
         assert solved == [batch, batch]
         # projection_rows takes the batch's rows that solve_rows passed
-        feasible = {(row["rho"], row["gamma"], row["sigma"]) for row in rows if row["feasible"]}
-        assert projected == [sum(s == sigma for *_, s in feasible) for sigma in (1.0, 2.0)]
-        assert 0 < min(projected) and max(projected) < 6
+        # rows[j::3] are the 9 rows of the j-th swept sigma, 1.0 and then 2.0
+        assert projected == [sum(row["feasible"] for row in rows[j::3]) for j in (0, 1)]
+        assert 0 < min(projected) and max(projected) < 9
 
     @pytest.mark.parametrize(
         "sweep", ["sweep.gamma = 0.5, 1.0\n", "sweep.rho = 0.75, -0.2\n",
@@ -930,13 +997,15 @@ _GAMMAS = st.one_of(st.floats(0.1, 0.9), st.floats(1.1, 3.0))
 
 
 class TestSweepMatchesPerPointReference:
+    # a repeated rho or gamma is a row of its own in a sigma's batch
     @settings(max_examples=25)
     @given(
-        rhos=st.lists(st.floats(0.05, 1.5), min_size=1, max_size=3),
-        gammas=st.lists(_GAMMAS, min_size=1, max_size=3),
+        rhos=st.lists(st.floats(0.05, 1.5), min_size=1, max_size=3).map(lambda xs: xs + xs[:1]),
+        gammas=st.lists(_GAMMAS, min_size=1, max_size=3).map(lambda xs: xs + xs[-1:]),
         sigmas=st.lists(_SIGMAS, min_size=2, max_size=4),
     )
     @example(rhos=[0.1, 1.2], gammas=[0.2, 2.0], sigmas=[0.3, 2.5, 0.3])
+    @example(rhos=[0.1, 1.2, 0.1], gammas=[2.0, 0.2, 2.0, 0.2], sigmas=[0.3, 2.5, 0.3])
     def test_rows_match(self, rhos, gammas, sigmas):
         config = dataclasses.replace(
             parse_config(VARIABLE_SWEEP_CFG),

@@ -123,6 +123,16 @@ class TestEigendecompose:
         assert basis.eigenvalues[2] == pytest.approx(A0 - sigma, abs=1e-9)
         assert np.abs(basis.b0.values - 1.0 / np.sqrt(TWO_PI)).max() < 1e-9
 
+    def test_repeated_lambda0_is_a_positivity_error_in_plain_floats(self):
+        # a leading eigenvalue that is not simple leaves b0 undetermined: a
+        # PositivityError, which the CLI reports as a one-line error
+        grid = Grid(8)
+        eigenvalues = np.array([2.5, 2.5, 1.0, 0.0, -1.0, -2.0, -3.0, -4.0])
+        vectors = np.eye(8) * np.sqrt(grid.n_points / TWO_PI)
+        with pytest.raises(PositivityError, match=r"^leading eigenvalue is not simple: "
+                                                  r"2\.5 vs 2\.5$"):
+            ak.spectral._checked_basis(grid, eigenvalues, vectors)
+
     def test_homogeneous_mode_pairs(self, window):
         # pairs A0 - sigma*k^2 below the Nyquist mode
         lam = window.basis.eigenvalues

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import akgrowth as ak
 from akgrowth import GridFunction
-from akgrowth.stability import bound_constant
+from akgrowth.stability import _log_slope, bound_constant
 
 TWO_PI = 2.0 * np.pi
 
@@ -122,3 +124,22 @@ class TestDominanceWindow:
         posed = ak.wellposed(params.rho, params.gamma, basis.lambda0)
         dominant = window.sol.g > basis.lambda1
         assert inside == (posed and dominant)
+
+
+class TestLogSlope:
+    @settings(max_examples=200)
+    @given(log_horizon=st.floats(-5.0, 3.0), rate=st.floats(-3.0, 3.0),
+           n_steps=st.integers(2, 200), seed=st.integers(0, 2**32 - 1))
+    def test_keeps_the_bits_of_the_unscaled_fit(self, log_horizon, rate, n_steps, seed):
+        # time scaled by a power of two is exact: the slope equals the
+        # unscaled fit wherever that one runs
+        times = np.linspace(0.0, 10.0**log_horizon, n_steps + 1)
+        noise = np.random.default_rng(seed).uniform(0.5, 2.0, times.size)
+        values = np.exp(rate * times / times[-1]) * noise
+        expected = float(np.polyfit(times, np.log(values), 1)[0])
+        assert _log_slope(times, values) == expected
+
+    def test_tiny_horizon(self):
+        # squares of times near 1e-170 underflow in the unscaled fit
+        times = np.linspace(0.0, 1e-170, 11)
+        assert _log_slope(times, np.exp(1e169 * times)) == pytest.approx(1e169, rel=1e-12)

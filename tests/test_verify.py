@@ -20,6 +20,7 @@ from akgrowth.verify import (
     _feedback_payoff,
     _feedback_utility,
     _perturbation_family,
+    optimal_payoff_exponent,
 )
 
 from conftest import (
@@ -679,6 +680,24 @@ class TestOptimalityAudit:
         envelope = ak.perturbed_transversality_envelope(pipe.sol, audit.horizon)
         assert audit.max_discounted_terminal_rel <= envelope
         assert audit.all_dominated
+
+
+def test_gamma_above_one_envelope_is_one_exponent():
+    # gamma = 30 on A near 150: the factor e^((gamma-1) a_max (lambda0 - g)),
+    # about e^841, overflows alone; the envelope is one exponential, finite
+    # once the horizon's decay brings it into range and inf before that
+    pipe = build_pipeline(
+        16, sigma=2.0, rho=0.6, gamma=30.0, q=0.5,
+        A_fn=lambda t: 150.0 * (1.0 + 0.3 * np.cos(t)),
+        eta_fn=lambda t: 1.0 + 0.1 * np.sin(2 * t), K0_fn=lambda t: 1.0 + 0.4 * np.cos(t),
+    )
+    spread = 29.0 * 0.2 * (pipe.basis.lambda0 - pipe.sol.g)
+    a0 = optimal_payoff_exponent(pipe.sol)
+    assert spread > 800.0
+    assert ak.perturbed_transversality_envelope(pipe.sol, 0.0) == math.inf
+    T = (spread - 700.0) / a0
+    envelope = ak.perturbed_transversality_envelope(pipe.sol, T)
+    assert envelope == pytest.approx(math.exp(spread - a0 * T), rel=1e-12)
 
 
 class TestHjbResidual:
