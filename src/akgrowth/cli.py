@@ -50,9 +50,9 @@ def _basis(grid: Grid, params: spectral.ModelParams, decompose: Callable | None 
     op = spectral.assemble_generator(params, grid)
     try:
         return (decompose or spectral.eigendecompose)(op)
-    except PositivityError as exc:  # b0 unresolved at a small sigma, or lambda0 not simple
+    except PositivityError as exc:  # its text ends in its remedy
         raise ConfigError(f"sigma = {params.sigma!r} with n_points = {grid.n_points}: "
-                          f"{exc}; a larger sigma keeps b0 resolvable") from exc
+                          f"{exc}") from exc
 
 
 def _state_model(config: RunConfig, decompose: Callable | None = None):
@@ -192,14 +192,11 @@ def sweep_rows(config: RunConfig) -> list[dict]:
         params = dataclasses.replace(model_params, sigma=sigma)
         basis = _basis(grid, params)
         batches[sigma] = list(_sweep_batch(batch_rhos, batch_gammas, sigma, params, basis))
-    rows = []
-    for index in range(len(batch_rhos)):
-        for sigma in sigmas:
-            row = batches[sigma][index]
-            if isinstance(row, Exception):
-                raise row
-            rows.append(dict(row))  # a repeated sigma reuses the row
-    return rows
+    rows = [batches[sigma][index] for index in range(len(batch_rhos)) for sigma in sigmas]
+    for row in rows:
+        if isinstance(row, Exception):
+            raise row
+    return [dict(row) for row in rows]  # a repeated sigma reuses the row
 
 
 def cmd_sweep(config: RunConfig, out: Path, quiet: bool) -> int:

@@ -235,13 +235,14 @@ def _checked_basis(grid: Grid, eigenvalues: np.ndarray, vectors: np.ndarray) -> 
 
     lambda_0 must be simple.  b_0 is sign-flipped (in place) if needed so
     that it is strictly positive with a margin above its rounding error.  A
-    PositivityError signals a discretization too coarse (or an invalid
-    profile) if either fails; b_0's norm must be 1 within 4 n eps, its rounding.
+    PositivityError, ending in its remedy, signals a discretization too coarse
+    (or an invalid profile) if either fails; b_0's norm must be 1 within 4 n eps.
     """
+    separate = "a larger n_points or sigma separates lambda0 from lambda1"
     if not eigenvalues[0] > eigenvalues[1]:
         raise PositivityError(
             "leading eigenvalue is not simple: "
-            f"{float(eigenvalues[0])!r} vs {float(eigenvalues[1])!r}"
+            f"{float(eigenvalues[0])!r} vs {float(eigenvalues[1])!r}; {separate}"
         )
     b0 = vectors[:, 0]
     if b0.sum() < 0:
@@ -252,10 +253,12 @@ def _checked_basis(grid: Grid, eigenvalues: np.ndarray, vectors: np.ndarray) -> 
     gap = eigenvalues[0] - eigenvalues[1]
     margin = 16 * np.finfo(float).eps * np.abs(eigenvalues).max() / gap
     if not b0.min() > margin * b0.max():
+        # a margin of 1 or more no b0 can pass: the gap, not b0, is at fault
+        remedy = "a larger sigma keeps b0 resolvable" if margin < 1.0 else separate
         raise PositivityError(
             "leading eigenfunction is not strictly positive after sign fix: "
             f"b0 min/max = {b0.min() / b0.max():.2g}, not above its rounding margin "
-            f"16 eps max|lambda| / (lambda0 - lambda1) = {margin:.2g}"
+            f"16 eps max|lambda| / (lambda0 - lambda1) = {margin:.2g}; {remedy}"
         )
     basis = SpectralBasis(grid, eigenvalues, vectors)
     norm = inner_l2(basis.b0, basis.b0)
@@ -401,6 +404,7 @@ def principal_pair(op: OperatorMatrix) -> SpectralBasis:
     if not quotient > (lam[0] + lam[1]) / 2.0:
         raise PositivityError(
             f"one step from the vector of ones reached the eigenvalue {quotient!r}, "
-            f"not lambda0 = {lam[0]!r}: the leading eigenfunction is not strictly positive"
+            f"not lambda0 = {lam[0]!r}: the leading eigenfunction is not strictly positive; "
+            "a larger sigma keeps b0 resolvable"
         )
     return basis

@@ -554,6 +554,7 @@ def test_degenerate_lambda0_is_a_config_error(tmp_path, capsys, command):
     # A's mode 4 is the Nyquist mode at n = 8, where the generator's two
     # leading eigenvalues coincide (verify's inverse iteration then misses
     # a positive b0): a rejected input for every command, with plain floats
+    # and the remedy for this failure, not the small-sigma one
     cfg = tmp_path / "degenerate.cfg"
     cfg.write_text(
         "schema = 1\nn_points = 8\nsigma = 0.023044998914349017\n"
@@ -568,6 +569,7 @@ def test_degenerate_lambda0_is_a_config_error(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith("error: sigma = 0.023044998914349017 with n_points = 8: ")
     assert err.count("\n") == 1 and "np.float64" not in err
+    assert err.endswith("; a larger n_points or sigma separates lambda0 from lambda1\n")
     assert not out.exists()
 
 
@@ -996,12 +998,17 @@ _SIGMAS = st.sampled_from([0.3, 0.7, 1.0, 2.5])
 _GAMMAS = st.one_of(st.floats(0.1, 0.9), st.floats(1.1, 3.0))
 
 
+def _with_some_repeated(values):
+    # the lists as drawn, or with their first value repeated at the end
+    return st.one_of(values, values.map(lambda xs: xs + xs[:1]))
+
+
 class TestSweepMatchesPerPointReference:
     # a repeated rho or gamma is a row of its own in a sigma's batch
     @settings(max_examples=25)
     @given(
-        rhos=st.lists(st.floats(0.05, 1.5), min_size=1, max_size=3).map(lambda xs: xs + xs[:1]),
-        gammas=st.lists(_GAMMAS, min_size=1, max_size=3).map(lambda xs: xs + xs[-1:]),
+        rhos=_with_some_repeated(st.lists(st.floats(0.05, 1.5), min_size=1, max_size=3)),
+        gammas=_with_some_repeated(st.lists(_GAMMAS, min_size=1, max_size=3)),
         sigmas=st.lists(_SIGMAS, min_size=2, max_size=4),
     )
     @example(rhos=[0.1, 1.2], gammas=[0.2, 2.0], sigmas=[0.3, 2.5, 0.3])
@@ -1083,10 +1090,10 @@ class TestSweepMatchesPerPointReference:
         assert not (out / "sweep.csv").exists()
 
     def test_cartesian_first_failing_row_of_a_batch_raises(self, monkeypatch):
-        # one sigma, so one batch that holds every rho of gamma = 2 and then
-        # every rho of gamma = 20; alpha underflows to 0 at (gamma, rho) =
-        # (2, 1e250) and at (20, 1e50).  (2, 1e250) comes first in the
-        # batch, but (rho, gamma) = (1e50, 20) comes first in Cartesian order
+        # one sigma, so one batch of the four (rho, gamma) rows in Cartesian
+        # order; alpha underflows to 0 at (rho, gamma) = (1e50, 20), (1e250, 2)
+        # and (1e250, 20).  Each failing row of the batch carries the error the
+        # per-point path raises on it, and the sweep raises the first of them
         config = dataclasses.replace(
             parse_config(VARIABLE_SWEEP_CFG),
             sweep={"rho": [1e50, 1e250], "gamma": [2.0, 20.0], "sigma": [1.0]},
@@ -1101,10 +1108,10 @@ class TestSweepMatchesPerPointReference:
         assert [point for point, _ in failures] == [(1e50, 20.0), (1e250, 2.0), (1e250, 20.0)]
         grid, params, _ = config.model()
         basis = cli._basis(grid, params)
-        errors = hjb.solve_rows(basis, params, [2.0, 2.0, 20.0, 20.0],
-                                [1e50, 1e250, 1e50, 1e250])[2]
-        assert [error is None for error in errors] == [True, False, False, False]
-        assert str(errors[1]) == failures[1][1]
+        errors = hjb.solve_rows(basis, params, [2.0, 20.0, 2.0, 20.0],
+                                [1e50, 1e50, 1e250, 1e250])[2]
+        assert errors[0] is None
+        assert [str(error) for error in errors[1:]] == [message for _, message in failures]
         _forbid_per_point_path(monkeypatch)
         with pytest.raises(ConfigError) as raised:
             cli.sweep_rows(config)

@@ -269,7 +269,7 @@ class TestGrowthIdentity:
              q=57.310066113245384, gamma=0.06490859226863181,
              offsets=[-2.2671825198911586, -5.444049837212684, -1.8356973251578665])
     @given(
-        n=st.sampled_from([16, 24, 32, 48, 64, 96, 128]),
+        n=st.sampled_from([16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512]),
         log_sigma=st.floats(np.log10(3e-3), np.log10(4.0)),
         a_amplitude=st.floats(0.0, 0.5),
         eta_amplitude=st.floats(0.0, 0.5),

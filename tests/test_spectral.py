@@ -130,7 +130,8 @@ class TestEigendecompose:
         eigenvalues = np.array([2.5, 2.5, 1.0, 0.0, -1.0, -2.0, -3.0, -4.0])
         vectors = np.eye(8) * np.sqrt(grid.n_points / TWO_PI)
         with pytest.raises(PositivityError, match=r"^leading eigenvalue is not simple: "
-                                                  r"2\.5 vs 2\.5$"):
+                                                  r"2\.5 vs 2\.5; a larger n_points or sigma "
+                                                  r"separates lambda0 from lambda1$"):
             ak.spectral._checked_basis(grid, eigenvalues, vectors)
 
     def test_homogeneous_mode_pairs(self, window):
